@@ -78,9 +78,6 @@ struct CliOptions
     std::string configPath;             ///< --config JSON sweep file
     /// whole | stream (--trace-mode or the config's "trace_mode").
     core::TraceMode traceMode = core::TraceMode::Whole;
-    /// none | delta (--trace-compression or "trace_compression").
-    core::TraceCompression traceCompression =
-        core::TraceCompression::Delta;
 
     /// inprocess | subprocess (--execution or "execution.mode").
     core::ExecutionMode execution = core::ExecutionMode::InProcess;
@@ -122,7 +119,6 @@ struct CliOptions
     bool outExplicit = false;
     bool threadsExplicit = false;
     bool traceModeExplicit = false;
-    bool traceCompressionExplicit = false;
     bool executionExplicit = false;
     bool shardsExplicit = false;
     bool cacheModeExplicit = false;
@@ -158,9 +154,6 @@ printCliHelp(const char *prog)
         "                 memory) or stream (spill to chunked trace\n"
         "                 files, replay from disk; same cycles, flat\n"
         "                 peak memory)\n"
-        "  --trace-compression=C  stream-file encoding: delta\n"
-        "                 (default, compressed CASSTF2) or none (raw\n"
-        "                 24 B/op CASSTF1); same cycles either way\n"
         "  --execution=E  phase-2 cell execution: inprocess (default,\n"
         "                 thread pool), subprocess (cells sharded\n"
         "                 across worker processes) or remote (cells\n"
@@ -254,18 +247,6 @@ parseCli(int argc, char **argv)
                 std::exit(2);
             }
             opts.traceModeExplicit = true;
-        } else if (const char *v = value("--trace-compression")) {
-            try {
-                opts.traceCompression =
-                    core::traceCompressionFromName(v);
-            } catch (const std::invalid_argument &) {
-                std::fprintf(stderr,
-                             "invalid --trace-compression=%s "
-                             "(expected none or delta)\n",
-                             v);
-                std::exit(2);
-            }
-            opts.traceCompressionExplicit = true;
         } else if (const char *v = value("--config")) {
             opts.configPath = v;
         } else if (arg == "--config" && i + 1 < argc) {
@@ -528,8 +509,6 @@ matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
         opts.threads = spec.threads;
     if (!opts.traceModeExplicit && spec.traceModeSet)
         opts.traceMode = spec.traceMode;
-    if (!opts.traceCompressionExplicit && spec.traceCompressionSet)
-        opts.traceCompression = spec.traceCompression;
     if (!opts.executionExplicit && spec.executionModeSet)
         opts.execution = spec.executionMode;
     if (!opts.shardsExplicit && spec.shardsSet)
@@ -578,7 +557,6 @@ analyzeOptions(const CliOptions &opts)
 {
     core::AnalyzeOptions options;
     options.traceMode = opts.traceMode;
-    options.compression = opts.traceCompression;
     if (!opts.artifactDir.empty())
         options.streamDir = opts.artifactDir;
     return options;
@@ -766,24 +744,17 @@ runMatrices(const std::vector<core::ExperimentMatrix> &matrices,
     std::vector<std::string> missing;
     auto cache = makeArtifactCache(names, opts, missing);
 
-    // An explicit --trace-mode/--trace-compression overrides whatever
-    // the matrices' configs say, in both directions (config-file
-    // settings are already baked into the parsed configs, so they
-    // need no forcing).
+    // An explicit --trace-mode overrides whatever the matrices'
+    // configs say, in both directions (config-file settings are
+    // already baked into the parsed configs, so they need no forcing).
     std::vector<core::ExperimentMatrix> resolved = matrices;
-    if (opts.traceModeExplicit || opts.traceCompressionExplicit) {
+    if (opts.traceModeExplicit) {
         for (auto &matrix : resolved) {
             if (matrix.configs.empty() &&
-                (opts.traceMode == core::TraceMode::Stream ||
-                 opts.traceCompression ==
-                     core::TraceCompression::None))
+                opts.traceMode == core::TraceMode::Stream)
                 matrix.configs.push_back(core::SimConfig{});
-            for (auto &cfg : matrix.configs) {
-                if (opts.traceModeExplicit)
-                    cfg.traceMode = opts.traceMode;
-                if (opts.traceCompressionExplicit)
-                    cfg.traceCompression = opts.traceCompression;
-            }
+            for (auto &cfg : matrix.configs)
+                cfg.traceMode = opts.traceMode;
         }
     }
 

@@ -2,11 +2,12 @@
  * @file
  * Microbenchmarks (google-benchmark) for trace replay throughput: the
  * scalar next() path versus the batched SoA nextBatch() paths, over
- * both source kinds (in-memory TraceSpanSource and on-disk
- * TraceCursor). Items processed = timing ops replayed, so the
- * items-per-second column reads directly as replay ops/sec; the
- * batch/scalar ratio is the tentpole speedup the SoA replay layer
- * claims (docs/ARCHITECTURE.md, "Performance").
+ * the in-memory sources (the reference AoS TraceSpanSource and the
+ * ChunkSpanSource whole mode replays) and the on-disk TraceCursor.
+ * Items processed = timing ops replayed, so the items-per-second
+ * column reads directly as replay ops/sec; the batch/scalar ratio is
+ * the speedup the SoA replay layer claims (docs/ARCHITECTURE.md,
+ * "Performance guide").
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/analysis_pipeline.hh"
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
@@ -23,7 +25,6 @@ using namespace cassandra;
 
 namespace {
 
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
@@ -48,36 +49,32 @@ workload()
     return w;
 }
 
-/** Whole-trace SoA mirror shared by the zero-copy span benchmark. */
-const uarch::OpBatchStorage &
-mirror()
+/** The same trace as the fused analysis pass retains it: the
+ * whole-mode trace storage. */
+const std::vector<core::AnalysisChunk> &
+chunks()
 {
-    static const uarch::OpBatchStorage soa = [] {
-        uarch::OpBatchStorage s;
-        uarch::buildOpBatchStorage(trace(), s);
-        return s;
+    static const std::vector<core::AnalysisChunk> c = [] {
+        std::vector<core::AnalysisChunk> out;
+        core::runFusedOpPass(workload(), 2, {}, {}, &out);
+        return out;
     }();
-    return soa;
+    return c;
 }
 
-/** Stream file of the same trace (CASSTF1 raw / CASSTF2 delta). */
+/** CASSTF2 stream file of the same trace. */
 const std::string &
-streamFile(TraceCompression compression)
+streamFile()
 {
-    static std::string paths[2];
-    std::string &path =
-        paths[compression == TraceCompression::Delta ? 1 : 0];
-    if (path.empty()) {
-        path = std::string("/tmp/micro_replay-") +
-            (compression == TraceCompression::Delta ? "tf2" : "tf1") +
-            ".trace";
+    static const std::string path = [] {
+        const std::string p = "/tmp/micro_replay.trace";
         TraceStreamWriter writer(
-            path, core::programFingerprint(workload().program),
-            core::traceStreamDefaultFrameOps, compression);
+            p, core::programFingerprint(workload().program));
         for (const TimingOp &op : trace())
             writer.append(op);
         writer.finish();
-    }
+        return p;
+    }();
     return path;
 }
 
@@ -156,7 +153,7 @@ BENCHMARK(BM_ReplaySpanScalarAdapter);
 void
 BM_ReplaySpanBatchTranspose(benchmark::State &state)
 {
-    // Native batch path without a shared mirror: one AoS -> SoA
+    // Native batch path of the AoS reference source: one AoS -> SoA
     // transpose per 4K-op batch.
     const TimingTrace &t = trace();
     for (auto _ : state) {
@@ -171,23 +168,22 @@ BENCHMARK(BM_ReplaySpanBatchTranspose);
 void
 BM_ReplaySpanBatchShared(benchmark::State &state)
 {
-    // The hot production path: zero-copy views into the whole-trace
-    // mirror the analysis built once (AnalyzedWorkload::openOpSource).
-    const TimingTrace &t = trace();
-    const uarch::OpBatchStorage &soa = mirror();
+    // The production whole-mode path: zero-copy views into the chunks
+    // the fused analysis pass retained (AnalyzedWorkload::openOpSource).
+    const std::vector<core::AnalysisChunk> &c = chunks();
     for (auto _ : state) {
-        uarch::TraceSpanSource src(t, soa);
+        core::ChunkSpanSource src(c);
         benchmark::DoNotOptimize(drainBatched(src));
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
+                            static_cast<int64_t>(trace().size()));
 }
 BENCHMARK(BM_ReplaySpanBatchShared);
 
 void
 BM_ReplayCursorScalar(benchmark::State &state)
 {
-    const std::string &path = streamFile(TraceCompression::Delta);
+    const std::string &path = streamFile();
     for (auto _ : state) {
         TraceCursor src(path, workload().program);
         benchmark::DoNotOptimize(drainScalar(src));
@@ -198,24 +194,10 @@ BM_ReplayCursorScalar(benchmark::State &state)
 BENCHMARK(BM_ReplayCursorScalar);
 
 void
-BM_ReplayCursorBatchRaw(benchmark::State &state)
-{
-    // CASSTF1: raw 24 B/op frames, batch decode straight into SoA.
-    const std::string &path = streamFile(TraceCompression::None);
-    for (auto _ : state) {
-        TraceCursor src(path, workload().program);
-        benchmark::DoNotOptimize(drainBatched(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
-}
-BENCHMARK(BM_ReplayCursorBatchRaw);
-
-void
 BM_ReplayCursorBatchDelta(benchmark::State &state)
 {
-    // CASSTF2: delta/zig-zag varint frames (decodeTraceFrameSoA).
-    const std::string &path = streamFile(TraceCompression::Delta);
+    // CASSTF2: delta/zig-zag varint frames (decodeRelinkedFrame).
+    const std::string &path = streamFile();
     for (auto _ : state) {
         TraceCursor src(path, workload().program);
         benchmark::DoNotOptimize(drainBatched(src));

@@ -14,9 +14,8 @@
  *
  * The config may be given positionally or via --config=FILE; the
  * other shared CLI flags (--format/--out/--threads/--workloads/
- * --suite/--trace-mode/--trace-compression/--execution/--shards/
- * --cache/--cache-dir/--scheduler/--stats-out) override the config
- * file as usual. Unlike the figure benches there
+ * --suite/--trace-mode/--execution/--shards/--cache/--cache-dir/
+ * --scheduler/--stats-out) override the config file as usual. Unlike the figure benches there
  * is no built-in matrix: no config is an error.
  *
  * The binary doubles as the shard worker of the subprocess executor

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/trace_stream.hh"
 #include "sim/machine.hh"
 
 namespace cassandra::core {
@@ -16,20 +17,10 @@ namespace {
 
 std::atomic<uint64_t> fused_passes{0};
 
-/** Crypto flag per static instruction — the same relink table
- * TraceCursor builds, so fused relinking matches the cursor's. */
-std::vector<uint8_t>
-cryptoTable(const ir::Program &prog)
-{
-    std::vector<uint8_t> table(prog.size());
-    for (size_t idx = 0; idx < table.size(); idx++)
-        table[idx] = prog.isCryptoPc(ir::Program::pcOf(idx)) ? 1 : 0;
-    return table;
-}
-
-/** Fill the inst/crypto/tainted columns from the pc column. Executed
- * pcs were validated by Machine::step before the probe fired, so no
- * range check is needed (unlike the cursor, which reads from disk). */
+/** Fill the inst/crypto/tainted columns from the pc column through
+ * the cursor's relink table (cryptoPcTable). Executed pcs were
+ * validated by Machine::step before the probe fired, so no range check
+ * is needed (unlike the cursor, which reads from disk). */
 void
 relinkChunk(AnalysisChunk &chunk, const ir::Program &prog,
             const std::vector<uint8_t> &crypto)
@@ -240,7 +231,7 @@ runFusedOpPass(const Workload &workload, int which,
 {
     fused_passes.fetch_add(1, std::memory_order_relaxed);
     const ir::Program &prog = workload.program;
-    const std::vector<uint8_t> crypto = cryptoTable(prog);
+    const std::vector<uint8_t> crypto = cryptoPcTable(prog);
 
     FusedPassStats stats;
     ChunkPipeline pipeline(
@@ -300,7 +291,7 @@ runFusedBranchPass(const Workload &workload, int which, bool crypto_only,
 {
     fused_passes.fetch_add(1, std::memory_order_relaxed);
     const ir::Program &prog = workload.program;
-    const std::vector<uint8_t> crypto = cryptoTable(prog);
+    const std::vector<uint8_t> crypto = cryptoPcTable(prog);
 
     FusedBranchRun out;
     FoldedTraceCollector collector;

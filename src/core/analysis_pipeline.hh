@@ -27,8 +27,10 @@
  * Parity contract: the chunk column values equal, op for op, what the
  * scalar recordTrace sink observes (the batch probe fires at exactly
  * the instProbe site), so every consumer's output is byte-identical to
- * its reference-pass counterpart. The reference passes stay in-tree as
- * the oracle the parity suite compares against.
+ * its reference counterpart. The serial references — the
+ * uarch::recordTrace sink, uarch::computeTaintBitmap and
+ * generateTraces with `fused` false — stay in-tree as free functions
+ * the parity suite compares against.
  */
 
 #ifndef CASSANDRA_CORE_ANALYSIS_PIPELINE_HH
@@ -150,9 +152,9 @@ runFusedBranchPass(const Workload &workload, int which,
 
 /**
  * TimingOpSource over retained fused chunks: the whole-mode replay
- * source when analysis ran fused. nextBatch() serves zero-copy views
- * into the chunks (a batch never crosses a chunk boundary); next() is
- * the scalar adapter. `chunks` must outlive the source.
+ * source. nextBatch() serves zero-copy views into the chunks (a batch
+ * never crosses a chunk boundary); next() is the scalar adapter.
+ * `chunks` must outlive the source.
  */
 class ChunkSpanSource final : public uarch::TimingOpSource
 {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -19,23 +18,6 @@ std::atomic<uint64_t> analysis_runs{0};
 std::atomic<uint64_t> phase_timing_runs{0};
 std::atomic<uint64_t> phase_image_runs{0};
 std::atomic<uint64_t> phase_taint_runs{0};
-
-/** AnalysisFusion::Auto resolution, from the environment once. */
-bool
-fusionDefault()
-{
-    static const bool on = [] {
-        const char *e = std::getenv("CASSANDRA_ANALYSIS_FUSION");
-        if (!e)
-            return true;
-        std::string v(e);
-        for (char &c : v)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        return v != "0" && v != "off" && v != "reference";
-    }();
-    return on;
-}
 
 /** Fused-pass consumer writing chunks into a trace stream file. */
 class StreamWriteConsumer final : public BatchConsumer
@@ -63,9 +45,10 @@ class StreamWriteConsumer final : public BatchConsumer
 };
 
 /**
- * Fused-pass consumer running the incremental taint walk. Bits
- * accumulate in growable words because the fused pass discovers the op
- * count as it goes (there is no counting pre-run to size a bitmap).
+ * The incremental taint walk over SoA batches: a fused-pass consumer,
+ * and the batched walk over a recorded trace. Bits accumulate in
+ * growable words because the fused pass discovers the op count as it
+ * goes (there is no counting pre-run to size a bitmap).
  */
 class TaintConsumer final : public BatchConsumer
 {
@@ -78,10 +61,17 @@ class TaintConsumer final : public BatchConsumer
     void
     consume(const AnalysisChunk &chunk) override
     {
-        for (size_t i = 0; i < chunk.size; i++) {
-            if (walker_.feed(*chunk.ops.inst[i], chunk.ops.memAddr[i],
-                             chunk.ops.crypto[i] != 0)) {
-                const uint64_t bit = chunk.baseIndex + i;
+        feed(chunk.view(), chunk.baseIndex);
+    }
+
+    /** Walk `batch`, whose first op has dynamic index `base`. */
+    void
+    feed(const uarch::OpBatch &batch, uint64_t base)
+    {
+        for (size_t i = 0; i < batch.size; i++) {
+            if (walker_.feed(*batch.inst[i], batch.memAddr[i],
+                             batch.crypto[i] != 0)) {
+                const uint64_t bit = base + i;
                 const size_t word = static_cast<size_t>(bit >> 6);
                 if (word >= words_.size())
                     words_.resize(word + 1, 0);
@@ -102,16 +92,24 @@ class TaintConsumer final : public BatchConsumer
     std::vector<uint64_t> words_;
 };
 
+uint64_t
+chunkOps(const std::vector<AnalysisChunk> &chunks)
+{
+    uint64_t ops = 0;
+    for (const AnalysisChunk &chunk : chunks)
+        ops += chunk.size;
+    return ops;
+}
+
 } // namespace
 
-AnalyzedWorkload::AnalyzedWorkload(Workload workload, KmersParams kmers,
-                                   TraceMode mode,
-                                   uarch::TimingTrace trace,
+AnalyzedWorkload::AnalyzedWorkload(Workload workload, TraceMode mode,
+                                   std::vector<AnalysisChunk> chunks,
                                    std::string streamPath,
                                    uint64_t numOps)
-    : workload_(std::move(workload)), kmers_(kmers), traceMode_(mode),
-      trace_(std::move(trace)), streamPath_(std::move(streamPath)),
-      numOps_(numOps)
+    : workload_(std::move(workload)), traceMode_(mode),
+      streamPath_(std::move(streamPath)), numOps_(numOps),
+      chunks_(std::move(chunks))
 {
     traceReady_.store(true, std::memory_order_release);
 }
@@ -120,21 +118,8 @@ AnalyzedWorkload::AnalyzedWorkload(Workload workload,
                                    const AnalyzeOptions &options,
                                    std::string streamPath)
     : workload_(std::move(workload)), kmers_(options.kmers),
-      fusion_(options.fusion), traceMode_(options.traceMode),
-      streamCompression_(options.compression),
-      streamPath_(std::move(streamPath))
+      traceMode_(options.traceMode), streamPath_(std::move(streamPath))
 {
-}
-
-bool
-AnalyzedWorkload::fusionEnabled() const
-{
-    switch (fusion_) {
-      case AnalysisFusion::Fused: return true;
-      case AnalysisFusion::Reference: return false;
-      case AnalysisFusion::Auto: break;
-    }
-    return fusionDefault();
 }
 
 AnalyzedWorkload::~AnalyzedWorkload()
@@ -189,45 +174,17 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
         return;
     std::call_once(traceOnce_, [this, extra] {
         phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-        if (!fusionEnabled()) {
-            // Reference passes: count-then-record into the AoS trace
-            // plus SoA mirror (whole), or the scalar sink into the
-            // stream writer. Kept as the oracle the fused path is
-            // byte-compared against.
-            if (traceMode_ == TraceMode::Stream) {
-                TraceStreamWriter writer(
-                    streamPath_, programFingerprint(workload_.program),
-                    traceStreamDefaultFrameOps, streamCompression_);
-                numOps_ = uarch::recordTrace(
-                    workload_, /*which=*/2,
-                    [&](const uarch::TimingOp &op) {
-                        writer.append(op);
-                    });
-                writer.finish();
-            } else {
-                // Record the AoS trace and its SoA replay mirror in
-                // one pass; every TraceSpanSource then shares the
-                // mirror with no transpose step.
-                numOps_ = uarch::recordTrace(workload_, /*which=*/2,
-                                             trace_, soaMirror_);
-                soaReady_.store(true, std::memory_order_release);
-            }
-            traceReady_.store(true, std::memory_order_release);
-            return;
-        }
-
-        // Fused single pass: one machine run records the trace (SoA
-        // chunks retained in whole mode, streamed to disk in stream
-        // mode) with no counting pre-run, and any fusable pending
-        // phase consumes the same chunks as they are produced.
+        // One machine run records the trace (SoA chunks retained in
+        // whole mode, streamed to disk in stream mode) with no
+        // counting pre-run, and any fusable pending phase consumes the
+        // same chunks as they are produced.
         std::vector<BatchConsumer *> consumers;
         std::unique_ptr<TraceStreamWriter> writer;
         std::unique_ptr<StreamWriteConsumer> writeConsumer;
         std::unique_ptr<TaintConsumer> taintConsumer;
         if (traceMode_ == TraceMode::Stream) {
             writer = std::make_unique<TraceStreamWriter>(
-                streamPath_, programFingerprint(workload_.program),
-                traceStreamDefaultFrameOps, streamCompression_);
+                streamPath_, programFingerprint(workload_.program));
             writeConsumer =
                 std::make_unique<StreamWriteConsumer>(*writer);
             consumers.push_back(writeConsumer.get());
@@ -240,9 +197,22 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
                 std::make_unique<TaintConsumer>(workload_.secretRegions);
             consumers.push_back(taintConsumer.get());
         }
-        const FusedPassStats stats = runFusedOpPass(
-            workload_, /*which=*/2, consumers, {},
-            streamed() ? nullptr : &chunks_);
+        FusedPassStats stats;
+        try {
+            stats = runFusedOpPass(workload_, /*which=*/2, consumers, {},
+                                   streamed() ? nullptr : &chunks_);
+        } catch (...) {
+            // A failed recording (an exhausted instruction budget, a
+            // full disk) leaves nothing behind: the unfinished writer
+            // wrote no footer, and its partial file is removed here —
+            // no artifact owns it.
+            chunks_.clear();
+            if (writer) {
+                writer.reset();
+                std::remove(streamPath_.c_str());
+            }
+            throw;
+        }
         numOps_ = stats.numOps;
         if (fuse_taint) {
             taint_ = taintConsumer->take(numOps_);
@@ -270,12 +240,11 @@ AnalyzedWorkload::analyze(Workload workload, const KmersParams &params)
 
 AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromParts(Workload workload, TraceGenResult traces,
-                            uarch::TimingTrace trace)
+                            std::vector<AnalysisChunk> chunks)
 {
-    const uint64_t ops = trace.size();
-    auto *raw = new AnalyzedWorkload(std::move(workload), {},
-                                     TraceMode::Whole, std::move(trace),
-                                     "", ops);
+    const uint64_t ops = chunkOps(chunks);
+    auto *raw = new AnalyzedWorkload(std::move(workload), TraceMode::Whole,
+                                     std::move(chunks), "", ops);
     // The deserialized image is adopted verbatim: the phase is marked
     // done without running (and without counting) Algorithm 2.
     raw->traces_ = std::move(traces);
@@ -284,30 +253,28 @@ AnalyzedWorkload::fromParts(Workload workload, TraceGenResult traces,
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromParts(Workload workload, uarch::TimingTrace trace)
+AnalyzedWorkload::fromParts(Workload workload,
+                            std::vector<AnalysisChunk> chunks)
 {
-    const uint64_t ops = trace.size();
-    return Ptr(new AnalyzedWorkload(std::move(workload), {},
-                                    TraceMode::Whole, std::move(trace),
-                                    "", ops));
+    const uint64_t ops = chunkOps(chunks);
+    return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Whole,
+                                    std::move(chunks), "", ops));
 }
 
 AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromStreamParts(Workload workload,
                                   std::string streamPath, uint64_t numOps)
 {
-    return Ptr(new AnalyzedWorkload(std::move(workload), {},
-                                    TraceMode::Stream, {},
-                                    std::move(streamPath), numOps));
+    return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Stream,
+                                    {}, std::move(streamPath), numOps));
 }
 
 AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromStreamParts(Workload workload, TraceGenResult traces,
                                   std::string streamPath, uint64_t numOps)
 {
-    auto *raw = new AnalyzedWorkload(std::move(workload), {},
-                                     TraceMode::Stream, {},
-                                     std::move(streamPath), numOps);
+    auto *raw = new AnalyzedWorkload(std::move(workload), TraceMode::Stream,
+                                     {}, std::move(streamPath), numOps);
     raw->traces_ = std::move(traces);
     raw->imageReady_.store(true, std::memory_order_release);
     return Ptr(raw);
@@ -318,8 +285,7 @@ AnalyzedWorkload::traces() const
 {
     if (!imageReady_.load(std::memory_order_acquire)) {
         std::call_once(imageOnce_, [this] {
-            traces_ = generateTraces(workload_, kmers_,
-                                     fusionEnabled());
+            traces_ = generateTraces(workload_, kmers_, /*fused=*/true);
             phase_image_runs.fetch_add(1, std::memory_order_relaxed);
             imageReady_.store(true, std::memory_order_release);
         });
@@ -339,9 +305,18 @@ AnalyzedWorkload::taintBitmap() const
             if (taintReady_.load(std::memory_order_acquire))
                 return;
             if (!workload_.secretRegions.empty()) {
+                // The batched form of uarch::computeTaintBitmap: the
+                // same walker over the artifact's replay source.
+                TaintConsumer walk(workload_.secretRegions);
                 auto src = openOpSource();
-                taint_ = uarch::computeTaintBitmap(
-                    *src, workload_.secretRegions, numOps_);
+                uarch::OpBatch batch;
+                uint64_t base = 0;
+                while (const size_t n =
+                           src->nextBatch(batch, uarch::timingOpBatchOps)) {
+                    walk.feed(batch, base);
+                    base += n;
+                }
+                taint_ = walk.take(numOps_);
                 phase_taint_runs.fetch_add(1,
                                            std::memory_order_relaxed);
             }
@@ -367,37 +342,6 @@ AnalyzedWorkload::ensurePhases(AnalysisPhaseMask phases) const
         taintBitmap();
 }
 
-const uarch::TimingTrace &
-AnalyzedWorkload::timingTrace() const
-{
-    if (streamed())
-        throw std::logic_error(
-            "streamed AnalyzedWorkload holds no in-memory timing "
-            "trace; iterate openOpSource() instead");
-    ensureTrace();
-    // Fused analyses keep the trace as SoA chunks; the AoS form is
-    // materialized lazily for the few consumers (serialization,
-    // tests) that want TimingOp structs.
-    std::call_once(aosOnce_, [this] {
-        if (chunks_.empty())
-            return;
-        trace_.reserve(numOps_);
-        for (const AnalysisChunk &c : chunks_) {
-            for (size_t i = 0; i < c.size; i++) {
-                uarch::TimingOp op;
-                op.pc = c.ops.pc[i];
-                op.memAddr = c.ops.memAddr[i];
-                op.nextPc = c.ops.nextPc[i];
-                op.inst = c.ops.inst[i];
-                op.crypto = c.ops.crypto[i] != 0;
-                op.tainted = c.ops.tainted[i] != 0;
-                trace_.push_back(op);
-            }
-        }
-    });
-    return trace_;
-}
-
 std::unique_ptr<uarch::TimingOpSource>
 AnalyzedWorkload::openOpSource() const
 {
@@ -405,15 +349,7 @@ AnalyzedWorkload::openOpSource() const
     if (streamed())
         return std::make_unique<TraceCursor>(streamPath_,
                                              workload_.program);
-    if (!chunks_.empty())
-        return std::make_unique<ChunkSpanSource>(chunks_);
-    if (!soaReady_.load(std::memory_order_acquire)) {
-        std::call_once(soaOnce_, [this] {
-            uarch::buildOpBatchStorage(trace_, soaMirror_);
-            soaReady_.store(true, std::memory_order_release);
-        });
-    }
-    return std::make_unique<uarch::TraceSpanSource>(trace_, soaMirror_);
+    return std::make_unique<ChunkSpanSource>(chunks_);
 }
 
 bool
@@ -532,7 +468,7 @@ AnalysisCache::key(const std::string &name)
 
 AnalyzedWorkload::Ptr
 AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
-                   TraceMode mode, TraceCompression compression) const
+                   TraceMode mode) const
 {
     const std::string k = key(name);
     const AnalysisPhaseMask want = options_.phases | phases;
@@ -562,7 +498,6 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
         AnalyzeOptions options = options_;
         options.phases = want;
         options.traceMode = mode;
-        options.compression = compression;
         auto artifact =
             AnalyzedWorkload::analyze(resolver_(name), options);
         promise.set_value(artifact);
@@ -575,13 +510,6 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
         entries_.erase(k);
         throw;
     }
-}
-
-AnalyzedWorkload::Ptr
-AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
-                   TraceMode mode) const
-{
-    return get(name, phases, mode, options_.compression);
 }
 
 AnalyzedWorkload::Ptr

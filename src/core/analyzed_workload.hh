@@ -15,12 +15,13 @@
  * through core/serialize (saveAnalyzedWorkload / loadAnalyzedWorkload),
  * so repeated sweeps can skip analysis entirely.
  *
- * Memory: the taint pre-pass produces a 1 bit/op TaintBitmap (not a
- * duplicated annotated trace), and with AnalyzeOptions::traceMode ==
- * TraceMode::Stream the timing trace itself is spilled to a chunked
- * trace file at record time and replayed from disk through a
- * TraceCursor, so peak memory stays at one frame regardless of trace
- * length. Cycle results are bit-identical across modes.
+ * Memory: the timing trace is recorded by one fused analysis pass
+ * (core/analysis_pipeline). Whole mode keeps the pass's SoA chunks as
+ * the trace; with AnalyzeOptions::traceMode == TraceMode::Stream the
+ * chunks are spilled to a CASSTF2 trace file at record time and
+ * replayed from disk through a TraceCursor, so peak memory stays at
+ * one frame regardless of trace length. The taint pre-pass produces a
+ * 1 bit/op TaintBitmap. Cycle results are bit-identical across modes.
  *
  * Phase 2 — simulation. A Simulation is a lightweight session over
  * one artifact that runs any number of SimConfigs; each run builds
@@ -100,21 +101,6 @@ struct AnalysisPhaseRuns
     uint64_t taint = 0;      ///< taint pre-passes over secret workloads
 };
 
-/**
- * Analysis execution scheme. Fused runs every pending phase of one
- * ensurePhases() request in a single batch-pipeline machine pass
- * (core/analysis_pipeline); Reference keeps the serial per-phase
- * passes (scalar probes, count-then-record) that the fused path is
- * byte-compared against. Auto resolves to Fused unless the
- * CASSANDRA_ANALYSIS_FUSION environment variable says 0/off/reference.
- */
-enum class AnalysisFusion
-{
-    Auto,
-    Fused,
-    Reference,
-};
-
 /** Knobs of one analysis (phase eagerness, trace storage). */
 struct AnalyzeOptions
 {
@@ -128,16 +114,10 @@ struct AnalyzeOptions
      * the result store never records a trace.
      */
     AnalysisPhaseMask phases = 0;
-    /** Whole: in-memory trace. Stream: spill to a chunked file. */
+    /** Whole: in-memory chunks. Stream: spill to a CASSTF2 file. */
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
     std::string streamDir;
-    /** Stream-file encoding: raw CASSTF1 or delta-compressed CASSTF2
-     * (the default; replay is bit-identical either way). */
-    TraceCompression compression = TraceCompression::Delta;
-    /** Fused single-pass analysis vs. the serial reference passes
-     * (results are byte-identical; this only picks the machinery). */
-    AnalysisFusion fusion = AnalysisFusion::Auto;
 };
 
 /** Immutable analysis artifact: workload + traces, shareable. */
@@ -159,18 +139,20 @@ class AnalyzedWorkload
     static Ptr analyze(Workload workload, const KmersParams &params = {});
 
     /**
-     * Rebuild an artifact from precomputed parts (the deserialization
-     * path, trace image included). The timing trace must already be
-     * relinked against workload.program; the taint pre-pass is
-     * recomputed on demand (it is deterministic). Does not count as an
-     * analysis run.
+     * Rebuild a whole-mode artifact from precomputed parts (the
+     * deserialization path, trace image included). `chunks` hold the
+     * timing trace in order, relinked against workload.program, in the
+     * form the analysis pass retains; the taint pre-pass is recomputed
+     * on demand (it is deterministic). Does not count as an analysis
+     * run.
      */
     static Ptr fromParts(Workload workload, TraceGenResult traces,
-                         uarch::TimingTrace trace);
+                         std::vector<AnalysisChunk> chunks);
 
     /** fromParts for a snapshot without a trace image: Algorithm 2
      * stays demand-driven on the rebuilt artifact. */
-    static Ptr fromParts(Workload workload, uarch::TimingTrace trace);
+    static Ptr fromParts(Workload workload,
+                         std::vector<AnalysisChunk> chunks);
 
     /**
      * Rebuild a *streamed* artifact around an existing trace stream
@@ -245,16 +227,10 @@ class AnalyzedWorkload
     }
 
     /**
-     * Dynamic instruction stream of the evaluation input.
-     * @throws std::logic_error for streamed artifacts, which hold no
-     *         in-memory trace — iterate openOpSource() instead.
-     */
-    const uarch::TimingTrace &timingTrace() const;
-
-    /**
-     * Iterate the timing trace: an in-memory span in whole mode, a
-     * TraceCursor over the stream file in stream mode. Each call
-     * returns an independent forward-only source.
+     * Iterate the timing trace: a ChunkSpanSource over the retained
+     * chunks in whole mode, a TraceCursor over the stream file in
+     * stream mode. Each call returns an independent forward-only
+     * source.
      */
     std::unique_ptr<uarch::TimingOpSource> openOpSource() const;
 
@@ -276,8 +252,8 @@ class AnalyzedWorkload
     static AnalysisPhaseRuns analysisPhaseRuns();
 
   private:
-    AnalyzedWorkload(Workload workload, KmersParams kmers,
-                     TraceMode mode, uarch::TimingTrace trace,
+    AnalyzedWorkload(Workload workload, TraceMode mode,
+                     std::vector<AnalysisChunk> chunks,
                      std::string streamPath, uint64_t numOps);
     /** Deferred-recording constructor: the trace (whole or streamed)
      * is recorded by ensureTrace() on first use. */
@@ -285,29 +261,21 @@ class AnalyzedWorkload
                      std::string streamPath);
 
     /** Record the timing trace if it has not been recorded yet
-     * (thread-safe, exactly once). Whole mode also materializes the
-     * shared SoA mirror in the same pass. */
+     * (thread-safe, exactly once). */
     void ensureTrace() const;
 
     /**
      * ensureTrace() plus fusion: when the trace has not been recorded
-     * yet and fused analysis is enabled, phases of `extra` that can
-     * ride the recording machine run (the taint walk; the stream
-     * writer rides unconditionally) are computed by the same single
-     * pass instead of a pass each.
+     * yet, phases of `extra` that can ride the recording machine run
+     * (the taint walk; the stream writer rides unconditionally) are
+     * computed by the same single pass instead of a pass each.
      */
     void ensureTraceWith(AnalysisPhaseMask extra) const;
 
-    /** Resolved fusion scheme (options + environment). */
-    bool fusionEnabled() const;
-
     Workload workload_;
     KmersParams kmers_;
-    AnalysisFusion fusion_ = AnalysisFusion::Auto;
     TraceMode traceMode_ = TraceMode::Whole;
-    TraceCompression streamCompression_ = TraceCompression::Delta;
-    mutable uarch::TimingTrace trace_; ///< whole mode (empty streamed)
-    std::string streamPath_;           ///< stream mode
+    std::string streamPath_; ///< stream mode
     mutable uint64_t numOps_ = 0;
     mutable std::once_flag traceOnce_;
     mutable std::atomic<bool> traceReady_{false};
@@ -321,20 +289,10 @@ class AnalyzedWorkload
     mutable uarch::TaintBitmap taint_;
     mutable std::atomic<bool> taintReady_{false};
 
-    // Whole mode only: SoA mirror of trace_ shared by every
-    // TraceSpanSource this artifact hands out, so a trace replayed by
-    // many matrix cells is transposed once, not once per run (and not
-    // at all when recording and mirroring fuse in ensureTrace).
-    mutable std::once_flag soaOnce_;
-    mutable uarch::OpBatchStorage soaMirror_;
-    mutable std::atomic<bool> soaReady_{false};
-
-    // Fused whole mode: the retained pipeline chunks ARE the trace
+    // Whole mode: the retained analysis-pass chunks ARE the trace
     // storage (SoA, produced by the single recording pass with no
     // pre-counting run); every ChunkSpanSource serves views into them.
-    // trace_ stays empty until a caller demands the AoS form.
     mutable std::vector<AnalysisChunk> chunks_;
-    mutable std::once_flag aosOnce_; ///< lazy trace_ from chunks_
 };
 
 /**
@@ -379,14 +337,10 @@ class AnalysisCache
      * request. Blocks while another thread analyzes the same name;
      * analysis failures propagate to every waiter. `phases` (merged
      * with the cache's default phases) are guaranteed to have run on
-     * the returned artifact; `mode` and `compression` override the
-     * cache's trace mode/stream encoding for a first-request analysis
-     * (cached artifacts keep the storage they were analyzed with —
-     * results are identical either way).
+     * the returned artifact; `mode` overrides the cache's trace mode
+     * for a first-request analysis (cached artifacts keep the storage
+     * they were analyzed with — results are identical either way).
      */
-    AnalyzedWorkload::Ptr get(const std::string &name,
-                              AnalysisPhaseMask phases, TraceMode mode,
-                              TraceCompression compression) const;
     AnalyzedWorkload::Ptr get(const std::string &name,
                               AnalysisPhaseMask phases,
                               TraceMode mode) const;

@@ -200,7 +200,7 @@ namespace {
 
 constexpr char manifestMagic[8] = {'C', 'A', 'S', 'S',
                                    'S', 'M', '1', '\n'};
-constexpr uint32_t manifestVersion = 1;
+constexpr uint32_t manifestVersion = 2;
 
 void
 packCacheParams(ByteWriter &w, const uarch::CacheParams &c)
@@ -257,7 +257,6 @@ packSimConfig(ByteWriter &w, const SimConfig &cfg)
     w.u64(cfg.btu.ways);
     w.u32(cfg.btu.fillLatency);
     w.u8(cfg.traceMode == TraceMode::Stream ? 1 : 0);
-    w.u8(cfg.traceCompression == TraceCompression::None ? 0 : 1);
 }
 
 SimConfig
@@ -293,8 +292,6 @@ unpackSimConfig(ByteReader &r)
     cfg.btu.ways = static_cast<size_t>(r.u64());
     cfg.btu.fillLatency = r.u32();
     cfg.traceMode = r.u8() ? TraceMode::Stream : TraceMode::Whole;
-    cfg.traceCompression =
-        r.u8() ? TraceCompression::Delta : TraceCompression::None;
     return cfg;
 }
 

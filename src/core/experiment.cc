@@ -186,8 +186,7 @@ distinctNames(const std::vector<std::string> &names)
 
 std::vector<AnalyzedWorkload::Ptr>
 ExperimentRunner::analyze(const std::vector<std::string> &names,
-                          AnalysisPhaseMask phases, TraceMode mode,
-                          TraceCompression compression) const
+                          AnalysisPhaseMask phases, TraceMode mode) const
 {
     // Phase 1: each distinct workload analyzed exactly once, distinct
     // workloads concurrently. The cache's single-flight get() makes
@@ -197,8 +196,7 @@ ExperimentRunner::analyze(const std::vector<std::string> &names,
     std::vector<AnalyzedWorkload::Ptr> artifacts(distinct.size());
     runParallel(options_.resolveThreads(distinct.size()),
                 distinct.size(), [&](size_t i) {
-                    artifacts[i] = cache_->get(distinct[i], phases, mode,
-                                               compression);
+                    artifacts[i] = cache_->get(distinct[i], phases, mode);
                 });
 
     std::map<std::string, AnalyzedWorkload::Ptr> by_name;
@@ -209,13 +207,6 @@ ExperimentRunner::analyze(const std::vector<std::string> &names,
     for (const std::string &name : names)
         out.push_back(by_name[name]);
     return out;
-}
-
-std::vector<AnalyzedWorkload::Ptr>
-ExperimentRunner::analyze(const std::vector<std::string> &names,
-                          AnalysisPhaseMask phases, TraceMode mode) const
-{
-    return analyze(names, phases, mode, cache_->options().compression);
 }
 
 std::vector<AnalyzedWorkload::Ptr>
@@ -273,15 +264,10 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // streaming the traces when any cell config asks for it.
     const AnalysisPhaseMask phases = neededPhases(matrices);
     TraceMode mode = cache_->options().traceMode;
-    TraceCompression compression = cache_->options().compression;
     for (const ExperimentMatrix &matrix : matrices) {
         for (const SimConfig &c : matrix.configs) {
             if (c.traceMode == TraceMode::Stream)
                 mode = TraceMode::Stream;
-            // One artifact serves every cell of a workload, so the
-            // non-default (raw CASSTF1) request wins the tie.
-            if (c.traceCompression == TraceCompression::None)
-                compression = TraceCompression::None;
         }
     }
     Experiment exp;
@@ -295,7 +281,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // result store are never analyzed at all. Phases for the cells
     // that do simulate run in parallel after the store filter below.
     std::vector<AnalyzedWorkload::Ptr> artifacts =
-        analyze(names, 0, mode, compression);
+        analyze(names, 0, mode);
     for (size_t i = 0; i < names.size(); i++)
         exp.artifacts.emplace(names[i], artifacts[i]);
 

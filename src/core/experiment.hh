@@ -114,8 +114,8 @@ struct RunTelemetry
     uint64_t cacheGcEvictions = 0;
 
     /** Fused analysis passes executed during this dispatch (batched
-     * single-pass Machine runs; 0 when CASSANDRA_ANALYSIS_FUSION
-     * selects the per-phase reference path). */
+     * single-pass Machine runs; 0 when every artifact came from a
+     * snapshot). */
     uint64_t analysisFusedPasses = 0;
     /** Stream-replay frames served by the TraceCursor decode-ahead
      * worker during this dispatch, and how many of those the replay
@@ -403,11 +403,9 @@ class ExperimentRunner
      * execute concurrently over the shared artifacts (phase 2); the
      * returned cells are in matrix order and bit-identical for any
      * thread count. Any cell config requesting TraceMode::Stream makes
-     * the analysis spill its traces to disk, and any cell config
-     * requesting TraceCompression::None makes streamed traces record
-     * raw CASSTF1 instead of delta-compressed CASSTF2 (artifacts are
-     * shared per workload, so the non-default request wins). Worker
-     * exceptions (e.g. unknown workload names) are rethrown here.
+     * the analysis spill its traces to disk (artifacts are shared per
+     * workload, so the non-default request wins). Worker exceptions
+     * (e.g. unknown workload names) are rethrown here.
      */
     Experiment run(const ExperimentMatrix &matrix) const;
 
@@ -422,12 +420,6 @@ class ExperimentRunner
      * distinct name exactly once), guaranteeing `phases` beyond the
      * cache's defaults. Returns artifacts in input order.
      */
-    std::vector<AnalyzedWorkload::Ptr>
-    analyze(const std::vector<std::string> &names,
-            AnalysisPhaseMask phases, TraceMode mode,
-            TraceCompression compression) const;
-
-    /** analyze() with the cache's default stream encoding. */
     std::vector<AnalyzedWorkload::Ptr>
     analyze(const std::vector<std::string> &names,
             AnalysisPhaseMask phases, TraceMode mode) const;

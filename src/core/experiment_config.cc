@@ -473,26 +473,13 @@ parseTraceMode(const JsonValue &v, const std::string &where)
     }
 }
 
-TraceCompression
-parseTraceCompression(const JsonValue &v, const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::String, where, "a string");
-    try {
-        return traceCompressionFromName(v.string);
-    } catch (const std::invalid_argument &e) {
-        schemaFail(where, e.what());
-    }
-}
-
 SimConfig
-parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode,
-               TraceCompression sweep_compression)
+parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode)
 {
     const std::string where = "configs[" + std::to_string(index) + "]";
     expectKind(v, JsonValue::Kind::Object, where, "an object");
     SimConfig cfg;
     cfg.traceMode = sweep_mode;
-    cfg.traceCompression = sweep_compression;
     for (const auto &[key, field] : v.object) {
         const std::string at = where + "." + key;
         if (key == "name") {
@@ -504,8 +491,6 @@ parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode,
             applyBtuOverrides(cfg.btu, field, at);
         } else if (key == "trace_mode") {
             cfg.traceMode = parseTraceMode(field, at);
-        } else if (key == "trace_compression") {
-            cfg.traceCompression = parseTraceCompression(field, at);
         } else {
             schemaFail(at, "unknown config key");
         }
@@ -523,20 +508,15 @@ parseExperimentSpec(const std::string &json)
         schemaFail("top level", "expected an object");
 
     ExperimentSpec spec;
-    // The sweep-level trace mode/compression seed every config's
-    // fields, so resolve them before the configs array (JSON key order
-    // must not matter).
+    // The sweep-level trace mode seeds every config's field, so
+    // resolve it before the configs array (JSON key order must not
+    // matter).
     if (const JsonValue *tm = root.get("trace_mode")) {
         spec.traceMode = parseTraceMode(*tm, "trace_mode");
         spec.traceModeSet = true;
     }
-    if (const JsonValue *tc = root.get("trace_compression")) {
-        spec.traceCompression =
-            parseTraceCompression(*tc, "trace_compression");
-        spec.traceCompressionSet = true;
-    }
     for (const auto &[key, v] : root.object) {
-        if (key == "trace_mode" || key == "trace_compression") {
+        if (key == "trace_mode") {
             // handled above
         } else if (key == "name") {
             expectKind(v, JsonValue::Kind::String, key, "a string");
@@ -553,8 +533,7 @@ parseExperimentSpec(const std::string &json)
             expectKind(v, JsonValue::Kind::Array, key, "an array");
             for (size_t i = 0; i < v.array.size(); i++)
                 spec.matrix.configs.push_back(
-                    parseSimConfig(v.array[i], i, spec.traceMode,
-                                   spec.traceCompression));
+                    parseSimConfig(v.array[i], i, spec.traceMode));
         } else if (key == "threads") {
             spec.threads =
                 static_cast<unsigned>(uintField(v, key, 1024));
@@ -671,14 +650,12 @@ parseExperimentSpec(const std::string &json)
         }
     }
 
-    // A sweep-level stream/compression request must reach the runner
-    // even without an explicit configs array (the runner's implicit
-    // default config would otherwise run whole-trace, delta).
-    if ((spec.traceModeSet || spec.traceCompressionSet) &&
-        spec.matrix.configs.empty()) {
+    // A sweep-level stream request must reach the runner even without
+    // an explicit configs array (the runner's implicit default config
+    // would otherwise run whole-trace).
+    if (spec.traceModeSet && spec.matrix.configs.empty()) {
         SimConfig cfg;
         cfg.traceMode = spec.traceMode;
-        cfg.traceCompression = spec.traceCompression;
         spec.matrix.configs.push_back(cfg);
     }
 

@@ -73,15 +73,6 @@ struct ExperimentSpec
     /** Whether the config spelled trace_mode (CLI default handling). */
     bool traceModeSet = false;
     /**
-     * Stream-file encoding of every run of the sweep
-     * ("trace_compression": "none" or "delta"; per-config overrides
-     * win). Only meaningful for streamed analyses: delta writes the
-     * compressed CASSTF2 container, none the raw CASSTF1 one.
-     */
-    TraceCompression traceCompression = TraceCompression::Delta;
-    /** Whether the config spelled trace_compression. */
-    bool traceCompressionSet = false;
-    /**
      * Phase-2 cell execution backend ("execution": {"mode":
      * "inprocess" | "subprocess"}). Subprocess mode shards the cells
      * across `worker_binary --worker` child processes.

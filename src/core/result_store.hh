@@ -21,11 +21,11 @@
  *     scheme field per cell).
  *   - `canonicalSimConfigHash(SimConfig)`: FNV-1a over every core and
  *     BTU parameter that feeds the timing model. The report label
- *     (`name`) and the trace storage knobs (`traceMode`,
- *     `traceCompression`) are *excluded*: they are presentation and
- *     storage details with byte-identical cycle results (a CI-
- *     enforced invariant), so "default" and "default-streamed" cells
- *     of the same geometry share one entry.
+ *     (`name`) and the trace storage mode (`traceMode`) are
+ *     *excluded*: they are presentation and storage details with
+ *     byte-identical cycle results (a CI-enforced invariant), so
+ *     "default" and "default-streamed" cells of the same geometry
+ *     share one entry.
  *   - `resultStoreVersion`, bumped on any entry-layout or simulator-
  *     semantics change; the counter count is stored per entry as an
  *     extra guard (a counter added to ExperimentResult must not
@@ -69,8 +69,8 @@ constexpr uint32_t resultStoreVersion = 1;
 /**
  * FNV-1a over every simulation-relevant SimConfig field (all core
  * widths/windows/latencies/caches, the BTU geometry and fill latency,
- * the flush period). Excludes `name`, `scheme` (keyed separately),
- * `traceMode` and `traceCompression` — see the file comment.
+ * the flush period). Excludes `name`, `scheme` (keyed separately) and
+ * `traceMode` — see the file comment.
  */
 uint64_t canonicalSimConfigHash(const SimConfig &config);
 

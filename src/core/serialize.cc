@@ -151,7 +151,7 @@ constexpr uint8_t artifactHasTraceImage = 1u << 0;
 
 /** Storage kind of the snapshot's trace section. */
 constexpr uint8_t traceStorageInline = 0; ///< in-file ops, whole mode
-constexpr uint8_t traceStorageStream = 1; ///< embedded CASSTF1/2 file
+constexpr uint8_t traceStorageStream = 1; ///< embedded CASSTF2 file
 
 /** magic(8) + version(4) + metaLen(4). */
 constexpr size_t snapshotPrefixBytes = 16;
@@ -443,51 +443,39 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
     return meta;
 }
 
-/** Serialize one op to its raw little-endian 24-byte form. */
+/** Append one op's raw little-endian 24-byte form (pc, memAddr,
+ * nextPc) — the input encodeTraceFrame takes. */
 void
-opToBytes(const uarch::TimingOp &op, uint8_t *out)
+appendRawOp(std::vector<uint8_t> &raw, uint64_t pc, uint64_t mem_addr,
+            uint64_t next_pc)
 {
-    for (int b = 0; b < 8; b++) {
-        out[b] = static_cast<uint8_t>(op.pc >> (8 * b));
-        out[8 + b] = static_cast<uint8_t>(op.memAddr >> (8 * b));
-        out[16 + b] = static_cast<uint8_t>(op.nextPc >> (8 * b));
-    }
-}
-
-uarch::TimingOp
-opFromBytes(const uint8_t *p)
-{
-    uarch::TimingOp op;
-    for (int b = 0; b < 8; b++) {
-        op.pc |= static_cast<uint64_t>(p[b]) << (8 * b);
-        op.memAddr |= static_cast<uint64_t>(p[8 + b]) << (8 * b);
-        op.nextPc |= static_cast<uint64_t>(p[16 + b]) << (8 * b);
-    }
-    return op;
+    for (const uint64_t v : {pc, mem_addr, next_pc})
+        for (int b = 0; b < 8; b++)
+            raw.push_back(static_cast<uint8_t>(v >> (8 * b)));
 }
 
 /**
  * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
- * codec frames) back into an in-memory trace. The reader's backing
- * bytes are contiguous, so each frame decodes in place.
+ * codec frames) straight into replay chunks, one per frame, through
+ * the checked decode and relink TraceCursor uses.
  */
-uarch::TimingTrace
-readFramedOps(ByteReader &r, uint64_t num_ops)
+std::vector<AnalysisChunk>
+readFramedChunks(ByteReader &r, uint64_t num_ops,
+                 const ir::Program &program)
 {
     const uint32_t frame_ops = r.u32();
     if (num_ops > 0 && frame_ops == 0)
         throw std::invalid_argument(
             "AnalyzedWorkload snapshot has a zero frame size");
-    // Bound the declared count before reserving: even the tightest
+    // Bound the declared count before allocating: even the tightest
     // delta encoding spends >= 3 bytes per op (three varints), so a
     // garbage num_ops in a corrupt file must fail as truncated, not
     // as a multi-GB allocation.
     if (num_ops > r.remaining() / 3)
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
-    uarch::TimingTrace trace;
-    trace.reserve(num_ops);
-    std::vector<uint8_t> decoded;
+    const std::vector<uint8_t> crypto = cryptoPcTable(program);
+    std::vector<AnalysisChunk> chunks;
     uint64_t done = 0;
     while (done < num_ops) {
         const size_t n = static_cast<size_t>(
@@ -500,30 +488,30 @@ readFramedOps(ByteReader &r, uint64_t num_ops)
             static_cast<uint32_t>(frame[3]) << 16 |
             static_cast<uint32_t>(frame[4]) << 24;
         r.raw(payload);
-        decoded.resize(n * traceStreamOpBytes);
-        decodeTraceFrameInto(frame, 5 + payload, n, decoded.data());
-        for (size_t i = 0; i < n; i++)
-            trace.push_back(
-                opFromBytes(decoded.data() + i * traceStreamOpBytes));
+        AnalysisChunk chunk;
+        decodeRelinkedFrame(frame, 5 + payload, n, program, crypto,
+                            chunk.ops);
+        chunk.size = n;
+        chunk.baseIndex = done;
+        chunks.push_back(std::move(chunk));
         done += n;
     }
     inline_ops_read.fetch_add(num_ops, std::memory_order_relaxed);
-    return trace;
+    return chunks;
 }
 
-/** Assemble the artifact once the trace storage has been recovered. */
+/** Assemble a whole-mode artifact around its decoded chunks. */
 AnalyzedWorkload::Ptr
-assembleWhole(SnapshotMeta meta, uarch::TimingTrace trace)
+assembleWhole(SnapshotMeta meta, std::vector<AnalysisChunk> chunks)
 {
-    uarch::relinkTimingTrace(trace, meta.workload.program);
     if (meta.hasImage)
         return AnalyzedWorkload::fromParts(std::move(meta.workload),
                                            std::move(meta.tg),
-                                           std::move(trace));
+                                           std::move(chunks));
     // No image section: Algorithm 2 stays demand-driven on the
     // rebuilt artifact, exactly like on a freshly analyzed one.
     return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                       std::move(trace));
+                                       std::move(chunks));
 }
 
 /**
@@ -711,16 +699,18 @@ packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
     }
 
     // Timing trace (instruction pointers relink from PCs on load; the
-    // taint pre-pass is recomputed, so only the base stream is kept).
-    // The ops are stored as CASSTF2-codec frames — the same delta +
-    // zig-zag varint encoding (with per-frame raw fallback) trace
-    // stream files use — instead of the historical raw 24 B/op.
+    // taint pre-pass is recomputed, so only the base stream is kept),
+    // encoded from the retained chunks as CASSTF2-codec frames — the
+    // same delta + zig-zag varint encoding (with per-frame raw
+    // fallback) trace stream files use.
     w.u8(traceStorageInline);
     w.u64(aw.numOps());
     w.u32(traceStreamDefaultFrameOps);
+    const size_t frame_bytes =
+        static_cast<size_t>(traceStreamDefaultFrameOps) *
+        traceStreamOpBytes;
     std::vector<uint8_t> raw;
-    raw.reserve(static_cast<size_t>(traceStreamDefaultFrameOps) *
-                traceStreamOpBytes);
+    raw.reserve(frame_bytes);
     auto flush = [&] {
         if (raw.empty())
             return;
@@ -729,12 +719,15 @@ packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
         raw.clear();
     };
     auto src = aw.openOpSource();
-    for (const uarch::TimingOp *op = src->next(); op; op = src->next()) {
-        raw.resize(raw.size() + traceStreamOpBytes);
-        opToBytes(*op, raw.data() + raw.size() - traceStreamOpBytes);
-        if (raw.size() ==
-            static_cast<size_t>(traceStreamDefaultFrameOps) *
-                traceStreamOpBytes)
+    uarch::OpBatch batch;
+    // Batches are capped at the frame's free space, and a full frame
+    // is flushed at once, so every request asks for at least one op.
+    while (const size_t n = src->nextBatch(
+               batch, (frame_bytes - raw.size()) / traceStreamOpBytes)) {
+        for (size_t i = 0; i < n; i++)
+            appendRawOp(raw, batch.pc[i], batch.memAddr[i],
+                        batch.nextPc[i]);
+        if (raw.size() == frame_bytes)
             flush();
     }
     flush();
@@ -764,25 +757,12 @@ unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
     const uint8_t storage = r.u8();
     if (storage == traceStorageInline) {
         const uint64_t num_ops = r.u64();
-        uarch::TimingTrace trace;
-        if (prefix.version >= 4) {
-            trace = readFramedOps(r, num_ops);
-        } else {
-            // CASSAW3: raw 24 B/op inline section.
-            if (num_ops > r.remaining() / traceStreamOpBytes)
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            trace.reserve(num_ops);
-            for (uint64_t i = 0; i < num_ops; i++)
-                trace.push_back(
-                    opFromBytes(r.raw(traceStreamOpBytes)));
-            inline_ops_read.fetch_add(num_ops,
-                                      std::memory_order_relaxed);
-        }
+        std::vector<AnalysisChunk> chunks =
+            readFramedChunks(r, num_ops, meta.workload.program);
         if (!r.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
-        return assembleWhole(std::move(meta), std::move(trace));
+        return assembleWhole(std::move(meta), std::move(chunks));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(
@@ -881,53 +861,23 @@ loadAnalyzedWorkload(const std::string &path,
     const uint64_t consumed = snapshotPrefixBytes + meta_len + 1 + 8;
 
     if (storage == traceStorageInline) {
-        uarch::TimingTrace trace;
-        if (snap.version >= 4) {
-            // Frame-coded inline ops: the section is a few bytes per
-            // op, so slurping the remainder keeps this path simple (a
-            // whole-mode artifact materializes the trace anyway).
-            std::vector<uint8_t> section(
-                static_cast<size_t>(file_len - consumed));
-            if (!section.empty() &&
-                !file.read(reinterpret_cast<char *>(section.data()),
-                           static_cast<std::streamsize>(section.size())))
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            ByteReader sr(section);
-            trace = readFramedOps(sr, num_ops);
-            if (!sr.done())
-                throw std::invalid_argument(
-                    "trailing bytes in AnalyzedWorkload snapshot");
-        } else {
-            // CASSAW3 raw 24 B/op section, read in bounded chunks.
-            if (num_ops !=
-                    (file_len - consumed) / traceStreamOpBytes ||
-                file_len - consumed != num_ops * traceStreamOpBytes)
-                throw std::invalid_argument(
-                    "truncated AnalyzedWorkload snapshot");
-            trace.reserve(num_ops);
-            std::vector<uint8_t> chunk(
-                copyChunkBytes - copyChunkBytes % traceStreamOpBytes);
-            uint64_t read_ops = 0;
-            while (read_ops < num_ops) {
-                const uint64_t batch = std::min<uint64_t>(
-                    chunk.size() / traceStreamOpBytes,
-                    num_ops - read_ops);
-                if (!file.read(
-                        reinterpret_cast<char *>(chunk.data()),
-                        static_cast<std::streamsize>(
-                            batch * traceStreamOpBytes)))
-                    throw std::invalid_argument(
-                        "truncated AnalyzedWorkload snapshot");
-                for (uint64_t i = 0; i < batch; i++)
-                    trace.push_back(opFromBytes(
-                        chunk.data() + i * traceStreamOpBytes));
-                read_ops += batch;
-            }
-            inline_ops_read.fetch_add(num_ops,
-                                      std::memory_order_relaxed);
-        }
-        return assembleWhole(std::move(meta), std::move(trace));
+        // Frame-coded inline ops: the section is a few bytes per op,
+        // so slurping the remainder keeps this path simple (a
+        // whole-mode artifact holds its trace in memory anyway).
+        std::vector<uint8_t> section(
+            static_cast<size_t>(file_len - consumed));
+        if (!section.empty() &&
+            !file.read(reinterpret_cast<char *>(section.data()),
+                       static_cast<std::streamsize>(section.size())))
+            throw std::invalid_argument(
+                "truncated AnalyzedWorkload snapshot");
+        ByteReader sr(section);
+        std::vector<AnalysisChunk> chunks =
+            readFramedChunks(sr, num_ops, meta.workload.program);
+        if (!sr.done())
+            throw std::invalid_argument(
+                "trailing bytes in AnalyzedWorkload snapshot");
+        return assembleWhole(std::move(meta), std::move(chunks));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(

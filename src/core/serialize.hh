@@ -26,12 +26,12 @@
  * Snapshots are stream-aware: a whole-mode artifact inlines its ops
  * as CASSTF2-codec frames (delta + zig-zag varint with per-frame raw
  * fallback — the same codec trace stream files use, typically ~7x
- * smaller than the historical 24 B/op section), while a streamed
- * artifact embeds its trace *stream file* (CASSTF1/2, typically
- * delta-compressed) by chunked copy — saving and loading never
- * materialize the op vector. Writers emit CASSAW4; readers accept
- * CASSAW3 (raw 24 B/op inline ops) and CASSAW4, while the older
- * CASSAW1/2 revisions raise the typed eviction error.
+ * smaller than 24 B/op), encoded straight from the artifact's
+ * retained chunks and decoded straight back into them, while a
+ * streamed artifact embeds its CASSTF2 *stream file* by chunked copy
+ * — saving and loading never materialize an op vector. Writers emit
+ * and readers accept CASSAW4 only; the older CASSAW1–3 revisions
+ * raise the typed eviction error.
  * loadAnalyzedWorkload extracts an embedded stream back to a trace
  * file and rehydrates straight into stream mode, validating both the
  * snapshot's workload fingerprint and the stream's own program
@@ -71,9 +71,9 @@ namespace cassandra::core {
  */
 constexpr uint32_t artifactFormatVersion = 4;
 
-/** Oldest snapshot version loaders still read (CASSAW3: raw inline
- * ops instead of CASSTF2-codec frames; stream sections identical). */
-constexpr uint32_t artifactMinReadVersion = 3;
+/** Oldest snapshot version loaders still read; every older revision
+ * (version 3 stored raw 24 B/op inline ops) is rejected. */
+constexpr uint32_t artifactMinReadVersion = 4;
 
 /** Pack a multi-target branch trace into its data-page bytes. */
 std::vector<uint8_t> packTrace(const BranchTrace &trace);

@@ -36,11 +36,11 @@ namespace cassandra::core {
 /**
  * How a run's timing trace is stored and iterated.
  *
- * Whole keeps the recorded trace as an in-memory vector (fastest, ~40
- * bytes/op resident). Stream spills it to a chunked trace file at
- * analysis time and replays it through a TraceCursor, so peak memory
- * stays at one frame regardless of trace length. Cycle results are
- * identical in both modes.
+ * Whole keeps the recorded trace in memory as the analysis pass's
+ * SoA chunks (fastest, ~34 bytes/op resident). Stream spills it to a
+ * CASSTF2 trace file at analysis time and replays it through a
+ * TraceCursor, so peak memory stays at one frame regardless of trace
+ * length. Cycle results are identical in both modes.
  */
 enum class TraceMode
 {
@@ -65,40 +65,6 @@ traceModeFromName(const std::string &name)
                                 "\" (expected whole or stream)");
 }
 
-/**
- * On-disk encoding of stream-mode trace files.
- *
- * None writes the raw 24 B/op CASSTF1 container. Delta writes the
- * CASSTF2 container: per-frame pc/nextPc/memAddr deltas in zig-zag
- * varints (dynamic instruction streams are overwhelmingly sequential,
- * so most ops shrink to a few bytes), falling back to a raw frame when
- * a frame does not compress. Readers accept both containers; replay is
- * bit-identical either way, so this only trades a little encode/decode
- * CPU against a lot of disk (and artifact-snapshot) size.
- */
-enum class TraceCompression
-{
-    None,
-    Delta,
-};
-
-inline const char *
-traceCompressionName(TraceCompression compression)
-{
-    return compression == TraceCompression::None ? "none" : "delta";
-}
-
-inline TraceCompression
-traceCompressionFromName(const std::string &name)
-{
-    if (name == "none" || name == "raw")
-        return TraceCompression::None;
-    if (name == "delta")
-        return TraceCompression::Delta;
-    throw std::invalid_argument("unknown trace compression \"" + name +
-                                "\" (expected none or delta)");
-}
-
 /** Scheme + core + BTU parameters of one timing run. */
 struct SimConfig
 {
@@ -115,14 +81,6 @@ struct SimConfig
      * any streaming cell streams the whole workload).
      */
     TraceMode traceMode = TraceMode::Whole;
-    /**
-     * Requested stream-file encoding (only meaningful for streamed
-     * analyses). Like traceMode this is resolved per workload at
-     * analysis time: artifacts are shared across cells, so a single
-     * cell requesting uncompressed (None) streams makes the runner
-     * record that workload raw.
-     */
-    TraceCompression traceCompression = TraceCompression::Delta;
 
     /** Copy with a new report label. */
     SimConfig
@@ -176,15 +134,6 @@ struct SimConfig
     {
         SimConfig c = *this;
         c.traceMode = mode;
-        return c;
-    }
-
-    /** Copy under another stream-file encoding. */
-    SimConfig
-    withTraceCompression(TraceCompression compression) const
-    {
-        SimConfig c = *this;
-        c.traceCompression = compression;
         return c;
     }
 };

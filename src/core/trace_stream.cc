@@ -30,8 +30,8 @@ namespace cassandra::core {
 
 namespace {
 
-constexpr char streamMagicV1[8] = {'C', 'A', 'S', 'S', 'T', 'F', '1', '\n'};
-constexpr char streamMagicV2[8] = {'C', 'A', 'S', 'S', 'T', 'F', '2', '\n'};
+constexpr char streamMagic[8] = {'C', 'A', 'S', 'S', 'T', 'F', '2', '\n'};
+constexpr uint32_t streamVersion = 2;
 // magic(8) + version(4) + frameOps(4) + fingerprint(8) + numOps(8)
 constexpr size_t headerBytes = 32;
 constexpr size_t numOpsOffset = 24;
@@ -157,77 +157,6 @@ encodeTraceFrame(const std::vector<uint8_t> &raw_ops)
 }
 
 void
-decodeTraceFrameInto(const uint8_t *frame, size_t frame_len,
-                     size_t num_ops, uint8_t *out)
-{
-    if (frame_len < frameHeaderBytes)
-        throw ArtifactFormatError("trace stream frame is truncated");
-    const uint8_t kind = frame[0];
-    const size_t payload_len = getU32(frame + 1);
-    if (payload_len > frame_len - frameHeaderBytes)
-        throw ArtifactFormatError("trace stream frame is truncated");
-    const uint8_t *p = frame + frameHeaderBytes;
-
-    if (kind == frameKindRaw) {
-        if (payload_len != num_ops * traceStreamOpBytes)
-            throw ArtifactFormatError(
-                "trace stream raw frame has a wrong op count");
-        std::memcpy(out, p, payload_len);
-        return;
-    }
-    if (kind != frameKindDelta)
-        throw ArtifactFormatError(
-            "trace stream frame has an unknown encoding kind");
-
-    size_t pos = 0;
-    auto varint = [&]() -> uint64_t {
-        uint64_t v = 0;
-        for (int shift = 0; shift < 70; shift += 7) {
-            if (pos >= payload_len)
-                throw ArtifactFormatError(
-                    "trace stream delta frame is truncated");
-            const uint8_t byte = p[pos++];
-            v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-            if (!(byte & 0x80))
-                return v;
-        }
-        throw ArtifactFormatError(
-            "trace stream delta frame has an overlong varint");
-    };
-
-    uint64_t prev_mem = 0, prev_next = 0;
-    for (size_t i = 0; i < num_ops; i++) {
-        uint64_t pc, mem;
-        if (i == 0) {
-            pc = varint();
-            mem = varint();
-        } else {
-            pc = prev_next + static_cast<uint64_t>(unzigzag(varint()));
-            mem = prev_mem + static_cast<uint64_t>(unzigzag(varint()));
-        }
-        const uint64_t next = pc + ir::instBytes +
-            static_cast<uint64_t>(unzigzag(varint()));
-        uint8_t *dst = out + i * traceStreamOpBytes;
-        putU64(dst + 0, pc);
-        putU64(dst + 8, mem);
-        putU64(dst + 16, next);
-        prev_mem = mem;
-        prev_next = next;
-    }
-    if (pos != payload_len)
-        throw ArtifactFormatError(
-            "trailing bytes in trace stream delta frame");
-}
-
-std::vector<uint8_t>
-decodeTraceFrame(const uint8_t *frame, size_t frame_len, size_t num_ops)
-{
-    std::vector<uint8_t> out(num_ops * traceStreamOpBytes);
-    decodeTraceFrameInto(frame, frame_len, num_ops, out.data());
-    return out;
-}
-
-void
 decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
                     size_t num_ops, uint64_t *pc, uint64_t *mem_addr,
                     uint64_t *next_pc)
@@ -296,15 +225,48 @@ decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
             "trailing bytes in trace stream delta frame");
 }
 
+std::vector<uint8_t>
+cryptoPcTable(const ir::Program &program)
+{
+    std::vector<uint8_t> table(program.size());
+    for (size_t idx = 0; idx < table.size(); idx++)
+        table[idx] = program.isCryptoPc(ir::Program::pcOf(idx)) ? 1 : 0;
+    return table;
+}
+
+void
+decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
+                    size_t num_ops, const ir::Program &program,
+                    const std::vector<uint8_t> &crypto_table,
+                    uarch::OpBatchStorage &out)
+{
+    out.resize(num_ops);
+    decodeTraceFrameSoA(frame, frame_len, num_ops, out.pc.data(),
+                        out.memAddr.data(), out.nextPc.data());
+    // The off-based check accepts exactly the pcs program.validPc
+    // accepts: an out-of-range or misaligned pc means a stale trace.
+    const ir::Inst *insts = program.insts.data();
+    const uint64_t limit = crypto_table.size() * ir::instBytes;
+    for (size_t i = 0; i < num_ops; i++) {
+        const uint64_t off = out.pc[i] - ir::Program::codeBase;
+        if (off >= limit || off % ir::instBytes != 0)
+            throw ArtifactStaleError(
+                "trace stream op pc outside program (stale trace)");
+        const size_t idx = static_cast<size_t>(off / ir::instBytes);
+        out.inst[i] = insts + idx;
+        out.crypto[i] = crypto_table[idx];
+        out.tainted[i] = 0;
+    }
+}
+
 // ---------------------------------------------------------------------
 // TraceStreamWriter
 // ---------------------------------------------------------------------
 
 TraceStreamWriter::TraceStreamWriter(const std::string &path,
                                      uint64_t program_fingerprint,
-                                     uint32_t frame_ops,
-                                     TraceCompression compression)
-    : path_(path), frameOps_(frame_ops), compression_(compression)
+                                     uint32_t frame_ops)
+    : path_(path), frameOps_(frame_ops)
 {
     if (frame_ops == 0)
         throw std::invalid_argument("TraceStreamWriter: frame_ops == 0");
@@ -319,26 +281,14 @@ TraceStreamWriter::TraceStreamWriter(const std::string &path,
     if (!file_)
         throw std::runtime_error("cannot open " + path + " for writing");
     uint8_t header[headerBytes];
-    const bool v2 = compression_ == TraceCompression::Delta;
-    std::memcpy(header, v2 ? streamMagicV2 : streamMagicV1,
-                sizeof streamMagicV1);
-    putU32(header + 8, v2 ? 2u : 1u);
+    std::memcpy(header, streamMagic, sizeof streamMagic);
+    putU32(header + 8, streamVersion);
     putU32(header + 12, frameOps_);
     putU64(header + 16, program_fingerprint);
     putU64(header + numOpsOffset, 0); // patched by finish()
     file_.write(reinterpret_cast<const char *>(header), headerBytes);
     checkStream("header write");
     frame_.reserve(static_cast<size_t>(frameOps_) * traceStreamOpBytes);
-}
-
-TraceStreamWriter::~TraceStreamWriter()
-{
-    try {
-        finish();
-    } catch (...) {
-        // Destructors must not throw; an unfinished file fails loudly
-        // at read time (numOps stays 0 / layout check fails).
-    }
 }
 
 void
@@ -396,14 +346,9 @@ TraceStreamWriter::flushFrame()
     if (pos == std::streampos(-1))
         throw std::runtime_error("cannot position in " + path_);
     frameOffsets_.push_back(static_cast<uint64_t>(pos));
-    if (compression_ == TraceCompression::Delta) {
-        const std::vector<uint8_t> encoded = encodeTraceFrame(frame_);
-        file_.write(reinterpret_cast<const char *>(encoded.data()),
-                    static_cast<std::streamsize>(encoded.size()));
-    } else {
-        file_.write(reinterpret_cast<const char *>(frame_.data()),
-                    static_cast<std::streamsize>(frame_.size()));
-    }
+    const std::vector<uint8_t> encoded = encodeTraceFrame(frame_);
+    file_.write(reinterpret_cast<const char *>(encoded.data()),
+                static_cast<std::streamsize>(encoded.size()));
     checkStream("frame write");
     frame_.clear();
 }
@@ -480,22 +425,17 @@ TraceCursor::TraceCursor(const std::string &path,
 
     uint8_t header[headerBytes];
     file_.read(reinterpret_cast<char *>(header), headerBytes);
-    if (std::memcmp(header, streamMagicV1, 6) != 0)
+    if (std::memcmp(header, streamMagic, 6) != 0)
         throw ArtifactFormatError(path + " is not a trace stream file");
     const uint32_t version_field = getU32(header + 8);
-    if (std::memcmp(header, streamMagicV1, 8) == 0 &&
-        version_field == 1) {
-        version_ = 1;
-    } else if (std::memcmp(header, streamMagicV2, 8) == 0 &&
-               version_field == 2) {
-        version_ = 2;
-    } else {
-        // Unknown container revision, or a magic/version-field
-        // mismatch (e.g. a CASSTF2 file relabeled as CASSTF1).
+    if (std::memcmp(header, streamMagic, 8) != 0 ||
+        version_field != streamVersion) {
+        // Another container revision (the retired raw-frame version 1
+        // among them), or a magic/version-field mismatch.
         throw ArtifactFormatError(
             "trace stream " + path + " has format version " +
             std::to_string(version_field) +
-            ", expected a matching CASSTF1 or CASSTF2 header");
+            ", expected a CASSTF2 header with version 2");
     }
     frameOps_ = getU32(header + 12);
     const uint64_t fingerprint = getU64(header + 16);
@@ -529,17 +469,13 @@ TraceCursor::TraceCursor(const std::string &path,
                                   " has an inconsistent index");
     // Bound the header's size fields against the file before sizing
     // any buffer from them: the writer never exceeds the u32 frame
-    // length field, and every op costs at least 3 encoded bytes (24
-    // raw in v1), so a corrupt frameOps/numOps pair cannot coerce the
-    // frame buffer into an allocation beyond ~8x the file size.
+    // length field, and every op costs at least 3 encoded bytes, so a
+    // corrupt frameOps/numOps pair cannot coerce the frame buffer into
+    // an allocation beyond ~8x the file size.
     const uint64_t frame_payload = index_pos - headerBytes;
-    const uint64_t min_op_bytes =
-        version_ == 1 ? traceStreamOpBytes : 3;
     if (static_cast<uint64_t>(frameOps_) * traceStreamOpBytes >
             0xffffffffull - 64 ||
-        numOps_ > frame_payload / min_op_bytes ||
-        (version_ == 1 &&
-         numOps_ * traceStreamOpBytes != frame_payload))
+        numOps_ > frame_payload / 3)
         throw ArtifactFormatError("trace stream " + path +
                                   " has inconsistent size fields");
     indexPos_ = index_pos;
@@ -553,22 +489,14 @@ TraceCursor::TraceCursor(const std::string &path,
                                   " has a truncated index");
     for (uint64_t f = 0; f < numFrames_; f++) {
         frameOffsets_[f] = getU64(raw.data() + f * 8);
-        bool ok;
-        if (version_ == 1) {
-            // Raw frames sit at exactly computable offsets.
-            ok = frameOffsets_[f] ==
-                headerBytes +
-                    f * static_cast<uint64_t>(frameOps_) *
-                        traceStreamOpBytes;
-        } else {
-            // Compressed frames vary in size: offsets must start at
-            // the header, strictly increase, and leave room for at
-            // least a frame header before the index.
-            ok = (f == 0 ? frameOffsets_[f] == headerBytes
-                         : frameOffsets_[f] >
-                              frameOffsets_[f - 1] + frameHeaderBytes) &&
-                frameOffsets_[f] + frameHeaderBytes <= indexPos_;
-        }
+        // Frames vary in size: offsets must start at the header,
+        // strictly increase, and leave room for at least a frame
+        // header before the index.
+        const bool ok =
+            (f == 0 ? frameOffsets_[f] == headerBytes
+                    : frameOffsets_[f] >
+                         frameOffsets_[f - 1] + frameHeaderBytes) &&
+            frameOffsets_[f] + frameHeaderBytes <= indexPos_;
         if (!ok)
             throw ArtifactFormatError("trace stream " + path +
                                       " has an inconsistent index");
@@ -594,20 +522,9 @@ TraceCursor::TraceCursor(const std::string &path,
 #endif
     if (!map_ && backing == Backing::Mmap)
         throw std::runtime_error("mmap unavailable for " + path);
-    // v1 + mmap serves ops straight from the mapping; every other
-    // combination decodes/reads one frame into frame_ (sized for the
-    // largest frame the validated op count allows).
-    if (version_ != 1 || !map_)
-        frame_.resize(static_cast<size_t>(
-                          std::min<uint64_t>(frameOps_, numOps_)) *
-                      traceStreamOpBytes);
-    // Relink table for the batch path: crypto flag per static
-    // instruction, so per-op relinking is a bounds check plus two
-    // table loads instead of a linear crypto-range scan.
-    cryptoByIndex_.resize(program.size());
-    for (size_t idx = 0; idx < cryptoByIndex_.size(); idx++)
-        cryptoByIndex_[idx] =
-            program.isCryptoPc(ir::Program::pcOf(idx)) ? 1 : 0;
+    // Per-op relinking is then a bounds check plus two table loads
+    // instead of a linear crypto-range scan.
+    cryptoByIndex_ = cryptoPcTable(program);
 }
 
 TraceCursor::~TraceCursor()
@@ -658,124 +575,27 @@ TraceCursor::dropConsumedFrames(uint64_t upto)
 }
 
 void
-TraceCursor::loadFrame(uint64_t frame)
-{
-    const uint64_t ops = frameOps(frame);
-    if (version_ == 1) {
-        file_.seekg(static_cast<std::streamoff>(frameOffsets_[frame]));
-        file_.read(reinterpret_cast<char *>(frame_.data()),
-                   static_cast<std::streamsize>(ops *
-                                                traceStreamOpBytes));
-        if (!file_)
-            throw ArtifactFormatError(
-                "trace stream read failed (frame " +
-                std::to_string(frame) + ")");
-    } else {
-        const uint64_t start = frameOffsets_[frame];
-        const size_t len = static_cast<size_t>(frameEnd(frame) - start);
-        const uint8_t *enc;
-        if (map_) {
-            enc = map_ + start;
-        } else {
-            scratch_.resize(len);
-            file_.seekg(static_cast<std::streamoff>(start));
-            file_.read(reinterpret_cast<char *>(scratch_.data()),
-                       static_cast<std::streamsize>(len));
-            if (!file_)
-                throw ArtifactFormatError(
-                    "trace stream read failed (frame " +
-                    std::to_string(frame) + ")");
-            enc = scratch_.data();
-        }
-        // Decode in place: frame_ was sized for a full frame once at
-        // construction, so the replay hot path never allocates.
-        decodeTraceFrameInto(enc, len, static_cast<size_t>(ops),
-                             frame_.data());
-    }
-    loadedFrame_ = frame;
-}
-
-const uint8_t *
-TraceCursor::opBytes(uint64_t index)
-{
-    const uint64_t frame = index / frameOps_;
-    const uint64_t within = index % frameOps_;
-    if (version_ == 1 && map_) {
-        dropConsumedFrames(frame);
-        return map_ + frameOffsets_[frame] + within * traceStreamOpBytes;
-    }
-    if (loadedFrame_ != frame) {
-        loadFrame(frame);
-        if (map_)
-            dropConsumedFrames(frame);
-    }
-    return frame_.data() + within * traceStreamOpBytes;
-}
-
-void
 TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out,
                          std::ifstream &file,
                          std::vector<uint8_t> &scratch) const
 {
-    const size_t ops = static_cast<size_t>(frameOps(frame));
-    out.resize(ops);
     const uint64_t start = frameOffsets_[frame];
-    if (version_ == 1) {
-        const uint8_t *raw;
-        if (map_) {
-            raw = map_ + start;
-        } else {
-            scratch.resize(ops * traceStreamOpBytes);
-            file.seekg(static_cast<std::streamoff>(start));
-            file.read(reinterpret_cast<char *>(scratch.data()),
-                      static_cast<std::streamsize>(scratch.size()));
-            if (!file)
-                throw ArtifactFormatError(
-                    "trace stream read failed (frame " +
-                    std::to_string(frame) + ")");
-            raw = scratch.data();
-        }
-        for (size_t i = 0; i < ops; i++) {
-            const uint8_t *src = raw + i * traceStreamOpBytes;
-            out.pc[i] = getU64(src + 0);
-            out.memAddr[i] = getU64(src + 8);
-            out.nextPc[i] = getU64(src + 16);
-        }
+    const size_t len = static_cast<size_t>(frameEnd(frame) - start);
+    const uint8_t *enc;
+    if (map_) {
+        enc = map_ + start;
     } else {
-        const size_t len = static_cast<size_t>(frameEnd(frame) - start);
-        const uint8_t *enc;
-        if (map_) {
-            enc = map_ + start;
-        } else {
-            scratch.resize(len);
-            file.seekg(static_cast<std::streamoff>(start));
-            file.read(reinterpret_cast<char *>(scratch.data()),
-                      static_cast<std::streamsize>(len));
-            if (!file)
-                throw ArtifactFormatError(
-                    "trace stream read failed (frame " +
-                    std::to_string(frame) + ")");
-            enc = scratch.data();
-        }
-        decodeTraceFrameSoA(enc, len, ops, out.pc.data(),
-                            out.memAddr.data(), out.nextPc.data());
+        scratch.resize(len);
+        file.seekg(static_cast<std::streamoff>(start));
+        file.read(reinterpret_cast<char *>(scratch.data()),
+                  static_cast<std::streamsize>(len));
+        if (!file)
+            throw ArtifactFormatError("trace stream read failed (frame " +
+                                      std::to_string(frame) + ")");
+        enc = scratch.data();
     }
-
-    // Relink: the off-based check accepts exactly the pcs
-    // program_.validPc accepts (an out-of-range or misaligned pc means
-    // a stale trace, same as the scalar path).
-    const ir::Inst *insts = program_.insts.data();
-    const uint64_t limit = cryptoByIndex_.size() * ir::instBytes;
-    for (size_t i = 0; i < ops; i++) {
-        const uint64_t off = out.pc[i] - ir::Program::codeBase;
-        if (off >= limit || off % ir::instBytes != 0)
-            throw ArtifactStaleError(
-                "trace stream op pc outside program (stale trace)");
-        const size_t idx = static_cast<size_t>(off / ir::instBytes);
-        out.inst[i] = insts + idx;
-        out.crypto[i] = cryptoByIndex_[idx];
-        out.tainted[i] = 0;
-    }
+    decodeRelinkedFrame(enc, len, static_cast<size_t>(frameOps(frame)),
+                        program_, cryptoByIndex_, out);
 }
 
 void
@@ -1015,15 +835,15 @@ TraceCursor::next()
 {
     if (pos_ >= numOps_)
         return nullptr;
-    const uint8_t *bytes = opBytes(pos_);
-    op_.pc = getU64(bytes + 0);
-    op_.memAddr = getU64(bytes + 8);
-    op_.nextPc = getU64(bytes + 16);
-    if (!program_.validPc(op_.pc))
-        throw ArtifactStaleError(
-            "trace stream op pc outside program (stale trace)");
-    op_.inst = &program_.at(op_.pc);
-    op_.crypto = program_.isCryptoPc(op_.pc);
+    const uint64_t frame = pos_ / frameOps_;
+    if (soaFrame_ != frame)
+        loadFrameSoA(frame);
+    const size_t i = static_cast<size_t>(pos_ % frameOps_);
+    op_.pc = soa_.pc[i];
+    op_.memAddr = soa_.memAddr[i];
+    op_.nextPc = soa_.nextPc[i];
+    op_.inst = soa_.inst[i];
+    op_.crypto = soa_.crypto[i] != 0;
     op_.tainted = false;
     pos_++;
     return &op_;

@@ -5,35 +5,29 @@
  * A trace stream file holds the dynamic instruction stream of one
  * workload run (pc, memAddr, nextPc per op — the inst pointer and
  * crypto flag relink from the PC on read), grouped into frames of a
- * fixed op count followed by a frame-offset index and a footer. Two
- * container versions share the header/index/footer layout and differ
- * only in how a frame stores its ops:
+ * fixed op count followed by a frame-offset index and a footer. The
+ * container is CASSTF2:
  *
- *   CASSTF1 — raw frames, 24 B/op:
- *     "CASSTF1\n" | u32 version=1 | u32 frameOps | u64 fingerprint
- *     | u64 numOps | frames (ops * 24 B each) ...
- *     | index (u64 offset per frame) | u64 indexPos | u64 numFrames
+ *   "CASSTF2\n" | u32 version=2 | u32 frameOps | u64 fingerprint
+ *   | u64 numOps | frames (u8 kind | u32 payloadBytes | payload) ...
+ *   | index (u64 offset per frame) | u64 indexPos | u64 numFrames
  *
- *   CASSTF2 — compressed frames:
- *     "CASSTF2\n" | u32 version=2 | ... same header fields ...
- *     | frames (u8 kind | u32 payloadBytes | payload) ...
- *     | index | footer as above
- *
- * A CASSTF2 delta frame (kind 1) exploits that a dynamic instruction
- * stream is overwhelmingly sequential: the first op stores pc /
- * memAddr / nextPc as plain varints, every later op stores
- * zig-zag varints of (pc - prev.nextPc), (memAddr - prev.memAddr) and
+ * A delta frame (kind 1) exploits that a dynamic instruction stream is
+ * overwhelmingly sequential: the first op stores pc / memAddr / nextPc
+ * as plain varints, every later op stores zig-zag varints of
+ * (pc - prev.nextPc), (memAddr - prev.memAddr) and
  * (nextPc - (pc + instBytes)) — all three are zero for straight-line
  * code, so typical ops take 3 bytes instead of 24. Frames stay
  * independently decodable (random access needs no history across
  * frames), and a frame whose delta encoding would not beat 24 B/op is
- * written raw (kind 0), so adversarial streams never grow past CASSTF1
- * plus the 5-byte frame headers.
+ * written raw (kind 0, 24 B/op), so adversarial streams never grow
+ * past 24 B/op plus the 5-byte frame headers. Files of the retired
+ * raw-frame container revision 1 are rejected with ArtifactFormatError.
  *
- * TraceStreamWriter produces either container incrementally (one frame
- * buffer resident, never the whole trace) and fails fast on I/O errors
- * so a disk-full run cannot leave a silently-corrupt index behind;
- * TraceCursor replays both containers as a uarch::TimingOpSource
+ * TraceStreamWriter produces the file incrementally (one frame buffer
+ * resident, never the whole trace) and fails fast on I/O errors so a
+ * disk-full run cannot leave a silently-corrupt index behind;
+ * TraceCursor replays it as a uarch::TimingOpSource
  * through an mmap-backed view (with sequential madvise and per-frame
  * drop of consumed pages) or a buffered one-frame reader, so peak
  * memory stays at one frame regardless of trace length. The program
@@ -104,31 +98,34 @@ constexpr uint32_t traceStreamDefaultFrameOps = 1u << 15;
 std::vector<uint8_t> encodeTraceFrame(const std::vector<uint8_t> &raw_ops);
 
 /**
- * Decode one CASSTF2 frame back into raw 24 B/op bytes.
+ * Decode one CASSTF2 frame into structure-of-arrays columns: parallel
+ * pc/memAddr/nextPc arrays of num_ops elements each.
  * @param frame the full frame as written by encodeTraceFrame
  * @param frame_len bytes available at `frame`
  * @param num_ops expected op count of the frame
  * @throws ArtifactFormatError on truncated or inconsistent frames
  */
-std::vector<uint8_t> decodeTraceFrame(const uint8_t *frame,
-                                      size_t frame_len, size_t num_ops);
-
-/** decodeTraceFrame into a caller-owned buffer of at least
- * num_ops * traceStreamOpBytes bytes (the replay hot path reuses one
- * frame buffer instead of allocating per frame). */
-void decodeTraceFrameInto(const uint8_t *frame, size_t frame_len,
-                          size_t num_ops, uint8_t *out);
-
-/**
- * Decode one CASSTF2 frame directly into structure-of-arrays replay
- * buffers: parallel pc/memAddr/nextPc arrays of num_ops elements each.
- * Produces exactly the values decodeTraceFrameInto would, without the
- * intermediate 24 B/op AoS form — this is the batched replay path's
- * decoder (TraceCursor::nextBatch).
- */
 void decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
                          size_t num_ops, uint64_t *pc, uint64_t *mem_addr,
                          uint64_t *next_pc);
+
+/** Crypto flag per static instruction of `program` (1 = the pc lies in
+ * a crypto range): the table every relink indexes by pc. */
+std::vector<uint8_t> cryptoPcTable(const ir::Program &program);
+
+/**
+ * The checked frame decode every CASSTF2 reader shares (TraceCursor
+ * and whole-mode snapshot loads): decode one frame into `out` (resized
+ * to num_ops) and relink each op against `program` — inst pointer and
+ * crypto flag from its pc through `crypto_table`
+ * (cryptoPcTable(program)), taint cleared.
+ * @throws ArtifactFormatError on a corrupt frame, ArtifactStaleError
+ *         when a pc lies outside the program (a stale trace)
+ */
+void decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
+                         size_t num_ops, const ir::Program &program,
+                         const std::vector<uint8_t> &crypto_table,
+                         uarch::OpBatchStorage &out);
 
 /** Incremental writer of a chunked trace stream file. */
 class TraceStreamWriter
@@ -139,13 +136,10 @@ class TraceStreamWriter
      * @param program_fingerprint core::programFingerprint of the
      *        program the trace belongs to
      * @param frame_ops ops per frame (>0)
-     * @param compression None writes CASSTF1, Delta writes CASSTF2
      */
-    TraceStreamWriter(
-        const std::string &path, uint64_t program_fingerprint,
-        uint32_t frame_ops = traceStreamDefaultFrameOps,
-        TraceCompression compression = TraceCompression::Delta);
-    ~TraceStreamWriter();
+    TraceStreamWriter(const std::string &path,
+                      uint64_t program_fingerprint,
+                      uint32_t frame_ops = traceStreamDefaultFrameOps);
 
     TraceStreamWriter(const TraceStreamWriter &) = delete;
     TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
@@ -164,7 +158,9 @@ class TraceStreamWriter
      * describe is durable, so a crash at any point leaves a file
      * whose footer is either absent (fails loudly at open) or
      * describes fully-written frames — never footer-valid-but-
-     * truncated data. Idempotent; throws on I/O errors.
+     * truncated data. Idempotent; throws on I/O errors. A writer
+     * destroyed without finish() — a recording that threw — leaves
+     * the file footerless, so it fails loudly at open.
      */
     void finish();
 
@@ -179,7 +175,6 @@ class TraceStreamWriter
 
     uint64_t numOps() const { return numOps_; }
     const std::string &path() const { return path_; }
-    TraceCompression compression() const { return compression_; }
 
   private:
     void flushFrame();
@@ -188,7 +183,6 @@ class TraceStreamWriter
     std::string path_;
     std::ofstream file_;
     uint32_t frameOps_;
-    TraceCompression compression_;
     uint64_t numOps_ = 0;
     std::vector<uint8_t> frame_;
     std::vector<uint64_t> frameOffsets_;
@@ -196,9 +190,9 @@ class TraceStreamWriter
 };
 
 /**
- * Replays a trace stream file (either container version) as a
- * TimingOpSource, relinking each op against `program` (which must
- * outlive the cursor and match the stored fingerprint).
+ * Replays a trace stream file as a TimingOpSource, relinking each op
+ * against `program` (which must outlive the cursor and match the
+ * stored fingerprint).
  */
 class TraceCursor final : public uarch::TimingOpSource
 {
@@ -217,13 +211,15 @@ class TraceCursor final : public uarch::TimingOpSource
     TraceCursor(const TraceCursor &) = delete;
     TraceCursor &operator=(const TraceCursor &) = delete;
 
+    /** Scalar adapter reading the same decoded frames as nextBatch()
+     * (it never starts the decode-ahead worker). */
     const uarch::TimingOp *next() override;
 
     /**
-     * Native batch path: frames decode straight into structure-of-
-     * arrays buffers (decodeTraceFrameSoA) and batches are served as
-     * zero-copy views into the decoded frame, so a batch never crosses
-     * a frame boundary. Relinking (inst pointer + crypto flag) uses a
+     * Frames decode straight into structure-of-arrays buffers
+     * (decodeRelinkedFrame) and batches are served as zero-copy views
+     * into the decoded frame, so a batch never crosses a frame
+     * boundary. Relinking (inst pointer + crypto flag) uses a
      * per-static-instruction table instead of the per-op range scan.
      *
      * Decode-ahead: while the caller replays frame N's batches, a
@@ -242,9 +238,6 @@ class TraceCursor final : public uarch::TimingOpSource
 
     uint64_t numOps() const { return numOps_; }
     bool mmapped() const { return map_ != nullptr; }
-    /** Container version of the open file (1 = CASSTF1 raw frames,
-     * 2 = CASSTF2 compressed frames). */
-    uint32_t formatVersion() const { return version_; }
 
     /** True once this cursor's decode-ahead worker is running. */
     bool prefetching() const { return prefetch_ != nullptr; }
@@ -259,7 +252,6 @@ class TraceCursor final : public uarch::TimingOpSource
   private:
     struct Prefetch; ///< decode-ahead worker (trace_stream.cc)
 
-    void loadFrame(uint64_t frame);
     void loadFrameSoA(uint64_t frame);
     /** loadFrameSoA through the prefetcher when enabled (starting it
      * lazily on the first batched frame). */
@@ -275,14 +267,12 @@ class TraceCursor final : public uarch::TimingOpSource
                      std::ifstream &file,
                      std::vector<uint8_t> &scratch) const;
     void dropConsumedFrames(uint64_t upto);
-    const uint8_t *opBytes(uint64_t index);
     uint64_t frameOps(uint64_t frame) const;
     uint64_t frameEnd(uint64_t frame) const;
 
     const ir::Program &program_;
     std::string path_;
     std::ifstream file_;
-    uint32_t version_ = 0;
     uint64_t numOps_ = 0;
     uint32_t frameOps_ = 0;
     uint64_t numFrames_ = 0;
@@ -294,15 +284,12 @@ class TraceCursor final : public uarch::TimingOpSource
     size_t mapLen_ = 0;
     uint64_t droppedFrames_ = 0; ///< frames already madvise()d away
 
-    // one decoded/buffered frame (all backings for v2; non-mmap for v1)
-    std::vector<uint8_t> frame_;
-    std::vector<uint8_t> scratch_; ///< encoded v2 frame (buffered read)
-    uint64_t loadedFrame_ = ~0ull;
+    std::vector<uint8_t> scratch_; ///< encoded frame (buffered read)
 
-    // batch path: one frame decoded SoA + relinked, served as views
+    // one frame decoded SoA + relinked, served as views
     uarch::OpBatchStorage soa_;
     uint64_t soaFrame_ = ~0ull;
-    std::vector<uint8_t> cryptoByIndex_; ///< crypto flag per static inst
+    std::vector<uint8_t> cryptoByIndex_; ///< cryptoPcTable(program_)
 
     // decode-ahead worker (lazily started by the first batched frame)
     std::unique_ptr<Prefetch> prefetch_;

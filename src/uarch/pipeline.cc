@@ -89,31 +89,10 @@ TimingOpSource::nextBatch(OpBatch &out, size_t max_ops)
     return n;
 }
 
-void
-buildOpBatchStorage(const TimingTrace &trace, OpBatchStorage &out)
-{
-    const size_t n = trace.size();
-    out.resize(n);
-    for (size_t i = 0; i < n; i++) {
-        const TimingOp &op = trace[i];
-        out.pc[i] = op.pc;
-        out.memAddr[i] = op.memAddr;
-        out.nextPc[i] = op.nextPc;
-        out.inst[i] = op.inst;
-        out.crypto[i] = op.crypto ? 1 : 0;
-        out.tainted[i] = op.tainted ? 1 : 0;
-    }
-}
-
 size_t
 TraceSpanSource::nextBatch(OpBatch &out, size_t max_ops)
 {
     const size_t n = std::min(max_ops, trace_.size() - pos_);
-    if (shared_) {
-        out = shared_->view(pos_, n);
-        pos_ += n;
-        return n;
-    }
     soa_.resize(n);
     for (size_t i = 0; i < n; i++) {
         const TimingOp &op = trace_[pos_ + i];
@@ -186,44 +165,6 @@ recordTrace(const core::Workload &workload, int which)
     recordTrace(workload, which,
                 [&](const TimingOp &op) { trace.push_back(op); });
     return trace;
-}
-
-uint64_t
-recordTrace(const core::Workload &workload, int which, TimingTrace &trace,
-            OpBatchStorage &mirror)
-{
-    const uint64_t total = countTraceOps(workload, which);
-    trace.clear();
-    trace.reserve(total);
-    mirror.resize(total);
-    size_t i = 0;
-    const uint64_t ops = recordTrace(
-        workload, which, [&](const TimingOp &op) {
-            trace.push_back(op);
-            if (i == mirror.pc.size())
-                mirror.resize(i + 1);
-            mirror.pc[i] = op.pc;
-            mirror.memAddr[i] = op.memAddr;
-            mirror.nextPc[i] = op.nextPc;
-            mirror.inst[i] = op.inst;
-            mirror.crypto[i] = op.crypto ? 1 : 0;
-            mirror.tainted[i] = op.tainted ? 1 : 0;
-            i++;
-        });
-    mirror.resize(i); // instCount can overshoot the probe by the halt
-    return ops;
-}
-
-void
-relinkTimingTrace(TimingTrace &trace, const ir::Program &program)
-{
-    for (TimingOp &op : trace) {
-        if (!program.validPc(op.pc))
-            throw std::invalid_argument(
-                "relinkTimingTrace: trace pc outside program");
-        op.inst = &program.at(op.pc);
-        op.crypto = program.isCryptoPc(op.pc);
-    }
 }
 
 bool

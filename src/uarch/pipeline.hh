@@ -163,26 +163,12 @@ class TimingOpSource
     std::unique_ptr<OpBatchStorage> fallback_;
 };
 
-/** Transpose a whole in-memory trace into SoA columns (resizes `out`).
- * Produces exactly the columns TraceSpanSource::nextBatch would. */
-void buildOpBatchStorage(const TimingTrace &trace, OpBatchStorage &out);
-
-/** TimingOpSource over an in-memory trace. */
+/** TimingOpSource over an in-memory AoS trace (the reference form the
+ * parity tests record with recordTrace). */
 class TraceSpanSource final : public TimingOpSource
 {
   public:
     explicit TraceSpanSource(const TimingTrace &trace) : trace_(trace) {}
-
-    /**
-     * Shares a prebuilt whole-trace SoA mirror (buildOpBatchStorage of
-     * the same trace, which must outlive the source): nextBatch serves
-     * zero-copy views into it instead of transposing per batch, so a
-     * trace replayed by many cells is transposed once, not per run.
-     */
-    TraceSpanSource(const TimingTrace &trace, const OpBatchStorage &soa)
-        : trace_(trace), shared_(&soa)
-    {
-    }
 
     const TimingOp *
     next() override
@@ -190,13 +176,11 @@ class TraceSpanSource final : public TimingOpSource
         return pos_ < trace_.size() ? &trace_[pos_++] : nullptr;
     }
 
-    /** Native batch path: shared-mirror views, or one AoS -> SoA
-     * transpose per batch without a mirror. */
+    /** Native batch path: one AoS -> SoA transpose per batch. */
     size_t nextBatch(OpBatch &out, size_t max_ops) override;
 
   private:
     const TimingTrace &trace_;
-    const OpBatchStorage *shared_ = nullptr;
     size_t pos_ = 0;
     OpBatchStorage soa_;
 };
@@ -289,17 +273,10 @@ TimingTrace recordTrace(const core::Workload &workload, int which = 2);
 /**
  * Streaming form: feed every op to `sink` instead of materializing a
  * vector (the op's inst pointer is valid during the callback). Returns
- * the number of ops recorded. This is the memory-lean producer behind
- * TraceMode::Stream.
+ * the number of ops recorded. This per-op probe is the serial
+ * reference the fused analysis pass (core/analysis_pipeline) is
+ * compared against.
  */
-/**
- * Record the evaluation trace into `trace` AND its SoA replay mirror
- * in one pass (count-first: a throwaway functional replay sizes both
- * exactly, so neither ever reallocates). Returns the op count.
- */
-uint64_t recordTrace(const core::Workload &workload, int which,
-                     TimingTrace &trace, OpBatchStorage &mirror);
-
 uint64_t recordTrace(const core::Workload &workload, int which,
                      const std::function<void(const TimingOp &)> &sink);
 
@@ -323,14 +300,6 @@ TaintBitmap
 computeTaintBitmap(TimingOpSource &src,
                    const std::vector<core::SecretRegion> &regions,
                    size_t num_ops);
-
-/**
- * Re-attach a deserialized timing trace to its program: resolves each
- * op's instruction pointer and crypto flag from its PC. Throws
- * std::invalid_argument when a PC falls outside the program (stale
- * artifact against a changed binary).
- */
-void relinkTimingTrace(TimingTrace &trace, const ir::Program &program);
 
 /** Aggregate timing statistics of one run. */
 struct CoreStats

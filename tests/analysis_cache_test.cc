@@ -135,8 +135,7 @@ TEST(AnalyzedWorkloadTest, TaintBitmapOnlyForSecretWorkloads)
 
     auto secret = AnalyzedWorkload::analyze(workload("ChaCha20_ct"));
     EXPECT_FALSE(secret->hasTaintBitmap()); // demand-driven
-    EXPECT_EQ(secret->taintBitmap().size(),
-              secret->timingTrace().size());
+    EXPECT_EQ(secret->taintBitmap().size(), secret->numOps());
     EXPECT_TRUE(secret->hasTaintBitmap());
     EXPECT_EQ(AnalyzedWorkload::analysisPhaseRuns().taint, before + 1);
 }
@@ -214,8 +213,7 @@ TEST(SerializeArtifactTest, RoundTripYieldsIdenticalResults)
                   original->traces().image.traceBytes());
         EXPECT_EQ(reloaded->traces().image.numBranches(),
                   original->traces().image.numBranches());
-        ASSERT_EQ(reloaded->timingTrace().size(),
-                  original->timingTrace().size());
+        ASSERT_EQ(reloaded->numOps(), original->numOps());
 
         // ... and so do the timing results, for every scheme.
         Simulation orig_sim(original), reload_sim(reloaded);
@@ -283,7 +281,7 @@ TEST(SimulationTest, SharedArtifactRunsNoExtraAnalysis)
     // One analysis serves both runs and the accessors.
     EXPECT_EQ(AnalyzedWorkload::analysisRuns() - before, 1u);
     EXPECT_GT(artifact->traces().records.size(), 0u);
-    EXPECT_GT(artifact->timingTrace().size(), 0u);
+    EXPECT_GT(artifact->numOps(), 0u);
     EXPECT_GT(base.stats.cycles, 0u);
     EXPECT_LE(cass.stats.cycles, base.stats.cycles * 2);
 

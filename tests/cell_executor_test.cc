@@ -120,7 +120,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     cell.config.core.robSize = 64;
     cell.config.core.l2.sizeBytes = 256 * 1024;
     cell.config.traceMode = core::TraceMode::Stream;
-    cell.config.traceCompression = core::TraceCompression::None;
     manifest.indices = {17};
     manifest.cells = {cell};
 
@@ -143,7 +142,6 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     EXPECT_EQ(c.config.core.l2.sizeBytes, 256u * 1024);
     EXPECT_EQ(c.config.core.btuFlushPeriod, 12000000u);
     EXPECT_EQ(c.config.traceMode, core::TraceMode::Stream);
-    EXPECT_EQ(c.config.traceCompression, core::TraceCompression::None);
 }
 
 TEST(ShardManifestTest, CorruptManifestIsRejected)

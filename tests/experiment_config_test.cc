@@ -150,50 +150,17 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
                  std::invalid_argument);
 }
 
-TEST(ExperimentConfigTest, TraceCompressionParses)
+TEST(ExperimentConfigTest, TraceCompressionIsAnUnknownKey)
 {
-    // Sweep-level trace_compression seeds every config; per-config
-    // overrides win; defaults are stream-off + delta.
-    ExperimentSpec plain = parseExperimentSpec(
-        R"({"workloads": ["A"], "schemes": ["SPT"]})");
-    EXPECT_FALSE(plain.traceCompressionSet);
-    EXPECT_EQ(plain.traceCompression, core::TraceCompression::Delta);
-
-    ExperimentSpec spec = parseExperimentSpec(R"({
-      "workloads": ["A"],
-      "schemes": ["SPT"],
-      "trace_mode": "stream",
-      "trace_compression": "none",
-      "configs": [
-        {"name": "raw"},
-        {"name": "delta", "trace_compression": "delta"}
-      ]
-    })");
-    EXPECT_TRUE(spec.traceCompressionSet);
-    EXPECT_EQ(spec.traceCompression, core::TraceCompression::None);
-    ASSERT_EQ(spec.matrix.configs.size(), 2u);
-    EXPECT_EQ(spec.matrix.configs[0].traceCompression,
-              core::TraceCompression::None);
-    EXPECT_EQ(spec.matrix.configs[1].traceCompression,
-              core::TraceCompression::Delta);
-
-    // A sweep-level compression request materializes the implicit
-    // default config so it reaches the runner.
-    ExperimentSpec implicit = parseExperimentSpec(
-        R"({"workloads": ["A"], "schemes": ["SPT"],
-            "trace_compression": "none"})");
-    ASSERT_EQ(implicit.matrix.configs.size(), 1u);
-    EXPECT_EQ(implicit.matrix.configs[0].traceCompression,
-              core::TraceCompression::None);
-
-    // Unknown compression values fail loudly.
+    // Stream files have one encoding (CASSTF2); the knob that once
+    // chose another is gone, so spelling it fails like any typo.
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "trace_compression": "gzip"})"),
+                         "trace_compression": "delta"})"),
                  std::invalid_argument);
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "configs": [{"trace_compression": 3}]})"),
+                         "configs": [{"trace_compression": "none"}]})"),
                  std::invalid_argument);
 }
 

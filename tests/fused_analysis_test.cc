@@ -2,11 +2,13 @@
  * @file
  * Fused single-pass analysis pipeline parity suite.
  *
- * The fused pipeline (core/analysis_pipeline) replaces the serial
- * per-phase reference passes; the reference stays in-tree as the
- * oracle. Everything here is exact comparison: op columns, folded
- * Algorithm 2 traces, packed image bytes, taint bits, stream file
- * bytes and replayed batches must match the reference op for op —
+ * The fused pipeline (core/analysis_pipeline) is the only analysis
+ * path; the serial references stay in-tree as free functions
+ * (uarch::recordTrace, uarch::computeTaintBitmap, generateTraces with
+ * fused = false) and are the oracle. Everything here is exact
+ * comparison: op columns, folded Algorithm 2 traces, packed image
+ * bytes, taint bits, stream file bytes and replayed batches must
+ * match the reference op for op —
  * across chunk sizes (including 1), ring sizes (including 1), Inline
  * and forced-Threaded mode, and with the TraceCursor decode-ahead
  * prefetcher forced on and off. Plus the TraceStreamWriter durability
@@ -30,18 +32,17 @@
 #include "core/trace_stream.hh"
 #include "core/tracegen.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
 using namespace cassandra;
 using core::AnalysisChunk;
-using core::AnalysisFusion;
 using core::AnalysisPipelineOptions;
 using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::BatchConsumer;
 using core::ChunkSpanSource;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceMode;
 using core::TraceStreamWriter;
@@ -340,80 +341,84 @@ TEST(FusedBranchPass, FoldedRunMatchesAcrossModes)
 }
 
 // ---------------------------------------------------------------------
-// Artifact-level parity: fused vs reference AnalyzedWorkload
+// Artifact-level parity: AnalyzedWorkload vs the free-function
+// references
 // ---------------------------------------------------------------------
 
 TEST(FusedArtifact, WholeModeParity)
 {
     const char *name = "DES_ct"; // has secret regions -> taint runs
-    AnalyzeOptions fusedOpts;
-    fusedOpts.fusion = AnalysisFusion::Fused;
-    fusedOpts.phases = core::allAnalysisPhases;
-    AnalyzeOptions refOpts = fusedOpts;
-    refOpts.fusion = AnalysisFusion::Reference;
+    AnalyzeOptions options;
+    options.phases = core::allAnalysisPhases;
+    const auto fused = AnalyzedWorkload::analyze(workload(name), options);
 
-    const auto fused = AnalyzedWorkload::analyze(workload(name),
-                                                 fusedOpts);
-    const auto ref = AnalyzedWorkload::analyze(workload(name), refOpts);
+    // The serial references, on their own copy of the workload.
+    const core::Workload w = workload(name);
+    const uarch::TimingTrace refTrace = uarch::recordTrace(w, 2);
+    uarch::TraceSpanSource refSrc(refTrace);
+    const uarch::TaintBitmap refTaint = uarch::computeTaintBitmap(
+        refSrc, w.secretRegions, refTrace.size());
+    const core::TraceGenResult refImage =
+        core::generateTraces(w, {}, /*fused=*/false);
 
-    // Trace ops (the fused artifact materializes AoS lazily here).
-    expectSameOpsIndexed(fused->timingTrace(),
-                         fused->workload().program, ref->timingTrace(),
-                         ref->workload().program, "whole-mode trace");
-    EXPECT_EQ(fused->numOps(), ref->numOps());
+    // Trace ops.
+    expectSameOpsIndexed(test::drainOps(*fused), fused->workload().program,
+                         refTrace, w.program, "whole-mode trace");
+    EXPECT_EQ(fused->numOps(), refTrace.size());
 
     // Taint bits.
     const uarch::TaintBitmap &tf = fused->taintBitmap();
-    const uarch::TaintBitmap &tr = ref->taintBitmap();
-    ASSERT_EQ(tf.size(), tr.size());
-    EXPECT_EQ(tf.count(), tr.count());
+    ASSERT_EQ(tf.size(), refTaint.size());
+    EXPECT_EQ(tf.count(), refTaint.count());
     EXPECT_GT(tf.count(), 0u);
     for (size_t i = 0; i < tf.size(); i++)
-        ASSERT_EQ(tf.test(i), tr.test(i)) << "op " << i;
+        ASSERT_EQ(tf.test(i), refTaint.test(i)) << "op " << i;
 
     // Algorithm 2 image.
-    expectSameTraceGen(fused->traces(), ref->traces(), "whole image");
+    expectSameTraceGen(fused->traces(), refImage, "whole image");
 
     // Simulated cycles, including a taint-consuming scheme.
     for (uarch::Scheme scheme :
          {uarch::Scheme::Cassandra, uarch::Scheme::Prospect}) {
         const auto a = core::Simulation(fused).run(scheme);
-        const auto b = core::Simulation(ref).run(scheme);
-        EXPECT_EQ(a.stats.cycles, b.stats.cycles)
-            << static_cast<int>(scheme);
-        EXPECT_EQ(a.stats.instructions, b.stats.instructions);
+        core::SimConfig cfg;
+        cfg.scheme = scheme;
+        uarch::OooCore core(cfg, w.program,
+                            uarch::schemeIsCassandra(scheme)
+                                ? &refImage.image
+                                : nullptr);
+        uarch::TraceSpanSource src(refTrace);
+        const uarch::CoreStats b = core.run(
+            src, scheme == uarch::Scheme::Prospect ? &refTaint : nullptr);
+        EXPECT_EQ(a.stats.cycles, b.cycles) << static_cast<int>(scheme);
+        EXPECT_EQ(a.stats.instructions, b.instructions);
     }
 }
 
 TEST(FusedArtifact, StreamFileBytesIdentical)
 {
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
-        AnalyzeOptions fusedOpts;
-        fusedOpts.fusion = AnalysisFusion::Fused;
-        fusedOpts.traceMode = TraceMode::Stream;
-        fusedOpts.compression = compression;
-        fusedOpts.streamDir = testing::TempDir() + "/fused-stream-f-" +
-            core::traceCompressionName(compression);
-        AnalyzeOptions refOpts = fusedOpts;
-        refOpts.fusion = AnalysisFusion::Reference;
-        refOpts.streamDir = testing::TempDir() + "/fused-stream-r-" +
-            core::traceCompressionName(compression);
+    AnalyzeOptions options;
+    options.traceMode = TraceMode::Stream;
+    options.streamDir = testing::TempDir() + "/fused-stream";
+    const auto fused = AnalyzedWorkload::analyze(
+        workload("synthetic/chacha20/75"), options);
 
-        const auto fused =
-            AnalyzedWorkload::analyze(workload("synthetic/chacha20/75"),
-                                      fusedOpts);
-        const auto ref =
-            AnalyzedWorkload::analyze(workload("synthetic/chacha20/75"),
-                                      refOpts);
-        EXPECT_EQ(fused->numOps(), ref->numOps());
-        ASSERT_NE(fused->streamPath(), ref->streamPath());
-        // The fused writer consumes whole SoA batches, the reference
-        // one op at a time; the container bytes must not differ.
-        EXPECT_EQ(readFile(fused->streamPath()),
-                  readFile(ref->streamPath()))
-            << "compression " << static_cast<int>(compression);
-    }
+    // The reference file: the scalar recordTrace sink feeding a
+    // writer one op at a time.
+    const core::Workload w = workload("synthetic/chacha20/75");
+    const std::string refPath = testing::TempDir() + "/fused-stream-ref";
+    TraceStreamWriter writer(refPath, core::programFingerprint(w.program));
+    uarch::recordTrace(w, 2, [&](const uarch::TimingOp &op) {
+        writer.append(op);
+    });
+    writer.finish();
+
+    EXPECT_EQ(fused->numOps(), writer.numOps());
+    ASSERT_NE(fused->streamPath(), refPath);
+    // The fused writer consumes whole SoA batches, the reference one
+    // op at a time; the container bytes must not differ.
+    EXPECT_EQ(readFile(fused->streamPath()), readFile(refPath));
+    std::remove(refPath.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -425,10 +430,7 @@ TEST(FusedArtifact, OnePassServesTraceAndTaint)
     const auto before = AnalyzedWorkload::analysisPhaseRuns();
     const uint64_t passes0 = core::fusedAnalysisPasses();
 
-    AnalyzeOptions options;
-    options.fusion = AnalysisFusion::Fused;
-    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"),
-                                              options);
+    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"));
     aw->ensurePhases(core::PhaseTimingTrace | core::PhaseTaint);
 
     const auto after = AnalyzedWorkload::analysisPhaseRuns();
@@ -438,18 +440,6 @@ TEST(FusedArtifact, OnePassServesTraceAndTaint)
     EXPECT_EQ(core::fusedAnalysisPasses(), passes0 + 1);
     EXPECT_TRUE(aw->hasTimingTrace());
     EXPECT_TRUE(aw->hasTaintBitmap());
-}
-
-TEST(FusedArtifact, ReferenceModeRunsNoFusedPass)
-{
-    const uint64_t passes0 = core::fusedAnalysisPasses();
-    AnalyzeOptions options;
-    options.fusion = AnalysisFusion::Reference;
-    options.phases = core::allAnalysisPhases;
-    const auto aw = AnalyzedWorkload::analyze(workload("DES_ct"),
-                                              options);
-    EXPECT_TRUE(aw->hasTimingTrace());
-    EXPECT_EQ(core::fusedAnalysisPasses(), passes0);
 }
 
 // ---------------------------------------------------------------------
@@ -462,13 +452,11 @@ TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
     const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
     ASSERT_GT(trace.size(), 512u); // >= 2 frames at 256 ops/frame
 
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
+    {
         const std::string path = "prefetch_parity.casstf";
         {
             TraceStreamWriter writer(
-                path, core::programFingerprint(w.program), 256,
-                compression);
+                path, core::programFingerprint(w.program), 256);
             for (const auto &op : trace)
                 writer.append(op);
             writer.finish();
@@ -476,9 +464,7 @@ TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
         for (TraceCursor::Backing backing :
              {TraceCursor::Backing::Mmap,
               TraceCursor::Backing::Buffered}) {
-            SCOPED_TRACE("compression " +
-                         std::to_string(static_cast<int>(compression)) +
-                         " backing " +
+            SCOPED_TRACE("backing " +
                          std::to_string(static_cast<int>(backing)));
             // Synchronous reference.
             uarch::TimingTrace sync;
@@ -537,8 +523,7 @@ TEST(StreamPrefetch, ScalarPathUnaffected)
     const std::string path = "prefetch_scalar.casstf";
     {
         TraceStreamWriter writer(
-            path, core::programFingerprint(w.program), 256,
-            TraceCompression::Delta);
+            path, core::programFingerprint(w.program), 256);
         for (const auto &op : trace)
             writer.append(op);
         writer.finish();
@@ -577,16 +562,14 @@ TEST(StreamWriterSeam, CrashBeforeFooterFailsLoudly)
     const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
     ASSERT_GT(trace.size(), 512u);
 
-    for (TraceCompression compression :
-         {TraceCompression::Delta, TraceCompression::None}) {
-        SCOPED_TRACE(static_cast<int>(compression));
+    {
         const std::string path = "seam_full.casstf";
         const std::string crashed = "seam_crashed.casstf";
         g_seamBytes.clear();
         g_seamPath.clear();
 
         TraceStreamWriter writer(
-            path, core::programFingerprint(w.program), 256, compression);
+            path, core::programFingerprint(w.program), 256);
         for (const auto &op : trace)
             writer.append(op);
         TraceStreamWriter::finishSeamHook = &seamSnapshot;

@@ -6,7 +6,8 @@
  * runs through the real run_experiment binary four ways — whole and
  * stream trace mode, each as a cold run that saves artifact snapshots
  * followed by a run that reloads them — and every report must equal
- * the committed one byte for byte.
+ * the committed one byte for byte. The CLI's rejection of the removed
+ * --trace-compression flag rides along, since it needs the binary too.
  *
  * A change that is meant to move the numbers regenerates the reports
  * with the documented command, from the repository root:
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -67,8 +69,9 @@ writeText(const std::string &path, const std::string &text)
 #if !defined(_WIN32)
 
 /**
- * Run run_experiment with `args`, its stderr captured to `err_path`.
- * Returns the exit status (-1 when it did not exit normally).
+ * Run run_experiment with `args`, its stderr captured to `err_path`
+ * and its stdout discarded. Returns the exit status (-1 when it did
+ * not exit normally).
  */
 int
 runExperiment(const std::vector<std::string> &args,
@@ -88,6 +91,11 @@ runExperiment(const std::vector<std::string> &args,
         if (fd >= 0) {
             dup2(fd, STDERR_FILENO);
             close(fd);
+        }
+        const int null_fd = open("/dev/null", O_WRONLY);
+        if (null_fd >= 0) {
+            dup2(null_fd, STDOUT_FILENO);
+            close(null_fd);
         }
         execv(argv[0], argv.data());
         _exit(127);
@@ -178,6 +186,21 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<GoldenCase> &info) {
         return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+TEST(RunExperimentCliTest, TraceCompressionFlagExitsWithStatus2)
+{
+    ASSERT_NE(runExperimentBinary, nullptr);
+    ASSERT_NE(goldenDir, nullptr);
+    const std::string err = testing::TempDir() + "/trace-compression-" +
+        core::processUniqueSuffix() + ".err";
+    EXPECT_EQ(runExperiment({std::string(goldenDir) + "/ci_smoke.json",
+                             "--trace-compression=delta"},
+                            err),
+              2);
+    EXPECT_NE(readText(err).find("unknown option"), std::string::npos)
+        << readText(err);
+    std::remove(err.c_str());
+}
 
 #endif // !_WIN32
 

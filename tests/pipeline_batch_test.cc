@@ -4,7 +4,7 @@
  * observably identical to the scalar next() path — same columns for
  * every batch size, and byte-identical timing results across every
  * scheme on both source kinds (in-memory span and chunked trace
- * stream, both encodings). The scalar reference is the default
+ * stream). The scalar reference is the default
  * TimingOpSource::nextBatch adapter, which batches through next().
  */
 
@@ -25,7 +25,6 @@ using namespace cassandra;
 using core::AnalyzedWorkload;
 using core::ExperimentResult;
 using core::SimConfig;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
@@ -95,13 +94,12 @@ expectBatchedColumnsEqualTrace(TimingOpSource &src,
  * batches to stop at frame boundaries (tail/partial batches). */
 std::string
 writeStream(const core::Workload &w, const TimingTrace &trace,
-            TraceCompression compression, uint32_t frame_ops)
+            uint32_t frame_ops)
 {
     const std::string path = testing::TempDir() + "/batch-" +
-        std::string(core::traceCompressionName(compression)) + "-" +
         std::to_string(frame_ops) + ".trace";
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
-                             frame_ops, compression);
+                             frame_ops);
     for (const auto &op : trace)
         writer.append(op);
     writer.finish();
@@ -187,16 +185,9 @@ TEST(BatchColumnsTest, SpanSourceMatchesTraceAtOddBatchSizes)
         uarch::TraceSpanSource src(trace);
         expectBatchedColumnsEqualTrace(src, trace, max_ops);
     }
-    // The shared-mirror constructor serves the same columns.
-    uarch::OpBatchStorage mirror;
-    uarch::buildOpBatchStorage(trace, mirror);
-    for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
-        uarch::TraceSpanSource src(trace, mirror);
-        expectBatchedColumnsEqualTrace(src, trace, max_ops);
-    }
 }
 
-TEST(BatchColumnsTest, CursorMatchesTraceBothEncodings)
+TEST(BatchColumnsTest, CursorMatchesTraceAtFrameBoundaries)
 {
     core::Workload w = workload("SHA-256");
     auto trace = uarch::recordTrace(w, 2);
@@ -204,19 +195,13 @@ TEST(BatchColumnsTest, CursorMatchesTraceBothEncodings)
     // 256-op frames force every batch to stop at a frame boundary;
     // default-sized frames exercise full-width batches with a tail.
     for (uint32_t frame_ops : {uint32_t{256}, uint32_t{1} << 15}) {
-        for (auto compression :
-             {TraceCompression::None, TraceCompression::Delta}) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         "/frameOps=" + std::to_string(frame_ops));
-            const std::string path =
-                writeStream(w, trace, compression, frame_ops);
-            for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
-                TraceCursor cursor(path, w.program);
-                expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
-            }
-            std::remove(path.c_str());
+        SCOPED_TRACE("frameOps=" + std::to_string(frame_ops));
+        const std::string path = writeStream(w, trace, frame_ops);
+        for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
+            TraceCursor cursor(path, w.program);
+            expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
         }
+        std::remove(path.c_str());
     }
 }
 
@@ -239,8 +224,7 @@ TEST(BatchColumnsTest, NextAndNextBatchShareOnePosition)
 {
     core::Workload w = workload("SHA-256");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string path =
-        writeStream(w, trace, TraceCompression::Delta, 256);
+    const std::string path = writeStream(w, trace, 256);
     TraceCursor cursor(path, w.program);
     // Scalar-consume into the middle of a frame, then switch to
     // batches: the batch must resume exactly where next() stopped.
@@ -259,60 +243,6 @@ TEST(BatchColumnsTest, NextAndNextBatchShareOnePosition)
     ASSERT_NE(op, nullptr);
     EXPECT_EQ(op->pc, trace[lead + n].pc);
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Frame decoder equivalence
-// ---------------------------------------------------------------------
-
-TEST(BatchColumnsTest, SoADecoderMatchesAosDecoder)
-{
-    // Compressible (delta frame) and incompressible (raw fallback
-    // frame) payloads both decode to identical columns.
-    auto check = [](const std::vector<uint8_t> &raw, size_t ops) {
-        auto frame = core::encodeTraceFrame(raw);
-        auto aos = core::decodeTraceFrame(frame.data(), frame.size(), ops);
-        std::vector<uint64_t> pc(ops), mem(ops), next(ops);
-        core::decodeTraceFrameSoA(frame.data(), frame.size(), ops,
-                                  pc.data(), mem.data(), next.data());
-        for (size_t i = 0; i < ops; i++) {
-            uint64_t v[3];
-            for (int f = 0; f < 3; f++) {
-                v[f] = 0;
-                for (int b = 0; b < 8; b++) {
-                    v[f] |= static_cast<uint64_t>(
-                                aos[i * 24 + f * 8 + b])
-                        << (8 * b);
-                }
-            }
-            ASSERT_EQ(pc[i], v[0]) << "op " << i;
-            ASSERT_EQ(mem[i], v[1]) << "op " << i;
-            ASSERT_EQ(next[i], v[2]) << "op " << i;
-        }
-    };
-
-    // Straight-line-looking ops: delta encoding wins (kind 1).
-    const size_t ops = 1000;
-    std::vector<uint8_t> seq(ops * core::traceStreamOpBytes, 0);
-    for (size_t i = 0; i < ops; i++) {
-        uint64_t pc = 0x10000 + 4 * i;
-        for (int b = 0; b < 8; b++) {
-            seq[i * 24 + b] = static_cast<uint8_t>(pc >> (8 * b));
-            seq[i * 24 + 16 + b] =
-                static_cast<uint8_t>((pc + 4) >> (8 * b));
-        }
-    }
-    check(seq, ops);
-
-    // Pseudo-random bytes: the delta encoding loses, raw fallback
-    // (kind 0) is written instead.
-    std::vector<uint8_t> rnd(128 * core::traceStreamOpBytes);
-    uint64_t state = 0x9e3779b97f4a7c15ull;
-    for (auto &byte : rnd) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        byte = static_cast<uint8_t>(state >> 33);
-    }
-    check(rnd, 128);
 }
 
 // ---------------------------------------------------------------------
@@ -338,22 +268,15 @@ TEST(BatchParityTest, StreamSourceMatchesScalarAcrossSchemes)
     core::AnalyzeOptions options;
     options.traceMode = core::TraceMode::Stream;
     options.streamDir = testing::TempDir() + "/batch-parity-streams";
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        options.compression = compression;
-        auto aw =
-            AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
-        for (Scheme scheme : allSchemes) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         "/" + uarch::schemeName(scheme));
-            auto batched_src = aw->openOpSource();
-            auto batched = runScheme(aw, scheme, *batched_src);
-            auto scalar_inner = aw->openOpSource();
-            ScalarOnly scalar_src(*scalar_inner);
-            auto scalar = runScheme(aw, scheme, scalar_src);
-            EXPECT_EQ(allCounters(batched), allCounters(scalar));
-        }
+    auto aw = AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
+    for (Scheme scheme : allSchemes) {
+        SCOPED_TRACE(uarch::schemeName(scheme));
+        auto batched_src = aw->openOpSource();
+        auto batched = runScheme(aw, scheme, *batched_src);
+        auto scalar_inner = aw->openOpSource();
+        ScalarOnly scalar_src(*scalar_inner);
+        auto scalar = runScheme(aw, scheme, scalar_src);
+        EXPECT_EQ(allCounters(batched), allCounters(scalar));
     }
 }
 

@@ -197,7 +197,6 @@ TEST(ResultStoreKeyTest, PresentationKnobsDoNotChangeTheHash)
 
     SimConfig streamed;
     streamed.traceMode = core::TraceMode::Stream;
-    streamed.traceCompression = core::TraceCompression::None;
     EXPECT_EQ(core::canonicalSimConfigHash(streamed), base);
 
     // The scheme field of the config is keyed separately (the matrix

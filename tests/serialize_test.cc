@@ -3,7 +3,9 @@
  * Round-trip and size-accounting tests for the bit-exact trace-page
  * serialization (the wire format Algorithm 2 embeds in binaries), and
  * version/fingerprint guarding of AnalyzedWorkload snapshot files
- * (outdated containers raise typed errors so caches evict them).
+ * (outdated containers — CASSAW3 snapshots and streams in the retired
+ * revision-1 container included — raise typed errors so caches evict
+ * them).
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +15,10 @@
 #include <fstream>
 #include <random>
 
+#include "bench/bench_util.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -23,7 +27,6 @@ using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::BranchTrace;
 using core::Simulation;
-using core::TraceCompression;
 using core::TraceMode;
 using core::VanillaTrace;
 
@@ -163,87 +166,117 @@ TEST(ArtifactVersionTest, FingerprintMismatchIsTyped)
 }
 
 // ---------------------------------------------------------------------
-// Stream-aware snapshots (CASSAW3): embed the trace stream file, load
-// back into stream mode, never materialize the op vector.
+// Stream-aware snapshots: embed the trace stream file, load back into
+// stream mode, never materialize the op vector.
 // ---------------------------------------------------------------------
 
 AnalyzedWorkload::Ptr
-streamedArtifact(const char *name, TraceCompression compression,
-                 const std::string &dir)
+streamedArtifact(const char *name, const std::string &dir)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
     opts.streamDir = dir;
-    opts.compression = compression;
     return AnalyzedWorkload::analyze(resolver(name), opts);
+}
+
+std::vector<uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        SCOPED_TRACE(core::traceCompressionName(compression));
-        const std::string dir = testing::TempDir() + "/snap-" +
-            core::traceCompressionName(compression);
-        auto artifact =
-            streamedArtifact("ChaCha20_ct", compression, dir);
-        const std::string path = dir + "/chacha20.aw";
+    const std::string dir = testing::TempDir() + "/snap-stream";
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
+    const std::string path = dir + "/chacha20.aw";
 
-        const core::SnapshotIoStats before = core::snapshotIoStats();
-        core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
-        auto reloaded = core::loadAnalyzedWorkload(path, resolver);
-        const core::SnapshotIoStats after = core::snapshotIoStats();
+    const core::SnapshotIoStats before = core::snapshotIoStats();
+    core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
+    auto reloaded = core::loadAnalyzedWorkload(path, resolver);
+    const core::SnapshotIoStats after = core::snapshotIoStats();
 
-        // The "never materializes" bar, observable via counters: a
-        // streamed round trip moves stream bytes, zero inline ops.
-        EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
-        EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);
-        EXPECT_GT(after.streamBytesCopied, before.streamBytesCopied);
+    // The "never materializes" bar, observable via counters: a
+    // streamed round trip moves stream bytes, zero inline ops.
+    EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
+    EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);
+    EXPECT_GT(after.streamBytesCopied, before.streamBytesCopied);
 
-        // Rehydrated straight into stream mode, not whole mode.
-        ASSERT_TRUE(reloaded->streamed());
-        EXPECT_THROW(reloaded->timingTrace(), std::logic_error);
-        EXPECT_EQ(reloaded->numOps(), artifact->numOps());
-        // ... on its own file (artifacts own + delete their streams).
-        EXPECT_NE(reloaded->streamPath(), artifact->streamPath());
+    // Rehydrated straight into stream mode, not whole mode.
+    ASSERT_TRUE(reloaded->streamed());
+    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
+    // ... on its own file (artifacts own + delete their streams).
+    EXPECT_NE(reloaded->streamPath(), artifact->streamPath());
 
-        // Identical timing results through the reloaded artifact.
-        auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
-        auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
-        EXPECT_EQ(got.stats.cycles, want.stats.cycles);
-        EXPECT_EQ(got.stats.instructions, want.stats.instructions);
-    }
+    // Identical timing results through the reloaded artifact.
+    auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
+    auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
+    EXPECT_EQ(got.stats.cycles, want.stats.cycles);
+    EXPECT_EQ(got.stats.instructions, want.stats.instructions);
 }
 
-TEST(StreamSnapshotTest, DeltaSnapshotsAreMuchSmallerThanRaw)
+TEST(StreamSnapshotTest, SnapshotsAreMuchSmallerThanRawOps)
 {
-    // Stream paths are deterministic per (name, program), so the two
-    // encodings get their own directories; the snapshots land side by
-    // side.
     const std::string dir = testing::TempDir() + "/snap-size";
-    auto raw = streamedArtifact("ChaCha20_ct", TraceCompression::None,
-                                dir + "/raw");
-    auto delta = streamedArtifact("ChaCha20_ct",
-                                  TraceCompression::Delta,
-                                  dir + "/delta");
-    core::saveAnalyzedWorkload(*raw, dir + "/raw.aw", "ChaCha20_ct");
-    core::saveAnalyzedWorkload(*delta, dir + "/delta.aw",
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
+    core::saveAnalyzedWorkload(*artifact, dir + "/stream.aw",
                                "ChaCha20_ct");
-    auto size = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        return static_cast<size_t>(in.tellg());
-    };
-    EXPECT_LT(size(dir + "/delta.aw") * 2, size(dir + "/raw.aw"));
+    // The bar is >= 2x below 24 B/op for the whole snapshot.
+    EXPECT_LT(readBytes(dir + "/stream.aw").size() * 2,
+              artifact->numOps() * core::traceStreamOpBytes);
+}
+
+TEST(StreamSnapshotTest, EmbeddedRevisionOneStreamIsRejected)
+{
+    // A streamed snapshot whose embedded stream is in the retired
+    // raw-frame container must fail with the typed eviction error.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    const std::string dir = testing::TempDir() + "/snap-revision1";
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
+    auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+
+    // Layout: prefix(16) | meta(metaLen) | u8 storage | u64 numOps |
+    // u64 blobLen | blob.
+    uint32_t meta_len = 0;
+    for (int i = 0; i < 4; i++)
+        meta_len |= static_cast<uint32_t>(bytes[12 + i]) << (8 * i);
+    const size_t blob_at = 16 + meta_len + 1 + 8 + 8;
+    ASSERT_LT(blob_at, bytes.size());
+    const core::Workload w = resolver("ChaCha20_ct");
+    const std::vector<uint8_t> blob = test::casstf1Bytes(
+        core::programFingerprint(w.program), uarch::recordTrace(w, 2),
+        core::traceStreamDefaultFrameOps);
+    bytes.resize(blob_at);
+    for (int i = 0; i < 8; i++)
+        bytes[blob_at - 8 + i] =
+            static_cast<uint8_t>(uint64_t(blob.size()) >> (8 * i));
+    bytes.insert(bytes.end(), blob.begin(), blob.end());
+
+    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, resolver, dir),
+                 core::ArtifactFormatError);
+    const std::string path = dir + "/revision1.aw";
+    writeBytes(path, bytes);
+    EXPECT_THROW(core::loadAnalyzedWorkload(path, resolver, dir),
+                 core::ArtifactFormatError);
 }
 
 TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-bytes";
-    auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
     auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
     auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
     ASSERT_TRUE(reloaded->streamed());
@@ -259,8 +292,7 @@ TEST(StreamSnapshotTest, CorruptEmbeddedStreamIsRejectedOnLoad)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-corrupt";
-    auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
     const std::string path = dir + "/corrupt.aw";
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
 
@@ -302,8 +334,7 @@ TEST(StreamSnapshotTest, ImageSurvivesStreamedSnapshot)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = testing::TempDir() + "/snap-image";
-    auto artifact =
-        streamedArtifact("ChaCha20_ct", TraceCompression::Delta, dir);
+    auto artifact = streamedArtifact("ChaCha20_ct", dir);
     (void)artifact->traces(); // run Algorithm 2 so it snapshots
     const std::string path = dir + "/image.aw";
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
@@ -340,12 +371,11 @@ TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
     EXPECT_EQ(got.stats.cycles, want.stats.cycles);
 }
 
-TEST(ArtifactVersionTest, RawInlineCassaw3SnapshotsStillLoad)
+TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
 {
-    // Readers accept the previous container revision: CASSAW3 stored
-    // raw 24 B/op inline ops. Craft one from a CASSAW4 snapshot (the
-    // metadata section is layout-identical) plus the artifact's
-    // in-memory trace.
+    // CASSAW3 stored raw 24 B/op inline ops; readers no longer accept
+    // it. Craft one from a CASSAW4 snapshot (the metadata section is
+    // layout-identical) plus the artifact's ops.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
     auto v4 = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
@@ -371,17 +401,28 @@ TEST(ArtifactVersionTest, RawInlineCassaw3SnapshotsStillLoad)
     v3.insert(v3.end(), v4.begin() + 16, v4.begin() + 16 + meta_len);
     v3.push_back(0); // traceStorageInline
     u64le(v3, artifact->numOps());
-    for (const auto &op : artifact->timingTrace()) {
+    for (const auto &op : test::drainOps(*artifact)) {
         u64le(v3, op.pc);
         u64le(v3, op.memAddr);
         u64le(v3, op.nextPc);
     }
+    EXPECT_THROW(core::unpackAnalyzedWorkload(v3, resolver),
+                 core::ArtifactFormatError);
 
-    auto reloaded = core::unpackAnalyzedWorkload(v3, resolver);
-    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
-    auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
-    auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
-    EXPECT_EQ(got.stats.cycles, want.stats.cycles);
+    // The bench artifact cache evicts the file and re-analyzes.
+    bench::CliOptions opts;
+    opts.artifactDir = testing::TempDir() + "/cassaw3-" +
+        core::processUniqueSuffix();
+    core::ensureDirectories(opts.artifactDir);
+    const std::string path =
+        bench::artifactPath(opts.artifactDir, "ChaCha20_ct");
+    writeBytes(path, v3);
+    std::vector<std::string> missing;
+    auto cache = bench::makeArtifactCache({"ChaCha20_ct"}, opts, missing);
+    EXPECT_EQ(missing, std::vector<std::string>{"ChaCha20_ct"});
+    EXPECT_FALSE(cache->contains("ChaCha20_ct"));
+    EXPECT_FALSE(std::ifstream(path).good()) << path;
+    core::removeDirectoryTree(opts.artifactDir);
 }
 
 TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)

@@ -1,10 +1,12 @@
 /**
  * @file
  * Memory-lean pipeline tests: chunked trace stream round trips (both
- * cursor backings), streamed-vs-whole cycle parity across every
- * scheme, taint-bitmap-vs-legacy-annotated-trace parity, and the
- * demand-driven per-phase analysis counters (baseline-only sweeps
- * never run Algorithm 2).
+ * cursor backings), the CASSTF2 frame codec, corrupt and retired
+ * (revision-1) streams failing loudly, streamed-vs-whole cycle parity
+ * across every scheme, taint-bitmap-vs-legacy-annotated-trace parity,
+ * failed recordings leaving no trace file, and the demand-driven
+ * per-phase analysis counters (baseline-only sweeps never run
+ * Algorithm 2).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -31,7 +34,6 @@ using core::ExperimentRunner;
 using core::RunnerOptions;
 using core::SimConfig;
 using core::Simulation;
-using core::TraceCompression;
 using core::TraceCursor;
 using core::TraceMode;
 using core::TraceStreamWriter;
@@ -80,11 +82,10 @@ getLe64(const std::vector<uint8_t> &bytes, size_t at)
 /** Write a multi-frame stream of a real trace; returns the op count. */
 uint64_t
 writeStream(const std::string &path, const core::Workload &w,
-            const uarch::TimingTrace &trace, TraceCompression compression,
-            uint32_t frame_ops = 256)
+            const uarch::TimingTrace &trace, uint32_t frame_ops = 256)
 {
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
-                             frame_ops, compression);
+                             frame_ops);
     for (const auto &op : trace)
         writer.append(op);
     writer.finish();
@@ -137,60 +138,46 @@ expectEqualResults(const ExperimentResult &a, const ExperimentResult &b,
 // Trace stream container
 // ---------------------------------------------------------------------
 
-TEST(TraceStreamTest, RoundTripBothBackingsBothFormats)
+TEST(TraceStreamTest, RoundTripBothBackings)
 {
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    for (auto compression :
-         {TraceCompression::None, TraceCompression::Delta}) {
-        // A small frame size forces multi-frame files + index use.
-        const std::string path = testing::TempDir() + "/chacha20-" +
-            core::traceCompressionName(compression) + ".trace";
-        writeStream(path, w, trace, compression);
-        for (auto backing : {TraceCursor::Backing::Buffered,
-                             TraceCursor::Backing::Auto}) {
-            SCOPED_TRACE(std::string(
-                             core::traceCompressionName(compression)) +
-                         (backing == TraceCursor::Backing::Buffered
-                              ? "/buffered"
-                              : "/auto"));
-            TraceCursor cursor(path, w.program, backing);
-            EXPECT_EQ(cursor.formatVersion(),
-                      compression == TraceCompression::Delta ? 2u : 1u);
-            ASSERT_EQ(cursor.numOps(), trace.size());
-            size_t i = 0;
-            for (const uarch::TimingOp *op = cursor.next(); op;
-                 op = cursor.next(), i++) {
-                ASSERT_LT(i, trace.size());
-                EXPECT_EQ(op->pc, trace[i].pc);
-                EXPECT_EQ(op->memAddr, trace[i].memAddr);
-                EXPECT_EQ(op->nextPc, trace[i].nextPc);
-                EXPECT_EQ(op->inst, trace[i].inst);
-                EXPECT_EQ(op->crypto, trace[i].crypto);
-            }
-            EXPECT_EQ(i, trace.size());
+    // A small frame size forces multi-frame files + index use.
+    const std::string path = testing::TempDir() + "/chacha20.trace";
+    writeStream(path, w, trace);
+    for (auto backing : {TraceCursor::Backing::Buffered,
+                         TraceCursor::Backing::Auto}) {
+        SCOPED_TRACE(backing == TraceCursor::Backing::Buffered
+                         ? "buffered"
+                         : "auto");
+        TraceCursor cursor(path, w.program, backing);
+        ASSERT_EQ(cursor.numOps(), trace.size());
+        size_t i = 0;
+        for (const uarch::TimingOp *op = cursor.next(); op;
+             op = cursor.next(), i++) {
+            ASSERT_LT(i, trace.size());
+            EXPECT_EQ(op->pc, trace[i].pc);
+            EXPECT_EQ(op->memAddr, trace[i].memAddr);
+            EXPECT_EQ(op->nextPc, trace[i].nextPc);
+            EXPECT_EQ(op->inst, trace[i].inst);
+            EXPECT_EQ(op->crypto, trace[i].crypto);
         }
+        EXPECT_EQ(i, trace.size());
     }
 }
 
-TEST(TraceStreamTest, DeltaStreamsAreMuchSmallerThanRaw)
+TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
 {
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string raw_path = testing::TempDir() + "/size-raw.trace";
-    const std::string delta_path =
-        testing::TempDir() + "/size-delta.trace";
-    writeStream(raw_path, w, trace, TraceCompression::None,
-                core::traceStreamDefaultFrameOps);
-    writeStream(delta_path, w, trace, TraceCompression::Delta,
-                core::traceStreamDefaultFrameOps);
-    const size_t raw_size = readFile(raw_path).size();
-    const size_t delta_size = readFile(delta_path).size();
-    EXPECT_GE(raw_size, trace.size() * core::traceStreamOpBytes);
-    // The acceptance bar is >= 2x; real instruction streams compress
-    // far better (pc chains and fall-through nextPc are zero deltas).
-    EXPECT_LT(delta_size * 2, raw_size)
-        << "delta=" << delta_size << " raw=" << raw_size;
+    const std::string path = testing::TempDir() + "/size.trace";
+    writeStream(path, w, trace, core::traceStreamDefaultFrameOps);
+    const size_t size = readFile(path).size();
+    // The bar is >= 2x below 24 B/op; real instruction streams
+    // compress far better (pc chains and fall-through nextPc are zero
+    // deltas).
+    EXPECT_LT(size * 2, trace.size() * core::traceStreamOpBytes)
+        << size << " bytes for " << trace.size() << " ops";
 }
 
 TEST(TraceStreamTest, FingerprintGuardsStaleStreams)
@@ -224,6 +211,24 @@ TEST(TraceStreamTest, RejectsForeignFiles)
 // CASSTF2 frame codec
 // ---------------------------------------------------------------------
 
+/** decodeTraceFrameSoA of `frame`, re-serialized to raw 24 B/op bytes
+ * so it compares directly against the encoder's input. */
+std::vector<uint8_t>
+decodeToRaw(const std::vector<uint8_t> &frame, size_t frame_len,
+            size_t ops)
+{
+    std::vector<uint64_t> pc(ops), mem(ops), next(ops);
+    core::decodeTraceFrameSoA(frame.data(), frame_len, ops, pc.data(),
+                              mem.data(), next.data());
+    std::vector<uint8_t> raw(ops * core::traceStreamOpBytes);
+    for (size_t i = 0; i < ops; i++) {
+        putLe64(raw, i * 24, pc[i]);
+        putLe64(raw, i * 24 + 8, mem[i]);
+        putLe64(raw, i * 24 + 16, next[i]);
+    }
+    return raw;
+}
+
 TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
 {
     // A straight-line instruction stream: pc chains, nextPc is the
@@ -246,8 +251,7 @@ TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
     EXPECT_EQ(frame[0], 1u) << "sequential ops must pick delta";
     EXPECT_LT(frame.size() * 4, raw.size())
         << "sequential ops should compress at least 4x";
-    auto back = core::decodeTraceFrame(frame.data(), frame.size(), 1000);
-    EXPECT_EQ(back, raw);
+    EXPECT_EQ(decodeToRaw(frame, frame.size(), 1000), raw);
 }
 
 TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
@@ -262,8 +266,7 @@ TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
     ASSERT_GE(frame.size(), 5u);
     EXPECT_EQ(frame[0], 0u) << "incompressible ops must stay raw";
     EXPECT_EQ(frame.size(), raw.size() + 5);
-    auto back = core::decodeTraceFrame(frame.data(), frame.size(), 512);
-    EXPECT_EQ(back, raw);
+    EXPECT_EQ(decodeToRaw(frame, frame.size(), 512), raw);
 }
 
 TEST(TraceFrameCodecTest, CorruptFramesAreTyped)
@@ -271,28 +274,37 @@ TEST(TraceFrameCodecTest, CorruptFramesAreTyped)
     std::vector<uint8_t> raw(24 * 8, 0x11);
     auto frame = core::encodeTraceFrame(raw);
     // Truncated below the frame header.
-    EXPECT_THROW(core::decodeTraceFrame(frame.data(), 4, 8),
-                 core::ArtifactFormatError);
+    EXPECT_THROW(decodeToRaw(frame, 4, 8), core::ArtifactFormatError);
     // Payload length beyond the available bytes.
-    EXPECT_THROW(
-        core::decodeTraceFrame(frame.data(), frame.size() - 1, 8),
-        core::ArtifactFormatError);
+    EXPECT_THROW(decodeToRaw(frame, frame.size() - 1, 8),
+                 core::ArtifactFormatError);
     // Unknown encoding kind.
     auto bad_kind = frame;
     bad_kind[0] = 9;
-    EXPECT_THROW(
-        core::decodeTraceFrame(bad_kind.data(), bad_kind.size(), 8),
-        core::ArtifactFormatError);
+    EXPECT_THROW(decodeToRaw(bad_kind, bad_kind.size(), 8),
+                 core::ArtifactFormatError);
     // Wrong op count for a raw frame.
-    EXPECT_THROW(core::decodeTraceFrame(frame.data(), frame.size(), 7),
+    EXPECT_THROW(decodeToRaw(frame, frame.size(), 7),
                  core::ArtifactFormatError);
 }
 
 // ---------------------------------------------------------------------
-// Corrupt streams (negative paths, both container versions)
+// Corrupt and retired streams (negative paths)
 // ---------------------------------------------------------------------
 
-class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
+TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
+{
+    // A well-formed file of the retired raw-frame container fails
+    // loudly at open instead of replaying.
+    core::Workload w = workload("ChaCha20_ct");
+    auto trace = uarch::recordTrace(w, 2);
+    const std::string path = testing::TempDir() + "/revision1.trace";
+    writeFile(path, test::casstf1Bytes(core::programFingerprint(w.program),
+                                       trace, 256));
+    EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
+}
+
+class CorruptStreamTest : public ::testing::Test
 {
   protected:
     void
@@ -300,9 +312,8 @@ class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
     {
         w_ = workload("ChaCha20_ct");
         trace_ = uarch::recordTrace(w_, 2);
-        path_ = testing::TempDir() + "/corrupt-" +
-            core::traceCompressionName(GetParam()) + ".trace";
-        writeStream(path_, w_, trace_, GetParam());
+        path_ = testing::TempDir() + "/corrupt.trace";
+        writeStream(path_, w_, trace_);
         bytes_ = readFile(path_);
     }
 
@@ -321,50 +332,49 @@ class CorruptStreamTest : public ::testing::TestWithParam<TraceCompression>
     std::vector<uint8_t> bytes_;
 };
 
-TEST_P(CorruptStreamTest, TruncatedHeader)
+TEST_F(CorruptStreamTest, TruncatedHeader)
 {
     std::vector<uint8_t> head(bytes_.begin(), bytes_.begin() + 20);
     expectThrow<core::ArtifactFormatError>(head);
 }
 
-TEST_P(CorruptStreamTest, BadMagic)
+TEST_F(CorruptStreamTest, BadMagic)
 {
     auto bad = bytes_;
     bad[0] = 'X';
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
-TEST_P(CorruptStreamTest, UnknownVersionByte)
+TEST_F(CorruptStreamTest, UnknownVersionByte)
 {
     auto bad = bytes_;
     bad[6] = '9'; // "CASSTF9\n"
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
-TEST_P(CorruptStreamTest, CrossVersionRelabelIsRejected)
+TEST_F(CorruptStreamTest, RelabelAsRevisionOneIsRejected)
 {
-    // Claiming the other container's magic without re-encoding the
-    // frames must fail the magic/version-field consistency check, not
-    // silently decode garbage.
+    // Claiming the retired container's magic must fail the
+    // magic/version check, not silently decode the frames as raw.
     auto bad = bytes_;
-    bad[6] = GetParam() == TraceCompression::Delta ? '1' : '2';
+    bad[6] = '1';
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
-TEST_P(CorruptStreamTest, TruncatedIndex)
+TEST_F(CorruptStreamTest, TruncatedIndex)
 {
     std::vector<uint8_t> cut(bytes_.begin(), bytes_.end() - 24);
     expectThrow<core::ArtifactFormatError>(cut);
 }
 
-TEST_P(CorruptStreamTest, MismatchedFingerprint)
+TEST_F(CorruptStreamTest, MismatchedFingerprint)
 {
     auto bad = bytes_;
     bad[16] ^= 0xff; // first fingerprint byte
     expectThrow<core::ArtifactStaleError>(bad);
 }
 
-TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
+TEST_F(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
 {
     // Craft a footer whose numFrames wraps the old consistency check
     // `index_pos + numFrames * 8 + footerBytes == file_len` through
@@ -373,10 +383,9 @@ TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
     // validation and then attempt a numFrames-sized allocation. The
     // cursor must bound numFrames against the file length *before*
     // sizing anything from it.
-    const std::string path = testing::TempDir() + "/overflow-" +
-        core::traceCompressionName(GetParam()) + ".trace";
+    const std::string path = testing::TempDir() + "/overflow.trace";
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 6);
-    writeStream(path, w_, small, GetParam(), /*frame_ops=*/1);
+    writeStream(path, w_, small, /*frame_ops=*/1);
     auto bytes = readFile(path);
     const uint64_t frames = getLe64(bytes, bytes.size() - 8);
     ASSERT_EQ(frames, 6u);
@@ -389,17 +398,15 @@ TEST_P(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
                  core::ArtifactFormatError);
 }
 
-TEST_P(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
+TEST_F(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
 {
     // A single-frame file whose u32 frameOps header field is tampered
     // to ~4 billion passes every frame-count/offset check (one frame
     // either way) and used to size a ~96 GB frame buffer from the
     // untrusted field; the cursor must reject the size fields first.
-    const std::string path = testing::TempDir() + "/frameops-" +
-        core::traceCompressionName(GetParam()) + ".trace";
+    const std::string path = testing::TempDir() + "/frameops.trace";
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
-    writeStream(path, w_, small, GetParam(),
-                core::traceStreamDefaultFrameOps);
+    writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
     auto bytes = readFile(path);
     bytes[12] = 0xf0; // u32 frameOps at header offset 12
     bytes[13] = 0xff;
@@ -410,7 +417,7 @@ TEST_P(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
                  core::ArtifactFormatError);
 }
 
-TEST_P(CorruptStreamTest, InconsistentFrameOffsets)
+TEST_F(CorruptStreamTest, InconsistentFrameOffsets)
 {
     // Point the first index entry somewhere inconsistent.
     auto bad = bytes_;
@@ -420,14 +427,6 @@ TEST_P(CorruptStreamTest, InconsistentFrameOffsets)
     putLe64(bad, static_cast<size_t>(index_pos), 7); // offsets[0] != 32
     expectThrow<core::ArtifactFormatError>(bad);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothFormats, CorruptStreamTest,
-    ::testing::Values(TraceCompression::None, TraceCompression::Delta),
-    [](const ::testing::TestParamInfo<TraceCompression> &info) {
-        return info.param == TraceCompression::Delta ? "casstf2"
-                                                     : "casstf1";
-    });
 
 TEST(TraceStreamTest, WriterFailsFastWhenDiskIsFull)
 {
@@ -519,32 +518,24 @@ TEST(TraceStreamPathTest, DefaultDirIsProcessUnique)
 
 TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
 {
-    // Both stream encodings must be cycle-identical to whole mode —
-    // compression only changes bytes on disk, never replayed ops.
+    // Streaming only changes where the ops live, never the replayed
+    // ops: every scheme is cycle-identical to whole mode.
     for (const char *name : {"ChaCha20_ct", "synthetic/curve25519/50"}) {
         auto whole = AnalyzedWorkload::analyze(workload(name));
         ASSERT_FALSE(whole->streamed());
         Simulation whole_sim(whole);
-        for (auto compression :
-             {TraceCompression::None, TraceCompression::Delta}) {
-            AnalyzeOptions stream_opts;
-            stream_opts.traceMode = TraceMode::Stream;
-            stream_opts.streamDir = testing::TempDir() +
-                "/stream-parity-" +
-                core::traceCompressionName(compression);
-            stream_opts.compression = compression;
-            auto streamed =
-                AnalyzedWorkload::analyze(workload(name), stream_opts);
-            ASSERT_TRUE(streamed->streamed());
-            ASSERT_EQ(streamed->numOps(), whole->numOps());
-            Simulation stream_sim(streamed);
-            for (Scheme s : allSchemes) {
-                expectEqualResults(
-                    stream_sim.run(s), whole_sim.run(s),
-                    std::string(name) + " / " +
-                        core::traceCompressionName(compression) + " / " +
-                        uarch::schemeName(s));
-            }
+        AnalyzeOptions stream_opts;
+        stream_opts.traceMode = TraceMode::Stream;
+        stream_opts.streamDir = testing::TempDir() + "/stream-parity";
+        auto streamed =
+            AnalyzedWorkload::analyze(workload(name), stream_opts);
+        ASSERT_TRUE(streamed->streamed());
+        ASSERT_EQ(streamed->numOps(), whole->numOps());
+        Simulation stream_sim(streamed);
+        for (Scheme s : allSchemes) {
+            expectEqualResults(stream_sim.run(s), whole_sim.run(s),
+                               std::string(name) + " / " +
+                                   uarch::schemeName(s));
         }
     }
 }
@@ -709,17 +700,45 @@ TEST(TraceStreamTest, StreamConfigRunsThroughRunnerIdentically)
     }
 }
 
-TEST(TraceStreamTest, StreamedArtifactRefusesInMemoryTrace)
+bool
+fileExists(const std::string &path)
 {
+    return std::ifstream(path).good();
+}
+
+TEST(TraceStreamTest, UnfinishedWriterWritesNoFooter)
+{
+    // A writer destroyed before finish() — a recording pass unwinding
+    // from an exception — must not stamp a valid index and footer over
+    // the ops it happened to receive.
+    core::Workload w = workload("ChaCha20_ct");
+    auto trace = uarch::recordTrace(w, 2);
+    const std::string path = testing::TempDir() + "/unfinished.trace";
+    {
+        TraceStreamWriter writer(path, core::programFingerprint(w.program),
+                                 /*frame_ops=*/256);
+        for (const auto &op : trace)
+            writer.append(op);
+    }
+    EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
+}
+
+TEST(TraceStreamTest, FailedStreamRecordingRemovesPartialFile)
+{
+    // SHAKE needs ~50K instructions: a 40K budget throws mid-recording,
+    // after the writer has flushed whole frames to disk.
+    core::Workload w = workload("SHAKE");
+    w.maxDynInsts = 40000;
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
-    opts.streamDir = testing::TempDir() + "/stream-refuse";
-    auto artifact =
-        AnalyzedWorkload::analyze(workload("ChaCha20_ct"), opts);
-    EXPECT_THROW(artifact->timingTrace(), std::logic_error);
-    EXPECT_GT(artifact->numOps(), 0u);
-    auto src = artifact->openOpSource();
-    EXPECT_NE(src->next(), nullptr);
+    opts.streamDir = testing::TempDir() + "/stream-budget";
+    const std::string path = core::traceStreamPath(
+        opts.streamDir, w.name, core::programFingerprint(w.program));
+    auto artifact = AnalyzedWorkload::analyze(std::move(w), opts);
+    EXPECT_THROW(artifact->numOps(), core::InstructionBudgetError);
+    EXPECT_FALSE(fileExists(path)) << path;
+    artifact.reset();
+    EXPECT_FALSE(fileExists(path)) << path;
 }
 
 TEST(TraceStreamTest, StreamFileReclaimedWithArtifact)
