@@ -15,16 +15,10 @@ of configs/ci_smoke.json, then writes two machine-readable baselines:
   BENCH_q3.json       server macro benchmark: simulated requests/sec
                       per scheme on the composite server/tls mixes
                       (q3_cassandra_lite), plus the harness wall time
-  BENCH_analysis.json (with --analysis) cold analyze+simulate sweep of
-                      ci_smoke with the fused single-pass pipeline vs
-                      the per-phase reference path
-                      (CASSANDRA_ANALYSIS_FUSION), and their speedup
 
 Usage: scripts/collect_bench.py [--build BUILD_DIR] [--out-dir DIR]
                                 [--repeat N] [--compare OLD.json]
                                 [--compare-q3 OLD.json]
-                                [--analysis]
-                                [--compare-analysis OLD.json]
 
 `--repeat N` runs every timed leg N times and keeps the best (the
 machines that collect these baselines are small and noisy; best-of-N
@@ -81,7 +75,7 @@ def run_micro(binary):
     return results
 
 
-def timed_sweep(run_experiment, config, extra=(), env=None):
+def timed_sweep(run_experiment, config, extra=()):
     """One run_experiment sweep -> (seconds, telemetry dict)."""
     with tempfile.TemporaryDirectory() as scratch:
         stats = os.path.join(scratch, "stats.json")
@@ -90,7 +84,7 @@ def timed_sweep(run_experiment, config, extra=(), env=None):
         subprocess.run(
             [run_experiment, config, f"--out={out}",
              f"--stats-out={stats}", *extra],
-            check=True, stdout=subprocess.DEVNULL, env=env)
+            check=True, stdout=subprocess.DEVNULL)
         seconds = time.monotonic() - start
         telemetry = json.load(open(stats))
         # The cache dir is an ephemeral temp path; don't bake it into
@@ -207,72 +201,6 @@ def compare_fig7(new_doc, old_path):
     return failures
 
 
-def collect_analysis(run_experiment, config, repeat):
-    """BENCH_analysis.json document: fused vs reference cold sweep.
-
-    Both legs run the full analyze+simulate path with the result
-    store off (every repetition re-analyzes every workload), differing
-    only in CASSANDRA_ANALYSIS_FUSION. Reports are asserted identical
-    elsewhere (CI parity smokes); here only the wall time and the
-    pipeline telemetry differ.
-    """
-    legs = {}
-    for leg, value in (("fused", "on"), ("reference", "off")):
-        env = dict(os.environ, CASSANDRA_ANALYSIS_FUSION=value)
-        best_s = None
-        for _ in range(max(1, repeat)):
-            seconds, telemetry, cells = timed_sweep(
-                run_experiment, config, env=env)
-            if best_s is None or seconds < best_s:
-                best_s, best_tel = seconds, telemetry
-        pipeline = best_tel.get("pipeline", {})
-        legs[leg] = {
-            "seconds": round(best_s, 3),
-            "cells_per_sec": round(cells / best_s, 2),
-            "analysis_fused_passes":
-                pipeline.get("analysis_fused_passes", 0),
-        }
-    assert legs["fused"]["analysis_fused_passes"] > 0, legs
-    assert legs["reference"]["analysis_fused_passes"] == 0, legs
-    return {
-        "config": config,
-        "cells": cells,
-        "fused": legs["fused"],
-        "reference": legs["reference"],
-        "speedup": round(legs["reference"]["seconds"] /
-                         legs["fused"]["seconds"], 3),
-    }
-
-
-def compare_analysis(new_doc, old_path):
-    """Per-leg cells/sec deltas vs a previous BENCH_analysis.json.
-
-    Returns regression messages (empty = gate passes); same
-    REGRESSION_LIMIT contract as the fig7 gate, applied to the fused
-    and reference analysis legs independently.
-    """
-    old_doc = json.load(open(old_path))
-    failures = []
-    print(f"comparison vs {old_path}:")
-    print(f"  {'metric':<28} {'old':>10} {'new':>10} {'delta':>8}")
-    for leg in ("fused", "reference"):
-        for metric in ("seconds", "cells_per_sec"):
-            old = old_doc.get(leg, {}).get(metric)
-            new = new_doc.get(leg, {}).get(metric)
-            if old is None or new is None:
-                continue
-            delta = (new - old) / old if old else 0.0
-            print(f"  {leg + '.' + metric:<28} {old:>10} {new:>10} "
-                  f"{delta:>+7.1%}")
-            if metric == "cells_per_sec" and \
-                    delta < -REGRESSION_LIMIT:
-                failures.append(
-                    f"analysis {leg}.cells_per_sec regressed "
-                    f"{-delta:.1%} ({old} -> {new}), "
-                    f"limit {REGRESSION_LIMIT:.0%}")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--build", default="build")
@@ -287,14 +215,6 @@ def main():
                         help="diff BENCH_q3.json against this "
                              "baseline; exit 1 on a >15%% requests/sec "
                              "regression of any scheme")
-    parser.add_argument("--analysis", action="store_true",
-                        help="also collect BENCH_analysis.json "
-                             "(fused vs reference cold analysis sweep)")
-    parser.add_argument("--compare-analysis", metavar="OLD.json",
-                        help="diff BENCH_analysis.json against this "
-                             "baseline; exit 1 on a >15%% cells/sec "
-                             "regression of either leg (implies "
-                             "--analysis)")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -378,15 +298,6 @@ def main():
 
     if args.compare_q3:
         failures += compare_q3(doc, args.compare_q3)
-
-    # --- BENCH_analysis.json ----------------------------------------
-    if args.analysis or args.compare_analysis:
-        doc = collect_analysis(run_experiment, config, args.repeat)
-        path = os.path.join(args.out_dir, "BENCH_analysis.json")
-        json.dump(doc, open(path, "w"), indent=2)
-        print(f"wrote {path}")
-        if args.compare_analysis:
-            failures += compare_analysis(doc, args.compare_analysis)
 
     # --- BENCH_service.json -----------------------------------------
     # Two overlapping sweeps through the spool service: the cold pass
