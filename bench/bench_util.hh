@@ -42,7 +42,6 @@
 
 #include "core/experiment.hh"
 #include "core/experiment_config.hh"
-#include "core/experiment_service.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
 
@@ -94,21 +93,6 @@ struct CliOptions
     std::string cacheDir;
     /// contiguous | lpt (--scheduler or "execution.scheduler").
     core::ShardScheduler scheduler = core::ShardScheduler::Contiguous;
-    /// Coordinator cell dedup (--dedup). Defaults on: identical cells
-    /// (same workload/scheme/scheme-aware config hash) simulate once.
-    bool dedupCells = true;
-    /// Drop-box directory for remote execution (--dropbox or
-    /// "execution.dropbox"); required with --execution=remote.
-    std::string dropboxDir;
-    /// Agents the remote executor spawns (--agents or
-    /// "execution.agents"); 0 = rely on a standing pool.
-    unsigned agents = 0;
-    /// Remote per-task deadline in ms (--task-timeout-ms or
-    /// "execution.task_timeout_ms"); 0 = the runner's default.
-    uint64_t taskTimeoutMs = 0;
-    /// Result-store disk budget in MiB (--cache-gc-mb or
-    /// "cache.gc_mb"); 0 = unbounded.
-    uint64_t cacheGcMb = 0;
     /// Telemetry JSON path (--stats-out or "report.stats_out"); the
     /// cache_stats/schedule document, kept out of the main report so
     /// warm and cold runs stay byte-identical.
@@ -125,10 +109,6 @@ struct CliOptions
     bool cacheDirExplicit = false;
     bool schedulerExplicit = false;
     bool statsOutExplicit = false;
-    bool dropboxExplicit = false;
-    bool agentsExplicit = false;
-    bool taskTimeoutMsExplicit = false;
-    bool cacheGcMbExplicit = false;
 
     /// Artifact snapshot directory (from the config file).
     std::string artifactDir;
@@ -155,37 +135,19 @@ printCliHelp(const char *prog)
         "                 files, replay from disk; same cycles, flat\n"
         "                 peak memory)\n"
         "  --execution=E  phase-2 cell execution: inprocess (default,\n"
-        "                 thread pool), subprocess (cells sharded\n"
-        "                 across worker processes) or remote (cells\n"
-        "                 dispatched through a drop-box directory to\n"
-        "                 --agent processes); byte-identical reports\n"
-        "                 either way\n"
+        "                 thread pool) or subprocess (cells sharded\n"
+        "                 across worker processes); byte-identical\n"
+        "                 reports either way\n"
         "  --shards=N     worker process count for --execution\n"
-        "                 subprocess/remote (default: auto)\n"
-        "  --dropbox=D    drop-box directory (the artifact store root)\n"
-        "                 for --execution=remote\n"
-        "  --agents=N     agent processes the remote executor spawns\n"
-        "                 itself (default 0: a standing agent pool is\n"
-        "                 already polling the drop box)\n"
-        "  --task-timeout-ms=N  remote per-task deadline before the\n"
-        "                 coordinator withdraws the task and retries\n"
-        "                 its cells in-process (default 120000)\n"
+        "                 subprocess (default: auto)\n"
         "  --cache=M      persistent cell-result store: off (default),\n"
         "                 on (reuse prior results, persist fresh ones)\n"
         "                 or readonly (reuse without writing)\n"
         "  --cache-dir=D  result-store directory (default:\n"
         "                 result-cache)\n"
-        "  --cache-gc-mb=N  bound the result store to N MiB after the\n"
-        "                 run (oldest-access entries evicted; default\n"
-        "                 0: unbounded)\n"
         "  --scheduler=S  subprocess shard partitioning: contiguous\n"
         "                 (default) or lpt (cost-model bin packing;\n"
         "                 byte-identical reports either way)\n"
-        "  --dedup=D      coordinator cell dedup: on (default —\n"
-        "                 byte-identical cells simulate once and the\n"
-        "                 result replicates into every slot) or off\n"
-        "                 (every matrix cell dispatches; reports are\n"
-        "                 byte-identical either way)\n"
         "  --stats-out=F  write the run's cache/scheduler telemetry\n"
         "                 JSON to F (separate from the report, which\n"
         "                 stays byte-identical warm vs. cold)\n"
@@ -261,7 +223,7 @@ parseCli(int argc, char **argv)
             } catch (const std::invalid_argument &) {
                 std::fprintf(stderr,
                              "invalid --execution=%s (expected "
-                             "inprocess, subprocess or remote)\n",
+                             "inprocess or subprocess)\n",
                              v);
                 std::exit(2);
             }
@@ -317,69 +279,6 @@ parseCli(int argc, char **argv)
                 std::exit(2);
             }
             opts.schedulerExplicit = true;
-        } else if (value("--dedup") ||
-                   (arg == "--dedup" && i + 1 < argc)) {
-            const char *v = value("--dedup");
-            if (!v)
-                v = argv[++i];
-            if (std::strcmp(v, "on") == 0) {
-                opts.dedupCells = true;
-            } else if (std::strcmp(v, "off") == 0) {
-                opts.dedupCells = false;
-            } else {
-                std::fprintf(stderr,
-                             "invalid --dedup=%s (expected on or "
-                             "off)\n",
-                             v);
-                std::exit(2);
-            }
-        } else if (value("--dropbox") ||
-                   (arg == "--dropbox" && i + 1 < argc)) {
-            const char *v = value("--dropbox");
-            if (!v)
-                v = argv[++i];
-            opts.dropboxDir = v;
-            opts.dropboxExplicit = true;
-        } else if (value("--agents") ||
-                   (arg == "--agents" && i + 1 < argc)) {
-            const char *v = value("--agents");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n > 1024) {
-                std::fprintf(stderr, "invalid --agents=%s\n", v);
-                std::exit(2);
-            }
-            opts.agents = static_cast<unsigned>(n);
-            opts.agentsExplicit = true;
-        } else if (value("--task-timeout-ms") ||
-                   (arg == "--task-timeout-ms" && i + 1 < argc)) {
-            const char *v = value("--task-timeout-ms");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-' || n == 0) {
-                std::fprintf(stderr, "invalid --task-timeout-ms=%s\n",
-                             v);
-                std::exit(2);
-            }
-            opts.taskTimeoutMs = n;
-            opts.taskTimeoutMsExplicit = true;
-        } else if (value("--cache-gc-mb") ||
-                   (arg == "--cache-gc-mb" && i + 1 < argc)) {
-            const char *v = value("--cache-gc-mb");
-            if (!v)
-                v = argv[++i];
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v == '\0' || *end != '\0' || v[0] == '-') {
-                std::fprintf(stderr, "invalid --cache-gc-mb=%s\n", v);
-                std::exit(2);
-            }
-            opts.cacheGcMb = n;
-            opts.cacheGcMbExplicit = true;
         } else if (value("--stats-out") ||
                    (arg == "--stats-out" && i + 1 < argc)) {
             const char *v = value("--stats-out");
@@ -521,14 +420,6 @@ matrixFromConfig(CliOptions &opts, core::ExperimentMatrix &matrix)
         opts.cacheDir = spec.cacheDir;
     if (!opts.schedulerExplicit && spec.schedulerSet)
         opts.scheduler = spec.scheduler;
-    if (!opts.dropboxExplicit && !spec.dropboxDir.empty())
-        opts.dropboxDir = spec.dropboxDir;
-    if (!opts.agentsExplicit && spec.agentsSet)
-        opts.agents = spec.agents;
-    if (!opts.taskTimeoutMsExplicit && spec.taskTimeoutMsSet)
-        opts.taskTimeoutMs = spec.taskTimeoutMs;
-    if (!opts.cacheGcMbExplicit && spec.cacheGcMbSet)
-        opts.cacheGcMb = spec.cacheGcMb;
     if (!opts.statsOutExplicit && !spec.statsOut.empty())
         opts.statsOut = spec.statsOut;
     opts.artifactDir = spec.artifactDir;
@@ -649,11 +540,8 @@ saveArtifacts(
 }
 
 /**
- * Runner options from the parsed CLI/config options — the one
- * translation both the direct-run path (runMatrices) and the service
- * front end (serveSpool) use, so a service-run job sees exactly the
- * execution backend a direct run would. Exits with a message when a
- * backend is missing its required settings.
+ * Runner options from the parsed CLI/config options. Exits with a
+ * message when subprocess execution has no worker binary.
  */
 inline core::RunnerOptions
 runnerOptionsFromCli(const CliOptions &opts)
@@ -667,12 +555,9 @@ runnerOptionsFromCli(const CliOptions &opts)
     runner_opts.cacheMode = opts.cacheMode;
     runner_opts.cacheDir = opts.cacheDir;
     runner_opts.scheduler = opts.scheduler;
-    runner_opts.dedupCells = opts.dedupCells;
-    runner_opts.dropboxDir = opts.dropboxDir;
-    runner_opts.agents = opts.agents;
-    if (opts.taskTimeoutMs != 0)
-        runner_opts.taskTimeoutMs = opts.taskTimeoutMs;
-    runner_opts.cacheGcMb = opts.cacheGcMb;
+    // Identical cells (same workload, scheme and scheme-aware config
+    // hash) simulate once; reports are byte-identical either way.
+    runner_opts.dedupCells = true;
     if (runner_opts.execution == core::ExecutionMode::Subprocess &&
         runner_opts.workerBinary.empty()) {
         std::fprintf(stderr,
@@ -682,47 +567,7 @@ runnerOptionsFromCli(const CliOptions &opts)
                      "(which shards onto itself)\n");
         std::exit(2);
     }
-    if (runner_opts.execution == core::ExecutionMode::Remote &&
-        runner_opts.dropboxDir.empty()) {
-        std::fprintf(stderr,
-                     "--execution remote needs a drop-box directory: "
-                     "pass --dropbox=DIR or set \"execution\": "
-                     "{\"dropbox\": ...} in the config\n");
-        std::exit(2);
-    }
-    if (runner_opts.execution == core::ExecutionMode::Remote &&
-        runner_opts.agents != 0 && runner_opts.workerBinary.empty()) {
-        std::fprintf(stderr,
-                     "--agents needs an agent binary: run through "
-                     "run_experiment (which spawns itself) or set "
-                     "\"execution\": {\"worker_binary\": ...}\n");
-        std::exit(2);
-    }
     return runner_opts;
-}
-
-/**
- * Run the experiment service over `spool` with the registry resolver
- * and suite expander, using the same runner settings a direct CLI run
- * would (so service reports are byte-identical to direct ones).
- * Blocks until the stop flag / idle exit / max-jobs bound.
- */
-inline int
-serveSpool(const std::string &spool, const CliOptions &opts,
-           uint64_t poll_ms, uint64_t idle_exit_ms, unsigned max_jobs)
-{
-    core::ExperimentService::Options sopts;
-    sopts.spoolDir = spool;
-    sopts.resolver = crypto::WorkloadRegistry::global().resolver();
-    sopts.runner = runnerOptionsFromCli(opts);
-    sopts.expandSuite = [](const std::string &suite) {
-        return crypto::WorkloadRegistry::global().names(suite);
-    };
-    sopts.pollMs = poll_ms;
-    sopts.idleExitMs = idle_exit_ms;
-    sopts.maxJobs = max_jobs;
-    core::ExperimentService service(std::move(sopts));
-    return service.serve(std::cerr);
 }
 
 /**

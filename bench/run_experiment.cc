@@ -15,8 +15,9 @@
  * The config may be given positionally or via --config=FILE; the
  * other shared CLI flags (--format/--out/--threads/--workloads/
  * --suite/--trace-mode/--execution/--shards/--cache/--cache-dir/
- * --scheduler/--stats-out) override the config file as usual. Unlike the figure benches there
- * is no built-in matrix: no config is an error.
+ * --scheduler/--stats-out) override the config file as usual. Unlike
+ * the figure benches there is no built-in matrix: no config is an
+ * error.
  *
  * The binary doubles as the shard worker of the subprocess executor
  * (it is its own default worker binary):
@@ -27,21 +28,6 @@
  * artifact snapshots, simulates its cells in-process and writes a
  * CASSCR1 cell-result set; errors go to stderr and a nonzero exit
  * (the coordinator retries the shard in-process).
- *
- * It is also the remote-execution agent and the experiment service:
- *
- *   run_experiment --agent --inbox=/shared/box        # poll for tasks
- *   run_experiment --serve --spool=/shared/spool \
- *       --cache=on --cache-dir=rc                     # coordinator
- *   run_experiment --submit sweep.json --spool=/shared/spool --wait
- *
- * Agent mode polls an ArtifactStore drop box for shard manifests,
- * fetches the content-addressed snapshots they reference, simulates
- * and publishes CASSCR1 results back. Serve mode claims queued job
- * configs from a spool directory, batches them through one shared
- * runner (cross-job cell dedup, shared analysis/result caches) and
- * writes per-job reports byte-identical to direct runs. Submit mode
- * queues a config and (with --wait) blocks until its status appears.
  */
 
 #include <cstdio>
@@ -57,8 +43,6 @@
 #include "bench/bench_util.hh"
 #include "core/cell_executor.hh"
 #include "core/experiment.hh"
-#include "core/experiment_service.hh"
-#include "core/remote_executor.hh"
 
 using namespace cassandra;
 
@@ -113,118 +97,6 @@ workerMain(int argc, char **argv)
         std::cerr);
 }
 
-/** Parse a non-negative integer flag value or die. */
-uint64_t
-uintValue(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || text[0] == '-') {
-        std::fprintf(stderr, "invalid %s=%s\n", flag, text.c_str());
-        std::exit(2);
-    }
-    return n;
-}
-
-/** The `--agent` entry: poll a drop box for shard tasks, forever (or
- * until the stop flag / idle exit). */
-int
-agentMain(int argc, char **argv)
-{
-    core::AgentOptions aopts;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--agent")
-            continue;
-        if (arg.rfind("--inbox=", 0) == 0)
-            aopts.inboxDir = arg.substr(std::strlen("--inbox="));
-        else if (arg.rfind("--poll-ms=", 0) == 0)
-            aopts.pollMs = uintValue(
-                "--poll-ms", arg.substr(std::strlen("--poll-ms=")));
-        else if (arg.rfind("--idle-exit-ms=", 0) == 0)
-            aopts.idleExitMs = uintValue(
-                "--idle-exit-ms",
-                arg.substr(std::strlen("--idle-exit-ms=")));
-        else if (arg.rfind("--threads=", 0) == 0)
-            aopts.threads = static_cast<unsigned>(uintValue(
-                "--threads", arg.substr(std::strlen("--threads="))));
-        else {
-            std::fprintf(stderr, "agent mode: unknown option %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (aopts.inboxDir.empty()) {
-        std::fprintf(stderr,
-                     "usage: %s --agent --inbox=DIR [--poll-ms=N]\n"
-                     "       [--idle-exit-ms=N] [--threads=N]\n",
-                     argv[0]);
-        return 2;
-    }
-    return core::runShardAgent(
-        aopts, crypto::WorkloadRegistry::global().resolver(), std::cerr);
-}
-
-/** The `--submit` entry: queue a config into a service spool. */
-int
-submitMain(int argc, char **argv)
-{
-    std::string config, spool;
-    bool wait = false;
-    uint64_t timeout_ms = 600000;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--submit")
-            continue;
-        if (arg.rfind("--spool=", 0) == 0)
-            spool = arg.substr(std::strlen("--spool="));
-        else if (arg == "--spool" && i + 1 < argc)
-            spool = argv[++i];
-        else if (arg == "--wait")
-            wait = true;
-        else if (arg.rfind("--timeout-ms=", 0) == 0)
-            timeout_ms = uintValue(
-                "--timeout-ms",
-                arg.substr(std::strlen("--timeout-ms=")));
-        else if (arg.rfind("--config=", 0) == 0)
-            config = arg.substr(std::strlen("--config="));
-        else if (arg[0] != '-' && config.empty())
-            config = arg;
-        else {
-            std::fprintf(stderr, "submit mode: unknown option %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (config.empty() || spool.empty()) {
-        std::fprintf(stderr,
-                     "usage: %s --submit CONFIG.json --spool=DIR "
-                     "[--wait] [--timeout-ms=N]\n",
-                     argv[0]);
-        return 2;
-    }
-    try {
-        const std::string job =
-            core::ExperimentService::submit(spool, config);
-        std::printf("%s\n", job.c_str());
-        if (!wait)
-            return 0;
-        const std::string status =
-            core::ExperimentService::waitForJob(spool, job, timeout_ms);
-        if (status.empty()) {
-            std::fprintf(stderr, "job %s: no status after %llu ms\n",
-                         job.c_str(),
-                         static_cast<unsigned long long>(timeout_ms));
-            return 1;
-        }
-        std::fputs(status.c_str(), stderr);
-        return status.rfind("ok", 0) == 0 ? 0 : 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "submit: %s\n", e.what());
-        return 1;
-    }
-}
-
 } // namespace
 
 int
@@ -233,10 +105,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         if (std::strcmp(argv[i], "--worker") == 0)
             return workerMain(argc, argv);
-        if (std::strcmp(argv[i], "--agent") == 0)
-            return agentMain(argc, argv);
-        if (std::strcmp(argv[i], "--submit") == 0)
-            return submitMain(argc, argv);
     }
 
     // Accept the config file as the first positional argument by
@@ -249,14 +117,8 @@ main(int argc, char **argv)
             std::strcmp(arg, "--shards") == 0 ||
             std::strcmp(arg, "--cache") == 0 ||
             std::strcmp(arg, "--cache-dir") == 0 ||
-            std::strcmp(arg, "--cache-gc-mb") == 0 ||
             std::strcmp(arg, "--scheduler") == 0 ||
-            std::strcmp(arg, "--dedup") == 0 ||
-            std::strcmp(arg, "--stats-out") == 0 ||
-            std::strcmp(arg, "--dropbox") == 0 ||
-            std::strcmp(arg, "--agents") == 0 ||
-            std::strcmp(arg, "--task-timeout-ms") == 0 ||
-            std::strcmp(arg, "--spool") == 0;
+            std::strcmp(arg, "--stats-out") == 0;
     };
     std::vector<std::string> args;
     args.reserve(static_cast<size_t>(argc));
@@ -274,41 +136,6 @@ main(int argc, char **argv)
         }
     }
 
-    // `--serve` runs the spool coordinator; its own flags (--spool,
-    // --poll-ms, --idle-exit-ms, --max-jobs) are peeled off here and
-    // the rest go through the shared CLI as runner settings.
-    bool serve = false;
-    std::string spool;
-    uint64_t serve_poll_ms = 100, serve_idle_exit_ms = 0;
-    unsigned serve_max_jobs = 0;
-    {
-        std::vector<std::string> rest;
-        for (size_t i = 0; i < args.size(); i++) {
-            const std::string &arg = args[i];
-            if (arg == "--serve")
-                serve = true;
-            else if (arg.rfind("--spool=", 0) == 0)
-                spool = arg.substr(std::strlen("--spool="));
-            else if (arg == "--spool" && i + 1 < args.size())
-                spool = args[++i];
-            else if (arg.rfind("--poll-ms=", 0) == 0)
-                serve_poll_ms = uintValue(
-                    "--poll-ms", arg.substr(std::strlen("--poll-ms=")));
-            else if (arg.rfind("--idle-exit-ms=", 0) == 0)
-                serve_idle_exit_ms = uintValue(
-                    "--idle-exit-ms",
-                    arg.substr(std::strlen("--idle-exit-ms=")));
-            else if (arg.rfind("--max-jobs=", 0) == 0)
-                serve_max_jobs = static_cast<unsigned>(uintValue(
-                    "--max-jobs",
-                    arg.substr(std::strlen("--max-jobs="))));
-            else
-                rest.push_back(arg);
-        }
-        if (serve)
-            args = std::move(rest);
-    }
-
     std::vector<char *> cargv;
     cargv.push_back(argv[0]);
     for (std::string &arg : args)
@@ -316,22 +143,6 @@ main(int argc, char **argv)
 
     auto opts = bench::parseCli(static_cast<int>(cargv.size()),
                                 cargv.data());
-
-    if (serve) {
-        if (spool.empty()) {
-            std::fprintf(stderr,
-                         "usage: %s --serve --spool=DIR [--poll-ms=N]\n"
-                         "       [--idle-exit-ms=N] [--max-jobs=N]\n"
-                         "       [shared runner flags: --threads, "
-                         "--execution, --cache, ...]\n",
-                         argv[0]);
-            return 2;
-        }
-        if (opts.workerBinary.empty())
-            opts.workerBinary = selfBinaryPath(argv[0]);
-        return bench::serveSpool(spool, opts, serve_poll_ms,
-                                 serve_idle_exit_ms, serve_max_jobs);
-    }
 
     if (opts.configPath.empty()) {
         std::fprintf(stderr,

@@ -2,16 +2,14 @@
 """Collect the repo's benchmark baselines.
 
 Runs the google-benchmark micro harnesses (BTU lookup/eviction and
-k-mer compression kernels) and a timed Release `run_experiment` sweep
-of configs/ci_smoke.json, then writes two machine-readable baselines:
+k-mer compression kernels), a timed Release `run_experiment` sweep
+of configs/ci_smoke.json and the q3 server sweep, then writes three
+machine-readable baselines:
 
   BENCH_micro.json    ns/op per microbenchmark (benchmark JSON, reduced)
   BENCH_fig7.json     end-to-end cells/sec of the ci_smoke sweep, split
                       into analysis+simulate (cold) and simulate-only
                       phases, with the run's cache/scheduler telemetry
-  BENCH_service.json  jobs/sec + cells/sec through the spool service
-                      (--serve/--submit), cold vs warm result store,
-                      with the batch's cross-job dedup counters
   BENCH_q3.json       server macro benchmark: simulated requests/sec
                       per scheme on the composite server/tls mixes
                       (q3_cassandra_lite), plus the harness wall time
@@ -92,33 +90,6 @@ def timed_sweep(run_experiment, config, extra=()):
         telemetry.get("cache_stats", {}).pop("dir", None)
         cells = len(json.load(open(out))["results"])
     return seconds, telemetry, cells
-
-
-def timed_service(run_experiment, configs, cache_dir):
-    """Submit `configs` as jobs, serve them as one batch -> metrics."""
-    with tempfile.TemporaryDirectory() as scratch:
-        spool = os.path.join(scratch, "spool")
-        jobs = []
-        for config in configs:
-            submit = subprocess.run(
-                [run_experiment, "--submit", config, f"--spool={spool}"],
-                check=True, capture_output=True, text=True)
-            jobs.append(submit.stdout.strip())
-        start = time.monotonic()
-        subprocess.run(
-            [run_experiment, "--serve", f"--spool={spool}",
-             f"--max-jobs={len(jobs)}", "--cache=on",
-             f"--cache-dir={cache_dir}"],
-            check=True, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        seconds = time.monotonic() - start
-        stats = json.load(
-            open(os.path.join(spool, "service_stats.json")))
-        for job in jobs:
-            status = open(
-                os.path.join(spool, "done", job, "status")).read()
-            assert status == "ok\n", (job, status)
-    return seconds, stats
 
 
 REGRESSION_LIMIT = 0.15  # fraction of cells/sec loss that fails CI
@@ -298,45 +269,6 @@ def main():
 
     if args.compare_q3:
         failures += compare_q3(doc, args.compare_q3)
-
-    # --- BENCH_service.json -----------------------------------------
-    # Two overlapping sweeps through the spool service: the cold pass
-    # fills a fresh result store (shared cells still simulated once,
-    # thanks to cross-job dedup); the warm pass replays everything
-    # from the store, isolating the service + analysis overhead.
-    configs = ["configs/ci_smoke.json", "configs/ci_smoke_skewed.json"]
-    cold_s, warm_s = None, None
-    for _ in range(max(1, args.repeat)):
-        with tempfile.TemporaryDirectory() as cache_dir:
-            c_s, c_stats = timed_service(run_experiment, configs,
-                                         cache_dir)
-            w_s, w_stats = timed_service(run_experiment, configs,
-                                         cache_dir)
-        if cold_s is None or c_s < cold_s:
-            cold_s, cold_stats = c_s, c_stats
-        if warm_s is None or w_s < warm_s:
-            warm_s, warm_stats = w_s, w_stats
-
-    def leg(seconds, stats):
-        cells = stats["cells"]["total"]
-        return {
-            "seconds": round(seconds, 3),
-            "jobs_per_sec": round(len(configs) / seconds, 3),
-            "cells_per_sec": round(cells / seconds, 2),
-            "cells": stats["cells"],
-        }
-
-    doc = {
-        "configs": configs,
-        "jobs_per_batch": len(configs),
-        "cold": leg(cold_s, cold_stats),
-        "warm": leg(warm_s, warm_stats),
-    }
-    assert doc["cold"]["cells"]["deduped"] > 0, doc
-    assert doc["warm"]["cells"]["simulated"] == 0, doc
-    path = os.path.join(args.out_dir, "BENCH_service.json")
-    json.dump(doc, open(path, "w"), indent=2)
-    print(f"wrote {path}")
 
     if failures:
         for failure in failures:

@@ -16,7 +16,6 @@
 #include <numeric>
 
 #include "core/byte_io.hh"
-#include "core/remote_executor.hh"
 #include "core/result_store.hh"
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
@@ -834,18 +833,6 @@ makeCellExecutor(const RunnerOptions &options,
         opts.scheduler = options.scheduler;
         opts.costSource = std::move(costSource);
         return std::make_shared<SubprocessShardExecutor>(opts);
-    }
-    if (options.execution == ExecutionMode::Remote) {
-        RemoteShardExecutor::Options opts;
-        opts.dropboxDir = options.dropboxDir;
-        opts.shards = options.shards;
-        opts.threads = options.threads;
-        opts.agents = options.agents;
-        opts.agentBinary = options.workerBinary;
-        opts.taskTimeoutMs = options.taskTimeoutMs;
-        opts.scheduler = options.scheduler;
-        opts.costSource = std::move(costSource);
-        return std::make_shared<RemoteShardExecutor>(opts);
     }
     return std::make_shared<InProcessExecutor>(options.threads);
 }

@@ -27,10 +27,6 @@
  *    output) has its cells retried once on an in-process executor;
  *    only when that retry also fails does the run fail, with a
  *    WorkerError carrying the shard's stderr.
- *
- * This seam is what multi-host dispatch will plug into next: a future
- * executor can ship the same manifests + snapshots to remote hosts
- * and merge the same CASSCR1 sets.
  */
 
 #ifndef CASSANDRA_CORE_CELL_EXECUTOR_HH

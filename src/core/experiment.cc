@@ -30,19 +30,6 @@ Experiment::find(const std::string &workload, uarch::Scheme scheme,
     return nullptr;
 }
 
-const char *
-executionModeName(ExecutionMode mode)
-{
-    switch (mode) {
-      case ExecutionMode::Subprocess:
-        return "subprocess";
-      case ExecutionMode::Remote:
-        return "remote";
-      default:
-        return "inprocess";
-    }
-}
-
 ExecutionMode
 executionModeFromName(const std::string &name)
 {
@@ -51,11 +38,9 @@ executionModeFromName(const std::string &name)
         return ExecutionMode::InProcess;
     if (name == "subprocess")
         return ExecutionMode::Subprocess;
-    if (name == "remote")
-        return ExecutionMode::Remote;
     throw std::invalid_argument(
         "unknown execution mode \"" + name +
-        "\" (expected inprocess, subprocess or remote)");
+        "\" (expected inprocess or subprocess)");
 }
 
 const char *
@@ -348,7 +333,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
         runParallel(options_.resolveThreads(todo.size()), todo.size(),
                     [&](size_t i) { todo[i]->ensurePhases(phases); });
 
-        // Opt-in dedup (the cross-job service path): identical cells
+        // Opt-in dedup (RunnerOptions::dedupCells): identical cells
         // — same workload, scheme and canonical sim parameters —
         // dispatch once; executors are required to be byte-identical
         // per cell, so replicating the result into every requesting
@@ -428,13 +413,6 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     }
 
     if (store_) {
-        // Size-bound GC after the run's writes: long-running service
-        // hosts keep their `.cr` directory under the configured
-        // budget instead of growing without limit.
-        if (options_.cacheGcMb > 0 &&
-            options_.cacheMode == CacheMode::On)
-            exp.telemetry.cacheGcEvictions =
-                store_->gc(options_.cacheGcMb * 1024 * 1024);
         const ResultStore::Stats stats = store_->stats();
         exp.telemetry.cacheHits = stats.hits;
         exp.telemetry.cacheMisses = stats.misses;
@@ -882,7 +860,6 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
         o.field("cached_cells", telemetry.cachedCells);
         o.field("simulated_cells", telemetry.simulatedCells);
         o.field("deduped_cells", telemetry.dedupedCells);
-        o.field("gc_evictions", telemetry.cacheGcEvictions);
     }
     os << "\n  },\n  \"pipeline\": {";
     {

@@ -107,11 +107,8 @@ struct RunTelemetry
     /** Cells handed to the executor (simulated fresh). */
     uint64_t simulatedCells = 0;
     /** Cells answered by an identical cell in the same dispatch
-     * (RunnerOptions::dedupCells — the cross-job service path). */
+     * (RunnerOptions::dedupCells). */
     uint64_t dedupedCells = 0;
-    /** Entries the post-run size-bound GC removed from the store
-     * (RunnerOptions::cacheGcMb). */
-    uint64_t cacheGcEvictions = 0;
 
     /** Fused analysis passes executed during this dispatch (batched
      * single-pass Machine runs; 0 when every artifact came from a
@@ -201,16 +198,10 @@ enum class ExecutionMode
     InProcess,
     /** Cells sharded across `run_experiment --worker` subprocesses. */
     Subprocess,
-    /** Cells dispatched through an ArtifactStore drop box to
-     * `run_experiment --agent` processes (core/remote_executor.hh). */
-    Remote,
 };
 
-const char *executionModeName(ExecutionMode mode);
-
 /**
- * Parse an execution mode name ("inprocess", "subprocess" or
- * "remote").
+ * Parse an execution mode name ("inprocess" or "subprocess").
  * @throws std::invalid_argument on anything else.
  */
 ExecutionMode executionModeFromName(const std::string &name);
@@ -315,37 +306,14 @@ struct RunnerOptions
     ShardScheduler scheduler = ShardScheduler::Contiguous;
 
     /**
-     * Drop-box directory for remote execution (the ArtifactStore
-     * root). Required when execution == Remote.
-     */
-    std::string dropboxDir;
-
-    /**
-     * Local agents the remote executor spawns per run (the
-     * `--agent` processes); 0 relies on a standing pool already
-     * polling the box. Ignored outside remote execution.
-     */
-    unsigned agents = 0;
-
-    /** Per-task deadline of remote execution before the coordinator
-     * withdraws the task and retries its cells in-process. */
-    uint64_t taskTimeoutMs = 120000;
-
-    /**
      * Collapse identical pending cells (same workload, scheme and
      * canonical sim parameters) into one dispatched simulation whose
-     * result fills every requesting slot. Off by default — a direct
-     * run's executor sees exactly its matrix cells; the experiment
-     * service turns it on to dedup across concurrently-batched jobs.
+     * result fills every requesting slot. Off by default — the
+     * executor sees exactly the matrix cells; the bench CLI always
+     * turns it on, since sweeps over BTU knobs repeat every cell of a
+     * scheme that has no BTU.
      */
     bool dedupCells = false;
-
-    /**
-     * Disk budget (MiB) for the result store; after a run that wrote
-     * fresh entries, oldest entries are evicted until the store fits.
-     * 0 (default) leaves the store unbounded.
-     */
-    uint64_t cacheGcMb = 0;
 
     /**
      * The one place thread-pool sizing is decided: the requested

@@ -589,18 +589,6 @@ parseExperimentSpec(const std::string &json)
                         schemaFail(at, e.what());
                     }
                     spec.schedulerSet = true;
-                } else if (ekey == "dropbox") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.dropboxDir = ev.string;
-                } else if (ekey == "agents") {
-                    spec.agents = static_cast<unsigned>(
-                        uintField(ev, at, 1024));
-                    spec.agentsSet = true;
-                } else if (ekey == "task_timeout_ms") {
-                    spec.taskTimeoutMs =
-                        uintField(ev, at, ~0ull >> 1);
-                    spec.taskTimeoutMsSet = true;
                 } else {
                     schemaFail(at, "unknown execution key");
                 }
@@ -622,9 +610,6 @@ parseExperimentSpec(const std::string &json)
                     expectKind(cv, JsonValue::Kind::String, at,
                                "a string");
                     spec.cacheDir = cv.string;
-                } else if (ckey == "gc_mb") {
-                    spec.cacheGcMb = uintField(cv, at, 1ull << 32);
-                    spec.cacheGcMbSet = true;
                 } else {
                     schemaFail(at, "unknown cache key");
                 }

@@ -106,24 +106,6 @@ struct ExperimentSpec
     ShardScheduler scheduler = ShardScheduler::Contiguous;
     /** Whether the config spelled execution.scheduler. */
     bool schedulerSet = false;
-    /** Drop-box directory for remote execution ("execution":
-     * {"dropbox": ...}); required when the mode is "remote". */
-    std::string dropboxDir;
-    /** Agents the remote executor spawns ("execution": {"agents":
-     * N}); 0 relies on a standing pool polling the box. */
-    unsigned agents = 0;
-    /** Whether the config spelled execution.agents. */
-    bool agentsSet = false;
-    /** Remote per-task deadline ("execution": {"task_timeout_ms":
-     * N}) before the coordinator withdraws and retries in-process. */
-    uint64_t taskTimeoutMs = 0;
-    /** Whether the config spelled execution.task_timeout_ms. */
-    bool taskTimeoutMsSet = false;
-    /** Result-store disk budget in MiB ("cache": {"gc_mb": N});
-     * 0 leaves the store unbounded. */
-    uint64_t cacheGcMb = 0;
-    /** Whether the config spelled cache.gc_mb. */
-    bool cacheGcMbSet = false;
     /** Telemetry JSON path ("report": {"stats_out": ...}): the
      * cache_stats/schedule document; empty writes none. */
     std::string statsOut;

@@ -1,20 +1,8 @@
 #include "core/result_store.hh"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
-
-#if !defined(_WIN32)
-#define CASSANDRA_POSIX_STAT 1
-#include <dirent.h>
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-#endif
 
 #include "core/byte_io.hh"
 #include "core/serialize.hh"
@@ -260,86 +248,6 @@ ResultStore::peekCycles(const ResultStoreKey &key) const
     return 0;
 }
 
-uint64_t
-ResultStore::gc(uint64_t max_bytes)
-{
-#if defined(CASSANDRA_POSIX_STAT)
-    struct Entry
-    {
-        std::string path;
-        uint64_t size = 0;
-        int64_t stamp = 0; ///< atime (LRU) with mtime fallback
-    };
-    std::vector<Entry> entries;
-    uint64_t total = 0;
-
-    DIR *dir = opendir(dir_.c_str());
-    if (!dir)
-        return 0;
-    while (struct dirent *ent = readdir(dir)) {
-        const std::string name = ent->d_name;
-        if (name == "." || name == "..")
-            continue;
-        const std::string path = dir_ + "/" + name;
-        // A dead writer's temp file is garbage, never an entry: a
-        // live writer's rename would win any race with this unlink.
-        if (name.find(".tmp-") != std::string::npos) {
-            const size_t at = name.find(".tmp-") + 5;
-            const size_t dash = name.find('-', at);
-            const long pid = std::strtol(
-                name.substr(at, dash == std::string::npos
-                                    ? std::string::npos
-                                    : dash - at)
-                    .c_str(),
-                nullptr, 10);
-            errno = 0;
-            if (pid > 0 && ::kill(static_cast<pid_t>(pid), 0) != 0 &&
-                errno == ESRCH)
-                std::remove(path.c_str());
-            continue;
-        }
-        if (name.size() <= 3 ||
-            name.compare(name.size() - 3, 3, ".cr") != 0)
-            continue;
-        struct stat st;
-        if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
-            continue;
-        Entry e;
-        e.path = path;
-        e.size = static_cast<uint64_t>(st.st_size);
-        e.stamp = st.st_atime > 0
-            ? static_cast<int64_t>(st.st_atime)
-            : static_cast<int64_t>(st.st_mtime);
-        total += e.size;
-        entries.push_back(std::move(e));
-    }
-    closedir(dir);
-
-    if (total <= max_bytes)
-        return 0;
-    // Oldest access first; equal stamps (coarse atime granularity)
-    // break on path so concurrent GC passes pick the same victims.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.stamp != b.stamp ? a.stamp < b.stamp
-                                            : a.path < b.path;
-              });
-    uint64_t evicted = 0;
-    for (const Entry &e : entries) {
-        if (total <= max_bytes)
-            break;
-        std::remove(e.path.c_str());
-        total -= e.size;
-        evicted++;
-    }
-    gcEvictions_.fetch_add(evicted, std::memory_order_relaxed);
-    return evicted;
-#else
-    (void)max_bytes;
-    return 0;
-#endif
-}
-
 ResultStore::Stats
 ResultStore::stats() const
 {
@@ -348,7 +256,6 @@ ResultStore::stats() const
     s.misses = misses_.load(std::memory_order_relaxed);
     s.stores = stores_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.gcEvictions = gcEvictions_.load(std::memory_order_relaxed);
     return s;
 }
 

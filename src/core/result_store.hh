@@ -110,8 +110,7 @@ class ResultStore
         uint64_t hits = 0;
         uint64_t misses = 0;
         uint64_t stores = 0;
-        uint64_t evictions = 0;   ///< corrupt/stale entries unlinked
-        uint64_t gcEvictions = 0; ///< entries removed by the size bound
+        uint64_t evictions = 0; ///< corrupt/stale entries unlinked
     };
 
     /**
@@ -149,17 +148,6 @@ class ResultStore
     /** Entry file path of a key (`dir/<16-hex hash>.cr`). */
     std::string entryPath(const ResultStoreKey &key) const;
 
-    /**
-     * Bound the store on disk: while the summed size of `.cr` entries
-     * exceeds `max_bytes`, evict the least-recently-used entry (atime
-     * where the filesystem tracks it, mtime otherwise) — a hit
-     * refreshes atime, so hot sweep results survive and abandoned
-     * ones age out. Stale `.tmp` droppings of dead writers are
-     * removed first and do not count toward the budget. Returns the
-     * number of entries evicted (also counted in Stats::gcEvictions).
-     */
-    uint64_t gc(uint64_t max_bytes);
-
     /** Combined 64-bit content hash of a key (the entry file name). */
     static uint64_t keyHash(const ResultStoreKey &key);
 
@@ -171,7 +159,6 @@ class ResultStore
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> stores_{0};
     std::atomic<uint64_t> evictions_{0};
-    std::atomic<uint64_t> gcEvictions_{0};
 };
 
 } // namespace cassandra::core

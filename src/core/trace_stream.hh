@@ -330,8 +330,8 @@ std::string defaultTraceStreamDir();
  * processes — including this one — are untouched, as are names whose
  * suffix is not pid-shaped (random-token platforms). Returns the
  * number of directories removed; removal races with a concurrent
- * sweeper are ignored. Coordinators and agents call this on startup
- * so crashed predecessors cannot leak scratch forever.
+ * sweeper are ignored. Shard coordinators call this on startup so
+ * crashed predecessors cannot leak scratch forever.
  */
 unsigned sweepStaleProcessDirs(const std::string &root,
                                const std::string &prefix);

@@ -150,18 +150,25 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
                  std::invalid_argument);
 }
 
-TEST(ExperimentConfigTest, TraceCompressionIsAnUnknownKey)
+TEST(ExperimentConfigTest, RetiredKeysAreRejected)
 {
-    // Stream files have one encoding (CASSTF2); the knob that once
-    // chose another is gone, so spelling it fails like any typo.
-    EXPECT_THROW(parseExperimentSpec(
-                     R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "trace_compression": "delta"})"),
-                 std::invalid_argument);
-    EXPECT_THROW(parseExperimentSpec(
-                     R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "configs": [{"trace_compression": "none"}]})"),
-                 std::invalid_argument);
+    // Knobs of removed features — a second stream encoding, the
+    // drop-box executor and its agents, the result-store disk bound —
+    // fail like any typo instead of being silently ignored.
+    for (const char *section :
+         {R"("trace_compression": "delta")",
+          R"("configs": [{"trace_compression": "none"}])",
+          R"("execution": {"mode": "remote"})",
+          R"("execution": {"dropbox": "box"})",
+          R"("execution": {"agents": 2})",
+          R"("execution": {"task_timeout_ms": 1000})",
+          R"("cache": {"gc_mb": 256})"}) {
+        const std::string json =
+            std::string(R"({"workloads": ["A"], "schemes": ["SPT"], )") +
+            section + "}";
+        EXPECT_THROW(parseExperimentSpec(json), std::invalid_argument)
+            << section;
+    }
 }
 
 TEST(ExperimentConfigTest, CacheAndSchedulerParse)

@@ -6,8 +6,8 @@
  * runs through the real run_experiment binary four ways — whole and
  * stream trace mode, each as a cold run that saves artifact snapshots
  * followed by a run that reloads them — and every report must equal
- * the committed one byte for byte. The CLI's rejection of the removed
- * --trace-compression flag rides along, since it needs the binary too.
+ * the committed one byte for byte. The CLI's rejection of removed
+ * flags rides along, since it needs the binary too.
  *
  * A change that is meant to move the numbers regenerates the reports
  * with the documented command, from the repository root:
@@ -187,17 +187,28 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
-TEST(RunExperimentCliTest, TraceCompressionFlagExitsWithStatus2)
+TEST(RunExperimentCliTest, RetiredOptionsExitWithStatus2)
 {
     ASSERT_NE(runExperimentBinary, nullptr);
     ASSERT_NE(goldenDir, nullptr);
-    const std::string err = testing::TempDir() + "/trace-compression-" +
+    const std::string config = std::string(goldenDir) + "/ci_smoke.json";
+    const std::string err = testing::TempDir() + "/retired-option-" +
         core::processUniqueSuffix() + ".err";
-    EXPECT_EQ(runExperiment({std::string(goldenDir) + "/ci_smoke.json",
-                             "--trace-compression=delta"},
-                            err),
-              2);
-    EXPECT_NE(readText(err).find("unknown option"), std::string::npos)
+    // Flags of removed features (a second trace encoding, the drop-box
+    // executor and its agents, the spool service, the store disk
+    // bound, the dedup switch) are unknown options, not silent no-ops.
+    for (const char *flag :
+         {"--trace-compression=delta", "--dropbox=D", "--agents=1",
+          "--task-timeout-ms=1", "--cache-gc-mb=1", "--dedup=on",
+          "--serve", "--agent", "--submit"}) {
+        EXPECT_EQ(runExperiment({config, flag}, err), 2) << flag;
+        EXPECT_NE(readText(err).find("unknown option"), std::string::npos)
+            << flag << ": " << readText(err);
+    }
+    // The remote execution mode is gone too.
+    EXPECT_EQ(runExperiment({config, "--execution=remote"}, err), 2);
+    EXPECT_NE(readText(err).find("invalid --execution=remote"),
+              std::string::npos)
         << readText(err);
     std::remove(err.c_str());
 }

@@ -3,8 +3,9 @@
  * Tests for the persistent cell-result store: entry round trips, key
  * derivation (every simulation-relevant knob invalidates, every
  * presentation knob does not), eviction of corrupt/truncated/stale
- * entries, readonly mode, and the warm-vs-cold byte-identity of full
- * runner sweeps across both executors and several shard counts.
+ * entries, readonly mode, the warm-vs-cold byte-identity of full
+ * runner sweeps across both executors and several shard counts, and
+ * cross-run reuse when overlapping sweeps share one store.
  */
 
 #include <gtest/gtest.h>
@@ -452,6 +453,37 @@ TEST(ResultStoreRunnerTest, PartialInvalidationOnlyResimulatesTheSliver)
     ASSERT_GT(btu_cells, 0u);
     EXPECT_EQ(exp.telemetry.simulatedCells, btu_cells);
     EXPECT_EQ(exp.telemetry.cachedCells, exp.cells.size() - btu_cells);
+}
+
+TEST(ResultStoreRunnerTest, OverlappingRunsShareOneStore)
+{
+    // Two sweeps sharing the SHAKE x {baseline, Cassandra} cells, run
+    // one after the other on one store: the second replays the shared
+    // cells instead of simulating them, so 4 of the 6 cells simulate.
+    ExperimentMatrix first;
+    first.workloads = {"ChaCha20_ct", "SHAKE"};
+    first.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+    ExperimentMatrix second = first;
+    second.workloads = {"SHAKE"};
+
+    const std::string dir = freshDir("runner-overlap");
+    auto a = ExperimentRunner(registryCache(),
+                              cachedOptions(dir, CacheMode::On))
+                 .run(first);
+    EXPECT_EQ(a.telemetry.simulatedCells, 4u);
+    EXPECT_EQ(a.telemetry.cachedCells, 0u);
+
+    auto b = ExperimentRunner(registryCache(),
+                              cachedOptions(dir, CacheMode::On))
+                 .run(second);
+    EXPECT_EQ(b.telemetry.simulatedCells, 0u);
+    EXPECT_EQ(b.telemetry.cachedCells, 2u);
+
+    // Each report is byte-identical to a direct run without a store.
+    EXPECT_EQ(jsonReport(a),
+              jsonReport(ExperimentRunner(registryCache()).run(first)));
+    EXPECT_EQ(jsonReport(b),
+              jsonReport(ExperimentRunner(registryCache()).run(second)));
 }
 
 #if !defined(_WIN32)
