@@ -6,7 +6,9 @@ k-mer compression kernels), a timed Release `run_experiment` sweep
 of configs/ci_smoke.json and the q3 server sweep, then writes three
 machine-readable baselines:
 
-  BENCH_micro.json    ns/op per microbenchmark (benchmark JSON, reduced)
+  BENCH_micro.json    per microbenchmark: wall and CPU ns per benchmark
+                      iteration, plus ns per processed item where the
+                      bench counts items (benchmark JSON, reduced)
   BENCH_fig7.json     end-to-end cells/sec of the ci_smoke sweep, split
                       into analysis+simulate (cold) and simulate-only
                       phases, with the run's cache/scheduler telemetry
@@ -49,7 +51,14 @@ import time
 
 
 def run_micro(binary):
-    """One micro binary -> list of {name, ns_per_op, iterations}."""
+    """One micro binary -> list of {name, ns_per_iter, cpu_ns_per_iter,
+    [ns_per_item,] iterations}.
+
+    An iteration is one pass of the bench's timed loop body, which may
+    process many items (ops, trace elements); ns_per_item is present
+    only for benches that report items via SetItemsProcessed, and comes
+    from google-benchmark's items_per_second (CPU time based).
+    """
     with tempfile.NamedTemporaryFile(suffix=".json") as out:
         subprocess.run(
             [binary, "--benchmark_format=json",
@@ -61,15 +70,19 @@ def run_micro(binary):
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") != "iteration":
             continue
-        # Normalize to ns/op whatever time_unit the bench picked.
+        # Normalize to ns whatever time_unit the bench picked.
         scale = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}[
             bench.get("time_unit", "ns")]
-        results.append({
+        entry = {
             "name": bench["name"],
-            "ns_per_op": round(bench["real_time"] * scale, 3),
-            "cpu_ns_per_op": round(bench["cpu_time"] * scale, 3),
-            "iterations": bench["iterations"],
-        })
+            "ns_per_iter": round(bench["real_time"] * scale, 3),
+            "cpu_ns_per_iter": round(bench["cpu_time"] * scale, 3),
+        }
+        if bench.get("items_per_second"):
+            entry["ns_per_item"] = round(
+                1e9 / bench["items_per_second"], 4)
+        entry["iterations"] = bench["iterations"]
+        results.append(entry)
     return results
 
 
@@ -200,7 +213,13 @@ def main():
         micro[name] = run_micro(binary)
     if micro:
         path = os.path.join(args.out_dir, "BENCH_micro.json")
-        json.dump({"unit": "ns/op", "benchmarks": micro},
+        units = {
+            "ns_per_iter": "wall ns per benchmark iteration",
+            "cpu_ns_per_iter": "CPU ns per benchmark iteration",
+            "ns_per_item": "CPU ns per processed item "
+                           "(1e9 / items_per_second)",
+        }
+        json.dump({"units": units, "benchmarks": micro},
                   open(path, "w"), indent=2)
         print(f"wrote {path}")
 

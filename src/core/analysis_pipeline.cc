@@ -57,7 +57,7 @@ class ChunkPipeline
         using Mode = AnalysisPipelineOptions::Mode;
         threaded_ = options.mode == Mode::Threaded ||
             (options.mode == Mode::Auto &&
-             std::thread::hardware_concurrency() >= 2);
+             analysisLaunchPolicy() == std::launch::async);
         if (threaded_)
             consumer_ = std::thread([this] { consumerLoop(); });
     }
@@ -393,6 +393,13 @@ ChunkSpanSource::nextBatch(uarch::OpBatch &out, size_t max_ops)
     out = c.ops.view(pos_, n);
     pos_ += n;
     return n;
+}
+
+std::launch
+analysisLaunchPolicy()
+{
+    return std::thread::hardware_concurrency() >= 2 ? std::launch::async
+                                                    : std::launch::deferred;
 }
 
 uint64_t

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <vector>
 
@@ -89,7 +90,7 @@ struct AnalysisPipelineOptions
 {
     enum class Mode
     {
-        Auto,     ///< Threaded when the host has >= 2 hardware threads
+        Auto,     ///< Threaded when analysisLaunchPolicy() is async
         Inline,   ///< synchronous consume in the probe callback
         Threaded, ///< bounded ring + one consumer thread
     };
@@ -176,6 +177,16 @@ class ChunkSpanSource final : public uarch::TimingOpSource
     size_t pos_ = 0; ///< within chunk_
     uarch::TimingOp op_;
 };
+
+/**
+ * How independent analysis passes of one workload are launched side by
+ * side (the recording pass next to Algorithm 2, Algorithm 2's two
+ * input runs next to each other): std::launch::async when the host has
+ * >= 2 hardware threads — the rule AnalysisPipelineOptions::Mode::Auto
+ * applies — and std::launch::deferred otherwise, so a single-core host
+ * runs them one after another on the joining thread.
+ */
+std::launch analysisLaunchPolicy();
 
 /**
  * Process-wide count of fused analysis passes (op passes and branch

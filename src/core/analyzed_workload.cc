@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <exception>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -172,55 +174,59 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
 {
     if (traceReady_.load(std::memory_order_acquire))
         return;
-    std::call_once(traceOnce_, [this, extra] {
-        phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-        // One machine run records the trace (SoA chunks retained in
-        // whole mode, streamed to disk in stream mode) with no
-        // counting pre-run, and any fusable pending phase consumes the
-        // same chunks as they are produced.
-        std::vector<BatchConsumer *> consumers;
-        std::unique_ptr<TraceStreamWriter> writer;
-        std::unique_ptr<StreamWriteConsumer> writeConsumer;
-        std::unique_ptr<TaintConsumer> taintConsumer;
-        if (traceMode_ == TraceMode::Stream) {
-            writer = std::make_unique<TraceStreamWriter>(
-                streamPath_, programFingerprint(workload_.program));
-            writeConsumer =
-                std::make_unique<StreamWriteConsumer>(*writer);
-            consumers.push_back(writeConsumer.get());
+    // Each phase runs under its own mutex rather than std::call_once:
+    // a failed phase must stay retryable, and call_once's exceptional
+    // path is not reliable everywhere (under ThreadSanitizer the next
+    // call hangs).
+    std::lock_guard<std::mutex> lock(traceMutex_);
+    if (traceReady_.load(std::memory_order_acquire))
+        return;
+    phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
+    // One machine run records the trace (SoA chunks retained in whole
+    // mode, streamed to disk in stream mode) with no counting pre-run,
+    // and any fusable pending phase consumes the same chunks as they
+    // are produced.
+    std::vector<BatchConsumer *> consumers;
+    std::unique_ptr<TraceStreamWriter> writer;
+    std::unique_ptr<StreamWriteConsumer> writeConsumer;
+    std::unique_ptr<TaintConsumer> taintConsumer;
+    if (traceMode_ == TraceMode::Stream) {
+        writer = std::make_unique<TraceStreamWriter>(
+            streamPath_, programFingerprint(workload_.program));
+        writeConsumer = std::make_unique<StreamWriteConsumer>(*writer);
+        consumers.push_back(writeConsumer.get());
+    }
+    const bool fuse_taint = (extra & PhaseTaint) != 0 &&
+        !taintReady_.load(std::memory_order_acquire) &&
+        !workload_.secretRegions.empty();
+    if (fuse_taint) {
+        taintConsumer =
+            std::make_unique<TaintConsumer>(workload_.secretRegions);
+        consumers.push_back(taintConsumer.get());
+    }
+    FusedPassStats stats;
+    try {
+        stats = runFusedOpPass(workload_, /*which=*/2, consumers, {},
+                               streamed() ? nullptr : &chunks_);
+    } catch (...) {
+        // A failed recording (an exhausted instruction budget, a full
+        // disk) leaves nothing behind: the unfinished writer wrote no
+        // footer, and its partial file is removed here — no artifact
+        // owns it.
+        chunks_.clear();
+        if (writer) {
+            writer.reset();
+            std::remove(streamPath_.c_str());
         }
-        const bool fuse_taint = (extra & PhaseTaint) != 0 &&
-            !taintReady_.load(std::memory_order_acquire) &&
-            !workload_.secretRegions.empty();
-        if (fuse_taint) {
-            taintConsumer =
-                std::make_unique<TaintConsumer>(workload_.secretRegions);
-            consumers.push_back(taintConsumer.get());
-        }
-        FusedPassStats stats;
-        try {
-            stats = runFusedOpPass(workload_, /*which=*/2, consumers, {},
-                                   streamed() ? nullptr : &chunks_);
-        } catch (...) {
-            // A failed recording (an exhausted instruction budget, a
-            // full disk) leaves nothing behind: the unfinished writer
-            // wrote no footer, and its partial file is removed here —
-            // no artifact owns it.
-            chunks_.clear();
-            if (writer) {
-                writer.reset();
-                std::remove(streamPath_.c_str());
-            }
-            throw;
-        }
-        numOps_ = stats.numOps;
-        if (fuse_taint) {
-            taint_ = taintConsumer->take(numOps_);
-            phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
-            taintReady_.store(true, std::memory_order_release);
-        }
-        traceReady_.store(true, std::memory_order_release);
-    });
+        throw;
+    }
+    numOps_ = stats.numOps;
+    if (fuse_taint) {
+        taint_ = taintConsumer->take(numOps_);
+        phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
+        taintReady_.store(true, std::memory_order_release);
+    }
+    traceReady_.store(true, std::memory_order_release);
 }
 
 uint64_t
@@ -284,11 +290,12 @@ const TraceGenResult &
 AnalyzedWorkload::traces() const
 {
     if (!imageReady_.load(std::memory_order_acquire)) {
-        std::call_once(imageOnce_, [this] {
+        std::lock_guard<std::mutex> lock(imageMutex_);
+        if (!imageReady_.load(std::memory_order_acquire)) {
             traces_ = generateTraces(workload_, kmers_, /*fused=*/true);
             phase_image_runs.fetch_add(1, std::memory_order_relaxed);
             imageReady_.store(true, std::memory_order_release);
-        });
+        }
     }
     return traces_;
 }
@@ -297,31 +304,29 @@ const uarch::TaintBitmap &
 AnalyzedWorkload::taintBitmap() const
 {
     if (!taintReady_.load(std::memory_order_acquire)) {
-        std::call_once(taintOnce_, [this] {
-            // A concurrent fused recording pass may compute the bitmap
-            // while this thread blocks on the trace; settle the trace
-            // first, then re-check before walking.
-            ensureTrace();
-            if (taintReady_.load(std::memory_order_acquire))
-                return;
-            if (!workload_.secretRegions.empty()) {
-                // The batched form of uarch::computeTaintBitmap: the
-                // same walker over the artifact's replay source.
-                TaintConsumer walk(workload_.secretRegions);
-                auto src = openOpSource();
-                uarch::OpBatch batch;
-                uint64_t base = 0;
-                while (const size_t n =
-                           src->nextBatch(batch, uarch::timingOpBatchOps)) {
-                    walk.feed(batch, base);
-                    base += n;
-                }
-                taint_ = walk.take(numOps_);
-                phase_taint_runs.fetch_add(1,
-                                           std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(taintMutex_);
+        // A concurrent fused recording pass may compute the bitmap
+        // while this thread blocks on the trace; settle the trace
+        // first, then re-check before walking.
+        ensureTrace();
+        if (taintReady_.load(std::memory_order_acquire))
+            return taint_;
+        if (!workload_.secretRegions.empty()) {
+            // The batched form of uarch::computeTaintBitmap: the
+            // same walker over the artifact's replay source.
+            TaintConsumer walk(workload_.secretRegions);
+            auto src = openOpSource();
+            uarch::OpBatch batch;
+            uint64_t base = 0;
+            while (const size_t n =
+                       src->nextBatch(batch, uarch::timingOpBatchOps)) {
+                walk.feed(batch, base);
+                base += n;
             }
-            taintReady_.store(true, std::memory_order_release);
-        });
+            taint_ = walk.take(numOps_);
+            phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
+        }
+        taintReady_.store(true, std::memory_order_release);
     }
     return taint_;
 }
@@ -333,11 +338,35 @@ AnalyzedWorkload::ensurePhases(AnalysisPhaseMask phases) const
     // pending the fused pipeline computes them in one machine run —
     // ensureTraceWith fuses every requested phase that can ride the
     // recording pass; the per-phase ensures below then find their
-    // phase already done.
-    if (phases & (PhaseTimingTrace | PhaseTaint))
-        ensureTraceWith(phases);
-    if (phases & PhaseTraceImage)
-        traces();
+    // phase already done. Algorithm 2 runs on the other two inputs and
+    // shares nothing with the recording pass, so it runs beside it
+    // (analysisLaunchPolicy()). Both are joined before any error
+    // propagates, and the recording pass's error wins, so which error
+    // surfaces never depends on timing.
+    const bool record = (phases & (PhaseTimingTrace | PhaseTaint)) != 0;
+    std::future<void> image;
+    if ((phases & PhaseTraceImage) && !hasTraceImage())
+        image = std::async(record ? analysisLaunchPolicy()
+                                  : std::launch::deferred,
+                           [this] { traces(); });
+    std::exception_ptr error;
+    if (record) {
+        try {
+            ensureTraceWith(phases);
+        } catch (...) {
+            error = std::current_exception();
+        }
+    }
+    if (image.valid()) {
+        try {
+            image.get();
+        } catch (...) {
+            if (!error)
+                error = std::current_exception();
+        }
+    }
+    if (error)
+        std::rethrow_exception(error);
     if (phases & PhaseTaint)
         taintBitmap();
 }

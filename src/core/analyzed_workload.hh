@@ -204,7 +204,12 @@ class AnalyzedWorkload
         return taintReady_.load(std::memory_order_acquire);
     }
 
-    /** Run every phase of `phases` that has not run yet. */
+    /**
+     * Run every phase of `phases` that has not run yet. The trace
+     * image (Algorithm 2) runs beside the recording pass under
+     * analysisLaunchPolicy(); both are joined before an error
+     * propagates, and the recording pass's error wins.
+     */
     void ensurePhases(AnalysisPhaseMask phases) const;
 
     /** Storage mode of the timing trace. */
@@ -277,15 +282,16 @@ class AnalyzedWorkload
     TraceMode traceMode_ = TraceMode::Whole;
     std::string streamPath_; ///< stream mode
     mutable uint64_t numOps_ = 0;
-    mutable std::once_flag traceOnce_;
+    mutable std::mutex traceMutex_;
     mutable std::atomic<bool> traceReady_{false};
 
     // Demand-driven phases: logically part of the immutable value,
-    // computed at most once behind call_once.
-    mutable std::once_flag imageOnce_;
+    // computed at most once (each under its mutex; a phase that threw
+    // runs again on the next request).
+    mutable std::mutex imageMutex_;
     mutable TraceGenResult traces_;
     mutable std::atomic<bool> imageReady_{false};
-    mutable std::once_flag taintOnce_;
+    mutable std::mutex taintMutex_;
     mutable uarch::TaintBitmap taint_;
     mutable std::atomic<bool> taintReady_{false};
 

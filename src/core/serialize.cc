@@ -443,17 +443,6 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
     return meta;
 }
 
-/** Append one op's raw little-endian 24-byte form (pc, memAddr,
- * nextPc) — the input encodeTraceFrame takes. */
-void
-appendRawOp(std::vector<uint8_t> &raw, uint64_t pc, uint64_t mem_addr,
-            uint64_t next_pc)
-{
-    for (const uint64_t v : {pc, mem_addr, next_pc})
-        for (int b = 0; b < 8; b++)
-            raw.push_back(static_cast<uint8_t>(v >> (8 * b)));
-}
-
 /**
  * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
  * codec frames) straight into replay chunks, one per frame, through
@@ -700,37 +689,20 @@ packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
 
     // Timing trace (instruction pointers relink from PCs on load; the
     // taint pre-pass is recomputed, so only the base stream is kept),
-    // encoded from the retained chunks as CASSTF2-codec frames — the
-    // same delta + zig-zag varint encoding (with per-frame raw
-    // fallback) trace stream files use.
+    // encoded straight from the replay batches' columns as CASSTF2
+    // frames by the same TraceFrameBuilder trace stream files use.
     w.u8(traceStorageInline);
     w.u64(aw.numOps());
     w.u32(traceStreamDefaultFrameOps);
-    const size_t frame_bytes =
-        static_cast<size_t>(traceStreamDefaultFrameOps) *
-        traceStreamOpBytes;
-    std::vector<uint8_t> raw;
-    raw.reserve(frame_bytes);
-    auto flush = [&] {
-        if (raw.empty())
-            return;
-        const std::vector<uint8_t> frame = encodeTraceFrame(raw);
-        w.raw(frame.data(), frame.size());
-        raw.clear();
+    TraceFrameBuilder frames(traceStreamDefaultFrameOps);
+    auto emit = [&](const uint8_t *frame, size_t bytes) {
+        w.raw(frame, bytes);
     };
     auto src = aw.openOpSource();
     uarch::OpBatch batch;
-    // Batches are capped at the frame's free space, and a full frame
-    // is flushed at once, so every request asks for at least one op.
-    while (const size_t n = src->nextBatch(
-               batch, (frame_bytes - raw.size()) / traceStreamOpBytes)) {
-        for (size_t i = 0; i < n; i++)
-            appendRawOp(raw, batch.pc[i], batch.memAddr[i],
-                        batch.nextPc[i]);
-        if (raw.size() == frame_bytes)
-            flush();
-    }
-    flush();
+    while (src->nextBatch(batch, traceStreamDefaultFrameOps))
+        frames.add(batch, emit);
+    frames.finish(emit);
     inline_ops_written.fetch_add(aw.numOps(), std::memory_order_relaxed);
     return w.take();
 }

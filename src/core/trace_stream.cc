@@ -74,14 +74,18 @@ getU64(const uint8_t *src)
     return v;
 }
 
-void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
+/** Longest LEB128 varint of a u64. */
+constexpr size_t maxVarintBytes = 10;
+
+uint8_t *
+putVarint(uint8_t *dst, uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
+        *dst++ = static_cast<uint8_t>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<uint8_t>(v));
+    *dst++ = static_cast<uint8_t>(v);
+    return dst;
 }
 
 uint64_t
@@ -103,57 +107,90 @@ unzigzag(uint64_t v)
 // CASSTF2 frame codec
 // ---------------------------------------------------------------------
 
-std::vector<uint8_t>
-encodeTraceFrame(const std::vector<uint8_t> &raw_ops)
+size_t
+encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
+                 const uint64_t *next_pc, size_t num_ops,
+                 std::vector<uint8_t> &buf)
 {
-    if (raw_ops.size() % traceStreamOpBytes != 0)
+    const size_t raw_bytes = num_ops * traceStreamOpBytes;
+    if (raw_bytes > 0xffffffffull)
         throw std::invalid_argument(
-            "encodeTraceFrame: raw bytes are not whole ops");
-    const size_t ops = raw_ops.size() / traceStreamOpBytes;
+            "encodeTraceFrame: frame body exceeds the u32 "
+            "payload-length field");
+    // The delta attempt stops once it reaches the raw size, so it never
+    // writes more than one op's worst case (three varints) past it.
+    const size_t bound =
+        frameHeaderBytes + raw_bytes + 3 * maxVarintBytes;
+    if (buf.size() < bound)
+        buf.resize(bound);
+    uint8_t *const body = buf.data() + frameHeaderBytes;
+    uint8_t *const raw_end = body + raw_bytes;
 
     // Delta attempt: pc chains off the previous op's nextPc, memAddr
     // off the previous memAddr, nextPc off the fall-through pc. All
     // three are zero-delta for straight-line code.
-    std::vector<uint8_t> payload;
-    payload.reserve(raw_ops.size() / 4);
+    uint8_t *p = body;
     uint64_t prev_mem = 0, prev_next = 0;
-    for (size_t i = 0; i < ops; i++) {
-        const uint8_t *src = raw_ops.data() + i * traceStreamOpBytes;
-        const uint64_t pc = getU64(src + 0);
-        const uint64_t mem = getU64(src + 8);
-        const uint64_t next = getU64(src + 16);
+    for (size_t i = 0; i < num_ops && p < raw_end; i++) {
         if (i == 0) {
-            putVarint(payload, pc);
-            putVarint(payload, mem);
+            p = putVarint(p, pc[i]);
+            p = putVarint(p, mem_addr[i]);
         } else {
-            putVarint(payload,
-                      zigzag(static_cast<int64_t>(pc - prev_next)));
-            putVarint(payload,
-                      zigzag(static_cast<int64_t>(mem - prev_mem)));
+            p = putVarint(p, zigzag(static_cast<int64_t>(pc[i] -
+                                                         prev_next)));
+            p = putVarint(p, zigzag(static_cast<int64_t>(mem_addr[i] -
+                                                         prev_mem)));
         }
-        putVarint(payload,
-                  zigzag(static_cast<int64_t>(next -
-                                              (pc + ir::instBytes))));
-        prev_mem = mem;
-        prev_next = next;
+        p = putVarint(p, zigzag(static_cast<int64_t>(
+                             next_pc[i] - (pc[i] + ir::instBytes))));
+        prev_mem = mem_addr[i];
+        prev_next = next_pc[i];
     }
 
-    // Raw fallback: a frame that does not compress is stored verbatim,
-    // bounding worst-case file growth at the 5-byte frame headers.
-    const bool use_delta = payload.size() < raw_ops.size();
-    const std::vector<uint8_t> &body = use_delta ? payload : raw_ops;
-    if (body.size() > 0xffffffffull)
+    // Raw fallback: a frame whose delta form is not strictly smaller
+    // is stored verbatim, bounding worst-case file growth at the
+    // 5-byte frame headers.
+    const bool use_delta = p < raw_end;
+    if (!use_delta) {
+        p = body;
+        for (size_t i = 0; i < num_ops; i++, p += traceStreamOpBytes) {
+            putU64(p + 0, pc[i]);
+            putU64(p + 8, mem_addr[i]);
+            putU64(p + 16, next_pc[i]);
+        }
+    }
+    buf[0] = use_delta ? frameKindDelta : frameKindRaw;
+    putU32(buf.data() + 1, static_cast<uint32_t>(p - body));
+    return static_cast<size_t>(p - buf.data());
+}
+
+TraceFrameBuilder::TraceFrameBuilder(uint32_t frame_ops)
+    : frameOps_(frame_ops)
+{
+    if (frame_ops == 0)
+        throw std::invalid_argument("TraceFrameBuilder: frame_ops == 0");
+    // A raw frame body must fit the CASSTF2 u32 payload-length field,
+    // or encodeTraceFrame could not frame it.
+    if (static_cast<uint64_t>(frame_ops) * traceStreamOpBytes >
+        0xffffffffull - 64)
         throw std::invalid_argument(
-            "encodeTraceFrame: frame body exceeds the u32 "
-            "payload-length field");
-    std::vector<uint8_t> frame;
-    frame.reserve(frameHeaderBytes + body.size());
-    frame.push_back(use_delta ? frameKindDelta : frameKindRaw);
-    uint8_t len[4];
-    putU32(len, static_cast<uint32_t>(body.size()));
-    frame.insert(frame.end(), len, len + 4);
-    frame.insert(frame.end(), body.begin(), body.end());
-    return frame;
+            "TraceFrameBuilder: frame_ops too large for the frame "
+            "length field");
+}
+
+void
+TraceFrameBuilder::stage(const uint64_t *pc, const uint64_t *mem_addr,
+                         const uint64_t *next_pc, size_t n)
+{
+    if (pc_.empty()) {
+        pc_.resize(frameOps_);
+        memAddr_.resize(frameOps_);
+        nextPc_.resize(frameOps_);
+    }
+    std::copy(pc, pc + n, pc_.begin() + staged_);
+    std::copy(mem_addr, mem_addr + n, memAddr_.begin() + staged_);
+    std::copy(next_pc, next_pc + n, nextPc_.begin() + staged_);
+    staged_ += n;
 }
 
 void
@@ -266,17 +303,8 @@ decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
 TraceStreamWriter::TraceStreamWriter(const std::string &path,
                                      uint64_t program_fingerprint,
                                      uint32_t frame_ops)
-    : path_(path), frameOps_(frame_ops)
+    : path_(path), frameOps_(frame_ops), frames_(frame_ops)
 {
-    if (frame_ops == 0)
-        throw std::invalid_argument("TraceStreamWriter: frame_ops == 0");
-    // A raw frame body must fit the CASSTF2 u32 payload-length field,
-    // or encodeTraceFrame would silently truncate its framing.
-    if (static_cast<uint64_t>(frame_ops) * traceStreamOpBytes >
-        0xffffffffull - 64)
-        throw std::invalid_argument(
-            "TraceStreamWriter: frame_ops too large for the frame "
-            "length field");
     file_.open(path, std::ios::binary | std::ios::trunc);
     if (!file_)
         throw std::runtime_error("cannot open " + path + " for writing");
@@ -288,7 +316,6 @@ TraceStreamWriter::TraceStreamWriter(const std::string &path,
     putU64(header + numOpsOffset, 0); // patched by finish()
     file_.write(reinterpret_cast<const char *>(header), headerBytes);
     checkStream("header write");
-    frame_.reserve(static_cast<size_t>(frameOps_) * traceStreamOpBytes);
 }
 
 void
@@ -303,17 +330,12 @@ TraceStreamWriter::checkStream(const char *what) const
 void
 TraceStreamWriter::append(const uarch::TimingOp &op)
 {
-    if (finished_)
-        throw std::logic_error("TraceStreamWriter: append after finish");
-    uint8_t bytes[traceStreamOpBytes];
-    putU64(bytes + 0, op.pc);
-    putU64(bytes + 8, op.memAddr);
-    putU64(bytes + 16, op.nextPc);
-    frame_.insert(frame_.end(), bytes, bytes + traceStreamOpBytes);
-    numOps_++;
-    if (frame_.size() >=
-        static_cast<size_t>(frameOps_) * traceStreamOpBytes)
-        flushFrame();
+    uarch::OpBatch one;
+    one.pc = &op.pc;
+    one.memAddr = &op.memAddr;
+    one.nextPc = &op.nextPc;
+    one.size = 1;
+    appendBatch(one);
 }
 
 void
@@ -321,24 +343,15 @@ TraceStreamWriter::appendBatch(const uarch::OpBatch &batch)
 {
     if (finished_)
         throw std::logic_error("TraceStreamWriter: append after finish");
-    for (size_t i = 0; i < batch.size; i++) {
-        uint8_t bytes[traceStreamOpBytes];
-        putU64(bytes + 0, batch.pc[i]);
-        putU64(bytes + 8, batch.memAddr[i]);
-        putU64(bytes + 16, batch.nextPc[i]);
-        frame_.insert(frame_.end(), bytes, bytes + traceStreamOpBytes);
-        numOps_++;
-        if (frame_.size() >=
-            static_cast<size_t>(frameOps_) * traceStreamOpBytes)
-            flushFrame();
-    }
+    frames_.add(batch, [this](const uint8_t *frame, size_t bytes) {
+        writeFrame(frame, bytes);
+    });
+    numOps_ += batch.size;
 }
 
 void
-TraceStreamWriter::flushFrame()
+TraceStreamWriter::writeFrame(const uint8_t *frame, size_t bytes)
 {
-    if (frame_.empty())
-        return;
     // A poisoned stream would report tellp() == -1 and corrupt every
     // later index entry: fail fast instead of finishing garbage.
     checkStream("write");
@@ -346,11 +359,9 @@ TraceStreamWriter::flushFrame()
     if (pos == std::streampos(-1))
         throw std::runtime_error("cannot position in " + path_);
     frameOffsets_.push_back(static_cast<uint64_t>(pos));
-    const std::vector<uint8_t> encoded = encodeTraceFrame(frame_);
-    file_.write(reinterpret_cast<const char *>(encoded.data()),
-                static_cast<std::streamsize>(encoded.size()));
+    file_.write(reinterpret_cast<const char *>(frame),
+                static_cast<std::streamsize>(bytes));
     checkStream("frame write");
-    frame_.clear();
 }
 
 void (*TraceStreamWriter::finishSeamHook)(const std::string &path) =
@@ -361,7 +372,9 @@ TraceStreamWriter::finish()
 {
     if (finished_)
         return;
-    flushFrame();
+    frames_.finish([this](const uint8_t *frame, size_t bytes) {
+        writeFrame(frame, bytes);
+    });
     // The durability seam: every data frame must be durable before a
     // single index/footer byte is issued, or a crash could leave a
     // footer that validates against truncated data. One flush drains

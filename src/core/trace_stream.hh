@@ -24,8 +24,8 @@
  * past 24 B/op plus the 5-byte frame headers. Files of the retired
  * raw-frame container revision 1 are rejected with ArtifactFormatError.
  *
- * TraceStreamWriter produces the file incrementally (one frame buffer
- * resident, never the whole trace) and fails fast on I/O errors so a
+ * TraceStreamWriter produces the file incrementally (one frame of
+ * columns resident, never the whole trace) and fails fast on I/O errors so a
  * disk-full run cannot leave a silently-corrupt index behind;
  * TraceCursor replays it as a uarch::TimingOpSource
  * through an mmap-backed view (with sequential madvise and per-frame
@@ -38,6 +38,7 @@
 #ifndef CASSANDRA_CORE_TRACE_STREAM_HH
 #define CASSANDRA_CORE_TRACE_STREAM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -90,12 +91,77 @@ constexpr size_t traceStreamOpBytes = 24;
 constexpr uint32_t traceStreamDefaultFrameOps = 1u << 15;
 
 /**
- * Encode one CASSTF2 frame from raw 24 B/op bytes: delta + zig-zag
- * varint when that wins, raw fallback otherwise. Returns the complete
- * frame (u8 kind | u32 payloadBytes | payload). Exposed for the
- * format tests; the writer uses it per frame.
+ * Encode one CASSTF2 frame from structure-of-arrays columns (num_ops
+ * elements each): delta + zig-zag varint when that is strictly smaller
+ * than 24 B/op, the raw form otherwise. The complete frame (u8 kind |
+ * u32 payloadBytes | payload) is written to the front of `buf`, which
+ * only ever grows, so a caller reusing one buffer across frames
+ * allocates once. Returns the frame's length in bytes.
  */
-std::vector<uint8_t> encodeTraceFrame(const std::vector<uint8_t> &raw_ops);
+size_t encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
+                        const uint64_t *next_pc, size_t num_ops,
+                        std::vector<uint8_t> &buf);
+
+/**
+ * Cuts an op stream into CASSTF2 frames of a fixed op count: the one
+ * path from ops to encoded frames (TraceStreamWriter and inline
+ * snapshot traces both use it). A batch span that covers a whole frame
+ * while nothing is staged is encoded straight from the caller's
+ * columns; other ops are staged column-wise until their frame fills.
+ */
+class TraceFrameBuilder
+{
+  public:
+    /** @throws std::invalid_argument when frame_ops is 0 or a raw
+     *  frame of that many ops overflows the u32 payload length. */
+    explicit TraceFrameBuilder(uint32_t frame_ops);
+
+    /** Add the pc/memAddr/nextPc columns of `batch`, calling
+     * emit(frame, bytes) for every frame they complete. */
+    template <class Emit>
+    void
+    add(const uarch::OpBatch &batch, Emit &&emit)
+    {
+        size_t i = 0;
+        while (i < batch.size) {
+            const size_t left = batch.size - i;
+            if (staged_ == 0 && left >= frameOps_) {
+                emit(buf_.data(),
+                     encodeTraceFrame(batch.pc + i, batch.memAddr + i,
+                                      batch.nextPc + i, frameOps_, buf_));
+                i += frameOps_;
+                continue;
+            }
+            const size_t n = std::min(left, frameOps_ - staged_);
+            stage(batch.pc + i, batch.memAddr + i, batch.nextPc + i, n);
+            i += n;
+            if (staged_ == frameOps_)
+                finish(emit);
+        }
+    }
+
+    /** Emit the staged ops (a partial tail frame), if any. */
+    template <class Emit>
+    void
+    finish(Emit &&emit)
+    {
+        if (staged_ == 0)
+            return;
+        const size_t n = staged_;
+        staged_ = 0;
+        emit(buf_.data(), encodeTraceFrame(pc_.data(), memAddr_.data(),
+                                           nextPc_.data(), n, buf_));
+    }
+
+  private:
+    void stage(const uint64_t *pc, const uint64_t *mem_addr,
+               const uint64_t *next_pc, size_t n);
+
+    size_t frameOps_;
+    size_t staged_ = 0;
+    std::vector<uint64_t> pc_, memAddr_, nextPc_; ///< the staged frame
+    std::vector<uint8_t> buf_;                    ///< the encoded frame
+};
 
 /**
  * Decode one CASSTF2 frame into structure-of-arrays columns: parallel
@@ -177,14 +243,15 @@ class TraceStreamWriter
     const std::string &path() const { return path_; }
 
   private:
-    void flushFrame();
+    /** Write one encoded frame and record its offset in the index. */
+    void writeFrame(const uint8_t *frame, size_t bytes);
     void checkStream(const char *what) const;
 
     std::string path_;
     std::ofstream file_;
     uint32_t frameOps_;
     uint64_t numOps_ = 0;
-    std::vector<uint8_t> frame_;
+    TraceFrameBuilder frames_;
     std::vector<uint64_t> frameOffsets_;
     bool finished_ = false;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <future>
 
 #include "core/analysis_pipeline.hh"
 
@@ -93,21 +95,42 @@ generateTraces(const Workload &workload, const KmersParams &params,
     // folded accumulators never hold the raw target stream), so
     // analysis memory is O(static branches + folded RLE size) no
     // matter how many dynamic instructions the run executes. Both
-    // collectors feed one FoldedTrace::append sequence; run1's
-    // accumulators stay resident while run2 executes in either mode,
-    // preserving the peakAccumBytes accounting below.
+    // collectors feed one FoldedTrace::append sequence. The two runs
+    // share nothing (each has its own machine and accumulators), so
+    // input 1 runs beside input 0 under analysisLaunchPolicy(). Both
+    // are joined before any error propagates, and input 0's error
+    // wins, so which error surfaces never depends on timing.
     auto t0 = Clock::now();
-    FoldedRun run1 =
-        fused ? collectRunFused(workload, 0) : collectRun(workload, 0);
-    FoldedRun run2 =
-        fused ? collectRunFused(workload, 1) : collectRun(workload, 1);
+    auto collect = [&workload, fused](int which) {
+        return fused ? collectRunFused(workload, which)
+                     : collectRun(workload, which);
+    };
+    const std::launch policy = analysisLaunchPolicy();
+    std::future<FoldedRun> second = std::async(policy, collect, 1);
+    FoldedRun run1, run2;
+    std::exception_ptr error;
+    try {
+        run1 = collect(0);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    try {
+        run2 = second.get();
+    } catch (...) {
+        if (!error)
+            error = std::current_exception();
+    }
+    if (error)
+        std::rethrow_exception(error);
     out.timings.rawSec = secondsSince(t0);
 
-    // run1's accumulators stay resident while run2 executes, so the
-    // process-level peak is run1's peak or run1's footprint plus
-    // run2's peak, whichever is larger.
-    out.peakAccumBytes =
-        std::max(run1.peakBytes, run1.heldBytes + run2.peakBytes);
+    // Overlapping runs can peak together, so the process-level peak is
+    // bounded by the sum. Run one after another, run1's accumulators
+    // stay resident while run2 executes: the peak is run1's peak or
+    // run1's footprint plus run2's peak, whichever is larger.
+    out.peakAccumBytes = policy == std::launch::async
+        ? run1.peakBytes + run2.peakBytes
+        : std::max(run1.peakBytes, run1.heldBytes + run2.peakBytes);
 
     // Step A bookkeeping: the static branch set is the union of the
     // branches seen under either input.

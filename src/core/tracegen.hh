@@ -69,10 +69,12 @@ struct TraceGenResult
     TraceGenTimings timings;
     /**
      * Peak bytes held by the folded per-branch accumulators across
-     * both instrumented runs (steps A-C). O(static branches + folded
-     * RLE size) by construction — independent of the dynamic
-     * instruction count — which makes the bounded-memory claim
-     * observable per run (surfaced through RunTelemetry).
+     * both instrumented runs (steps A-C): the sum of the two runs'
+     * peaks when they overlap, else the first run's footprint plus
+     * the second's peak. O(static branches + folded RLE size) by
+     * construction — independent of the dynamic instruction count —
+     * which makes the bounded-memory claim observable per run
+     * (surfaced through RunTelemetry).
      */
     uint64_t peakAccumBytes = 0;
 
@@ -81,8 +83,10 @@ struct TraceGenResult
 };
 
 /**
- * Run Algorithm 2. With `fused` the two instrumented collection runs
- * (steps A-C) stream through the batch pipeline's branch probe
+ * Run Algorithm 2. The two instrumented collection runs (steps A-C)
+ * execute side by side under analysisLaunchPolicy(); both are joined
+ * before an error propagates, and input 0's error wins. With `fused`
+ * they stream through the batch pipeline's branch probe
  * (runFusedBranchPass) instead of the per-branch std::function probe;
  * the accumulators, the diff, and every downstream step are shared, so
  * the result — image bytes, records, peakAccumBytes — is identical.

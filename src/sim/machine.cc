@@ -1,11 +1,36 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cassandra::sim {
 
 using ir::Inst;
 using ir::Opcode;
+
+namespace {
+
+/** The little-endian value of the N bytes at `src`. */
+template <int N>
+uint64_t
+loadLe(const uint8_t *src)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < N; i++)
+        v |= static_cast<uint64_t>(src[i]) << (8 * i);
+    return v;
+}
+
+/** Store the low N bytes of `v` at `dst`, little-endian. */
+template <int N>
+void
+storeLe(uint8_t *dst, uint64_t v)
+{
+    for (int i = 0; i < N; i++)
+        dst[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+} // namespace
 
 Machine::Machine(ir::Program prog) : prog_(std::move(prog))
 {
@@ -16,7 +41,9 @@ void
 Machine::reset()
 {
     regs_.fill(0);
+    // Dropping the pages invalidates every cached page pointer.
     mem_.clear();
+    pageCache_.fill(CachedPage{});
     pc_ = prog_.entry;
     halted_ = false;
     observations.clear();
@@ -29,19 +56,31 @@ Machine::reset()
 Machine::Page &
 Machine::pageFor(uint64_t addr)
 {
-    auto &slot = mem_[addr >> pageBits];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
+    const uint64_t number = addr >> pageBits;
+    CachedPage &slot = pageCache_[number % pageCacheEntries];
+    if (slot.number == number)
+        return *slot.page;
+    auto &owned = mem_[number];
+    if (!owned) {
+        owned = std::make_unique<Page>();
+        owned->fill(0);
     }
-    return *slot;
+    slot = {number, owned.get()};
+    return *owned;
 }
 
 const Machine::Page *
 Machine::pageForRead(uint64_t addr) const
 {
-    auto it = mem_.find(addr >> pageBits);
-    return it == mem_.end() ? nullptr : it->second.get();
+    const uint64_t number = addr >> pageBits;
+    CachedPage &slot = pageCache_[number % pageCacheEntries];
+    if (slot.number == number)
+        return slot.page;
+    auto it = mem_.find(number);
+    if (it == mem_.end())
+        return nullptr;
+    slot = {number, it->second.get()};
+    return slot.page;
 }
 
 uint8_t
@@ -60,6 +99,20 @@ Machine::write8(uint64_t addr, uint8_t v)
 uint64_t
 Machine::read(uint64_t addr, int bytes) const
 {
+    const uint64_t off = addr & (pageSize - 1);
+    if (off + bytes <= pageSize) {
+        const Page *p = pageForRead(addr);
+        if (!p)
+            return 0;
+        const uint8_t *src = p->data() + off;
+        switch (bytes) {
+          case 1: return src[0];
+          case 2: return loadLe<2>(src);
+          case 4: return loadLe<4>(src);
+          case 8: return loadLe<8>(src);
+          default: break;
+        }
+    }
     uint64_t v = 0;
     for (int i = 0; i < bytes; i++)
         v |= static_cast<uint64_t>(read8(addr + i)) << (8 * i);
@@ -69,6 +122,17 @@ Machine::read(uint64_t addr, int bytes) const
 void
 Machine::write(uint64_t addr, uint64_t v, int bytes)
 {
+    const uint64_t off = addr & (pageSize - 1);
+    if (off + bytes <= pageSize) {
+        uint8_t *dst = pageFor(addr).data() + off;
+        switch (bytes) {
+          case 1: dst[0] = static_cast<uint8_t>(v); return;
+          case 2: storeLe<2>(dst, v); return;
+          case 4: storeLe<4>(dst, v); return;
+          case 8: storeLe<8>(dst, v); return;
+          default: break;
+        }
+    }
     for (int i = 0; i < bytes; i++)
         write8(addr + i, static_cast<uint8_t>(v >> (8 * i)));
 }
@@ -77,16 +141,33 @@ void
 Machine::readBytes(uint64_t addr, void *out, size_t len) const
 {
     auto *dst = static_cast<uint8_t *>(out);
-    for (size_t i = 0; i < len; i++)
-        dst[i] = read8(addr + i);
+    while (len > 0) {
+        const uint64_t off = addr & (pageSize - 1);
+        const size_t run =
+            static_cast<size_t>(std::min<uint64_t>(len, pageSize - off));
+        if (const Page *p = pageForRead(addr))
+            std::memcpy(dst, p->data() + off, run);
+        else
+            std::memset(dst, 0, run);
+        addr += run;
+        dst += run;
+        len -= run;
+    }
 }
 
 void
 Machine::writeBytes(uint64_t addr, const void *in, size_t len)
 {
     const auto *src = static_cast<const uint8_t *>(in);
-    for (size_t i = 0; i < len; i++)
-        write8(addr + i, src[i]);
+    while (len > 0) {
+        const uint64_t off = addr & (pageSize - 1);
+        const size_t run =
+            static_cast<size_t>(std::min<uint64_t>(len, pageSize - off));
+        std::memcpy(pageFor(addr).data() + off, src, run);
+        addr += run;
+        src += run;
+        len -= run;
+    }
 }
 
 bool
@@ -101,7 +182,8 @@ Machine::step()
     uint64_t cur_pc = pc_;
     uint64_t next_pc = pc_ + ir::instBytes;
     uint64_t mem_addr = 0;
-    bool crypto = prog_.isCryptoPc(cur_pc);
+    // The crypto tag only labels contract observations.
+    const bool crypto = recordObservations && prog_.isCryptoPc(cur_pc);
 
     uint64_t a = regs_[inst.rs1];
     uint64_t b = regs_[inst.rs2];

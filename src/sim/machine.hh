@@ -82,7 +82,17 @@ struct RunResult
     bool halted = false;
 };
 
-/** The architectural machine: registers, paged memory, and a PC. */
+/**
+ * The architectural machine: registers, paged memory, and a PC.
+ *
+ * Memory is a map of 4 KiB pages behind a small direct-mapped cache of
+ * page pointers (pages never move, so a cached pointer stays valid
+ * until reset() drops the pages and flushes the cache). An access
+ * that stays within one page costs one cache probe; page-crossing
+ * accesses fall back to byte steps. Const reads fill the cache too,
+ * so a Machine is single-threaded: no member, const or not, may run
+ * concurrently with another on the same object.
+ */
 class Machine
 {
   public:
@@ -91,6 +101,10 @@ class Machine
 
     /** The machine keeps its own copy of the program. */
     explicit Machine(ir::Program prog);
+
+    // The page cache points into this machine's own page map.
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
 
     /** Reset registers, PC and memory to the program's initial image. */
     void reset();
@@ -108,7 +122,8 @@ class Machine
     void setArg(int i, uint64_t v) { setReg(ir::regA0 + i, v); }
     uint64_t arg(int i) const { return regs_[ir::regA0 + i]; }
 
-    // Byte-granularity memory interface (little-endian).
+    // Little-endian memory interface; unmapped pages read as zero
+    // (reads never allocate).
     uint8_t read8(uint64_t addr) const;
     void write8(uint64_t addr, uint8_t v);
     uint64_t read(uint64_t addr, int bytes) const;
@@ -175,9 +190,19 @@ class Machine
   private:
     static constexpr uint64_t pageBits = 12;
     static constexpr uint64_t pageSize = 1ull << pageBits;
+    static constexpr size_t pageCacheEntries = 64;
     using Page = std::array<uint8_t, pageSize>;
 
+    /** One direct-mapped cache slot: a page number and its page. */
+    struct CachedPage
+    {
+        uint64_t number = ~0ull;
+        Page *page = nullptr;
+    };
+
+    /** The page holding `addr`, allocated (zeroed) on first touch. */
     Page &pageFor(uint64_t addr);
+    /** The page holding `addr`, or nullptr when it was never written. */
     const Page *pageForRead(uint64_t addr) const;
 
     const ir::Program prog_;
@@ -185,6 +210,7 @@ class Machine
     uint64_t pc_ = 0;
     bool halted_ = false;
     std::unordered_map<uint64_t, std::unique_ptr<Page>> mem_;
+    mutable std::array<CachedPage, pageCacheEntries> pageCache_{};
 };
 
 } // namespace cassandra::sim

@@ -14,6 +14,7 @@
 #include "core/experiment.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -262,8 +263,7 @@ TEST(SerializeArtifactTest, FileRoundTrip)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    const std::string path =
-        testing::TempDir() + "/chacha20_ct.aw";
+    const std::string path = test::scratchPath("chacha20_ct.aw");
     core::saveAnalyzedWorkload(*artifact, path);
     auto reloaded = core::loadAnalyzedWorkload(path, resolver);
     expectEqualResults(Simulation(reloaded).run(Scheme::Cassandra),

@@ -145,6 +145,186 @@ TEST(SimTest, MemoryRoundTrip)
     }), 0xdeadbeefu);
 }
 
+// ---------------------------------------------------------------------
+// Machine memory: the page cache, word-width accesses, page crossings
+// ---------------------------------------------------------------------
+
+/** A machine over a program that only halts, plus `data` as its data
+ * image (8-byte words). */
+sim::Machine
+memoryMachine(const std::vector<uint64_t> &data = {})
+{
+    Assembler as;
+    if (!data.empty()) {
+        as.allocData("image", data.size() * 8);
+        for (size_t i = 0; i < data.size(); i++)
+            as.setData64("image", i, data[i]);
+    }
+    as.beginFunction("main", false);
+    as.halt();
+    as.endFunction();
+    return sim::Machine(as.finalize());
+}
+
+constexpr uint64_t kPage = 4096;
+constexpr uint64_t kValue = 0x8877665544332211ull;
+
+uint64_t
+lowBytes(uint64_t v, int bytes)
+{
+    return bytes == 8 ? v : v & ((1ull << (8 * bytes)) - 1);
+}
+
+TEST(SimMemoryTest, EveryWidthAtPageEndNextToMappedAndUnmappedPages)
+{
+    // Base pages far from the program image; each case gets its own
+    // pair so "never written" really means never written.
+    uint64_t base = 0x40000000;
+    for (const bool next_mapped : {true, false}) {
+        for (const int bytes : {1, 2, 4, 8}) {
+            for (uint64_t off = kPage - 3; off < kPage; off++) {
+                SCOPED_TRACE("bytes=" + std::to_string(bytes) +
+                             " off=" + std::to_string(off) +
+                             " next_mapped=" + std::to_string(next_mapped));
+                base += 2 * kPage;
+                sim::Machine m = memoryMachine();
+                const uint64_t addr = base + off;
+                m.write8(base, 0x5a); // map the access's first page
+                if (next_mapped)
+                    m.write8(base + kPage + 16, 0xa5);
+
+                // A load before the store sees the zero-filled tail of
+                // the first page and zeros (or the unwritten part) of
+                // the second, whether or not it is mapped.
+                EXPECT_EQ(m.read(addr, bytes), 0u);
+
+                m.write(addr, kValue, bytes);
+                EXPECT_EQ(m.read(addr, bytes), lowBytes(kValue, bytes));
+                for (int i = 0; i < bytes; i++)
+                    EXPECT_EQ(m.read8(addr + i),
+                              static_cast<uint8_t>(kValue >> (8 * i)))
+                        << "byte " << i;
+                // Neighbours are untouched.
+                EXPECT_EQ(m.read8(addr - 1), 0u);
+                EXPECT_EQ(m.read8(addr + bytes), 0u);
+                EXPECT_EQ(m.read8(base), 0x5au);
+                EXPECT_EQ(m.read8(base + kPage + 16),
+                          next_mapped ? 0xa5u : 0u);
+            }
+        }
+    }
+}
+
+TEST(SimMemoryTest, PageCrossingLoadsAndStoresThroughTheIsa)
+{
+    // The interpreter's ld/lw/lh/lb and sd/sw/sh/sb across the end of
+    // a data page: the data image is page-aligned, so offsets
+    // 4093..4095 of a two-page buffer straddle its first boundary.
+    for (int64_t off = kPage - 3; off < static_cast<int64_t>(kPage);
+         off++) {
+        SCOPED_TRACE("off=" + std::to_string(off));
+        EXPECT_EQ(runA0([&](Assembler &as) {
+            as.allocData("buf", 2 * kPage);
+            as.la(20, "buf");
+            as.li(21, static_cast<int64_t>(kValue));
+            as.sd(21, 20, off);
+            as.ld(10, 20, off);
+        }), kValue);
+        EXPECT_EQ(runA0([&](Assembler &as) {
+            as.allocData("buf", 2 * kPage);
+            as.la(20, "buf");
+            as.li(21, static_cast<int64_t>(kValue));
+            as.sw(21, 20, off);
+            as.lw(10, 20, off);
+        }), lowBytes(kValue, 4));
+        EXPECT_EQ(runA0([&](Assembler &as) {
+            as.allocData("buf", 2 * kPage);
+            as.la(20, "buf");
+            as.li(21, static_cast<int64_t>(kValue));
+            as.sh(21, 20, off);
+            as.lh(10, 20, off);
+        }), lowBytes(kValue, 2));
+        EXPECT_EQ(runA0([&](Assembler &as) {
+            as.allocData("buf", 2 * kPage);
+            as.la(20, "buf");
+            as.li(21, static_cast<int64_t>(kValue));
+            as.sb(21, 20, off);
+            as.lb(10, 20, off);
+        }), lowBytes(kValue, 1));
+    }
+}
+
+TEST(SimMemoryTest, NeverWrittenPagesReadZero)
+{
+    sim::Machine m = memoryMachine();
+    const uint64_t addr = 0x50000000;
+    EXPECT_EQ(m.read8(addr), 0u);
+    for (const int bytes : {1, 2, 4, 8})
+        EXPECT_EQ(m.read(addr + kPage - 2, bytes), 0u) << bytes;
+    std::vector<uint8_t> out(3 * kPage, 0xff);
+    m.readBytes(addr - 100, out.data(), out.size());
+    for (size_t i = 0; i < out.size(); i++)
+        ASSERT_EQ(out[i], 0u) << "byte " << i;
+
+    // A read next to a written page mixes its bytes with zeros.
+    m.write8(addr + kPage - 1, 0x7e);
+    EXPECT_EQ(m.read(addr + kPage - 1, 8), 0x7eu);
+    m.readBytes(addr + kPage - 2, out.data(), 4);
+    EXPECT_EQ(out[0], 0u);
+    EXPECT_EQ(out[1], 0x7eu);
+    EXPECT_EQ(out[2], 0u);
+    EXPECT_EQ(out[3], 0u);
+}
+
+TEST(SimMemoryTest, BulkCopiesSpanPages)
+{
+    sim::Machine m = memoryMachine();
+    std::vector<uint8_t> in(3 * kPage + 123);
+    for (size_t i = 0; i < in.size(); i++)
+        in[i] = static_cast<uint8_t>(i * 31 + 7);
+    const uint64_t addr = 0x60000000 + kPage - 17;
+    m.writeBytes(addr, in.data(), in.size());
+    std::vector<uint8_t> out(in.size());
+    m.readBytes(addr, out.data(), out.size());
+    EXPECT_EQ(out, in);
+    for (size_t i = 0; i < in.size(); i += 997)
+        EXPECT_EQ(m.read8(addr + i), in[i]) << "byte " << i;
+    EXPECT_EQ(m.read8(addr - 1), 0u);
+    EXPECT_EQ(m.read8(addr + in.size()), 0u);
+}
+
+TEST(SimMemoryTest, ResetAfterAliasingPagesRestoresTheImage)
+{
+    // More pages than page-cache entries, so cache slots alias; reset
+    // must drop every page and every cached pointer to one (a stale
+    // entry would read freed memory, which the sanitizer legs catch).
+    const std::vector<uint64_t> image = {0x1111, 0x2222, 0x3333};
+    sim::Machine m = memoryMachine(image);
+    const uint64_t data = ir::Program::dataBase;
+    for (size_t i = 0; i < image.size(); i++)
+        ASSERT_EQ(m.read64(data + 8 * i), image[i]);
+
+    constexpr int kPages = 200;
+    const uint64_t base = 0x70000000;
+    for (int round = 0; round < 2; round++) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        m.write64(data, 0xdead);
+        for (int p = 0; p < kPages; p++)
+            m.write64(base + p * kPage + 8, 0xc0de0000u + p);
+        for (int p = 0; p < kPages; p++)
+            ASSERT_EQ(m.read64(base + p * kPage + 8), 0xc0de0000u + p);
+
+        m.reset();
+        for (size_t i = 0; i < image.size(); i++)
+            EXPECT_EQ(m.read64(data + 8 * i), image[i]) << i;
+        for (int p = 0; p < kPages; p++) {
+            ASSERT_EQ(m.read64(base + p * kPage + 8), 0u) << "page " << p;
+            ASSERT_EQ(m.read8(base + p * kPage), 0u) << "page " << p;
+        }
+        EXPECT_EQ(m.reg(ir::regSp), ir::Program::stackTop);
+    }
+}
+
 TEST(SimTest, DataImageInitialization)
 {
     Assembler as;

@@ -30,6 +30,7 @@
 #include "core/result_store.hh"
 #include "core/serialize.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -237,7 +238,7 @@ TEST(CellResultsTest, CorruptSetsAreRejected)
 
     // File-level loads reject the same way (the coordinator's merge
     // treats this as a shard failure and retries).
-    const std::string path = testing::TempDir() + "/corrupt.crs";
+    const std::string path = test::scratchPath("corrupt.crs");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(bad_magic.data()),
@@ -445,7 +446,7 @@ TEST(ShardSchedulerTest, LptBeatsContiguousOnSkewedSmokeConfig)
 
     // Record the real per-cell cycle counts into a fresh store.
     const std::string dir =
-        testing::TempDir() + "/skewed-cost-store";
+        test::scratchPath("skewed-cost-store");
     RunnerOptions options;
     options.cacheMode = core::CacheMode::On;
     options.cacheDir = dir;

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "core/experiment_config.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -232,7 +233,7 @@ TEST(ExperimentConfigTest, CacheAndSchedulerParse)
 TEST(ExperimentConfigTest, LoadFromFile)
 {
     const std::string path =
-        testing::TempDir() + "/experiment_config_test.json";
+        test::scratchPath("experiment_config_test.json");
     {
         std::ofstream file(path);
         file << R"({"workloads": ["ChaCha20_ct"],

@@ -399,14 +399,14 @@ TEST(FusedArtifact, StreamFileBytesIdentical)
 {
     AnalyzeOptions options;
     options.traceMode = TraceMode::Stream;
-    options.streamDir = testing::TempDir() + "/fused-stream";
+    options.streamDir = test::scratchPath("fused-stream");
     const auto fused = AnalyzedWorkload::analyze(
         workload("synthetic/chacha20/75"), options);
 
     // The reference file: the scalar recordTrace sink feeding a
     // writer one op at a time.
     const core::Workload w = workload("synthetic/chacha20/75");
-    const std::string refPath = testing::TempDir() + "/fused-stream-ref";
+    const std::string refPath = test::scratchPath("fused-stream-ref");
     TraceStreamWriter writer(refPath, core::programFingerprint(w.program));
     uarch::recordTrace(w, 2, [&](const uarch::TimingOp &op) {
         writer.append(op);
@@ -419,6 +419,52 @@ TEST(FusedArtifact, StreamFileBytesIdentical)
     // op at a time; the container bytes must not differ.
     EXPECT_EQ(readFile(fused->streamPath()), readFile(refPath));
     std::remove(refPath.c_str());
+}
+
+TEST(FusedArtifact, StreamModeAllPhasesParity)
+{
+    // Stream mode, every phase, a kernel with secret regions: the op
+    // pass feeds the stream writer and the taint walk while both
+    // Algorithm 2 input runs execute beside it. Each output must match
+    // its free-function reference.
+    const char *name = "DES_ct";
+    AnalyzeOptions options;
+    options.traceMode = TraceMode::Stream;
+    options.phases = core::allAnalysisPhases;
+    options.streamDir = test::scratchPath("fused-all-phases");
+    const auto fused = AnalyzedWorkload::analyze(workload(name), options);
+    ASSERT_TRUE(fused->streamed());
+    EXPECT_TRUE(fused->hasTimingTrace());
+    EXPECT_TRUE(fused->hasTraceImage());
+    EXPECT_TRUE(fused->hasTaintBitmap());
+
+    const core::Workload w = workload(name);
+    const uarch::TimingTrace refTrace = uarch::recordTrace(w, 2);
+
+    // Stream bytes: a writer fed one op at a time.
+    const std::string refPath =
+        test::scratchPath("fused-all-phases-ref.trace");
+    TraceStreamWriter writer(refPath, core::programFingerprint(w.program));
+    for (const uarch::TimingOp &op : refTrace)
+        writer.append(op);
+    writer.finish();
+    EXPECT_EQ(fused->numOps(), refTrace.size());
+    EXPECT_EQ(readFile(fused->streamPath()), readFile(refPath));
+
+    // Taint bits.
+    uarch::TraceSpanSource refSrc(refTrace);
+    const uarch::TaintBitmap refTaint = uarch::computeTaintBitmap(
+        refSrc, w.secretRegions, refTrace.size());
+    const uarch::TaintBitmap &tf = fused->taintBitmap();
+    ASSERT_EQ(tf.size(), refTaint.size());
+    EXPECT_GT(tf.count(), 0u);
+    for (size_t i = 0; i < tf.size(); i++)
+        ASSERT_EQ(tf.test(i), refTaint.test(i)) << "op " << i;
+
+    // Algorithm 2 image.
+    expectSameTraceGen(fused->traces(),
+                       core::generateTraces(w, {}, /*fused=*/false),
+                       "stream image");
 }
 
 // ---------------------------------------------------------------------

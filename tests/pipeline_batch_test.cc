@@ -18,6 +18,7 @@
 #include "core/trace_stream.hh"
 #include "uarch/pipeline.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -96,8 +97,8 @@ std::string
 writeStream(const core::Workload &w, const TimingTrace &trace,
             uint32_t frame_ops)
 {
-    const std::string path = testing::TempDir() + "/batch-" +
-        std::to_string(frame_ops) + ".trace";
+    const std::string path =
+        test::scratchPath("batch-" + std::to_string(frame_ops) + ".trace");
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
                              frame_ops);
     for (const auto &op : trace)
@@ -267,7 +268,7 @@ TEST(BatchParityTest, StreamSourceMatchesScalarAcrossSchemes)
 {
     core::AnalyzeOptions options;
     options.traceMode = core::TraceMode::Stream;
-    options.streamDir = testing::TempDir() + "/batch-parity-streams";
+    options.streamDir = test::scratchPath("batch-parity-streams");
     auto aw = AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
     for (Scheme scheme : allSchemes) {
         SCOPED_TRACE(uarch::schemeName(scheme));

@@ -199,7 +199,7 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
 TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = testing::TempDir() + "/snap-stream";
+    const std::string dir = test::scratchPath("snap-stream");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     const std::string path = dir + "/chacha20.aw";
 
@@ -229,7 +229,7 @@ TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
 
 TEST(StreamSnapshotTest, SnapshotsAreMuchSmallerThanRawOps)
 {
-    const std::string dir = testing::TempDir() + "/snap-size";
+    const std::string dir = test::scratchPath("snap-size");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     core::saveAnalyzedWorkload(*artifact, dir + "/stream.aw",
                                "ChaCha20_ct");
@@ -243,7 +243,7 @@ TEST(StreamSnapshotTest, EmbeddedRevisionOneStreamIsRejected)
     // A streamed snapshot whose embedded stream is in the retired
     // raw-frame container must fail with the typed eviction error.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = testing::TempDir() + "/snap-revision1";
+    const std::string dir = test::scratchPath("snap-revision1");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
 
@@ -275,7 +275,7 @@ TEST(StreamSnapshotTest, EmbeddedRevisionOneStreamIsRejected)
 TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = testing::TempDir() + "/snap-bytes";
+    const std::string dir = test::scratchPath("snap-bytes");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
     auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
@@ -291,7 +291,7 @@ TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
 TEST(StreamSnapshotTest, CorruptEmbeddedStreamIsRejectedOnLoad)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = testing::TempDir() + "/snap-corrupt";
+    const std::string dir = test::scratchPath("snap-corrupt");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     const std::string path = dir + "/corrupt.aw";
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
@@ -333,7 +333,7 @@ TEST(StreamSnapshotTest, CorruptEmbeddedStreamIsRejectedOnLoad)
 TEST(StreamSnapshotTest, ImageSurvivesStreamedSnapshot)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = testing::TempDir() + "/snap-image";
+    const std::string dir = test::scratchPath("snap-image");
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     (void)artifact->traces(); // run Algorithm 2 so it snapshots
     const std::string path = dir + "/image.aw";

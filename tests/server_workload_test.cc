@@ -18,6 +18,7 @@
 #include "core/tracegen.hh"
 #include "core/workload.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -120,7 +121,8 @@ TEST(ServerWorkloadTest, StreamAnalysisNeverMaterializesWholeTrace)
 {
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
-    opts.streamDir = testing::TempDir() + "/server-stream";
+    const std::string dir = test::scratchPath("server-stream");
+    opts.streamDir = dir;
     auto artifact = AnalyzedWorkload::analyze(
         WorkloadRegistry::global().make("server/tls/64"), opts);
     ASSERT_TRUE(artifact->streamed());
@@ -135,13 +137,11 @@ TEST(ServerWorkloadTest, StreamAnalysisNeverMaterializesWholeTrace)
 
     // Snapshot round trip moves stream bytes only — no inline op is
     // ever written or read for a streamed server artifact.
-    const std::string path =
-        testing::TempDir() + "/server-stream/tls64.aw";
+    const std::string path = dir + "/tls64.aw";
     const core::SnapshotIoStats before = core::snapshotIoStats();
     core::saveAnalyzedWorkload(*artifact, path, "server/tls/64");
     auto reloaded = core::loadAnalyzedWorkload(
-        path, WorkloadRegistry::global().resolver(),
-        testing::TempDir() + "/server-stream");
+        path, WorkloadRegistry::global().resolver(), dir);
     const core::SnapshotIoStats after = core::snapshotIoStats();
     EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
     EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);

@@ -143,7 +143,7 @@ TEST(TraceStreamTest, RoundTripBothBackings)
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
     // A small frame size forces multi-frame files + index use.
-    const std::string path = testing::TempDir() + "/chacha20.trace";
+    const std::string path = test::scratchPath("chacha20.trace");
     writeStream(path, w, trace);
     for (auto backing : {TraceCursor::Backing::Buffered,
                          TraceCursor::Backing::Auto}) {
@@ -170,7 +170,7 @@ TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
 {
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string path = testing::TempDir() + "/size.trace";
+    const std::string path = test::scratchPath("size.trace");
     writeStream(path, w, trace, core::traceStreamDefaultFrameOps);
     const size_t size = readFile(path).size();
     // The bar is >= 2x below 24 B/op; real instruction streams
@@ -183,7 +183,7 @@ TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
 TEST(TraceStreamTest, FingerprintGuardsStaleStreams)
 {
     core::Workload w = workload("ChaCha20_ct");
-    const std::string path = testing::TempDir() + "/stale.trace";
+    const std::string path = test::scratchPath("stale.trace");
     {
         TraceStreamWriter writer(path, /*fingerprint=*/0xdeadbeef);
         writer.finish();
@@ -194,7 +194,7 @@ TEST(TraceStreamTest, FingerprintGuardsStaleStreams)
 
 TEST(TraceStreamTest, RejectsForeignFiles)
 {
-    const std::string path = testing::TempDir() + "/not_a_trace.bin";
+    const std::string path = test::scratchPath("not_a_trace.bin");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -211,47 +211,100 @@ TEST(TraceStreamTest, RejectsForeignFiles)
 // CASSTF2 frame codec
 // ---------------------------------------------------------------------
 
-/** decodeTraceFrameSoA of `frame`, re-serialized to raw 24 B/op bytes
- * so it compares directly against the encoder's input. */
+/** pc / memAddr / nextPc columns of a short op sequence. */
+struct OpColumns
+{
+    std::vector<uint64_t> pc, mem, next;
+
+    void
+    push(uint64_t p, uint64_t m, uint64_t n)
+    {
+        pc.push_back(p);
+        mem.push_back(m);
+        next.push_back(n);
+    }
+
+    size_t size() const { return pc.size(); }
+
+    bool
+    operator==(const OpColumns &o) const
+    {
+        return pc == o.pc && mem == o.mem && next == o.next;
+    }
+
+    /** Columns [lo, hi) as a batch view (pc/memAddr/nextPc only). */
+    uarch::OpBatch
+    view(size_t lo, size_t hi) const
+    {
+        uarch::OpBatch b;
+        b.pc = pc.data() + lo;
+        b.memAddr = mem.data() + lo;
+        b.nextPc = next.data() + lo;
+        b.size = hi - lo;
+        return b;
+    }
+};
+
+/** encodeTraceFrame of columns [lo, hi), as exactly the frame bytes. */
 std::vector<uint8_t>
-decodeToRaw(const std::vector<uint8_t> &frame, size_t frame_len,
+encodeFrame(const OpColumns &ops, size_t lo, size_t hi)
+{
+    std::vector<uint8_t> buf;
+    const size_t len =
+        core::encodeTraceFrame(ops.pc.data() + lo, ops.mem.data() + lo,
+                               ops.next.data() + lo, hi - lo, buf);
+    buf.resize(len);
+    return buf;
+}
+
+std::vector<uint8_t>
+encodeFrame(const OpColumns &ops)
+{
+    return encodeFrame(ops, 0, ops.size());
+}
+
+/** decodeTraceFrameSoA of `frame` back into columns. */
+OpColumns
+decodeFrame(const std::vector<uint8_t> &frame, size_t frame_len,
             size_t ops)
 {
-    std::vector<uint64_t> pc(ops), mem(ops), next(ops);
-    core::decodeTraceFrameSoA(frame.data(), frame_len, ops, pc.data(),
-                              mem.data(), next.data());
-    std::vector<uint8_t> raw(ops * core::traceStreamOpBytes);
-    for (size_t i = 0; i < ops; i++) {
-        putLe64(raw, i * 24, pc[i]);
-        putLe64(raw, i * 24 + 8, mem[i]);
-        putLe64(raw, i * 24 + 16, next[i]);
+    OpColumns out;
+    out.pc.resize(ops);
+    out.mem.resize(ops);
+    out.next.resize(ops);
+    core::decodeTraceFrameSoA(frame.data(), frame_len, ops, out.pc.data(),
+                              out.mem.data(), out.next.data());
+    return out;
+}
+
+std::string
+hex(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const uint8_t b : bytes) {
+        out.push_back(digits[b >> 4]);
+        out.push_back(digits[b & 15]);
     }
-    return raw;
+    return out;
 }
 
 TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
 {
     // A straight-line instruction stream: pc chains, nextPc is the
     // fall-through, memAddr walks an array. Near-best case for delta.
-    std::vector<uint8_t> raw;
+    OpColumns ops;
     uint64_t pc = 0x10000;
     for (int i = 0; i < 1000; i++) {
-        uint8_t op[24] = {0};
-        for (int b = 0; b < 8; b++) {
-            op[b] = static_cast<uint8_t>(pc >> (8 * b));
-            op[8 + b] =
-                static_cast<uint8_t>((0x20000 + i * 8ull) >> (8 * b));
-            op[16 + b] = static_cast<uint8_t>((pc + 4) >> (8 * b));
-        }
-        raw.insert(raw.end(), op, op + 24);
+        ops.push(pc, 0x20000 + i * 8ull, pc + 4);
         pc += 4;
     }
-    auto frame = core::encodeTraceFrame(raw);
+    auto frame = encodeFrame(ops);
     ASSERT_GE(frame.size(), 5u);
     EXPECT_EQ(frame[0], 1u) << "sequential ops must pick delta";
-    EXPECT_LT(frame.size() * 4, raw.size())
+    EXPECT_LT(frame.size() * 4, ops.size() * core::traceStreamOpBytes)
         << "sequential ops should compress at least 4x";
-    EXPECT_EQ(decodeToRaw(frame, frame.size(), 1000), raw);
+    EXPECT_EQ(decodeFrame(frame, frame.size(), 1000), ops);
 }
 
 TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
@@ -259,33 +312,101 @@ TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
     // All three fields random: every delta costs ~10 varint bytes, so
     // the encoder must keep the 24 B/op raw representation.
     std::mt19937_64 rng(7);
-    std::vector<uint8_t> raw(24 * 512);
-    for (uint8_t &b : raw)
-        b = static_cast<uint8_t>(rng());
-    auto frame = core::encodeTraceFrame(raw);
+    OpColumns ops;
+    for (int i = 0; i < 512; i++) {
+        const uint64_t p = rng(), m = rng();
+        ops.push(p, m, rng());
+    }
+    auto frame = encodeFrame(ops);
     ASSERT_GE(frame.size(), 5u);
     EXPECT_EQ(frame[0], 0u) << "incompressible ops must stay raw";
-    EXPECT_EQ(frame.size(), raw.size() + 5);
-    EXPECT_EQ(decodeToRaw(frame, frame.size(), 512), raw);
+    EXPECT_EQ(frame.size(), ops.size() * core::traceStreamOpBytes + 5);
+    EXPECT_EQ(decodeFrame(frame, frame.size(), 512), ops);
 }
 
 TEST(TraceFrameCodecTest, CorruptFramesAreTyped)
 {
-    std::vector<uint8_t> raw(24 * 8, 0x11);
-    auto frame = core::encodeTraceFrame(raw);
+    OpColumns ops;
+    for (int i = 0; i < 8; i++)
+        ops.push(0x1111111111111111ull, 0x1111111111111111ull,
+                 0x1111111111111111ull);
+    auto frame = encodeFrame(ops);
     // Truncated below the frame header.
-    EXPECT_THROW(decodeToRaw(frame, 4, 8), core::ArtifactFormatError);
+    EXPECT_THROW(decodeFrame(frame, 4, 8), core::ArtifactFormatError);
     // Payload length beyond the available bytes.
-    EXPECT_THROW(decodeToRaw(frame, frame.size() - 1, 8),
+    EXPECT_THROW(decodeFrame(frame, frame.size() - 1, 8),
                  core::ArtifactFormatError);
     // Unknown encoding kind.
     auto bad_kind = frame;
     bad_kind[0] = 9;
-    EXPECT_THROW(decodeToRaw(bad_kind, bad_kind.size(), 8),
+    EXPECT_THROW(decodeFrame(bad_kind, bad_kind.size(), 8),
                  core::ArtifactFormatError);
-    // Wrong op count for a raw frame.
-    EXPECT_THROW(decodeToRaw(frame, frame.size(), 7),
+    // Wrong op count for the frame.
+    EXPECT_THROW(decodeFrame(frame, frame.size(), 7),
                  core::ArtifactFormatError);
+}
+
+TEST(TraceFrameCodecTest, EncoderBytesArePinned)
+{
+    // Four straight-line ops with loads and a taken branch (a delta
+    // frame), four ops whose deltas need ~10-byte varints (raw: delta
+    // would not beat 24 B/op), and one tail op (a short delta frame).
+    // The hex below is the output of the byte-staging encoder this
+    // column encoder replaced; stream files and CASSAW4 snapshots must
+    // not change by a byte.
+    OpColumns ops;
+    ops.push(0x10000, 0, 0x10004);
+    ops.push(0x10004, 0x100000, 0x10008);
+    ops.push(0x10008, 0x100008, 0x10040);
+    ops.push(0x10040, 0x7fffff8, 0x10044);
+    ops.push(0x8000000000000010ull, 0x8000000000000020ull, 0);
+    ops.push(0x9000000000000000ull, 0x10, 0);
+    ops.push(0xa000000000000008ull, 0xf000000000000000ull, 0);
+    ops.push(0xc000000000000004ull, 0x18, 0);
+    ops.push(0x10000, 0, 0x10004);
+
+    const std::string delta =
+        "0114000000808004000000808080010000106800e0ffff7e00";
+    const std::string raw = "0060000000"
+                            "1000000000000080200000000000008000000000"
+                            "0000000000000000000000901000000000000000"
+                            "000000000000000008000000000000a000000000"
+                            "000000f0000000000000000004000000000000c0"
+                            "18000000000000000000000000000000";
+    const std::string tail = "01050000008080040000";
+    EXPECT_EQ(hex(encodeFrame(ops, 0, 4)), delta);
+    EXPECT_EQ(hex(encodeFrame(ops, 4, 8)), raw);
+    EXPECT_EQ(hex(encodeFrame(ops, 8, 9)), tail);
+
+    // The same ops through the writer, as whole batches (each frame
+    // encoded straight from the columns) and one op at a time (staged):
+    // header, frames, index and footer are pinned too.
+    const std::string header = "434153535446320a" // magic
+                               "02000000"         // version
+                               "04000000"         // frameOps
+                               "8877665544332211" // fingerprint
+                               "0900000000000000"; // numOps
+    const std::string index = "2000000000000000" // frame offsets
+                              "3900000000000000"
+                              "9e00000000000000"
+                              "a800000000000000" // indexPos
+                              "0300000000000000"; // numFrames
+    const std::string file = header + delta + raw + tail + index;
+    const std::string path = test::scratchPath("pinned.trace");
+    for (const bool batched : {true, false}) {
+        SCOPED_TRACE(batched ? "batched" : "op by op");
+        TraceStreamWriter writer(path, 0x1122334455667788ull, 4);
+        if (batched) {
+            writer.appendBatch(ops.view(0, 6));
+            writer.appendBatch(ops.view(6, 9));
+        } else {
+            for (size_t i = 0; i < ops.size(); i++)
+                writer.appendBatch(ops.view(i, i + 1));
+        }
+        writer.finish();
+        EXPECT_EQ(hex(readFile(path)), file);
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -298,7 +419,7 @@ TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
     // loudly at open instead of replaying.
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string path = testing::TempDir() + "/revision1.trace";
+    const std::string path = test::scratchPath("revision1.trace");
     writeFile(path, test::casstf1Bytes(core::programFingerprint(w.program),
                                        trace, 256));
     EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
@@ -312,7 +433,7 @@ class CorruptStreamTest : public ::testing::Test
     {
         w_ = workload("ChaCha20_ct");
         trace_ = uarch::recordTrace(w_, 2);
-        path_ = testing::TempDir() + "/corrupt.trace";
+        path_ = test::scratchPath("corrupt.trace");
         writeStream(path_, w_, trace_);
         bytes_ = readFile(path_);
     }
@@ -383,7 +504,7 @@ TEST_F(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
     // validation and then attempt a numFrames-sized allocation. The
     // cursor must bound numFrames against the file length *before*
     // sizing anything from it.
-    const std::string path = testing::TempDir() + "/overflow.trace";
+    const std::string path = test::scratchPath("overflow.trace");
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 6);
     writeStream(path, w_, small, /*frame_ops=*/1);
     auto bytes = readFile(path);
@@ -404,7 +525,7 @@ TEST_F(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
     // to ~4 billion passes every frame-count/offset check (one frame
     // either way) and used to size a ~96 GB frame buffer from the
     // untrusted field; the cursor must reject the size fields first.
-    const std::string path = testing::TempDir() + "/frameops.trace";
+    const std::string path = test::scratchPath("frameops.trace");
     uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
     writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
     auto bytes = readFile(path);
@@ -484,7 +605,7 @@ TEST(TraceStreamPathTest, DistinctProgramsGetDistinctStreamFiles)
     second.name = "a_b";
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
-    opts.streamDir = testing::TempDir() + "/collide";
+    opts.streamDir = test::scratchPath("collide");
     auto a = AnalyzedWorkload::analyze(std::move(first), opts);
     auto b = AnalyzedWorkload::analyze(std::move(second), opts);
     ASSERT_NE(a->streamPath(), b->streamPath());
@@ -526,7 +647,7 @@ TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
         Simulation whole_sim(whole);
         AnalyzeOptions stream_opts;
         stream_opts.traceMode = TraceMode::Stream;
-        stream_opts.streamDir = testing::TempDir() + "/stream-parity";
+        stream_opts.streamDir = test::scratchPath("stream-parity");
         auto streamed =
             AnalyzedWorkload::analyze(workload(name), stream_opts);
         ASSERT_TRUE(streamed->streamed());
@@ -686,7 +807,7 @@ TEST(TraceStreamTest, StreamConfigRunsThroughRunnerIdentically)
     cfg.traceMode = TraceMode::Stream;
     m.configs = {cfg};
     AnalyzeOptions analyze;
-    analyze.streamDir = testing::TempDir() + "/stream-runner";
+    analyze.streamDir = test::scratchPath("stream-runner");
     auto streamed =
         ExperimentRunner(resolver, RunnerOptions{2, analyze}).run(m);
 
@@ -713,7 +834,7 @@ TEST(TraceStreamTest, UnfinishedWriterWritesNoFooter)
     // the ops it happened to receive.
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
-    const std::string path = testing::TempDir() + "/unfinished.trace";
+    const std::string path = test::scratchPath("unfinished.trace");
     {
         TraceStreamWriter writer(path, core::programFingerprint(w.program),
                                  /*frame_ops=*/256);
@@ -731,12 +852,29 @@ TEST(TraceStreamTest, FailedStreamRecordingRemovesPartialFile)
     w.maxDynInsts = 40000;
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
-    opts.streamDir = testing::TempDir() + "/stream-budget";
+    opts.streamDir = test::scratchPath("stream-budget");
     const std::string path = core::traceStreamPath(
         opts.streamDir, w.name, core::programFingerprint(w.program));
     auto artifact = AnalyzedWorkload::analyze(std::move(w), opts);
     EXPECT_THROW(artifact->numOps(), core::InstructionBudgetError);
     EXPECT_FALSE(fileExists(path)) << path;
+
+    // Every phase at once: Algorithm 2's two input runs exhaust the
+    // same budget beside the recording pass. All three are joined and
+    // the recording pass's error surfaces, on every call (a failed
+    // phase is not cached).
+    for (int call = 0; call < 2; call++) {
+        SCOPED_TRACE("call " + std::to_string(call));
+        try {
+            artifact->ensurePhases(core::allAnalysisPhases);
+            ADD_FAILURE() << "ensurePhases did not throw";
+        } catch (const core::InstructionBudgetError &e) {
+            EXPECT_NE(std::string(e.what()).find("timing trace"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(fileExists(path)) << path;
+    }
     artifact.reset();
     EXPECT_FALSE(fileExists(path)) << path;
 }
@@ -745,7 +883,7 @@ TEST(TraceStreamTest, StreamFileReclaimedWithArtifact)
 {
     AnalyzeOptions opts;
     opts.traceMode = TraceMode::Stream;
-    opts.streamDir = testing::TempDir() + "/stream-reclaim";
+    opts.streamDir = test::scratchPath("stream-reclaim");
     std::string path;
     {
         auto artifact =

@@ -1,21 +1,63 @@
 /**
  * @file
- * Helpers shared by the trace-layer test suites: TimingOp structs
- * drained from an artifact's replay source, and a hand-built file of
- * the retired raw-frame stream container (revision 1), which readers
- * must reject.
+ * Helpers shared by the trace-layer test suites: process-unique
+ * scratch paths, TimingOp structs drained from an artifact's replay
+ * source, and a hand-built file of the retired raw-frame stream
+ * container (revision 1), which readers must reject.
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
 #define CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/analyzed_workload.hh"
+#include "core/trace_stream.hh"
 #include "uarch/pipeline.hh"
 
 namespace cassandra::test {
+
+/**
+ * A scratch file or directory path under testing::TempDir(): `name`
+ * with core::processUniqueSuffix() inserted before its extension
+ * ("chacha20.trace" -> "chacha20-<suffix>.trace"), so test binaries
+ * running at the same time on one host never share (or delete) each
+ * other's files. Every path handed out is removed, file or directory
+ * tree, when the test binary exits.
+ */
+inline std::string
+scratchPath(const std::string &name)
+{
+    struct Registry
+    {
+        std::mutex mutex;
+        std::vector<std::string> paths;
+
+        ~Registry()
+        {
+            for (const std::string &path : paths) {
+                core::removeDirectoryTree(path);
+                std::remove(path.c_str());
+            }
+        }
+    };
+    static Registry registry;
+
+    const size_t dot = name.rfind('.');
+    const size_t stem = dot == std::string::npos || dot == 0 ? name.size()
+                                                              : dot;
+    std::string path = testing::TempDir() + "/" + name.substr(0, stem) +
+        "-" + core::processUniqueSuffix() + name.substr(stem);
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    registry.paths.push_back(path);
+    return path;
+}
 
 /** Every op of an artifact's timing trace as TimingOp structs, drained
  * in order from openOpSource(). */
