@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -400,6 +401,32 @@ analysisLaunchPolicy()
 {
     return std::thread::hardware_concurrency() >= 2 ? std::launch::async
                                                     : std::launch::deferred;
+}
+
+void
+runBeside(const std::function<void()> &first,
+          const std::function<void()> &second)
+{
+    const std::launch policy = analysisLaunchPolicy();
+    std::future<void> side = std::async(policy, second);
+    std::exception_ptr error;
+    try {
+        first();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    // A deferred future dropped without get() never runs its task, so
+    // a failed first pass does not pay for the second.
+    if (!error || policy == std::launch::async) {
+        try {
+            side.get();
+        } catch (...) {
+            if (!error)
+                error = std::current_exception();
+        }
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 uint64_t

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <vector>
@@ -187,6 +188,16 @@ class ChunkSpanSource final : public uarch::TimingOpSource
  * runs them one after another on the joining thread.
  */
 std::launch analysisLaunchPolicy();
+
+/**
+ * Run `first` on the calling thread and `second` beside it under
+ * analysisLaunchPolicy(). Both are joined before an error propagates,
+ * and first's error wins, so which error surfaces never depends on
+ * timing. Under std::launch::deferred a failed `first` means `second`
+ * never starts.
+ */
+void runBeside(const std::function<void()> &first,
+               const std::function<void()> &second);
 
 /**
  * Process-wide count of fused analysis passes (op passes and branch

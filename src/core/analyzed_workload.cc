@@ -340,33 +340,18 @@ AnalyzedWorkload::ensurePhases(AnalysisPhaseMask phases) const
     // recording pass; the per-phase ensures below then find their
     // phase already done. Algorithm 2 runs on the other two inputs and
     // shares nothing with the recording pass, so it runs beside it
-    // (analysisLaunchPolicy()). Both are joined before any error
-    // propagates, and the recording pass's error wins, so which error
-    // surfaces never depends on timing.
-    const bool record = (phases & (PhaseTimingTrace | PhaseTaint)) != 0;
-    std::future<void> image;
-    if ((phases & PhaseTraceImage) && !hasTraceImage())
-        image = std::async(record ? analysisLaunchPolicy()
-                                  : std::launch::deferred,
-                           [this] { traces(); });
-    std::exception_ptr error;
-    if (record) {
-        try {
-            ensureTraceWith(phases);
-        } catch (...) {
-            error = std::current_exception();
-        }
-    }
-    if (image.valid()) {
-        try {
-            image.get();
-        } catch (...) {
-            if (!error)
-                error = std::current_exception();
-        }
-    }
-    if (error)
-        std::rethrow_exception(error);
+    // when both are pending (runBeside: the recording pass's error
+    // wins, so which error surfaces never depends on timing).
+    const bool record = (phases & (PhaseTimingTrace | PhaseTaint)) != 0 &&
+        !hasTimingTrace();
+    const bool image = (phases & PhaseTraceImage) != 0 && !hasTraceImage();
+    if (record && image)
+        runBeside([this, phases] { ensureTraceWith(phases); },
+                  [this] { traces(); });
+    else if (record)
+        ensureTraceWith(phases);
+    else if (image)
+        traces();
     if (phases & PhaseTaint)
         taintBitmap();
 }

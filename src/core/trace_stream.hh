@@ -126,9 +126,12 @@ class TraceFrameBuilder
         while (i < batch.size) {
             const size_t left = batch.size - i;
             if (staged_ == 0 && left >= frameOps_) {
-                emit(buf_.data(),
-                     encodeTraceFrame(batch.pc + i, batch.memAddr + i,
-                                      batch.nextPc + i, frameOps_, buf_));
+                // Encode first: it may reallocate buf_, so buf_.data()
+                // must only be read once it has returned.
+                const size_t len =
+                    encodeTraceFrame(batch.pc + i, batch.memAddr + i,
+                                     batch.nextPc + i, frameOps_, buf_);
+                emit(buf_.data(), len);
                 i += frameOps_;
                 continue;
             }
@@ -149,8 +152,9 @@ class TraceFrameBuilder
             return;
         const size_t n = staged_;
         staged_ = 0;
-        emit(buf_.data(), encodeTraceFrame(pc_.data(), memAddr_.data(),
-                                           nextPc_.data(), n, buf_));
+        const size_t len = encodeTraceFrame(pc_.data(), memAddr_.data(),
+                                            nextPc_.data(), n, buf_);
+        emit(buf_.data(), len);
     }
 
   private:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <future>
 
 #include "core/analysis_pipeline.hh"
 
@@ -33,7 +31,6 @@ constexpr uint64_t kPeriodEncodeElems = uint64_t(1) << 20;
 struct FoldedRun
 {
     std::map<uint64_t, FoldedTrace> traces;
-    uint64_t heldBytes = 0;
     uint64_t peakBytes = 0;
 };
 
@@ -50,7 +47,6 @@ collectRun(const Workload &w, int which)
                                      "Algorithm 2 analysis run");
     collector.finish();
     FoldedRun out;
-    out.heldBytes = collector.heldBytes();
     out.peakBytes = collector.peakHeldBytes();
     out.traces = collector.take();
     return out;
@@ -64,7 +60,6 @@ collectRunFused(const Workload &w, int which)
     FusedBranchRun run =
         runFusedBranchPass(w, which, /*crypto_only=*/true);
     FoldedRun out;
-    out.heldBytes = run.heldBytes;
     out.peakBytes = run.peakBytes;
     out.traces = std::move(run.traces);
     return out;
@@ -97,40 +92,19 @@ generateTraces(const Workload &workload, const KmersParams &params,
     // matter how many dynamic instructions the run executes. Both
     // collectors feed one FoldedTrace::append sequence. The two runs
     // share nothing (each has its own machine and accumulators), so
-    // input 1 runs beside input 0 under analysisLaunchPolicy(). Both
-    // are joined before any error propagates, and input 0's error
-    // wins, so which error surfaces never depends on timing.
+    // input 1 runs beside input 0 (runBeside: input 0's error wins).
     auto t0 = Clock::now();
     auto collect = [&workload, fused](int which) {
         return fused ? collectRunFused(workload, which)
                      : collectRun(workload, which);
     };
-    const std::launch policy = analysisLaunchPolicy();
-    std::future<FoldedRun> second = std::async(policy, collect, 1);
     FoldedRun run1, run2;
-    std::exception_ptr error;
-    try {
-        run1 = collect(0);
-    } catch (...) {
-        error = std::current_exception();
-    }
-    try {
-        run2 = second.get();
-    } catch (...) {
-        if (!error)
-            error = std::current_exception();
-    }
-    if (error)
-        std::rethrow_exception(error);
+    runBeside([&] { run1 = collect(0); }, [&] { run2 = collect(1); });
     out.timings.rawSec = secondsSince(t0);
 
-    // Overlapping runs can peak together, so the process-level peak is
-    // bounded by the sum. Run one after another, run1's accumulators
-    // stay resident while run2 executes: the peak is run1's peak or
-    // run1's footprint plus run2's peak, whichever is larger.
-    out.peakAccumBytes = policy == std::launch::async
-        ? run1.peakBytes + run2.peakBytes
-        : std::max(run1.peakBytes, run1.heldBytes + run2.peakBytes);
+    // The runs may overlap and peak together, so the process-level
+    // peak is bounded by the sum of their peaks.
+    out.peakAccumBytes = run1.peakBytes + run2.peakBytes;
 
     // Step A bookkeeping: the static branch set is the union of the
     // branches seen under either input.

@@ -70,10 +70,9 @@ struct TraceGenResult
     /**
      * Peak bytes held by the folded per-branch accumulators across
      * both instrumented runs (steps A-C): the sum of the two runs'
-     * peaks when they overlap, else the first run's footprint plus
-     * the second's peak. O(static branches + folded RLE size) by
-     * construction — independent of the dynamic instruction count —
-     * which makes the bounded-memory claim observable per run
+     * peaks, since they may overlap. O(static branches + folded RLE
+     * size) by construction — independent of the dynamic instruction
+     * count — which makes the bounded-memory claim observable per run
      * (surfaced through RunTelemetry).
      */
     uint64_t peakAccumBytes = 0;

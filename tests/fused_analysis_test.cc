@@ -20,9 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -338,6 +341,38 @@ TEST(FusedBranchPass, FoldedRunMatchesAcrossModes)
                 << std::hex << pc;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Side-by-side passes (runBeside)
+// ---------------------------------------------------------------------
+
+TEST(RunBeside, FirstErrorWinsAfterBothJoin)
+{
+    std::atomic<bool> second_ran{false};
+    try {
+        core::runBeside([] { throw std::runtime_error("first"); },
+                        [&] {
+                            second_ran = true;
+                            throw std::logic_error("second");
+                        });
+        ADD_FAILURE() << "runBeside swallowed the error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "first");
+    }
+    // An async second pass is joined before the error surfaces; a
+    // deferred one never starts once the first has failed.
+    EXPECT_EQ(second_ran.load(),
+              core::analysisLaunchPolicy() == std::launch::async);
+}
+
+TEST(RunBeside, SecondErrorSurfacesWhenFirstSucceeds)
+{
+    bool first_ran = false;
+    EXPECT_THROW(core::runBeside([&] { first_ran = true; },
+                                 [] { throw std::logic_error("second"); }),
+                 std::logic_error);
+    EXPECT_TRUE(first_ran);
 }
 
 // ---------------------------------------------------------------------
