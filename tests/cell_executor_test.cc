@@ -113,13 +113,7 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     PlannedCell cell;
     cell.workload = "synthetic/aes/25";
     cell.scheme = Scheme::CassandraStl;
-    cell.config = SimConfig{}
-                      .withBtuGeometry(2, 4)
-                      .withBtuFillLatency(40)
-                      .withFlushPeriod(12000000)
-                      .named("sweep");
-    cell.config.core.robSize = 64;
-    cell.config.core.l2.sizeBytes = 256 * 1024;
+    cell.config = test::everyParamSimConfig().named("sweep");
     cell.config.traceMode = core::TraceMode::Stream;
     manifest.indices = {17};
     manifest.cells = {cell};
@@ -136,13 +130,94 @@ TEST(ShardManifestTest, RoundTripsCellsAndConfigs)
     EXPECT_EQ(c.workload, "synthetic/aes/25");
     EXPECT_EQ(c.scheme, Scheme::CassandraStl);
     EXPECT_EQ(c.config.name, "sweep");
-    EXPECT_EQ(c.config.btu.sets, 2u);
-    EXPECT_EQ(c.config.btu.ways, 4u);
-    EXPECT_EQ(c.config.btu.fillLatency, 40u);
-    EXPECT_EQ(c.config.core.robSize, 64u);
-    EXPECT_EQ(c.config.core.l2.sizeBytes, 256u * 1024);
-    EXPECT_EQ(c.config.core.btuFlushPeriod, 12000000u);
     EXPECT_EQ(c.config.traceMode, core::TraceMode::Stream);
+
+    // All 38 parameters, spelled out independently of the list the
+    // codec iterates.
+    const uarch::CoreParams &want = cell.config.core;
+    const uarch::CoreParams &got = c.config.core;
+    EXPECT_EQ(got.fetchWidth, want.fetchWidth);
+    EXPECT_EQ(got.commitWidth, want.commitWidth);
+    EXPECT_EQ(got.issueWidth, want.issueWidth);
+    EXPECT_EQ(got.robSize, want.robSize);
+    EXPECT_EQ(got.iqSize, want.iqSize);
+    EXPECT_EQ(got.lqSize, want.lqSize);
+    EXPECT_EQ(got.sqSize, want.sqSize);
+    EXPECT_EQ(got.intRegs, want.intRegs);
+    EXPECT_EQ(got.frontendDepth, want.frontendDepth);
+    EXPECT_EQ(got.decodeRedirect, want.decodeRedirect);
+    EXPECT_EQ(got.redirectPenalty, want.redirectPenalty);
+    EXPECT_EQ(got.numAlu, want.numAlu);
+    EXPECT_EQ(got.numMul, want.numMul);
+    EXPECT_EQ(got.numLsu, want.numLsu);
+    EXPECT_EQ(got.aluLatency, want.aluLatency);
+    EXPECT_EQ(got.mulLatency, want.mulLatency);
+    EXPECT_EQ(got.storeLatency, want.storeLatency);
+    const std::pair<const uarch::CacheParams *, const uarch::CacheParams *>
+        caches[] = {{&got.l1i, &want.l1i},
+                    {&got.l1d, &want.l1d},
+                    {&got.l2, &want.l2},
+                    {&got.l3, &want.l3}};
+    for (const auto &[g, w] : caches) {
+        EXPECT_EQ(g->sizeBytes, w->sizeBytes);
+        EXPECT_EQ(g->lineBytes, w->lineBytes);
+        EXPECT_EQ(g->ways, w->ways);
+        EXPECT_EQ(g->latency, w->latency);
+    }
+    EXPECT_EQ(got.memLatency, want.memLatency);
+    EXPECT_EQ(got.btuFlushPeriod, want.btuFlushPeriod);
+    EXPECT_EQ(c.config.btu.sets, cell.config.btu.sets);
+    EXPECT_EQ(c.config.btu.ways, cell.config.btu.ways);
+    EXPECT_EQ(c.config.btu.fillLatency, cell.config.btu.fillLatency);
+}
+
+TEST(ShardManifestTest, BytesArePinned)
+{
+    // A one-cell manifest carrying every SimConfig parameter. The hex
+    // was produced by the field-by-field codec the parameter list
+    // replaced; manifests must not change by a byte.
+    ShardManifest manifest;
+    manifest.shardIndex = 1;
+    manifest.workerThreads = 2;
+    manifest.streamDir = "s";
+    manifest.artifacts = {{"SHAKE", "a.aw"}};
+    PlannedCell cell;
+    cell.workload = "SHAKE";
+    cell.scheme = Scheme::Cassandra;
+    cell.config = test::everyParamSimConfig();
+    cell.config.traceMode = core::TraceMode::Stream;
+    manifest.indices = {5};
+    manifest.cells = {cell};
+
+    const std::string header = "43415353534d310a" // magic
+                               "02000000"         // version
+                               "01000000"         // shardIndex
+                               "02000000"         // workerThreads
+                               "0100000073"       // streamDir
+                               "01000000"         // numArtifacts
+                               "050000005348414b45"
+                               "04000000612e6177"
+                               "01000000"          // numCells
+                               "05000000"          // global index
+                               "050000005348414b45" // workload
+                               "0900000043617373616e647261"; // scheme
+    const std::string config =
+        "0b00000065766572792d706172616d" // name
+        "0300000005000000070000002d0100003d0000004700000053000000"
+        "bf0000000b000000020000000d000000040000000600000009000000"
+        "0a0000000e0000000f000000" // 17 core scalars
+        "00400000200000001100000012000000" // l1i
+        "00a00000800000001300000014000000" // l1d
+        "00000800000100001500000016000000" // l2
+        "00008000000200001700000018000000" // l3
+        "fa000000"                        // memLatency
+        "001bb70000000000"                // btuFlushPeriod
+        "1a00000000000000"                // btu sets
+        "1b00000000000000"                // btu ways
+        "1c000000"                        // btu fillLatency
+        "01";                             // trace mode (stream)
+    EXPECT_EQ(test::hexBytes(core::packShardManifest(manifest)),
+              header + config);
 }
 
 TEST(ShardManifestTest, CorruptManifestIsRejected)

@@ -20,6 +20,7 @@
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -187,6 +188,27 @@ TEST(ResultStoreKeyTest, EverySimRelevantConfigFieldChangesTheHash)
             EXPECT_NE(h, hashes[j]) << "variant " << i << " vs " << j;
         hashes.push_back(h);
     }
+}
+
+TEST(ResultStoreKeyTest, ConfigHashIsPinned)
+{
+    // Store keys outlive builds: a shared --cache-dir must keep
+    // answering after the hash's implementation changes. The values
+    // were produced by the hand-written hash the parameter list
+    // replaced, for a BTU scheme (every parameter hashed) and a
+    // non-BTU scheme (flush period and BTU geometry skipped).
+    const SimConfig plain;
+    const SimConfig every = test::everyParamSimConfig();
+    EXPECT_EQ(core::canonicalSimConfigHash(plain), 0x918df806b0551feeull);
+    EXPECT_EQ(core::canonicalSimConfigHash(every), 0xad5319f0e78ca5beull);
+    EXPECT_EQ(core::canonicalSimConfigHash(plain, Scheme::Cassandra),
+              0x918df806b0551feeull);
+    EXPECT_EQ(core::canonicalSimConfigHash(every, Scheme::Cassandra),
+              0xad5319f0e78ca5beull);
+    EXPECT_EQ(core::canonicalSimConfigHash(plain, Scheme::UnsafeBaseline),
+              0x35fc32cb93843811ull);
+    EXPECT_EQ(core::canonicalSimConfigHash(every, Scheme::UnsafeBaseline),
+              0x90b3114d0e5ff445ull);
 }
 
 TEST(ResultStoreKeyTest, PresentationKnobsDoNotChangeTheHash)

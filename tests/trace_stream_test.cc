@@ -277,18 +277,6 @@ decodeFrame(const std::vector<uint8_t> &frame, size_t frame_len,
     return out;
 }
 
-std::string
-hex(const std::vector<uint8_t> &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    for (const uint8_t b : bytes) {
-        out.push_back(digits[b >> 4]);
-        out.push_back(digits[b & 15]);
-    }
-    return out;
-}
-
 TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
 {
     // A straight-line instruction stream: pc chains, nextPc is the
@@ -374,9 +362,9 @@ TEST(TraceFrameCodecTest, EncoderBytesArePinned)
                             "000000f0000000000000000004000000000000c0"
                             "18000000000000000000000000000000";
     const std::string tail = "01050000008080040000";
-    EXPECT_EQ(hex(encodeFrame(ops, 0, 4)), delta);
-    EXPECT_EQ(hex(encodeFrame(ops, 4, 8)), raw);
-    EXPECT_EQ(hex(encodeFrame(ops, 8, 9)), tail);
+    EXPECT_EQ(test::hexBytes(encodeFrame(ops, 0, 4)), delta);
+    EXPECT_EQ(test::hexBytes(encodeFrame(ops, 4, 8)), raw);
+    EXPECT_EQ(test::hexBytes(encodeFrame(ops, 8, 9)), tail);
 
     // The same ops through the writer, as whole batches (each frame
     // encoded straight from the columns) and one op at a time (staged):
@@ -404,7 +392,7 @@ TEST(TraceFrameCodecTest, EncoderBytesArePinned)
                 writer.appendBatch(ops.view(i, i + 1));
         }
         writer.finish();
-        EXPECT_EQ(hex(readFile(path)), file);
+        EXPECT_EQ(test::hexBytes(readFile(path)), file);
     }
     std::remove(path.c_str());
 }

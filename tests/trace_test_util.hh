@@ -2,8 +2,9 @@
  * @file
  * Helpers shared by the trace-layer test suites: process-unique
  * scratch paths, TimingOp structs drained from an artifact's replay
- * source, and a hand-built file of the retired raw-frame stream
- * container (revision 1), which readers must reject.
+ * source, a hand-built file of the retired raw-frame stream
+ * container (revision 1), which readers must reject, and a SimConfig
+ * whose every parameter differs from its default (the encoder pins).
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/analyzed_workload.hh"
+#include "core/sim_config.hh"
 #include "core/trace_stream.hh"
 #include "uarch/pipeline.hh"
 
@@ -122,6 +124,61 @@ casstf1Bytes(uint64_t fingerprint, const uarch::TimingTrace &trace,
         u64(offset);
     u64(index_pos);
     u64(offsets.size());
+    return out;
+}
+
+/**
+ * A SimConfig with all 38 sweepable parameters set to pairwise
+ * distinct, non-default values inside the JSON bounds, so a dropped,
+ * swapped or mis-sized parameter in any encoder changes its output.
+ * Written out field by field on purpose: it is the independent check
+ * on the parameter list the encoders iterate.
+ */
+inline core::SimConfig
+everyParamSimConfig()
+{
+    core::SimConfig cfg;
+    cfg.name = "every-param";
+    uarch::CoreParams &c = cfg.core;
+    c.fetchWidth = 3;
+    c.commitWidth = 5;
+    c.issueWidth = 7;
+    c.robSize = 301;
+    c.iqSize = 61;
+    c.lqSize = 71;
+    c.sqSize = 83;
+    c.intRegs = 191;
+    c.frontendDepth = 11;
+    c.decodeRedirect = 2;
+    c.redirectPenalty = 13;
+    c.numAlu = 4;
+    c.numMul = 6;
+    c.numLsu = 9;
+    c.aluLatency = 10;
+    c.mulLatency = 14;
+    c.storeLatency = 15;
+    c.l1i = {16 * 1024, 32, 17, 18};
+    c.l1d = {40 * 1024, 128, 19, 20};
+    c.l2 = {512 * 1024, 256, 21, 22};
+    c.l3 = {8 * 1024 * 1024, 512, 23, 24};
+    c.memLatency = 250;
+    c.btuFlushPeriod = 12000000;
+    cfg.btu.sets = 26;
+    cfg.btu.ways = 27;
+    cfg.btu.fillLatency = 28;
+    return cfg;
+}
+
+/** Lower-case hex of a byte string. */
+inline std::string
+hexBytes(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 0xf];
+    }
     return out;
 }
 
