@@ -23,15 +23,15 @@ using uarch::Scheme;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     // A --config sweep replaces the built-in ablation matrix; its
     // cells go through the generic reporters (the paper-style tables
     // below only make sense for the built-in config names).
     core::ExperimentMatrix config_matrix;
-    if (bench::matrixFromConfig(opts, config_matrix)) {
-        auto exp = bench::runMatrix(config_matrix, opts);
-        if (!bench::emitReport(exp, opts))
+    if (bench::matrixFromConfig(spec, config_matrix)) {
+        auto exp = bench::runMatrix(config_matrix, spec);
+        if (!bench::emitReport(exp, spec))
             core::makeReporter("table")->write(exp, std::cout);
         return 0;
     }
@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     core::SimConfig base_cfg;
     core::ExperimentMatrix matrix;
-    matrix.workloads = bench::selectWorkloads(stress_defaults, opts);
+    matrix.workloads = bench::selectWorkloads(stress_defaults, spec);
     matrix.schemes = {Scheme::Cassandra};
     matrix.configs.push_back(base_cfg); // "default": 1x16, fill 14
     for (unsigned lat : fills) {
@@ -65,8 +65,8 @@ main(int argc, char **argv)
     base_matrix.schemes = {Scheme::UnsafeBaseline};
     base_matrix.configs = {base_cfg};
 
-    auto exp = bench::runMatrices({base_matrix, matrix}, opts);
-    if (bench::emitReport(exp, opts))
+    auto exp = bench::runMatrices({base_matrix, matrix}, spec);
+    if (bench::emitReport(exp, spec))
         return 0;
 
     // Same predicates as the matrix-building loops above, so the

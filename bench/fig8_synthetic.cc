@@ -24,18 +24,18 @@ using uarch::Scheme;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     core::ExperimentMatrix matrix;
-    if (!bench::matrixFromConfig(opts, matrix)) {
+    if (!bench::matrixFromConfig(spec, matrix)) {
         matrix.workloads = bench::selectWorkloads(
-            crypto::WorkloadRegistry::global().names("Synthetic"), opts);
+            crypto::WorkloadRegistry::global().names("Synthetic"), spec);
         matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Prospect,
                           Scheme::CassandraProspect};
     }
 
-    auto exp = bench::runMatrix(matrix, opts);
-    if (bench::emitReport(exp, opts))
+    auto exp = bench::runMatrix(matrix, spec);
+    if (bench::emitReport(exp, spec))
         return 0;
 
     std::printf("Figure 8: overhead vs the Unsafe Baseline of each mix "

@@ -72,17 +72,17 @@ accumulate(power::Activity &into, const power::Activity &from)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     core::ExperimentMatrix matrix;
-    if (!bench::matrixFromConfig(opts, matrix)) {
+    if (!bench::matrixFromConfig(spec, matrix)) {
         matrix.workloads =
-            bench::selectWorkloads(bench::cryptoWorkloadNames(), opts);
+            bench::selectWorkloads(bench::cryptoWorkloadNames(), spec);
         matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
     }
 
-    auto exp = bench::runMatrix(matrix, opts);
-    if (bench::emitReport(exp, opts))
+    auto exp = bench::runMatrix(matrix, spec);
+    if (bench::emitReport(exp, spec))
         return 0;
 
     power::Activity base_act, cass_act;

@@ -59,18 +59,18 @@ requestsPerSec(uint64_t requests, uint64_t cycles)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     core::ExperimentMatrix matrix;
-    if (!bench::matrixFromConfig(opts, matrix)) {
+    if (!bench::matrixFromConfig(spec, matrix)) {
         matrix.workloads = bench::selectWorkloads(
-            {"server/tls/16", "server/tls/64"}, opts);
+            {"server/tls/16", "server/tls/64"}, spec);
         matrix.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
                           Scheme::CassandraLite};
     }
 
-    auto exp = bench::runMatrix(matrix, opts);
-    if (bench::emitReport(exp, opts))
+    auto exp = bench::runMatrix(matrix, spec);
+    if (bench::emitReport(exp, spec))
         return 0;
 
     // --- Server macro table: requests/sec per scheme ----------------

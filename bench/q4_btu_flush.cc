@@ -19,15 +19,15 @@ using uarch::Scheme;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     // A --config sweep replaces the built-in flush matrix; its cells
     // go through the generic reporters (the table below needs the
     // built-in "flush=..." config names).
     core::ExperimentMatrix config_matrix;
-    if (bench::matrixFromConfig(opts, config_matrix)) {
-        auto exp = bench::runMatrix(config_matrix, opts);
-        if (!bench::emitReport(exp, opts))
+    if (bench::matrixFromConfig(spec, config_matrix)) {
+        auto exp = bench::runMatrix(config_matrix, spec);
+        if (!bench::emitReport(exp, spec))
             core::makeReporter("table")->write(exp, std::cout);
         return 0;
     }
@@ -37,7 +37,7 @@ main(int argc, char **argv)
     core::SimConfig base_cfg;
     core::ExperimentMatrix matrix;
     matrix.workloads =
-        bench::selectWorkloads(bench::cryptoWorkloadNames(), opts);
+        bench::selectWorkloads(bench::cryptoWorkloadNames(), spec);
     matrix.schemes = {Scheme::Cassandra};
     for (uint64_t p : periods) {
         std::string name = p == 0 ? "never" : std::to_string(p);
@@ -51,8 +51,8 @@ main(int argc, char **argv)
     base_matrix.schemes = {Scheme::UnsafeBaseline};
     base_matrix.configs = {base_cfg.named("flush=never")};
 
-    auto exp = bench::runMatrices({base_matrix, matrix}, opts);
-    if (bench::emitReport(exp, opts))
+    auto exp = bench::runMatrices({base_matrix, matrix}, spec);
+    if (bench::emitReport(exp, spec))
         return 0;
 
     std::printf("Q4: Cassandra speedup vs baseline under periodic BTU "

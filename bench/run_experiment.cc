@@ -12,12 +12,10 @@
  *   run_experiment configs/ci_smoke_stream.json \
  *       --execution subprocess --shards 4
  *
- * The config may be given positionally or via --config=FILE; the
- * other shared CLI flags (--format/--out/--threads/--workloads/
- * --suite/--trace-mode/--execution/--shards/--cache/--cache-dir/
- * --scheduler/--stats-out) override the config file as usual. Unlike
- * the figure benches there is no built-in matrix: no config is an
- * error.
+ * The config may be given positionally or via --config FILE; the
+ * other shared flags (see --help) override the config file as usual.
+ * Unlike the figure benches there is no built-in matrix: no config is
+ * an error.
  *
  * The binary doubles as the shard worker of the subprocess executor
  * (it is its own default worker binary):
@@ -34,7 +32,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -107,44 +104,9 @@ main(int argc, char **argv)
             return workerMain(argc, argv);
     }
 
-    // Accept the config file as the first positional argument by
-    // rewriting it to the shared CLI's --config=FILE before parsing.
-    // Space-form flag values ("--execution subprocess") must not be
-    // mistaken for that positional.
-    auto takes_space_value = [](const char *arg) {
-        return std::strcmp(arg, "--config") == 0 ||
-            std::strcmp(arg, "--execution") == 0 ||
-            std::strcmp(arg, "--shards") == 0 ||
-            std::strcmp(arg, "--cache") == 0 ||
-            std::strcmp(arg, "--cache-dir") == 0 ||
-            std::strcmp(arg, "--scheduler") == 0 ||
-            std::strcmp(arg, "--stats-out") == 0;
-    };
-    std::vector<std::string> args;
-    args.reserve(static_cast<size_t>(argc));
-    bool have_positional = false;
-    for (int i = 1; i < argc; i++) {
-        if (takes_space_value(argv[i])) {
-            args.push_back(argv[i]);
-            if (i + 1 < argc)
-                args.push_back(argv[++i]);
-        } else if (argv[i][0] != '-' && !have_positional) {
-            args.push_back(std::string("--config=") + argv[i]);
-            have_positional = true;
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-
-    std::vector<char *> cargv;
-    cargv.push_back(argv[0]);
-    for (std::string &arg : args)
-        cargv.push_back(arg.data());
-
-    auto opts = bench::parseCli(static_cast<int>(cargv.size()),
-                                cargv.data());
-
-    if (opts.configPath.empty()) {
+    // The config file may be given as the first bare argument.
+    auto spec = bench::parseCli(argc, argv, /*positional_config=*/true);
+    if (spec.configPath.empty()) {
         std::fprintf(stderr,
                      "usage: %s CONFIG.json [options]\n"
                      "       (see --help for the shared options)\n",
@@ -153,16 +115,16 @@ main(int argc, char **argv)
     }
 
     core::ExperimentMatrix matrix;
-    bench::matrixFromConfig(opts, matrix); // exits on malformed configs
+    bench::matrixFromConfig(spec, matrix); // exits on unknown names
 
     // This binary implements the --worker contract, so subprocess
     // execution shards onto itself unless the config names another
     // worker binary.
-    if (opts.workerBinary.empty())
-        opts.workerBinary = selfBinaryPath(argv[0]);
+    if (spec.runner.workerBinary.empty())
+        spec.runner.workerBinary = selfBinaryPath(argv[0]);
 
-    auto exp = bench::runMatrix(matrix, opts);
-    if (!bench::emitReport(exp, opts))
+    auto exp = bench::runMatrix(matrix, spec);
+    if (!bench::emitReport(exp, spec))
         core::TableReporter().write(exp, std::cout);
     return 0;
 }

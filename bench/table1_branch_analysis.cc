@@ -165,28 +165,28 @@ writeCsv(const std::vector<BranchSummary> &rows, std::ostream &os)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseCli(argc, argv);
+    auto spec = bench::parseCli(argc, argv);
 
     // Analysis-only: a --config still selects workloads and the
     // artifact snapshot directory (schemes and configs in the file do
     // not apply here).
     core::ExperimentMatrix matrix;
     std::vector<std::string> names;
-    if (bench::matrixFromConfig(opts, matrix))
+    if (bench::matrixFromConfig(spec, matrix))
         names = matrix.workloads;
     else
         names = bench::selectWorkloads(bench::cryptoWorkloadNames(),
-                                       opts);
+                                       spec);
 
     std::vector<std::string> missing;
     core::ExperimentRunner runner(
-        bench::makeArtifactCache(names, opts, missing),
-        core::RunnerOptions{opts.threads});
+        bench::makeArtifactCache(names, spec, missing),
+        core::RunnerOptions(spec.runner.threads));
     auto artifacts = runner.analyze(names);
     std::map<std::string, core::AnalyzedWorkload::Ptr> by_name;
     for (size_t i = 0; i < names.size(); i++)
         by_name[names[i]] = artifacts[i];
-    bench::saveArtifacts(by_name, missing, opts);
+    bench::saveArtifacts(by_name, missing, spec);
 
     std::vector<BranchSummary> rows;
     for (size_t i = 0; i < names.size(); i++) {
@@ -199,20 +199,20 @@ main(int argc, char **argv)
     // other benches.
     std::ofstream file;
     std::ostream *os = &std::cout;
-    if (!opts.out.empty()) {
-        file.open(opts.out);
+    if (!spec.out.empty()) {
+        file.open(spec.out);
         if (!file) {
             std::fprintf(stderr, "cannot open %s for writing\n",
-                         opts.out.c_str());
+                         spec.out.c_str());
             return 1;
         }
         os = &file;
     }
-    if (opts.format == "csv") {
+    if (spec.format == "csv") {
         writeCsv(rows, *os);
         return 0;
     }
-    if (opts.format == "json") {
+    if (spec.format == "json") {
         writeJson(rows, *os);
         return 0;
     }

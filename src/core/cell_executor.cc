@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include <algorithm>
 #include <numeric>
@@ -201,60 +202,22 @@ constexpr char manifestMagic[8] = {'C', 'A', 'S', 'S',
                                    'S', 'M', '1', '\n'};
 constexpr uint32_t manifestVersion = 2;
 
-void
-packCacheParams(ByteWriter &w, const uarch::CacheParams &c)
-{
-    w.u32(c.sizeBytes);
-    w.u32(c.lineBytes);
-    w.u32(c.ways);
-    w.u32(c.latency);
-}
-
-void
-unpackCacheParams(ByteReader &r, uarch::CacheParams &c)
-{
-    c.sizeBytes = r.u32();
-    c.lineBytes = r.u32();
-    c.ways = r.u32();
-    c.latency = r.u32();
-}
-
 /**
- * SimConfig over the wire, field by field: a worker must simulate
- * with exactly the coordinator's parameters or the merged report
- * would silently diverge from the in-process run.
+ * SimConfig over the wire: the name, every parameter of the
+ * forEachSimParam list at its wire width, then the trace mode. A
+ * worker must simulate with exactly the coordinator's parameters or
+ * the merged report would silently diverge from the in-process run.
  */
 void
 packSimConfig(ByteWriter &w, const SimConfig &cfg)
 {
     w.str(cfg.name);
-    const uarch::CoreParams &c = cfg.core;
-    w.u32(c.fetchWidth);
-    w.u32(c.commitWidth);
-    w.u32(c.issueWidth);
-    w.u32(c.robSize);
-    w.u32(c.iqSize);
-    w.u32(c.lqSize);
-    w.u32(c.sqSize);
-    w.u32(c.intRegs);
-    w.u32(c.frontendDepth);
-    w.u32(c.decodeRedirect);
-    w.u32(c.redirectPenalty);
-    w.u32(c.numAlu);
-    w.u32(c.numMul);
-    w.u32(c.numLsu);
-    w.u32(c.aluLatency);
-    w.u32(c.mulLatency);
-    w.u32(c.storeLatency);
-    packCacheParams(w, c.l1i);
-    packCacheParams(w, c.l1d);
-    packCacheParams(w, c.l2);
-    packCacheParams(w, c.l3);
-    w.u32(c.memLatency);
-    w.u64(c.btuFlushPeriod);
-    w.u64(cfg.btu.sets);
-    w.u64(cfg.btu.ways);
-    w.u32(cfg.btu.fillLatency);
+    forEachSimParam(cfg, [&](const SimParam &param, const auto &field) {
+        if (param.wireBytes == 8)
+            w.u64(field);
+        else
+            w.u32(static_cast<uint32_t>(field));
+    });
     w.u8(cfg.traceMode == TraceMode::Stream ? 1 : 0);
 }
 
@@ -263,33 +226,11 @@ unpackSimConfig(ByteReader &r)
 {
     SimConfig cfg;
     cfg.name = r.str();
-    uarch::CoreParams &c = cfg.core;
-    c.fetchWidth = r.u32();
-    c.commitWidth = r.u32();
-    c.issueWidth = r.u32();
-    c.robSize = r.u32();
-    c.iqSize = r.u32();
-    c.lqSize = r.u32();
-    c.sqSize = r.u32();
-    c.intRegs = r.u32();
-    c.frontendDepth = r.u32();
-    c.decodeRedirect = r.u32();
-    c.redirectPenalty = r.u32();
-    c.numAlu = r.u32();
-    c.numMul = r.u32();
-    c.numLsu = r.u32();
-    c.aluLatency = r.u32();
-    c.mulLatency = r.u32();
-    c.storeLatency = r.u32();
-    unpackCacheParams(r, c.l1i);
-    unpackCacheParams(r, c.l1d);
-    unpackCacheParams(r, c.l2);
-    unpackCacheParams(r, c.l3);
-    c.memLatency = r.u32();
-    c.btuFlushPeriod = r.u64();
-    cfg.btu.sets = static_cast<size_t>(r.u64());
-    cfg.btu.ways = static_cast<size_t>(r.u64());
-    cfg.btu.fillLatency = r.u32();
+    forEachSimParam(cfg, [&](const SimParam &param, auto &field) {
+        using Field = std::remove_reference_t<decltype(field)>;
+        field = static_cast<Field>(param.wireBytes == 8 ? r.u64()
+                                                        : r.u32());
+    });
     cfg.traceMode = r.u8() ? TraceMode::Stream : TraceMode::Whole;
     return cfg;
 }

@@ -2,16 +2,14 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace cassandra::core {
-
-namespace {
 
 // -----------------------------------------------------------------
 // Minimal JSON value + recursive-descent parser (no dependencies).
@@ -37,17 +35,9 @@ struct JsonValue
     std::string string;
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        for (const auto &[k, v] : object) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
 };
+
+namespace {
 
 class JsonParser
 {
@@ -57,7 +47,7 @@ class JsonParser
     JsonValue
     parse()
     {
-        JsonValue v = value();
+        JsonValue v = value("");
         skipWs();
         if (pos_ != text_.size())
             fail("trailing characters after JSON document");
@@ -119,15 +109,16 @@ class JsonParser
         return false;
     }
 
+    /** The value at JSON path `path` (names repeated keys). */
     JsonValue
-    value()
+    value(const std::string &path)
     {
         char c = peek();
         switch (c) {
           case '{':
-            return objectValue();
+            return objectValue(path);
           case '[':
-            return arrayValue();
+            return arrayValue(path);
           case '"':
             return stringValue();
           case 't':
@@ -143,7 +134,7 @@ class JsonParser
     }
 
     JsonValue
-    objectValue()
+    objectValue(const std::string &path)
     {
         expect('{');
         JsonValue v;
@@ -156,8 +147,13 @@ class JsonParser
             if (peek() != '"')
                 fail("object keys must be strings");
             std::string key = rawString();
+            const std::string at = path.empty() ? key : path + "." + key;
+            for (const auto &entry : v.object) {
+                if (entry.first == key)
+                    fail("duplicate key " + at);
+            }
             expect(':');
-            v.object.emplace_back(std::move(key), value());
+            v.object.emplace_back(std::move(key), value(at));
             char c = peek();
             if (c == ',') {
                 pos_++;
@@ -169,7 +165,7 @@ class JsonParser
     }
 
     JsonValue
-    arrayValue()
+    arrayValue(const std::string &path)
     {
         expect('[');
         JsonValue v;
@@ -179,7 +175,8 @@ class JsonParser
             return v;
         }
         for (;;) {
-            v.array.push_back(value());
+            v.array.push_back(value(
+                path + "[" + std::to_string(v.array.size()) + "]"));
             char c = peek();
             if (c == ',') {
                 pos_++;
@@ -315,345 +312,343 @@ class JsonParser
 // Schema mapping
 // -----------------------------------------------------------------
 
+/** An error that already names its JSON path. */
+struct SchemaError : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
 [[noreturn]] void
 schemaFail(const std::string &where, const std::string &what)
 {
-    throw std::invalid_argument("experiment config: " + where + ": " +
-                                what);
+    throw SchemaError("experiment config: " + where + ": " + what);
 }
 
-const JsonValue &
-expectKind(const JsonValue &v, JsonValue::Kind kind,
-           const std::string &where, const char *kind_name)
-{
-    if (v.kind != kind)
-        schemaFail(where, std::string("expected ") + kind_name);
-    return v;
-}
-
-std::vector<std::string>
-stringList(const JsonValue &v, const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::Array, where, "an array");
-    std::vector<std::string> out;
-    for (const JsonValue &item : v.array) {
-        expectKind(item, JsonValue::Kind::String, where,
-                   "an array of strings");
-        out.push_back(item.string);
-    }
-    return out;
-}
-
-uint64_t
-uintField(const JsonValue &v, const std::string &where, uint64_t max)
-{
-    expectKind(v, JsonValue::Kind::Number, where,
-               "a non-negative integer");
-    if (v.number < 0 || v.number != std::floor(v.number) ||
-        v.number > static_cast<double>(max))
-        schemaFail(where, "value out of range");
-    return static_cast<uint64_t>(v.number);
-}
-
+/** Run a value parser, prefixing its reason with the value's path. */
+template <typename Fn>
 void
-applyCacheOverrides(uarch::CacheParams &cache, const JsonValue &v,
-                    const std::string &where)
+atPath(const std::string &where, Fn &&fn)
 {
-    expectKind(v, JsonValue::Kind::Object, where, "an object");
-    for (const auto &[key, field] : v.object) {
-        const std::string at = where + "." + key;
-        if (key == "size_bytes")
-            cache.sizeBytes = static_cast<uint32_t>(
-                uintField(field, at, 1u << 30));
-        else if (key == "size_kb")
-            cache.sizeBytes = static_cast<uint32_t>(
-                uintField(field, at, 1u << 20) * 1024);
-        else if (key == "line_bytes")
-            cache.lineBytes =
-                static_cast<uint32_t>(uintField(field, at, 4096));
-        else if (key == "ways")
-            cache.ways =
-                static_cast<uint32_t>(uintField(field, at, 1024));
-        else if (key == "latency")
-            cache.latency =
-                static_cast<uint32_t>(uintField(field, at, 100000));
-        else
-            schemaFail(at, "unknown cache key");
-    }
-}
-
-void
-applyCoreOverrides(uarch::CoreParams &core, const JsonValue &v,
-                   const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::Object, where, "an object");
-    for (const auto &[key, field] : v.object) {
-        const std::string at = where + "." + key;
-        auto u32 = [&](uint64_t max) {
-            return static_cast<uint32_t>(uintField(field, at, max));
-        };
-        if (key == "fetch_width")
-            core.fetchWidth = u32(64);
-        else if (key == "commit_width")
-            core.commitWidth = u32(64);
-        else if (key == "issue_width")
-            core.issueWidth = u32(64);
-        else if (key == "rob_size")
-            core.robSize = u32(1 << 20);
-        else if (key == "iq_size")
-            core.iqSize = u32(1 << 20);
-        else if (key == "lq_size")
-            core.lqSize = u32(1 << 20);
-        else if (key == "sq_size")
-            core.sqSize = u32(1 << 20);
-        else if (key == "int_regs")
-            core.intRegs = u32(1 << 20);
-        else if (key == "frontend_depth")
-            core.frontendDepth = u32(1024);
-        else if (key == "decode_redirect")
-            core.decodeRedirect = u32(1024);
-        else if (key == "redirect_penalty")
-            core.redirectPenalty = u32(1024);
-        else if (key == "num_alu")
-            core.numAlu = u32(64);
-        else if (key == "num_mul")
-            core.numMul = u32(64);
-        else if (key == "num_lsu")
-            core.numLsu = u32(64);
-        else if (key == "alu_latency")
-            core.aluLatency = u32(1024);
-        else if (key == "mul_latency")
-            core.mulLatency = u32(1024);
-        else if (key == "store_latency")
-            core.storeLatency = u32(1024);
-        else if (key == "mem_latency")
-            core.memLatency = u32(100000);
-        else if (key == "btu_flush_period")
-            core.btuFlushPeriod = uintField(field, at, ~0ull >> 1);
-        else if (key == "l1i")
-            applyCacheOverrides(core.l1i, field, at);
-        else if (key == "l1d")
-            applyCacheOverrides(core.l1d, field, at);
-        else if (key == "l2")
-            applyCacheOverrides(core.l2, field, at);
-        else if (key == "l3")
-            applyCacheOverrides(core.l3, field, at);
-        else
-            schemaFail(at, "unknown core key");
-    }
-}
-
-void
-applyBtuOverrides(btu::BtuParams &btu, const JsonValue &v,
-                  const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::Object, where, "an object");
-    for (const auto &[key, field] : v.object) {
-        const std::string at = where + "." + key;
-        if (key == "sets")
-            btu.sets = static_cast<size_t>(uintField(field, at, 1 << 20));
-        else if (key == "ways")
-            btu.ways = static_cast<size_t>(uintField(field, at, 1 << 20));
-        else if (key == "fill_latency")
-            btu.fillLatency =
-                static_cast<unsigned>(uintField(field, at, 1 << 20));
-        else
-            schemaFail(at, "unknown btu key");
-    }
-}
-
-TraceMode
-parseTraceMode(const JsonValue &v, const std::string &where)
-{
-    expectKind(v, JsonValue::Kind::String, where, "a string");
     try {
-        return traceModeFromName(v.string);
+        fn();
+    } catch (const SchemaError &) {
+        throw;
     } catch (const std::invalid_argument &e) {
         schemaFail(where, e.what());
     }
 }
 
-SimConfig
-parseSimConfig(const JsonValue &v, size_t index, TraceMode sweep_mode)
+std::string
+joinPath(const std::string &a, const std::string &b)
 {
-    const std::string where = "configs[" + std::to_string(index) + "]";
-    expectKind(v, JsonValue::Kind::Object, where, "an object");
-    SimConfig cfg;
-    cfg.traceMode = sweep_mode;
+    return a.empty() ? b : b.empty() ? a : a + "." + b;
+}
+
+/**
+ * Walk the object `v`, handing each leaf's path (relative to the
+ * walk's root) and value to `leaf`. A key is a section, walked in
+ * turn, when some path in `keys` lies below it. `where` is the root's
+ * own path, for error messages.
+ */
+template <typename Leaf>
+void
+walkObject(const JsonValue &v, const std::string &where,
+           const std::string &prefix,
+           const std::vector<const char *> &keys, const Leaf &leaf)
+{
+    if (v.kind != JsonValue::Kind::Object)
+        schemaFail(where.empty() && prefix.empty()
+                       ? "top level"
+                       : joinPath(where, prefix),
+                   "expected an object");
     for (const auto &[key, field] : v.object) {
-        const std::string at = where + "." + key;
-        if (key == "name") {
-            expectKind(field, JsonValue::Kind::String, at, "a string");
-            cfg.name = field.string;
-        } else if (key == "core") {
-            applyCoreOverrides(cfg.core, field, at);
-        } else if (key == "btu") {
-            applyBtuOverrides(cfg.btu, field, at);
-        } else if (key == "trace_mode") {
-            cfg.traceMode = parseTraceMode(field, at);
-        } else {
-            schemaFail(at, "unknown config key");
-        }
+        const std::string path = joinPath(prefix, key);
+        const std::string below = path + ".";
+        bool section = false;
+        for (const char *k : keys)
+            section = section ||
+                std::strncmp(k, below.c_str(), below.size()) == 0;
+        if (section)
+            walkObject(field, where, path, keys, leaf);
+        else
+            leaf(path, field);
     }
+}
+
+// Value readers shared by flags and keys. They throw the bare reason;
+// the caller names the key or flag.
+
+const std::string &
+text(const JsonValue &v)
+{
+    if (v.kind != JsonValue::Kind::String)
+        throw std::invalid_argument("expected a string");
+    return v.string;
+}
+
+uint64_t
+count(const JsonValue &v, uint64_t max)
+{
+    if (v.kind != JsonValue::Kind::Number || v.number < 0 ||
+        v.number != std::floor(v.number) ||
+        v.number > static_cast<double>(max))
+        throw std::invalid_argument("expected an integer in [0, " +
+                                    std::to_string(max) + "]");
+    return static_cast<uint64_t>(v.number);
+}
+
+std::vector<std::string>
+names(const JsonValue &v)
+{
+    if (v.kind != JsonValue::Kind::Array)
+        throw std::invalid_argument("expected an array of strings");
+    std::vector<std::string> out;
+    for (const JsonValue &item : v.array)
+        out.push_back(text(item));
+    return out;
+}
+
+/** Every SimParam key, for walking configs[] entries. */
+const std::vector<const char *> &
+simParamKeys()
+{
+    static const std::vector<const char *> keys = [] {
+        std::vector<const char *> out;
+        SimConfig cfg;
+        forEachSimParam(cfg, [&](const SimParam &param, auto &) {
+            out.push_back(param.key);
+        });
+        return out;
+    }();
+    return keys;
+}
+
+/** One configs[] entry: a name plus SimParam overrides. */
+SimConfig
+parseSimConfig(const JsonValue &v, const std::string &where)
+{
+    SimConfig cfg;
+    walkObject(v, where, "", simParamKeys(),
+               [&](const std::string &path, const JsonValue &field) {
+        atPath(joinPath(where, path), [&] {
+            if (path == "name") {
+                cfg.name = text(field);
+                return;
+            }
+            // A cache size may be given in KiB ("size_kb").
+            const size_t kib_at = path.rfind(".size_kb");
+            const bool kib = kib_at != std::string::npos &&
+                kib_at + 8 == path.size();
+            const std::string key =
+                kib ? path.substr(0, kib_at) + ".size_bytes" : path;
+            const uint64_t scale = kib ? 1024 : 1;
+            bool known = false;
+            forEachSimParam(cfg, [&](const SimParam &param, auto &slot) {
+                if (key != param.key)
+                    return;
+                using Field = std::remove_reference_t<decltype(slot)>;
+                slot = static_cast<Field>(
+                    count(field, param.max / scale) * scale);
+                known = true;
+            });
+            if (!known)
+                throw std::invalid_argument("unknown key");
+        });
+    });
     return cfg;
+}
+
+/** A name-to-enum parser applied to a string value. */
+template <typename T>
+T
+named(const JsonValue &v, T (*from_name)(const std::string &))
+{
+    return from_name(text(v));
+}
+
+/** Read a flag's text the way its row expects its value. */
+JsonValue
+flagJson(FlagValue kind, const std::string &arg)
+{
+    JsonValue v;
+    switch (kind) {
+      case FlagValue::Text:
+        v.kind = JsonValue::Kind::String;
+        v.string = arg;
+        break;
+      case FlagValue::Count:
+        if (arg.empty() || arg.size() > 19 ||
+            arg.find_first_not_of("0123456789") != std::string::npos)
+            throw std::invalid_argument(
+                "expected a non-negative integer");
+        v.kind = JsonValue::Kind::Number;
+        v.number = static_cast<double>(std::stoull(arg));
+        break;
+      case FlagValue::List:
+        v.kind = JsonValue::Kind::Array;
+        for (size_t pos = 0; pos <= arg.size();) {
+            size_t comma = arg.find(',', pos);
+            if (comma == std::string::npos)
+                comma = arg.size();
+            if (comma > pos) {
+                JsonValue item;
+                item.kind = JsonValue::Kind::String;
+                item.string = arg.substr(pos, comma - pos);
+                v.array.push_back(std::move(item));
+            }
+            pos = comma + 1;
+        }
+        break;
+    }
+    return v;
+}
+
+using Spec = ExperimentSpec;
+using Json = JsonValue;
+
+const RunOption *
+findOption(const std::string &name, const char *RunOption::*column)
+{
+    for (const RunOption &row : runOptions()) {
+        if (row.*column && name == row.*column)
+            return &row;
+    }
+    return nullptr;
 }
 
 } // namespace
 
+const std::vector<RunOption> &
+runOptions()
+{
+    static const std::vector<RunOption> table = {
+        {"report.format", "--format", "F",
+         "report format: table (default), json or csv", FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             const std::string &format = text(v);
+             if (format != "table" && format != "json" && format != "csv")
+                 throw std::invalid_argument(
+                     "expected table, json or csv");
+             s.format = format;
+         }},
+        {"report.out", "--out", "PATH",
+         "write the report to PATH instead of stdout", FlagValue::Text,
+         [](Spec &s, const Json &v) { s.out = text(v); }},
+        {"threads", "--threads", "N",
+         "worker threads (default 0: hardware concurrency)",
+         FlagValue::Count,
+         [](Spec &s, const Json &v) {
+             s.runner.threads = static_cast<unsigned>(count(v, 1024));
+         }},
+        {nullptr, "--workloads", "A,B", "run only the named workloads",
+         FlagValue::List,
+         [](Spec &s, const Json &v) { s.workloadFilter = names(v); }},
+        {nullptr, "--suite", "S",
+         "run only one suite (BearSSL, OpenSSL, PQC, Synthetic)",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) { s.suiteFilter = text(v); }},
+        {nullptr, "--config", "FILE",
+         "load the sweep from a JSON config; other flags override it",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) { s.configPath = text(v); }},
+        {"trace_mode", "--trace-mode", "M",
+         "trace storage: whole (default, in memory) or stream (on disk)",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             s.runner.analyze.traceMode = named(v, traceModeFromName);
+         }},
+        {"execution.mode", "--execution", "E",
+         "cell execution: inprocess (default) or subprocess (sharded)",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             s.runner.execution = named(v, executionModeFromName);
+         }},
+        {"execution.shards", "--shards", "N",
+         "worker processes for subprocess execution (default 0: auto)",
+         FlagValue::Count,
+         [](Spec &s, const Json &v) {
+             s.runner.shards = static_cast<unsigned>(count(v, 1024));
+         }},
+        {"cache.mode", "--cache", "M",
+         "cell-result store: off (default), on or readonly",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             s.runner.cacheMode = named(v, cacheModeFromName);
+         }},
+        {"cache.dir", "--cache-dir", "D",
+         "result-store directory (default: result-cache)",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) { s.runner.cacheDir = text(v); }},
+        {"execution.scheduler", "--scheduler", "S",
+         "subprocess shard partitioning: contiguous (default) or lpt",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             s.runner.scheduler = named(v, shardSchedulerFromName);
+         }},
+        {"report.stats_out", "--stats-out", "F",
+         "write the run's cache/scheduler telemetry JSON to F",
+         FlagValue::Text,
+         [](Spec &s, const Json &v) { s.statsOut = text(v); }},
+        {"name", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) { s.name = text(v); }},
+        {"workloads", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) { s.matrix.workloads = names(v); }},
+        {"suites", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) { s.suites = names(v); }},
+        {"schemes", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             for (const std::string &name : names(v))
+                 s.matrix.schemes.push_back(uarch::schemeFromName(name));
+         }},
+        {"configs", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             if (v.kind != JsonValue::Kind::Array)
+                 throw std::invalid_argument("expected an array");
+             for (size_t i = 0; i < v.array.size(); i++)
+                 s.matrix.configs.push_back(parseSimConfig(
+                     v.array[i], "configs[" + std::to_string(i) + "]"));
+         }},
+        {"execution.worker_binary", nullptr, nullptr, nullptr,
+         FlagValue::Text,
+         [](Spec &s, const Json &v) { s.runner.workerBinary = text(v); }},
+        {"artifacts.dir", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) { s.artifactDir = text(v); }},
+        {"artifacts.save", nullptr, nullptr, nullptr, FlagValue::Text,
+         [](Spec &s, const Json &v) {
+             if (v.kind != JsonValue::Kind::Bool)
+                 throw std::invalid_argument("expected a boolean");
+             s.artifactSave = v.boolean;
+         }},
+    };
+    return table;
+}
+
 ExperimentSpec
 parseExperimentSpec(const std::string &json)
 {
-    JsonValue root = JsonParser(json).parse();
-    if (root.kind != JsonValue::Kind::Object)
-        schemaFail("top level", "expected an object");
+    static const std::vector<const char *> keys = [] {
+        std::vector<const char *> out;
+        for (const RunOption &row : runOptions()) {
+            if (row.key)
+                out.push_back(row.key);
+        }
+        return out;
+    }();
 
     ExperimentSpec spec;
-    // The sweep-level trace mode seeds every config's field, so
-    // resolve it before the configs array (JSON key order must not
-    // matter).
-    if (const JsonValue *tm = root.get("trace_mode")) {
-        spec.traceMode = parseTraceMode(*tm, "trace_mode");
-        spec.traceModeSet = true;
-    }
-    for (const auto &[key, v] : root.object) {
-        if (key == "trace_mode") {
-            // handled above
-        } else if (key == "name") {
-            expectKind(v, JsonValue::Kind::String, key, "a string");
-            spec.name = v.string;
-        } else if (key == "workloads") {
-            spec.matrix.workloads = stringList(v, key);
-        } else if (key == "suites") {
-            spec.suites = stringList(v, key);
-        } else if (key == "schemes") {
-            for (const std::string &name : stringList(v, key))
-                spec.matrix.schemes.push_back(
-                    uarch::schemeFromName(name));
-        } else if (key == "configs") {
-            expectKind(v, JsonValue::Kind::Array, key, "an array");
-            for (size_t i = 0; i < v.array.size(); i++)
-                spec.matrix.configs.push_back(
-                    parseSimConfig(v.array[i], i, spec.traceMode));
-        } else if (key == "threads") {
-            spec.threads =
-                static_cast<unsigned>(uintField(v, key, 1024));
-        } else if (key == "report") {
-            expectKind(v, JsonValue::Kind::Object, key, "an object");
-            for (const auto &[rkey, rv] : v.object) {
-                const std::string at = "report." + rkey;
-                if (rkey == "format") {
-                    expectKind(rv, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.format = rv.string;
-                } else if (rkey == "out") {
-                    expectKind(rv, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.out = rv.string;
-                } else if (rkey == "stats_out") {
-                    expectKind(rv, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.statsOut = rv.string;
-                } else {
-                    schemaFail(at, "unknown report key");
-                }
-            }
-        } else if (key == "execution") {
-            expectKind(v, JsonValue::Kind::Object, key, "an object");
-            for (const auto &[ekey, ev] : v.object) {
-                const std::string at = "execution." + ekey;
-                if (ekey == "mode") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    try {
-                        spec.executionMode =
-                            executionModeFromName(ev.string);
-                    } catch (const std::invalid_argument &e) {
-                        schemaFail(at, e.what());
-                    }
-                    spec.executionModeSet = true;
-                } else if (ekey == "shards") {
-                    spec.shards = static_cast<unsigned>(
-                        uintField(ev, at, 1024));
-                    spec.shardsSet = true;
-                } else if (ekey == "worker_binary") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.workerBinary = ev.string;
-                } else if (ekey == "scheduler") {
-                    expectKind(ev, JsonValue::Kind::String, at,
-                               "a string");
-                    try {
-                        spec.scheduler =
-                            shardSchedulerFromName(ev.string);
-                    } catch (const std::invalid_argument &e) {
-                        schemaFail(at, e.what());
-                    }
-                    spec.schedulerSet = true;
-                } else {
-                    schemaFail(at, "unknown execution key");
-                }
-            }
-        } else if (key == "cache") {
-            expectKind(v, JsonValue::Kind::Object, key, "an object");
-            for (const auto &[ckey, cv] : v.object) {
-                const std::string at = "cache." + ckey;
-                if (ckey == "mode") {
-                    expectKind(cv, JsonValue::Kind::String, at,
-                               "a string");
-                    try {
-                        spec.cacheMode = cacheModeFromName(cv.string);
-                    } catch (const std::invalid_argument &e) {
-                        schemaFail(at, e.what());
-                    }
-                    spec.cacheModeSet = true;
-                } else if (ckey == "dir") {
-                    expectKind(cv, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.cacheDir = cv.string;
-                } else {
-                    schemaFail(at, "unknown cache key");
-                }
-            }
-        } else if (key == "artifacts") {
-            expectKind(v, JsonValue::Kind::Object, key, "an object");
-            for (const auto &[akey, av] : v.object) {
-                const std::string at = "artifacts." + akey;
-                if (akey == "dir") {
-                    expectKind(av, JsonValue::Kind::String, at,
-                               "a string");
-                    spec.artifactDir = av.string;
-                } else if (akey == "save") {
-                    expectKind(av, JsonValue::Kind::Bool, at,
-                               "a boolean");
-                    spec.artifactSave = av.boolean;
-                } else {
-                    schemaFail(at, "unknown artifacts key");
-                }
-            }
-        } else {
-            schemaFail(key, "unknown top-level key");
-        }
-    }
-
-    // A sweep-level stream request must reach the runner even without
-    // an explicit configs array (the runner's implicit default config
-    // would otherwise run whole-trace).
-    if (spec.traceModeSet && spec.matrix.configs.empty()) {
-        SimConfig cfg;
-        cfg.traceMode = spec.traceMode;
-        spec.matrix.configs.push_back(cfg);
-    }
+    walkObject(JsonParser(json).parse(), "", "", keys,
+               [&](const std::string &path, const JsonValue &v) {
+        const RunOption *row = findOption(path, &RunOption::key);
+        if (!row)
+            schemaFail(path, "unknown key");
+        atPath(path, [&] { row->parse(spec, v); });
+    });
 
     if (spec.matrix.workloads.empty() && spec.suites.empty())
         schemaFail("workloads",
                    "config selects no workloads (and no suites)");
     if (spec.matrix.schemes.empty())
         schemaFail("schemes", "config lists no schemes");
-    if (!spec.format.empty() && spec.format != "table" &&
-        spec.format != "json" && spec.format != "csv")
-        schemaFail("report.format",
-                   "expected table, json or csv, got \"" + spec.format +
-                       "\"");
     return spec;
 }
 
@@ -667,6 +662,66 @@ loadExperimentSpec(const std::string &path)
     std::ostringstream text;
     text << file.rdbuf();
     return parseExperimentSpec(text.str());
+}
+
+ExperimentSpec
+parseCommandLine(const std::vector<std::string> &args,
+                 bool positional_config)
+{
+    // (row, value) in command-line order; a null row is the
+    // positional config path.
+    std::vector<std::pair<const RunOption *, std::string>> given;
+    bool have_positional = false;
+    for (size_t i = 0; i < args.size(); i++) {
+        const std::string &arg = args[i];
+        if (positional_config && !have_positional &&
+            arg.rfind("-", 0) != 0) {
+            given.emplace_back(nullptr, arg);
+            have_positional = true;
+            continue;
+        }
+        const size_t eq = arg.find('=');
+        const std::string flag = arg.substr(0, eq);
+        const RunOption *row = findOption(flag, &RunOption::flag);
+        if (!row)
+            throw std::invalid_argument("unknown option: " + arg);
+        if (eq != std::string::npos)
+            given.emplace_back(row, arg.substr(eq + 1));
+        else if (i + 1 < args.size())
+            given.emplace_back(row, args[++i]);
+        else
+            throw std::invalid_argument("missing value for " + flag);
+    }
+
+    auto apply = [&](ExperimentSpec &spec) {
+        for (const auto &[row, value] : given) {
+            if (!row) {
+                spec.configPath = value;
+                continue;
+            }
+            try {
+                row->parse(spec, flagJson(row->flagValue, value));
+            } catch (const std::invalid_argument &e) {
+                throw std::invalid_argument("invalid " +
+                                            std::string(row->flag) + "=" +
+                                            value + ": " + e.what());
+            }
+        }
+    };
+    // The flags alone name the config file; load it, then apply the
+    // flags again on top of it.
+    ExperimentSpec flags;
+    apply(flags);
+    if (flags.configPath.empty())
+        return flags;
+    ExperimentSpec spec;
+    try {
+        spec = loadExperimentSpec(flags.configPath);
+    } catch (const std::exception &e) {
+        throw std::invalid_argument(flags.configPath + ": " + e.what());
+    }
+    apply(spec);
+    return spec;
 }
 
 } // namespace cassandra::core

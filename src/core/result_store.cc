@@ -29,15 +29,6 @@ struct Fnv
     }
 };
 
-void
-mixCacheParams(Fnv &fnv, const uarch::CacheParams &c)
-{
-    fnv.mix(c.sizeBytes);
-    fnv.mix(c.lineBytes);
-    fnv.mix(c.ways);
-    fnv.mix(c.latency);
-}
-
 /**
  * Parse + verify one entry. Returns false on a key mismatch (a hash
  * collision or an overwritten file); throws on corrupt bytes or a
@@ -93,43 +84,14 @@ packEntry(const ResultStoreKey &key, const ExperimentResult &result)
     return w.take();
 }
 
-} // namespace
-
-namespace {
-
 uint64_t
 hashSimConfig(const SimConfig &config, bool include_btu)
 {
     Fnv fnv;
-    const uarch::CoreParams &c = config.core;
-    fnv.mix(c.fetchWidth);
-    fnv.mix(c.commitWidth);
-    fnv.mix(c.issueWidth);
-    fnv.mix(c.robSize);
-    fnv.mix(c.iqSize);
-    fnv.mix(c.lqSize);
-    fnv.mix(c.sqSize);
-    fnv.mix(c.intRegs);
-    fnv.mix(c.frontendDepth);
-    fnv.mix(c.decodeRedirect);
-    fnv.mix(c.redirectPenalty);
-    fnv.mix(c.numAlu);
-    fnv.mix(c.numMul);
-    fnv.mix(c.numLsu);
-    fnv.mix(c.aluLatency);
-    fnv.mix(c.mulLatency);
-    fnv.mix(c.storeLatency);
-    mixCacheParams(fnv, c.l1i);
-    mixCacheParams(fnv, c.l1d);
-    mixCacheParams(fnv, c.l2);
-    mixCacheParams(fnv, c.l3);
-    fnv.mix(c.memLatency);
-    if (include_btu) {
-        fnv.mix(c.btuFlushPeriod);
-        fnv.mix(config.btu.sets);
-        fnv.mix(config.btu.ways);
-        fnv.mix(config.btu.fillLatency);
-    }
+    forEachSimParam(config, [&](const SimParam &param, const auto &field) {
+        if (include_btu || !param.btuOnly)
+            fnv.mix(field);
+    });
     return fnv.hash;
 }
 

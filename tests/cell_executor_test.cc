@@ -516,8 +516,7 @@ TEST(ShardSchedulerTest, LptBeatsContiguousOnSkewedSmokeConfig)
 {
     const auto spec = core::loadExperimentSpec(
         std::string(CASSANDRA_CONFIG_DIR) + "/ci_smoke_skewed.json");
-    ASSERT_TRUE(spec.schedulerSet);
-    EXPECT_EQ(spec.scheduler, core::ShardScheduler::Lpt);
+    ASSERT_EQ(spec.runner.scheduler, core::ShardScheduler::Lpt);
 
     // Record the real per-cell cycle counts into a fresh store.
     const std::string dir =

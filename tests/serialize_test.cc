@@ -410,19 +410,19 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
                  core::ArtifactFormatError);
 
     // The bench artifact cache evicts the file and re-analyzes.
-    bench::CliOptions opts;
-    opts.artifactDir = testing::TempDir() + "/cassaw3-" +
+    core::ExperimentSpec spec;
+    spec.artifactDir = testing::TempDir() + "/cassaw3-" +
         core::processUniqueSuffix();
-    core::ensureDirectories(opts.artifactDir);
+    core::ensureDirectories(spec.artifactDir);
     const std::string path =
-        bench::artifactPath(opts.artifactDir, "ChaCha20_ct");
+        bench::artifactPath(spec.artifactDir, "ChaCha20_ct");
     writeBytes(path, v3);
     std::vector<std::string> missing;
-    auto cache = bench::makeArtifactCache({"ChaCha20_ct"}, opts, missing);
+    auto cache = bench::makeArtifactCache({"ChaCha20_ct"}, spec, missing);
     EXPECT_EQ(missing, std::vector<std::string>{"ChaCha20_ct"});
     EXPECT_FALSE(cache->contains("ChaCha20_ct"));
     EXPECT_FALSE(std::ifstream(path).good()) << path;
-    core::removeDirectoryTree(opts.artifactDir);
+    core::removeDirectoryTree(spec.artifactDir);
 }
 
 TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)
