@@ -363,6 +363,9 @@ walkObject(const JsonValue &v, const std::string &where,
                    "expected an object");
     for (const auto &[key, field] : v.object) {
         const std::string path = joinPath(prefix, key);
+        // Paths are spelled as nested objects, never as dotted keys.
+        if (key.find('.') != std::string::npos)
+            schemaFail(joinPath(where, path), "unknown key");
         const std::string below = path + ".";
         bool section = false;
         for (const char *k : keys)

@@ -87,6 +87,8 @@ struct ExperimentSpec
     std::string suiteFilter;
 };
 
+/** A parsed JSON value (private to experiment_config.cc); a flag's
+ * text reaches its row's parser as one too. */
 struct JsonValue;
 
 /** How a flag's text becomes the value its row parses. */

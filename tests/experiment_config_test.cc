@@ -136,6 +136,16 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
             R"({"workloads": ["A"], "schemes": ["SPT"],
                 "configs": [{"core": {"rob": 1}}]})"),
         std::invalid_argument);
+    // Key paths are nested objects, not dotted keys.
+    EXPECT_THROW(
+        parseExperimentSpec(
+            R"({"workloads": ["A"], "schemes": ["SPT"],
+                "configs": [{"core.rob_size": 64}]})"),
+        std::invalid_argument);
+    EXPECT_THROW(parseExperimentSpec(
+                     R"({"workloads": ["A"], "schemes": ["SPT"],
+                         "execution.shards": 2})"),
+                 std::invalid_argument);
     // No workloads or suites.
     EXPECT_THROW(parseExperimentSpec(R"({"schemes": ["SPT"]})"),
                  std::invalid_argument);
@@ -331,37 +341,42 @@ withKey(const std::string &path, const std::string &literal)
 }
 
 /** One flag/key value pair: the config file sets `other`, the flag
- * or key then sets `value`; `bad` is rejected by both front ends
- * (null where any flag text is a valid value). */
+ * or key then sets `value`, which shows in describe() as `field`;
+ * `bad` is rejected by both front ends (null where any flag text is a
+ * valid value). */
 struct ParityCase
 {
     const char *flag;
     const char *otherJson;
     const char *value;
     const char *valueJson;
+    const char *field;
     const char *bad;
     const char *badJson;
 };
 
 constexpr ParityCase parityCases[] = {
-    {"--format", R"("json")", "csv", R"("csv")", "yaml", R"("yaml")"},
-    {"--out", R"("a.json")", "b.json", R"("b.json")", nullptr, "5"},
-    {"--threads", "5", "3", "3", "1025", "1025"},
-    {"--threads", "5", "0", "0", "x", R"("2")"},
-    {"--trace-mode", R"("whole")", "stream", R"("stream")", "hybrid",
-     R"("hybrid")"},
+    {"--format", R"("json")", "csv", R"("csv")", "format=csv", "yaml",
+     R"("yaml")"},
+    {"--out", R"("a.json")", "b.json", R"("b.json")", "out=b.json",
+     nullptr, "5"},
+    {"--threads", "5", "3", "3", "threads=3", "1025", "1025"},
+    {"--threads", "5", "0", "0", "threads=0", "x", R"("2")"},
+    {"--trace-mode", R"("whole")", "stream", R"("stream")",
+     "trace_mode=stream", "hybrid", R"("hybrid")"},
     {"--execution", R"("inprocess")", "subprocess", R"("subprocess")",
-     "remote", R"("remote")"},
+     "execution=1", "remote", R"("remote")"},
     // 0 means auto on both sides.
-    {"--shards", "2", "0", "0", "1025", "1025"},
-    {"--shards", "2", "4", "4", "-1", "-1"},
-    {"--cache", R"("on")", "readonly", R"("readonly")", "maybe",
-     R"("maybe")"},
-    {"--cache-dir", R"("c1")", "c2", R"("c2")", nullptr, "[]"},
-    {"--scheduler", R"("contiguous")", "lpt", R"("lpt")", "random",
-     R"("random")"},
-    {"--stats-out", R"("s1.json")", "s2.json", R"("s2.json")", nullptr,
-     "true"},
+    {"--shards", "2", "0", "0", "shards=0", "1025", "1025"},
+    {"--shards", "2", "4", "4", "shards=4", "-1", "-1"},
+    {"--cache", R"("on")", "readonly", R"("readonly")", "cache=readonly",
+     "maybe", R"("maybe")"},
+    {"--cache-dir", R"("c1")", "c2", R"("c2")", "cache_dir=c2", nullptr,
+     "[]"},
+    {"--scheduler", R"("contiguous")", "lpt", R"("lpt")",
+     "scheduler=lpt", "random", R"("random")"},
+    {"--stats-out", R"("s1.json")", "s2.json", R"("s2.json")",
+     "stats_out=s2.json", nullptr, "true"},
 };
 
 TEST(RunOptionTableTest, FlagsAndKeysProduceTheSameSpec)
@@ -383,6 +398,12 @@ TEST(RunOptionTableTest, FlagsAndKeysProduceTheSameSpec)
                      << "}";
             }
             const std::string want = describe(withKey(row.key, c.valueJson));
+            // The row writes its own field, and the case can tell the
+            // config's value from the flag's.
+            EXPECT_NE((" " + want + " ").find(" " + std::string(c.field) +
+                                              " "),
+                      std::string::npos)
+                << want;
             ASSERT_NE(describe(withKey(row.key, c.otherJson)), want);
             // Both flag forms, before or after --config: flags apply
             // over the config file.
