@@ -164,8 +164,9 @@ struct SimParam
  * Call fn(param, field) for each of the 38 timing parameters of a
  * (const or mutable) SimConfig, in manifest and hash order. The order
  * is part of the CASSSM1 bytes and of every result-store key: append
- * new parameters, never reorder. `name`, `scheme` and `traceMode` are
- * not parameters; they are labelled, keyed or stored separately.
+ * new parameters (bumping the manifest version), never reorder.
+ * `name`, `scheme` and `traceMode` are not parameters; they are
+ * labelled, keyed or stored separately.
  */
 template <typename Config, typename Fn>
 void
