@@ -310,9 +310,7 @@ saveArtifacts(
  * concatenate in matrix order. When the config named an artifact
  * directory, snapshots are loaded from it instead of re-analyzing
  * and — with "save": true — freshly analyzed workloads are written
- * back. Exits with a message when the runner rejects its options
- * (subprocess execution without a worker binary: only run_experiment
- * shards onto itself).
+ * back.
  */
 inline core::Experiment
 runMatrices(const std::vector<core::ExperimentMatrix> &matrices,
@@ -329,14 +327,8 @@ runMatrices(const std::vector<core::ExperimentMatrix> &matrices,
     // Identical cells (same workload, scheme and scheme-aware config
     // hash) simulate once; reports are byte-identical either way.
     options.dedupCells = true;
-    std::unique_ptr<core::ExperimentRunner> runner;
-    try {
-        runner = std::make_unique<core::ExperimentRunner>(cache, options);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-    core::Experiment exp = runner->run(matrices);
+    core::Experiment exp =
+        core::ExperimentRunner(cache, options).run(matrices);
     saveArtifacts(exp.artifacts, missing, spec);
     if (!spec.statsOut.empty()) {
         std::ofstream file(spec.statsOut);

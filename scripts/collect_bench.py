@@ -11,7 +11,7 @@ machine-readable baselines:
                       bench counts items (benchmark JSON, reduced)
   BENCH_fig7.json     end-to-end cells/sec of the ci_smoke sweep, split
                       into analysis+simulate (cold) and simulate-only
-                      phases, with the run's cache/scheduler telemetry
+                      phases, with the run's cache telemetry
   BENCH_q3.json       server macro benchmark: simulated requests/sec
                       per scheme on the composite server/tls mixes
                       (q3_cassandra_lite), plus the harness wall time

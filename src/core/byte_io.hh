@@ -1,8 +1,8 @@
 /**
  * @file
  * Little-endian byte writer/reader shared by the container formats
- * (AnalyzedWorkload snapshots, shard manifests, shard cell-result
- * sets). The writer appends into a growable byte vector; the reader is
+ * (AnalyzedWorkload snapshots, result-store entries). The writer
+ * appends into a growable byte vector; the reader is
  * bounds-checked and throws std::invalid_argument on truncation, so
  * every parser built on it fails loudly on short files instead of
  * reading past the end.

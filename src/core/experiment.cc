@@ -30,19 +30,6 @@ Experiment::find(const std::string &workload, uarch::Scheme scheme,
     return nullptr;
 }
 
-ExecutionMode
-executionModeFromName(const std::string &name)
-{
-    if (name == "inprocess" || name == "in-process" ||
-        name == "threads")
-        return ExecutionMode::InProcess;
-    if (name == "subprocess")
-        return ExecutionMode::Subprocess;
-    throw std::invalid_argument(
-        "unknown execution mode \"" + name +
-        "\" (expected inprocess or subprocess)");
-}
-
 const char *
 cacheModeName(CacheMode mode)
 {
@@ -70,54 +57,12 @@ cacheModeFromName(const std::string &name)
         "\" (expected off, on or readonly)");
 }
 
-const char *
-shardSchedulerName(ShardScheduler scheduler)
-{
-    return scheduler == ShardScheduler::Lpt ? "lpt" : "contiguous";
-}
-
-ShardScheduler
-shardSchedulerFromName(const std::string &name)
-{
-    if (name == "contiguous")
-        return ShardScheduler::Contiguous;
-    if (name == "lpt")
-        return ShardScheduler::Lpt;
-    throw std::invalid_argument(
-        "unknown shard scheduler \"" + name +
-        "\" (expected contiguous or lpt)");
-}
-
 unsigned
 RunnerOptions::resolveThreads(size_t work) const
 {
     unsigned n = threads;
     if (n == 0)
         n = std::max(1u, std::thread::hardware_concurrency());
-    return std::min<unsigned>(n, std::max<size_t>(work, 1));
-}
-
-unsigned
-RunnerOptions::resolveThreads(size_t work, unsigned shard_count) const
-{
-    // The documented cap: an even split of the machine-wide budget
-    // (shards x threads never exceeds resolveThreads(work)), clamped
-    // to the largest per-shard cell count so no worker idles threads.
-    const unsigned s = std::max(1u, shard_count);
-    const unsigned budget = std::max(1u, resolveThreads(work) / s);
-    const size_t per_shard_cells =
-        work == 0 ? 1 : (work + s - 1) / s;
-    return std::min<unsigned>(budget,
-                              std::max<size_t>(per_shard_cells, 1));
-}
-
-unsigned
-RunnerOptions::resolveShards(size_t work) const
-{
-    unsigned n = shards;
-    if (n == 0)
-        n = std::min(4u,
-                     std::max(1u, std::thread::hardware_concurrency()));
     return std::min<unsigned>(n, std::max<size_t>(work, 1));
 }
 
@@ -149,7 +94,7 @@ ExperimentRunner::ExperimentRunner(std::shared_ptr<AnalysisCache> cache,
             options_.cacheDir.empty() ? "result-cache"
                                       : options_.cacheDir);
     if (!executor_)
-        executor_ = makeCellExecutor(options_, store_);
+        executor_ = std::make_shared<InProcessExecutor>(options_.threads);
 }
 
 namespace {
@@ -226,9 +171,9 @@ ExperimentRunner::run(const ExperimentMatrix &matrix) const
 Experiment
 ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
 {
-    // Plan: flatten the cross products up front so executors fill a
-    // fixed slot array — result order never depends on scheduling,
-    // threads or shard partitions.
+    // Plan: flatten the cross products up front so the executor fills
+    // a fixed slot array — result order never depends on scheduling or
+    // threads.
     const std::vector<SimConfig> default_configs{SimConfig{}};
 
     std::vector<PlannedCell> cells;
@@ -271,9 +216,9 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
         exp.artifacts.emplace(names[i], artifacts[i]);
 
     // Result store: replay every cell whose key hits, dispatch only
-    // the misses. Filtering happens here in the coordinator, so both
-    // executors (and any custom one) get the cache for free and the
-    // merged vector stays byte-identical to an uncached run.
+    // the misses. Filtering happens here in the coordinator, so any
+    // executor gets the cache for free and the merged vector stays
+    // byte-identical to an uncached run.
     exp.telemetry.cacheEnabled = store_ != nullptr;
     exp.telemetry.cacheMode = cacheModeName(options_.cacheMode);
     if (store_)
@@ -296,7 +241,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
             ExperimentResult cached;
             if (store_->lookup(keys.back(), cached)) {
                 // Rebuild the naming fields exactly like the
-                // executors do — a replayed cell must be
+                // executor does — a replayed cell must be
                 // indistinguishable from a fresh one.
                 CellResult &out = results[i];
                 out.workload = cell.workload;
@@ -319,8 +264,8 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     exp.telemetry.simulatedCells = pending.size();
 
     // Phase 2: dispatch the missing cells to the executor and merge.
-    // Every executor fills the same fixed slots, so the cells come
-    // back in matrix order whatever the backend did to run them.
+    // The executor fills fixed slots, so the cells come back in
+    // matrix order whatever it did to run them.
     if (!pending.empty()) {
         // Phase 1b: analyze once per distinct workload that still has
         // cells to simulate — concurrently, requesting exactly the
@@ -391,13 +336,6 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
             out.scheme = cell.scheme;
             out.config = cell.config.name;
             out.result = fresh[owner[j]].result;
-        }
-        const ScheduleSummary schedule = executor_->lastSchedule();
-        if (schedule.valid) {
-            exp.telemetry.scheduled = true;
-            exp.telemetry.scheduler =
-                shardSchedulerName(schedule.scheduler);
-            exp.telemetry.shardCosts = schedule.shardCosts;
         }
     }
     exp.cells = std::move(results);
@@ -886,24 +824,6 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
             first = false;
         }
         peaks_os << "}";
-        os << "\n  }";
-    }
-    os << ",\n  \"schedule\": ";
-    if (!telemetry.scheduled) {
-        os << "null";
-    } else {
-        os << "{";
-        JsonObject o(os, 4);
-        o.field("scheduler", telemetry.scheduler);
-        o.field("shards",
-                static_cast<uint64_t>(telemetry.shardCosts.size()));
-        std::ostream &costs_os = o.object("shard_costs");
-        costs_os << "[";
-        for (size_t i = 0; i < telemetry.shardCosts.size(); i++)
-            costs_os << (i ? ", " : "") << telemetry.shardCosts[i];
-        costs_os << "]";
-        o.field("max_shard_cost", telemetry.maxShardCost());
-        o.field("total_cost", telemetry.totalCost());
         os << "\n  }";
     }
     os << "\n}\n";

@@ -9,16 +9,13 @@
  * runner executes the full workload x scheme x config cross product
  * in two phases. Phase 1 analyzes each distinct workload exactly once
  * (concurrently across workloads, memoized in an AnalysisCache);
- * phase 2 hands the planned cells to a pluggable core::CellExecutor —
- * the in-process thread pool by default, or the subprocess shard
- * executor (RunnerOptions::execution) which partitions cells across
- * `run_experiment --worker` child processes over serialized artifact
- * snapshots. The runner itself is a pure coordinator: plan cells ->
- * acquire artifacts -> dispatch -> merge. Each cell still builds its
- * own core, so the result vector is deterministic for any thread or
- * shard count and always in matrix order (workload-major, then
- * scheme, then config) — executors are required to be byte-identical
- * to one another.
+ * phase 2 hands the planned cells to a core::CellExecutor — the
+ * in-process thread pool unless the caller injects another. The
+ * runner itself is a pure coordinator: plan cells -> acquire
+ * artifacts -> dispatch -> merge. Each cell still builds its own
+ * core, so the result vector is deterministic for any thread count
+ * and always in matrix order (workload-major, then scheme, then
+ * config).
  *
  *   core::ExperimentMatrix m;
  *   m.workloads = {"ChaCha20_ct", "kyber768"};
@@ -86,8 +83,8 @@ struct CellResult
 };
 
 /**
- * Side-band observability of one runner dispatch: result-store
- * counters and the shard schedule. Deliberately *not* part of any
+ * Side-band observability of one runner dispatch: result-store,
+ * pipeline and analysis counters. Deliberately *not* part of any
  * report format — reports must stay byte-identical between cold and
  * warm runs — telemetry is emitted as its own JSON document
  * (writeRunTelemetry, `--stats-out`).
@@ -136,34 +133,10 @@ struct RunTelemetry
             max = bytes > max ? bytes : max;
         return max;
     }
-
-    /** A subprocess shard schedule was computed this run. */
-    bool scheduled = false;
-    std::string scheduler; ///< "contiguous" or "lpt"
-    /** Estimated cost (model units) assigned to each shard. */
-    std::vector<uint64_t> shardCosts;
-
-    uint64_t
-    maxShardCost() const
-    {
-        uint64_t max = 0;
-        for (uint64_t c : shardCosts)
-            max = c > max ? c : max;
-        return max;
-    }
-
-    uint64_t
-    totalCost() const
-    {
-        uint64_t sum = 0;
-        for (uint64_t c : shardCosts)
-            sum += c;
-        return sum;
-    }
 };
 
-/** Emit telemetry as a standalone JSON document with `cache_stats`
- * and `schedule` blocks (the `--stats-out` payload). */
+/** Emit telemetry as a standalone JSON document with `cache_stats`,
+ * `pipeline` and `analysis` blocks (the `--stats-out` payload). */
 void writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os);
 
 /** All cells of one matrix run, in matrix order. */
@@ -171,8 +144,8 @@ struct Experiment
 {
     std::vector<CellResult> cells;
 
-    /** Cache/schedule observability of the run that produced this
-     * experiment (not serialized by any Reporter). */
+    /** Cache and analysis observability of the run that produced
+     * this experiment (not serialized by any Reporter). */
     RunTelemetry telemetry;
 
     /**
@@ -190,21 +163,6 @@ struct Experiment
                            uarch::Scheme scheme,
                            const std::string &config = "") const;
 };
-
-/** How phase-2 cells are executed. */
-enum class ExecutionMode
-{
-    /** Thread pool inside this process (the default). */
-    InProcess,
-    /** Cells sharded across `run_experiment --worker` subprocesses. */
-    Subprocess,
-};
-
-/**
- * Parse an execution mode name ("inprocess" or "subprocess").
- * @throws std::invalid_argument on anything else.
- */
-ExecutionMode executionModeFromName(const std::string &name);
 
 /** Whether (and how) the persistent cell-result store is consulted. */
 enum class CacheMode
@@ -225,24 +183,6 @@ const char *cacheModeName(CacheMode mode);
  */
 CacheMode cacheModeFromName(const std::string &name);
 
-/** How SubprocessShardExecutor partitions cells across shards. */
-enum class ShardScheduler
-{
-    /** Equal-size contiguous index blocks (the default). */
-    Contiguous,
-    /** Longest-processing-time bin packing over the per-cell cost
-     * model (prior cached cycles, ops-count fallback). */
-    Lpt,
-};
-
-const char *shardSchedulerName(ShardScheduler scheduler);
-
-/**
- * Parse a scheduler name ("contiguous" or "lpt").
- * @throws std::invalid_argument on anything else.
- */
-ShardScheduler shardSchedulerFromName(const std::string &name);
-
 /** Runner knobs. */
 struct RunnerOptions
 {
@@ -262,30 +202,6 @@ struct RunnerOptions
      */
     AnalyzeOptions analyze;
 
-    /** Phase-2 cell execution backend. */
-    ExecutionMode execution = ExecutionMode::InProcess;
-
-    /**
-     * Shard (worker process) count for subprocess execution; 0 means
-     * auto (see resolveShards). Ignored in-process.
-     */
-    unsigned shards = 0;
-
-    /**
-     * Binary spawned per shard in subprocess mode; it must implement
-     * the `--worker --manifest=F --out=F` contract (run_experiment
-     * does). Required when execution == Subprocess.
-     */
-    std::string workerBinary;
-
-    /**
-     * Directory for shard scratch files (artifact snapshots,
-     * manifests, worker outputs); empty picks a per-process temp
-     * directory. The executor deletes its scratch files after a
-     * successful run and keeps them for debugging when the run fails.
-     */
-    std::string scratchDir;
-
     /**
      * Persistent cell-result store: Off (default) simulates every
      * cell; On consults the store before dispatch, executes only the
@@ -296,14 +212,6 @@ struct RunnerOptions
 
     /** Result-store directory; empty defaults to "result-cache". */
     std::string cacheDir;
-
-    /**
-     * Shard partitioning policy for subprocess execution: Contiguous
-     * equal blocks (default) or Lpt cost-model bin packing. Merging by
-     * global index makes the choice invisible in the report (ignored
-     * in-process, where the thread pool self-balances).
-     */
-    ShardScheduler scheduler = ShardScheduler::Contiguous;
 
     /**
      * Collapse identical pending cells (same workload, scheme and
@@ -320,25 +228,6 @@ struct RunnerOptions
      * count (or hardware concurrency) clamped to the work at hand.
      */
     unsigned resolveThreads(size_t work) const;
-
-    /**
-     * Per-worker thread budget of a sharded run. The machine-wide
-     * budget resolveThreads(work) is divided evenly across the shard
-     * workers and clamped to the largest per-shard cell count, so the
-     * product shards x threads never oversubscribes the machine and no
-     * worker holds more threads than it has cells:
-     *
-     *   perWorker = min(max(1, resolveThreads(work) / shards),
-     *                   ceil(work / shards))
-     */
-    unsigned resolveThreads(size_t work, unsigned shards) const;
-
-    /**
-     * Shard count actually launched for `work` cells: the requested
-     * count (or, when 0, an automatic min(4, hardware concurrency))
-     * clamped to the cell count so no worker starts empty.
-     */
-    unsigned resolveShards(size_t work) const;
 };
 
 /**
@@ -355,9 +244,8 @@ class ExperimentRunner
     explicit ExperimentRunner(std::shared_ptr<AnalysisCache> cache,
                               RunnerOptions options = {});
     /**
-     * Inject a custom phase-2 executor (null builds one from
-     * options.execution: InProcessExecutor or SubprocessShardExecutor
-     * from core/cell_executor.hh).
+     * Inject a custom phase-2 executor (null builds an
+     * InProcessExecutor with options.threads, core/cell_executor.hh).
      */
     ExperimentRunner(std::shared_ptr<AnalysisCache> cache,
                      RunnerOptions options,
@@ -402,9 +290,6 @@ class ExperimentRunner
 
     /** The artifact cache backing this runner. */
     AnalysisCache &cache() const { return *cache_; }
-
-    /** The phase-2 executor cells are dispatched to. */
-    CellExecutor &executor() const { return *executor_; }
 
     /** The persistent cell-result store; null when cacheMode is Off
      * (or a custom executor was injected with no store). */

@@ -560,18 +560,6 @@ runOptions()
          [](Spec &s, const Json &v) {
              s.runner.analyze.traceMode = named(v, traceModeFromName);
          }},
-        {"execution.mode", "--execution", "E",
-         "cell execution: inprocess (default) or subprocess (sharded)",
-         FlagValue::Text,
-         [](Spec &s, const Json &v) {
-             s.runner.execution = named(v, executionModeFromName);
-         }},
-        {"execution.shards", "--shards", "N",
-         "worker processes for subprocess execution (default 0: auto)",
-         FlagValue::Count,
-         [](Spec &s, const Json &v) {
-             s.runner.shards = static_cast<unsigned>(count(v, 1024));
-         }},
         {"cache.mode", "--cache", "M",
          "cell-result store: off (default), on or readonly",
          FlagValue::Text,
@@ -582,14 +570,8 @@ runOptions()
          "result-store directory (default: result-cache)",
          FlagValue::Text,
          [](Spec &s, const Json &v) { s.runner.cacheDir = text(v); }},
-        {"execution.scheduler", "--scheduler", "S",
-         "subprocess shard partitioning: contiguous (default) or lpt",
-         FlagValue::Text,
-         [](Spec &s, const Json &v) {
-             s.runner.scheduler = named(v, shardSchedulerFromName);
-         }},
         {"report.stats_out", "--stats-out", "F",
-         "write the run's cache/scheduler telemetry JSON to F",
+         "write the run's cache telemetry JSON to F",
          FlagValue::Text,
          [](Spec &s, const Json &v) { s.statsOut = text(v); }},
         {"name", nullptr, nullptr, nullptr, FlagValue::Text,
@@ -611,9 +593,6 @@ runOptions()
                  s.matrix.configs.push_back(parseSimConfig(
                      v.array[i], "configs[" + std::to_string(i) + "]"));
          }},
-        {"execution.worker_binary", nullptr, nullptr, nullptr,
-         FlagValue::Text,
-         [](Spec &s, const Json &v) { s.runner.workerBinary = text(v); }},
         {"artifacts.dir", nullptr, nullptr, nullptr, FlagValue::Text,
          [](Spec &s, const Json &v) { s.artifactDir = text(v); }},
         {"artifacts.save", nullptr, nullptr, nullptr, FlagValue::Text,

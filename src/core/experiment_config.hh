@@ -22,9 +22,6 @@
  *     "trace_mode": "stream",
  *     "report": {"format": "json", "out": "fig7.json"},
  *     "artifacts": {"dir": "aw-cache", "save": true},
- *     "execution": {"mode": "subprocess", "shards": 4,
- *                   "scheduler": "lpt",
- *                   "worker_binary": "./build/bench/run_experiment"},
  *     "cache": {"mode": "on", "dir": "result-cache"}
  *   }
  *
@@ -65,17 +62,16 @@ struct ExperimentSpec
     std::string format = "table";
     /** Report output path; empty means stdout. */
     std::string out;
-    /** Telemetry JSON path: the cache_stats/schedule document, kept
-     * out of the report so warm and cold runs stay byte-identical;
-     * empty writes none. */
+    /** Telemetry JSON path: the cache_stats document, kept out of
+     * the report so warm and cold runs stay byte-identical; empty
+     * writes none. */
     std::string statsOut;
     /** Directory of serialized AnalyzedWorkload snapshots (stream
      * files go there too). */
     std::string artifactDir;
     /** Save freshly analyzed artifacts back into artifactDir. */
     bool artifactSave = false;
-    /** Threads, trace mode (analyze.traceMode), execution backend,
-     * shards, worker binary, result store and scheduler. */
+    /** Threads, trace mode (analyze.traceMode) and result store. */
     RunnerOptions runner;
 
     /** The JSON sweep file the command line named; empty when the
@@ -106,9 +102,9 @@ enum class FlagValue
  */
 struct RunOption
 {
-    /** JSON key path ("execution.shards"); null for flag-only rows. */
+    /** JSON key path ("cache.dir"); null for flag-only rows. */
     const char *key;
-    /** Command-line flag ("--shards"); null for key-only rows. */
+    /** Command-line flag ("--cache-dir"); null for key-only rows. */
     const char *flag;
     /** Placeholder of the flag's value and its one help line. */
     const char *metavar;

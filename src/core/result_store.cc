@@ -195,21 +195,6 @@ ResultStore::store(const ResultStoreKey &key,
     stores_.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t
-ResultStore::peekCycles(const ResultStoreKey &key) const
-{
-    try {
-        const std::vector<uint8_t> bytes =
-            readFileBytes(entryPath(key), "result-store entry");
-        ExperimentResult result;
-        if (parseEntry(bytes, key, result))
-            return result.stats.cycles;
-    } catch (const std::exception &) {
-        // The cost model falls back to the static estimate.
-    }
-    return 0;
-}
-
 ResultStore::Stats
 ResultStore::stats() const
 {

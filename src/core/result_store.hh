@@ -138,13 +138,6 @@ class ResultStore
      */
     void store(const ResultStoreKey &key, const ExperimentResult &result);
 
-    /**
-     * Read-only probe for the cost model: like lookup() but counts
-     * nothing and never evicts. Returns the recorded cycle count of a
-     * valid matching entry, 0 otherwise.
-     */
-    uint64_t peekCycles(const ResultStoreKey &key) const;
-
     /** Entry file path of a key (`dir/<16-hex hash>.cr`). */
     std::string entryPath(const ResultStoreKey &key) const;
 

@@ -873,14 +873,10 @@ loadAnalyzedWorkload(const std::string &path,
 }
 
 // ---------------------------------------------------------------------
-// Shard cell-result sets (CASSCR1)
+// ExperimentResult counter blocks
 // ---------------------------------------------------------------------
 
 namespace {
-
-constexpr char cellResultMagic[8] = {'C', 'A', 'S', 'S',
-                                     'C', 'R', '1', '\n'};
-constexpr uint32_t cellResultVersion = 1;
 
 /**
  * Every counter of an ExperimentResult, in a fixed order shared by
@@ -945,94 +941,6 @@ unpackExperimentResult(ByteReader &r)
     ExperimentResult result;
     eachResultCounter(result, [&](uint64_t &field) { field = r.u64(); });
     return result;
-}
-
-std::vector<uint8_t>
-packCellResults(const std::vector<IndexedCellResult> &cells)
-{
-    ByteWriter w;
-    for (char c : cellResultMagic)
-        w.u8(static_cast<uint8_t>(c));
-    w.u32(cellResultVersion);
-    w.u32(static_cast<uint32_t>(cells.size()));
-    for (const IndexedCellResult &entry : cells) {
-        w.u32(entry.index);
-        w.str(entry.cell.workload);
-        w.str(entry.cell.suite);
-        w.str(uarch::schemeName(entry.cell.scheme));
-        w.str(entry.cell.config);
-        ExperimentResult result = entry.cell.result;
-        eachResultCounter(result, [&](uint64_t &field) {
-            w.u64(field);
-        });
-    }
-    return w.take();
-}
-
-std::vector<IndexedCellResult>
-unpackCellResults(const std::vector<uint8_t> &bytes)
-{
-    ByteReader r(bytes);
-    uint8_t magic[8];
-    for (uint8_t &b : magic)
-        b = r.u8();
-    if (std::memcmp(magic, cellResultMagic, 6) != 0)
-        throw ArtifactFormatError(
-            "not a cell-result set (bad magic)");
-    if (std::memcmp(magic, cellResultMagic, 8) != 0)
-        throw ArtifactFormatError(
-            "cell-result set has an unknown container revision");
-    const uint32_t version = r.u32();
-    if (version != cellResultVersion)
-        throw ArtifactFormatError(
-            "cell-result set has format version " +
-            std::to_string(version) + ", expected " +
-            std::to_string(cellResultVersion));
-    const uint32_t count = r.u32();
-    // Bound the declared count before reserving: a garbage count in a
-    // corrupt worker output must fail as truncated, not as a huge
-    // allocation (corrupt shard files are an anticipated input — the
-    // retry path exists for them). Minimum entry: index + four string
-    // length prefixes + the counters.
-    size_t num_counters = 0;
-    {
-        ExperimentResult probe;
-        eachResultCounter(probe, [&](uint64_t &) { num_counters++; });
-    }
-    const size_t min_entry_bytes = 4 + 4 * 4 + num_counters * 8;
-    if (count > r.remaining() / min_entry_bytes)
-        throw std::invalid_argument("truncated cell-result set");
-    std::vector<IndexedCellResult> cells;
-    cells.reserve(count);
-    for (uint32_t i = 0; i < count; i++) {
-        IndexedCellResult entry;
-        entry.index = r.u32();
-        entry.cell.workload = r.str();
-        entry.cell.suite = r.str();
-        entry.cell.scheme = uarch::schemeFromName(r.str());
-        entry.cell.config = r.str();
-        eachResultCounter(entry.cell.result, [&](uint64_t &field) {
-            field = r.u64();
-        });
-        cells.push_back(std::move(entry));
-    }
-    if (!r.done())
-        throw std::invalid_argument(
-            "trailing bytes in cell-result set");
-    return cells;
-}
-
-void
-saveCellResults(const std::vector<IndexedCellResult> &cells,
-                const std::string &path)
-{
-    writeFileBytes(path, packCellResults(cells));
-}
-
-std::vector<IndexedCellResult>
-loadCellResults(const std::string &path)
-{
-    return unpackCellResults(readFileBytes(path, "cell-result set"));
 }
 
 SnapshotIoStats

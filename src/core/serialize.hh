@@ -39,11 +39,8 @@
  * materialization" guarantee observable: a streamed save/load round
  * trip moves stream bytes but zero inline ops.
  *
- * The module also defines the CASSCR1 cell-result set: the partial
- * `Experiment` a shard worker hands back to the coordinator (one
- * CellResult per global cell index). SubprocessShardExecutor merges
- * these sets into the final result vector byte-identically to an
- * in-process run.
+ * The module also fixes the order of an ExperimentResult's counters,
+ * which the result store's CASSRS1 entries embed.
  */
 
 #ifndef CASSANDRA_CORE_SERIALIZE_HH
@@ -55,7 +52,6 @@
 
 #include "core/analyzed_workload.hh"
 #include "core/byte_io.hh"
-#include "core/experiment.hh"
 #include "core/trace_format.hh"
 #include "core/trace_image.hh"
 #include "core/trace_stream.hh"
@@ -175,53 +171,22 @@ struct SnapshotIoStats
 SnapshotIoStats snapshotIoStats();
 
 // ---------------------------------------------------------------------
-// Shard cell-result sets (CASSCR1)
+// ExperimentResult counter blocks
 // ---------------------------------------------------------------------
 
-/** One executed cell plus its global index in the coordinator's
- * cell plan (the unit a shard worker reports back). */
-struct IndexedCellResult
-{
-    uint32_t index = 0;
-    CellResult cell;
-};
-
-/** Serialize a partial cell-result set (magic "CASSCR1\n"). Every
- * counter of every cell is stored, so a merged report is
- * byte-identical to an in-process run. */
-std::vector<uint8_t>
-packCellResults(const std::vector<IndexedCellResult> &cells);
-
 /**
- * Parse CASSCR1 bytes.
- * @throws ArtifactFormatError on bad magic or version,
- *         std::invalid_argument on truncated/corrupt bytes (unknown
- *         scheme names included).
- */
-std::vector<IndexedCellResult>
-unpackCellResults(const std::vector<uint8_t> &bytes);
-
-/** packCellResults straight to a file (throws on I/O errors). */
-void saveCellResults(const std::vector<IndexedCellResult> &cells,
-                     const std::string &path);
-
-/** Load + unpack a CASSCR1 file (throws like unpackCellResults). */
-std::vector<IndexedCellResult>
-loadCellResults(const std::string &path);
-
-/**
- * Number of u64 counters in an ExperimentResult (the CASSCR1 fixed
- * field list). Containers embedding counter blocks (shard result
- * sets, the result store) record this count and treat a mismatch as
- * a stale format — a counter added to the simulator must not be
- * silently replayed as zero from old entries.
+ * Number of u64 counters in an ExperimentResult (the fixed field
+ * list). Containers embedding counter blocks (the result store)
+ * record this count and treat a mismatch as a stale format — a
+ * counter added to the simulator must not be silently replayed as
+ * zero from old entries.
  */
 size_t experimentResultCounterCount();
 
-/** Append every counter of `result` in the CASSCR1 field order. */
+/** Append every counter of `result` in the fixed field order. */
 void packExperimentResult(ByteWriter &w, const ExperimentResult &result);
 
-/** Read experimentResultCounterCount() u64 counters back (CASSCR1
+/** Read experimentResultCounterCount() u64 counters back (fixed
  * field order; throws std::invalid_argument when truncated). */
 ExperimentResult unpackExperimentResult(ByteReader &r);
 

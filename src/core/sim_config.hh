@@ -21,9 +21,8 @@
  * overrides.
  *
  * forEachSimParam is the one list of the 38 sweepable parameters:
- * the JSON `configs[]` parser, the CASSSM1 shard-manifest codec and
- * the result-store key hash all iterate it, so a parameter added
- * there is parsed, shipped to workers and keyed at once.
+ * the JSON `configs[]` parser and the result-store key hash both
+ * iterate it, so a parameter added there is parsed and keyed at once.
  */
 
 #ifndef CASSANDRA_CORE_SIM_CONFIG_HH
@@ -146,15 +145,13 @@ struct SimConfig
     }
 };
 
-/** How one sweepable SimConfig parameter is spelled and encoded. */
+/** How one sweepable SimConfig parameter is spelled and bounded. */
 struct SimParam
 {
     /** Path under a JSON configs[] entry, e.g. "core.l1d.ways". */
     const char *key;
     /** Largest value the JSON front end accepts. */
     uint64_t max;
-    /** CASSSM1 width in bytes: 4 (u32) or 8 (u64). */
-    unsigned wireBytes;
     /** Hashed only under schemes that use the BTU (see
      * canonicalSimConfigHash): the simulator builds no BTU otherwise. */
     bool btuOnly = false;
@@ -162,9 +159,8 @@ struct SimParam
 
 /**
  * Call fn(param, field) for each of the 38 timing parameters of a
- * (const or mutable) SimConfig, in manifest and hash order. The order
- * is part of the CASSSM1 bytes and of every result-store key: append
- * new parameters (bumping the manifest version), never reorder.
+ * (const or mutable) SimConfig, in hash order. The order is part of
+ * every result-store key: append new parameters, never reorder.
  * `name`, `scheme` and `traceMode` are not parameters; they are
  * labelled, keyed or stored separately.
  */
@@ -173,45 +169,44 @@ void
 forEachSimParam(Config &cfg, Fn &&fn)
 {
     auto &c = cfg.core;
-    fn(SimParam{"core.fetch_width", 64, 4}, c.fetchWidth);
-    fn(SimParam{"core.commit_width", 64, 4}, c.commitWidth);
-    fn(SimParam{"core.issue_width", 64, 4}, c.issueWidth);
-    fn(SimParam{"core.rob_size", 1 << 20, 4}, c.robSize);
-    fn(SimParam{"core.iq_size", 1 << 20, 4}, c.iqSize);
-    fn(SimParam{"core.lq_size", 1 << 20, 4}, c.lqSize);
-    fn(SimParam{"core.sq_size", 1 << 20, 4}, c.sqSize);
-    fn(SimParam{"core.int_regs", 1 << 20, 4}, c.intRegs);
-    fn(SimParam{"core.frontend_depth", 1024, 4}, c.frontendDepth);
-    fn(SimParam{"core.decode_redirect", 1024, 4}, c.decodeRedirect);
-    fn(SimParam{"core.redirect_penalty", 1024, 4}, c.redirectPenalty);
-    fn(SimParam{"core.num_alu", 64, 4}, c.numAlu);
-    fn(SimParam{"core.num_mul", 64, 4}, c.numMul);
-    fn(SimParam{"core.num_lsu", 64, 4}, c.numLsu);
-    fn(SimParam{"core.alu_latency", 1024, 4}, c.aluLatency);
-    fn(SimParam{"core.mul_latency", 1024, 4}, c.mulLatency);
-    fn(SimParam{"core.store_latency", 1024, 4}, c.storeLatency);
-    fn(SimParam{"core.l1i.size_bytes", 1 << 30, 4}, c.l1i.sizeBytes);
-    fn(SimParam{"core.l1i.line_bytes", 4096, 4}, c.l1i.lineBytes);
-    fn(SimParam{"core.l1i.ways", 1024, 4}, c.l1i.ways);
-    fn(SimParam{"core.l1i.latency", 100000, 4}, c.l1i.latency);
-    fn(SimParam{"core.l1d.size_bytes", 1 << 30, 4}, c.l1d.sizeBytes);
-    fn(SimParam{"core.l1d.line_bytes", 4096, 4}, c.l1d.lineBytes);
-    fn(SimParam{"core.l1d.ways", 1024, 4}, c.l1d.ways);
-    fn(SimParam{"core.l1d.latency", 100000, 4}, c.l1d.latency);
-    fn(SimParam{"core.l2.size_bytes", 1 << 30, 4}, c.l2.sizeBytes);
-    fn(SimParam{"core.l2.line_bytes", 4096, 4}, c.l2.lineBytes);
-    fn(SimParam{"core.l2.ways", 1024, 4}, c.l2.ways);
-    fn(SimParam{"core.l2.latency", 100000, 4}, c.l2.latency);
-    fn(SimParam{"core.l3.size_bytes", 1 << 30, 4}, c.l3.sizeBytes);
-    fn(SimParam{"core.l3.line_bytes", 4096, 4}, c.l3.lineBytes);
-    fn(SimParam{"core.l3.ways", 1024, 4}, c.l3.ways);
-    fn(SimParam{"core.l3.latency", 100000, 4}, c.l3.latency);
-    fn(SimParam{"core.mem_latency", 100000, 4}, c.memLatency);
-    fn(SimParam{"core.btu_flush_period", ~0ull >> 1, 8, true},
-       c.btuFlushPeriod);
-    fn(SimParam{"btu.sets", 1 << 20, 8, true}, cfg.btu.sets);
-    fn(SimParam{"btu.ways", 1 << 20, 8, true}, cfg.btu.ways);
-    fn(SimParam{"btu.fill_latency", 1 << 20, 4, true}, cfg.btu.fillLatency);
+    fn(SimParam{"core.fetch_width", 64}, c.fetchWidth);
+    fn(SimParam{"core.commit_width", 64}, c.commitWidth);
+    fn(SimParam{"core.issue_width", 64}, c.issueWidth);
+    fn(SimParam{"core.rob_size", 1 << 20}, c.robSize);
+    fn(SimParam{"core.iq_size", 1 << 20}, c.iqSize);
+    fn(SimParam{"core.lq_size", 1 << 20}, c.lqSize);
+    fn(SimParam{"core.sq_size", 1 << 20}, c.sqSize);
+    fn(SimParam{"core.int_regs", 1 << 20}, c.intRegs);
+    fn(SimParam{"core.frontend_depth", 1024}, c.frontendDepth);
+    fn(SimParam{"core.decode_redirect", 1024}, c.decodeRedirect);
+    fn(SimParam{"core.redirect_penalty", 1024}, c.redirectPenalty);
+    fn(SimParam{"core.num_alu", 64}, c.numAlu);
+    fn(SimParam{"core.num_mul", 64}, c.numMul);
+    fn(SimParam{"core.num_lsu", 64}, c.numLsu);
+    fn(SimParam{"core.alu_latency", 1024}, c.aluLatency);
+    fn(SimParam{"core.mul_latency", 1024}, c.mulLatency);
+    fn(SimParam{"core.store_latency", 1024}, c.storeLatency);
+    fn(SimParam{"core.l1i.size_bytes", 1 << 30}, c.l1i.sizeBytes);
+    fn(SimParam{"core.l1i.line_bytes", 4096}, c.l1i.lineBytes);
+    fn(SimParam{"core.l1i.ways", 1024}, c.l1i.ways);
+    fn(SimParam{"core.l1i.latency", 100000}, c.l1i.latency);
+    fn(SimParam{"core.l1d.size_bytes", 1 << 30}, c.l1d.sizeBytes);
+    fn(SimParam{"core.l1d.line_bytes", 4096}, c.l1d.lineBytes);
+    fn(SimParam{"core.l1d.ways", 1024}, c.l1d.ways);
+    fn(SimParam{"core.l1d.latency", 100000}, c.l1d.latency);
+    fn(SimParam{"core.l2.size_bytes", 1 << 30}, c.l2.sizeBytes);
+    fn(SimParam{"core.l2.line_bytes", 4096}, c.l2.lineBytes);
+    fn(SimParam{"core.l2.ways", 1024}, c.l2.ways);
+    fn(SimParam{"core.l2.latency", 100000}, c.l2.latency);
+    fn(SimParam{"core.l3.size_bytes", 1 << 30}, c.l3.sizeBytes);
+    fn(SimParam{"core.l3.line_bytes", 4096}, c.l3.lineBytes);
+    fn(SimParam{"core.l3.ways", 1024}, c.l3.ways);
+    fn(SimParam{"core.l3.latency", 100000}, c.l3.latency);
+    fn(SimParam{"core.mem_latency", 100000}, c.memLatency);
+    fn(SimParam{"core.btu_flush_period", ~0ull >> 1, true}, c.btuFlushPeriod);
+    fn(SimParam{"btu.sets", 1 << 20, true}, cfg.btu.sets);
+    fn(SimParam{"btu.ways", 1 << 20, true}, cfg.btu.ways);
+    fn(SimParam{"btu.fill_latency", 1 << 20, true}, cfg.btu.fillLatency);
 }
 
 } // namespace cassandra::core

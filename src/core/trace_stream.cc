@@ -19,7 +19,6 @@
 #define CASSANDRA_HAVE_MMAP 1
 #include <dirent.h>
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -951,46 +950,6 @@ removeDirectoryTree(const std::string &path)
     ::rmdir(path.c_str());
 #else
     (void)path;
-#endif
-}
-
-unsigned
-sweepStaleProcessDirs(const std::string &root, const std::string &prefix)
-{
-#ifdef CASSANDRA_HAVE_MMAP
-    DIR *dir = opendir(root.c_str());
-    if (!dir)
-        return 0;
-    std::vector<std::string> victims;
-    while (struct dirent *entry = readdir(dir)) {
-        const std::string name = entry->d_name;
-        if (prefix.empty() || name.rfind(prefix, 0) != 0)
-            continue;
-        const std::string tail = name.substr(prefix.size());
-        const size_t digits = tail.find_first_not_of("0123456789");
-        const size_t pid_len =
-            digits == std::string::npos ? tail.size() : digits;
-        // Only "<pid>" or "<pid>-..." suffixes qualify: anything else
-        // was not stamped by processUniqueSuffix() and stays.
-        if (pid_len == 0 ||
-            (pid_len < tail.size() && tail[pid_len] != '-'))
-            continue;
-        const long pid =
-            std::strtol(tail.substr(0, pid_len).c_str(), nullptr, 10);
-        errno = 0;
-        if (pid <= 0 || ::kill(static_cast<pid_t>(pid), 0) == 0 ||
-            errno != ESRCH)
-            continue;
-        victims.push_back(root + "/" + name);
-    }
-    closedir(dir);
-    for (const std::string &victim : victims)
-        removeDirectoryTree(victim);
-    return static_cast<unsigned>(victims.size());
-#else
-    (void)root;
-    (void)prefix;
-    return 0;
 #endif
 }
 

@@ -393,21 +393,6 @@ std::string processUniqueSuffix();
 std::string defaultTraceStreamDir();
 
 /**
- * Remove sibling scratch directories abandoned by dead processes:
- * every entry of `root` named `<prefix><pid>` or `<prefix><pid>-...`
- * whose pid no longer exists is deleted recursively (the convention
- * makeScratchDir/defaultTraceStreamDir-style paths follow, where the
- * suffix starts with processUniqueSuffix()). Entries of live
- * processes — including this one — are untouched, as are names whose
- * suffix is not pid-shaped (random-token platforms). Returns the
- * number of directories removed; removal races with a concurrent
- * sweeper are ignored. Shard coordinators call this on startup so
- * crashed predecessors cannot leak scratch forever.
- */
-unsigned sweepStaleProcessDirs(const std::string &root,
-                               const std::string &prefix);
-
-/**
  * Delete `path` recursively (rm -rf, symlinks not followed). Missing
  * paths and removal races are ignored; no-op on platforms without
  * POSIX directory I/O.

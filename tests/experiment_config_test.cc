@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "core/experiment_config.hh"
+#include "core/result_store.hh"
 #include "tests/trace_test_util.hh"
 
 namespace {
@@ -81,6 +82,50 @@ TEST(ExperimentConfigTest, FullSchemaParses)
     EXPECT_TRUE(spec.artifactSave);
 }
 
+TEST(ExperimentConfigTest, EveryParamKeyReachesItsField)
+{
+    // All 38 parameter keys spelled by hand, with the values of
+    // test::everyParamSimConfig(), which sets the fields by hand: a
+    // key mapped onto the wrong field, or not parsed, changes the
+    // config hash.
+    const char *json = R"({
+      "workloads": ["A"],
+      "schemes": ["SPT"],
+      "configs": [{
+        "name": "every-param",
+        "core": {
+          "fetch_width": 3, "commit_width": 5, "issue_width": 7,
+          "rob_size": 301, "iq_size": 61, "lq_size": 71, "sq_size": 83,
+          "int_regs": 191, "frontend_depth": 11, "decode_redirect": 2,
+          "redirect_penalty": 13, "num_alu": 4, "num_mul": 6,
+          "num_lsu": 9, "alu_latency": 10, "mul_latency": 14,
+          "store_latency": 15,
+          "l1i": {"size_bytes": 16384, "line_bytes": 32, "ways": 17,
+                  "latency": 18},
+          "l1d": {"size_bytes": 40960, "line_bytes": 128, "ways": 19,
+                  "latency": 20},
+          "l2": {"size_bytes": 524288, "line_bytes": 256, "ways": 21,
+                 "latency": 22},
+          "l3": {"size_bytes": 8388608, "line_bytes": 512, "ways": 23,
+                 "latency": 24},
+          "mem_latency": 250,
+          "btu_flush_period": 12000000
+        },
+        "btu": {"sets": 26, "ways": 27, "fill_latency": 28}
+      }]
+    })";
+
+    const ExperimentSpec spec = parseExperimentSpec(json);
+    ASSERT_EQ(spec.matrix.configs.size(), 1u);
+    const core::SimConfig &parsed = spec.matrix.configs[0];
+    const core::SimConfig want = test::everyParamSimConfig();
+    EXPECT_EQ(parsed.name, want.name);
+    EXPECT_EQ(core::canonicalSimConfigHash(parsed),
+              core::canonicalSimConfigHash(want));
+    EXPECT_EQ(core::canonicalSimConfigHash(parsed, Scheme::UnsafeBaseline),
+              core::canonicalSimConfigHash(want, Scheme::UnsafeBaseline));
+}
+
 TEST(ExperimentConfigTest, MinimalSchemaParses)
 {
     ExperimentSpec spec = parseExperimentSpec(
@@ -144,7 +189,7 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
         std::invalid_argument);
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "execution.shards": 2})"),
+                         "cache.dir": "c"})"),
                  std::invalid_argument);
     // No workloads or suites.
     EXPECT_THROW(parseExperimentSpec(R"({"schemes": ["SPT"]})"),
@@ -176,8 +221,8 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
                         "schemes": ["SPT"], "trace_mode": "whole"})",
                     "duplicate key trace_mode"},
           std::pair{R"({"workloads": ["A"], "schemes": ["SPT"],
-                        "execution": {"shards": 2, "shards": 3}})",
-                    "duplicate key execution.shards"},
+                        "cache": {"dir": "a", "dir": "b"}})",
+                    "duplicate key cache.dir"},
           std::pair{R"({"workloads": ["A"], "schemes": ["SPT"],
                         "configs": [{}, {"core": {"rob_size": 64,
                                                   "rob_size": 128}}]})",
@@ -195,8 +240,9 @@ TEST(ExperimentConfigTest, RejectsMalformedInput)
 TEST(ExperimentConfigTest, RetiredKeysAreRejected)
 {
     // Knobs of removed features — a second stream encoding, the
-    // drop-box executor and its agents, the result-store disk bound —
-    // fail like any typo instead of being silently ignored.
+    // drop-box executor and its agents, the result-store disk bound,
+    // the subprocess shard executor and its scheduler — fail like any
+    // typo instead of being silently ignored.
     for (const char *section :
          {R"("trace_compression": "delta")",
           R"("configs": [{"trace_compression": "none"}])",
@@ -205,7 +251,12 @@ TEST(ExperimentConfigTest, RetiredKeysAreRejected)
           R"("execution": {"dropbox": "box"})",
           R"("execution": {"agents": 2})",
           R"("execution": {"task_timeout_ms": 1000})",
-          R"("cache": {"gc_mb": 256})"}) {
+          R"("cache": {"gc_mb": 256})",
+          R"("execution": {"mode": "subprocess"})",
+          R"("execution": {"mode": "inprocess"})",
+          R"("execution": {"shards": 2})",
+          R"("execution": {"scheduler": "lpt"})",
+          R"("execution": {"worker_binary": "x"})"}) {
         const std::string json =
             std::string(R"({"workloads": ["A"], "schemes": ["SPT"], )") +
             section + "}";
@@ -214,29 +265,23 @@ TEST(ExperimentConfigTest, RetiredKeysAreRejected)
     }
 }
 
-TEST(ExperimentConfigTest, CacheAndSchedulerParse)
+TEST(ExperimentConfigTest, CacheAndStatsOutParse)
 {
-    // Defaults: cache off, contiguous scheduler, nothing spelled.
+    // Defaults: cache off, nothing spelled.
     ExperimentSpec plain = parseExperimentSpec(
         R"({"workloads": ["A"], "schemes": ["SPT"]})");
     EXPECT_EQ(plain.runner.cacheMode, core::CacheMode::Off);
     EXPECT_TRUE(plain.runner.cacheDir.empty());
-    EXPECT_EQ(plain.runner.scheduler, core::ShardScheduler::Contiguous);
     EXPECT_TRUE(plain.statsOut.empty());
 
     ExperimentSpec spec = parseExperimentSpec(R"({
       "workloads": ["A"],
       "schemes": ["SPT"],
-      "execution": {"mode": "subprocess", "shards": 4,
-                    "scheduler": "lpt"},
       "cache": {"mode": "on", "dir": "my-cache"},
       "report": {"format": "json", "stats_out": "stats.json"}
     })");
-    EXPECT_EQ(spec.runner.execution, core::ExecutionMode::Subprocess);
-    EXPECT_EQ(spec.runner.shards, 4u);
     EXPECT_EQ(spec.runner.cacheMode, core::CacheMode::On);
     EXPECT_EQ(spec.runner.cacheDir, "my-cache");
-    EXPECT_EQ(spec.runner.scheduler, core::ShardScheduler::Lpt);
     EXPECT_EQ(spec.statsOut, "stats.json");
 
     // Readonly accepts both spellings.
@@ -251,7 +296,7 @@ TEST(ExperimentConfigTest, CacheAndSchedulerParse)
                   .runner.cacheMode,
               core::CacheMode::Readonly);
 
-    // Unknown modes, schedulers and keys fail loudly.
+    // Unknown modes and keys fail loudly.
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
                          "cache": {"mode": "maybe"}})"),
@@ -259,10 +304,6 @@ TEST(ExperimentConfigTest, CacheAndSchedulerParse)
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
                          "cache": {"directory": "x"}})"),
-                 std::invalid_argument);
-    EXPECT_THROW(parseExperimentSpec(
-                     R"({"workloads": ["A"], "schemes": ["SPT"],
-                         "execution": {"scheduler": "random"}})"),
                  std::invalid_argument);
     EXPECT_THROW(parseExperimentSpec(
                      R"({"workloads": ["A"], "schemes": ["SPT"],
@@ -300,11 +341,8 @@ describe(const ExperimentSpec &s)
     os << "format=" << s.format << " out=" << s.out
        << " stats_out=" << s.statsOut << " threads=" << r.threads
        << " trace_mode=" << core::traceModeName(r.analyze.traceMode)
-       << " execution=" << static_cast<int>(r.execution)
-       << " shards=" << r.shards << " worker=" << r.workerBinary
        << " cache=" << core::cacheModeName(r.cacheMode)
        << " cache_dir=" << r.cacheDir
-       << " scheduler=" << core::shardSchedulerName(r.scheduler)
        << " artifacts=" << s.artifactDir << "," << s.artifactSave
        << " name=" << s.name << " filter=" << s.suiteFilter;
     for (const std::string &w : s.matrix.workloads)
@@ -364,17 +402,10 @@ constexpr ParityCase parityCases[] = {
     {"--threads", "5", "0", "0", "threads=0", "x", R"("2")"},
     {"--trace-mode", R"("whole")", "stream", R"("stream")",
      "trace_mode=stream", "hybrid", R"("hybrid")"},
-    {"--execution", R"("inprocess")", "subprocess", R"("subprocess")",
-     "execution=1", "remote", R"("remote")"},
-    // 0 means auto on both sides.
-    {"--shards", "2", "0", "0", "shards=0", "1025", "1025"},
-    {"--shards", "2", "4", "4", "shards=4", "-1", "-1"},
     {"--cache", R"("on")", "readonly", R"("readonly")", "cache=readonly",
      "maybe", R"("maybe")"},
     {"--cache-dir", R"("c1")", "c2", R"("c2")", "cache_dir=c2", nullptr,
      "[]"},
-    {"--scheduler", R"("contiguous")", "lpt", R"("lpt")",
-     "scheduler=lpt", "random", R"("random")"},
     {"--stats-out", R"("s1.json")", "s2.json", R"("s2.json")",
      "stats_out=s2.json", nullptr, "true"},
 };
@@ -472,8 +503,8 @@ TEST(RunOptionTableTest, CommandLineShapes)
                     "unknown option: --dedup=on"},
           std::pair{std::vector<std::string>{"--serve"},
                     "unknown option: --serve"},
-          std::pair{std::vector<std::string>{"--shards"},
-                    "missing value for --shards"},
+          std::pair{std::vector<std::string>{"--threads"},
+                    "missing value for --threads"},
           std::pair{std::vector<std::string>{"--config=" + config +
                                              ".missing"},
                     "cannot open experiment config"}}) {

@@ -196,19 +196,20 @@ TEST(RunExperimentCliTest, RetiredOptionsExitWithStatus2)
         core::processUniqueSuffix() + ".err";
     // Flags of removed features (a second trace encoding, the drop-box
     // executor and its agents, the spool service, the store disk
-    // bound, the dedup switch) are unknown options, not silent no-ops.
+    // bound, the dedup switch, the subprocess shard executor and its
+    // scheduler) are unknown options, not silent no-ops.
     for (const char *flag :
          {"--trace-compression=delta", "--dropbox=D", "--agents=1",
           "--task-timeout-ms=1", "--cache-gc-mb=1", "--dedup=on",
-          "--serve", "--agent", "--submit"}) {
+          "--serve", "--agent", "--submit", "--execution=inprocess",
+          "--shards=2", "--scheduler=lpt", "--worker"}) {
         EXPECT_EQ(runExperiment({config, flag}, err), 2) << flag;
         EXPECT_NE(readText(err).find("unknown option"), std::string::npos)
             << flag << ": " << readText(err);
     }
     // The remote execution mode is gone too.
     EXPECT_EQ(runExperiment({config, "--execution=remote"}, err), 2);
-    EXPECT_NE(readText(err).find("invalid --execution=remote"),
-              std::string::npos)
+    EXPECT_NE(readText(err).find("unknown option"), std::string::npos)
         << readText(err);
     std::remove(err.c_str());
 }

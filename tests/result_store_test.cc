@@ -4,8 +4,8 @@
  * derivation (every simulation-relevant knob invalidates, every
  * presentation knob does not), eviction of corrupt/truncated/stale
  * entries, readonly mode, the warm-vs-cold byte-identity of full
- * runner sweeps across both executors and several shard counts, and
- * cross-run reuse when overlapping sweeps share one store.
+ * runner sweeps, and cross-run reuse when overlapping sweeps share
+ * one store.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@ namespace {
 
 using namespace cassandra;
 using core::CacheMode;
-using core::ExecutionMode;
 using core::ExperimentMatrix;
 using core::ExperimentResult;
 using core::ExperimentRunner;
@@ -35,12 +34,6 @@ using core::ResultStoreKey;
 using core::RunnerOptions;
 using core::SimConfig;
 using uarch::Scheme;
-
-#ifdef CASSANDRA_RUN_EXPERIMENT_BINARY
-const char *workerBinary = CASSANDRA_RUN_EXPERIMENT_BINARY;
-#else
-const char *workerBinary = nullptr;
-#endif
 
 std::shared_ptr<core::AnalysisCache>
 registryCache()
@@ -118,10 +111,6 @@ TEST(ResultStoreTest, StoreThenLookupRoundTrips)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.stores, 1u);
     EXPECT_EQ(stats.evictions, 0u);
-
-    EXPECT_EQ(store.peekCycles(key), want.stats.cycles);
-    // peek counts nothing.
-    EXPECT_EQ(store.stats().hits, 1u);
 }
 
 TEST(ResultStoreTest, StoreReplacesPreviousEntry)
@@ -362,7 +351,6 @@ TEST(ResultStoreTest, TruncatedEntryIsEvicted)
     EXPECT_FALSE(store.lookup(key, out));
     EXPECT_EQ(store.stats().evictions, 1u);
     EXPECT_FALSE(fileExists(path));
-    EXPECT_EQ(store.peekCycles(key), 0u); // peek shrugs it off too
 }
 
 TEST(ResultStoreTest, VersionStaleEntryIsEvicted)
@@ -507,34 +495,5 @@ TEST(ResultStoreRunnerTest, OverlappingRunsShareOneStore)
     EXPECT_EQ(jsonReport(b),
               jsonReport(ExperimentRunner(registryCache()).run(second)));
 }
-
-#if !defined(_WIN32)
-
-TEST(ResultStoreRunnerTest, WarmSubprocessRunsMatchAcrossShardCounts)
-{
-    ASSERT_NE(workerBinary, nullptr);
-    const std::string dir = freshDir("runner-subproc");
-    const ExperimentMatrix matrix = smokeMatrix();
-
-    // Cold fill through the in-process executor.
-    const std::string want =
-        jsonReport(ExperimentRunner(registryCache(),
-                                    cachedOptions(dir, CacheMode::On))
-                       .run(matrix));
-
-    for (unsigned shards : {1u, 2u, 5u}) {
-        RunnerOptions options = cachedOptions(dir, CacheMode::On);
-        options.execution = ExecutionMode::Subprocess;
-        options.shards = shards;
-        options.workerBinary = workerBinary;
-        auto warm = ExperimentRunner(registryCache(), options)
-                        .run(matrix);
-        EXPECT_EQ(warm.telemetry.simulatedCells, 0u)
-            << shards << " shards";
-        EXPECT_EQ(want, jsonReport(warm)) << shards << " shards";
-    }
-}
-
-#endif // !_WIN32
 
 } // namespace

@@ -62,8 +62,7 @@ TEST(ServerWorkloadTest, BuildIsDeterministicPerRequestCount)
     core::Workload b = reg.make("server/tls/16");
     EXPECT_EQ(a.name, "server/tls/16");
     EXPECT_EQ(a.suite, "Server");
-    // Same n: bit-identical program (cache keys and shard dispatch
-    // depend on this).
+    // Same n: bit-identical program (cache keys depend on this).
     EXPECT_EQ(core::programFingerprint(a.program),
               core::programFingerprint(b.program));
     EXPECT_EQ(core::workloadFingerprint(a),
