@@ -408,35 +408,44 @@ Simulation::Simulation(AnalyzedWorkload::Ptr artifact)
         throw std::invalid_argument("Simulation needs an artifact");
 }
 
-ExperimentResult
-Simulation::run(const SimConfig &config) const
+std::pair<std::unique_ptr<uarch::OooCore>, const uarch::TaintBitmap *>
+Simulation::makeCore(const SimConfig &config) const
 {
     const AnalyzedWorkload &aw = *artifact_;
     const uarch::Scheme scheme = config.scheme;
-
-    // ProSpeCT schemes consult the per-op taint bitmap; everything
-    // else replays the pristine stream.
-    const bool needs_taint = scheme == uarch::Scheme::Prospect ||
-        scheme == uarch::Scheme::CassandraProspect;
-
     // Demand-driven Algorithm 2: only Cassandra-family cells touch the
     // trace image, so baseline/SPT sweeps never construct one.
     const TraceImage *image = nullptr;
     if (uarch::schemeIsCassandra(scheme))
         image = &aw.traces().image;
-
+    // ProSpeCT schemes consult the per-op taint bitmap; everything
+    // else replays the pristine stream.
     const uarch::TaintBitmap *taint = nullptr;
-    if (needs_taint && !aw.workload().secretRegions.empty())
+    if ((scheme == uarch::Scheme::Prospect ||
+         scheme == uarch::Scheme::CassandraProspect) &&
+        !aw.workload().secretRegions.empty())
         taint = &aw.taintBitmap();
+    return {std::make_unique<uarch::OooCore>(config, aw.workload().program,
+                                             image),
+            taint};
+}
 
-    uarch::OooCore core(config, aw.workload().program, image);
-    ExperimentResult result;
+ExperimentResult
+Simulation::run(const SimConfig &config) const
+{
+    auto [core, taint] = makeCore(config);
     // The artifact's storage decides the iteration: whole artifacts
     // replay the in-memory span, streamed artifacts a disk cursor
     // (config.traceMode selects the storage upstream, at analysis).
-    auto src = aw.openOpSource();
-    result.stats = core.run(*src, taint);
+    auto src = artifact_->openOpSource();
+    return resultFromCore(*core, core->run(*src, taint));
+}
 
+ExperimentResult
+resultFromCore(const uarch::OooCore &core, const uarch::CoreStats &stats)
+{
+    ExperimentResult result;
+    result.stats = stats;
     if (core.btuUnit())
         result.btu = core.btuUnit()->stats();
     result.bpu = core.tage().stats();

@@ -50,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "core/analysis_pipeline.hh"
 #include "core/sim_config.hh"
@@ -320,9 +321,21 @@ class Simulation
     /** Run under a scheme with default core/BTU parameters. */
     ExperimentResult run(uarch::Scheme scheme) const;
 
+    /**
+     * The core run(config) replays on, and the taint bitmap it replays
+     * with (null when unused), for a caller that feeds the ops itself.
+     * The core refers into the artifact, which must outlive it.
+     */
+    std::pair<std::unique_ptr<uarch::OooCore>, const uarch::TaintBitmap *>
+    makeCore(const SimConfig &config) const;
+
   private:
     AnalyzedWorkload::Ptr artifact_;
 };
+
+/** The ExperimentResult of `core`, whose run returned `stats`. */
+ExperimentResult resultFromCore(const uarch::OooCore &core,
+                                const uarch::CoreStats &stats);
 
 /**
  * Thread-safe, single-flight artifact cache keyed by workload name

@@ -14,7 +14,6 @@
 #include "core/analysis_pipeline.hh"
 #include "core/cell_executor.hh"
 #include "core/result_store.hh"
-#include "core/trace_stream.hh"
 
 namespace cassandra::core {
 
@@ -204,8 +203,7 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // Pipeline counters are process-wide cumulative; the telemetry of
     // one dispatch is the delta across it.
     const uint64_t fused_base = fusedAnalysisPasses();
-    const uint64_t prefetch_base = TraceCursor::prefetchBatches();
-    const uint64_t stall_base = TraceCursor::prefetchStalls();
+    const ReplayCounters replay0 = replayCounters();
     // Resolve the artifacts without any phases: recording is
     // demand-driven, so workloads whose cells all replay from the
     // result store are never analyzed at all. Phases for the cells
@@ -228,37 +226,23 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     std::vector<ResultStoreKey> keys;
     std::vector<size_t> pending_slots;
     std::vector<PlannedCell> pending;
-    if (store_) {
-        keys.reserve(cells.size());
-        for (size_t i = 0; i < cells.size(); i++) {
-            const PlannedCell &cell = cells[i];
-            const AnalyzedWorkload::Ptr &artifact =
-                exp.artifacts.at(cell.workload);
+    for (size_t i = 0; i < cells.size(); i++) {
+        const PlannedCell &cell = cells[i];
+        const AnalyzedWorkload &artifact = *exp.artifacts.at(cell.workload);
+        if (store_) {
             SimConfig cfg = cell.config;
             cfg.scheme = cell.scheme;
-            keys.push_back(resultStoreKey(artifact->workload(),
-                                          cell.scheme, cfg));
+            keys.push_back(
+                resultStoreKey(artifact.workload(), cell.scheme, cfg));
             ExperimentResult cached;
             if (store_->lookup(keys.back(), cached)) {
-                // Rebuild the naming fields exactly like the
-                // executor does — a replayed cell must be
-                // indistinguishable from a fresh one.
-                CellResult &out = results[i];
-                out.workload = cell.workload;
-                out.suite = artifact->workload().suite;
-                out.scheme = cell.scheme;
-                out.config = cell.config.name;
-                out.result = cached;
-            } else {
-                pending_slots.push_back(i);
-                pending.push_back(cell);
+                // Named like a fresh cell, so it is indistinguishable.
+                results[i] = namedResult(cell, artifact, cached);
+                continue;
             }
         }
-    } else {
-        pending = cells;
-        pending_slots.resize(cells.size());
-        for (size_t i = 0; i < cells.size(); i++)
-            pending_slots[i] = i;
+        pending_slots.push_back(i);
+        pending.push_back(cell);
     }
     exp.telemetry.cachedCells = cells.size() - pending.size();
     exp.telemetry.simulatedCells = pending.size();
@@ -292,13 +276,9 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
                 const PlannedCell &cell = pending[j];
                 SimConfig cfg = cell.config;
                 cfg.scheme = cell.scheme;
-                char hash[24];
-                std::snprintf(hash, sizeof hash, "%016llx",
-                              static_cast<unsigned long long>(
-                                  canonicalSimConfigHash(
-                                      cfg, cell.scheme)));
                 const std::string key = cell.workload + '\0' +
-                    uarch::schemeName(cell.scheme) + '\0' + hash;
+                    uarch::schemeName(cell.scheme) + '\0' +
+                    std::to_string(canonicalSimConfigHash(cfg, cell.scheme));
                 const auto [it, inserted] =
                     reps.emplace(key, unique.size());
                 if (inserted)
@@ -329,13 +309,9 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
                               fresh[owner[j]].result);
                 stored[owner[j]] = 1;
             }
-            CellResult &out = results[pending_slots[j]];
-            out.workload = cell.workload;
-            out.suite =
-                exp.artifacts.at(cell.workload)->workload().suite;
-            out.scheme = cell.scheme;
-            out.config = cell.config.name;
-            out.result = fresh[owner[j]].result;
+            results[pending_slots[j]] =
+                namedResult(cell, *exp.artifacts.at(cell.workload),
+                            fresh[owner[j]].result);
         }
     }
     exp.cells = std::move(results);
@@ -359,10 +335,11 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     }
     exp.telemetry.analysisFusedPasses =
         fusedAnalysisPasses() - fused_base;
-    exp.telemetry.prefetchBatches =
-        TraceCursor::prefetchBatches() - prefetch_base;
-    exp.telemetry.prefetchStalls =
-        TraceCursor::prefetchStalls() - stall_base;
+    const ReplayCounters replay = replayCounters();
+    exp.telemetry.framesDecoded = replay.framesDecoded - replay0.framesDecoded;
+    exp.telemetry.framesReplayed =
+        replay.framesReplayed - replay0.framesReplayed;
+    exp.telemetry.replayWaits = replay.replayWaits - replay0.replayWaits;
     return exp;
 }
 
@@ -803,8 +780,9 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
     {
         JsonObject o(os, 4);
         o.field("analysis_fused_passes", telemetry.analysisFusedPasses);
-        o.field("prefetch_batches", telemetry.prefetchBatches);
-        o.field("prefetch_stalls", telemetry.prefetchStalls);
+        o.field("frames_decoded", telemetry.framesDecoded);
+        o.field("frames_replayed", telemetry.framesReplayed);
+        o.field("replay_waits", telemetry.replayWaits);
     }
     os << "\n  },\n  \"analysis\": ";
     if (telemetry.analysisPeaks.empty()) {
@@ -814,7 +792,10 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
         JsonObject o(os, 4);
         o.field("image_runs",
                 static_cast<uint64_t>(telemetry.analysisPeaks.size()));
-        o.field("peak_accum_bytes", telemetry.analysisPeakAccumBytes());
+        uint64_t peak = 0;
+        for (const auto &[name, bytes] : telemetry.analysisPeaks)
+            peak = std::max(peak, bytes);
+        o.field("peak_accum_bytes", peak);
         std::ostream &peaks_os = o.object("workloads");
         peaks_os << "{";
         bool first = true;

@@ -111,11 +111,11 @@ struct RunTelemetry
      * single-pass Machine runs; 0 when every artifact came from a
      * snapshot). */
     uint64_t analysisFusedPasses = 0;
-    /** Stream-replay frames served by the TraceCursor decode-ahead
-     * worker during this dispatch, and how many of those the replay
-     * loop had to wait for (decode slower than simulation). */
-    uint64_t prefetchBatches = 0;
-    uint64_t prefetchStalls = 0;
+    /** InProcessExecutor's replayCounters() over this dispatch: each
+     * stream frame decoded once and replayed once per cell. */
+    uint64_t framesDecoded = 0;
+    uint64_t framesReplayed = 0;
+    uint64_t replayWaits = 0;
 
     /** Algorithm 2 accumulator peak of each workload whose image
      * phase ran in this dispatch (name -> peak bytes, matrix order).
@@ -123,16 +123,6 @@ struct RunTelemetry
      * server mixes this number must stay flat as the request count
      * grows (docs/ARCHITECTURE.md, "Memory bounds"). */
     std::vector<std::pair<std::string, uint64_t>> analysisPeaks;
-
-    /** Max over analysisPeaks (0 when no image phase ran). */
-    uint64_t
-    analysisPeakAccumBytes() const
-    {
-        uint64_t max = 0;
-        for (const auto &[name, bytes] : analysisPeaks)
-            max = bytes > max ? bytes : max;
-        return max;
-    }
 };
 
 /** Emit telemetry as a standalone JSON document with `cache_stats`,

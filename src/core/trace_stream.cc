@@ -1,17 +1,12 @@
 #include "core/trace_stream.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <random>
-#include <thread>
 
 #include "core/serialize.hh"
 
@@ -423,7 +418,7 @@ TraceStreamWriter::finish()
 
 TraceCursor::TraceCursor(const std::string &path,
                          const ir::Program &program, Backing backing)
-    : program_(program), path_(path)
+    : program_(program)
 {
     file_.open(path, std::ios::binary);
     if (!file_)
@@ -541,9 +536,6 @@ TraceCursor::TraceCursor(const std::string &path,
 
 TraceCursor::~TraceCursor()
 {
-    // Stop the decode-ahead worker before the mapping (and this
-    // object's geometry) goes away.
-    prefetch_.reset();
 #ifdef CASSANDRA_HAVE_MMAP
     if (map_)
         ::munmap(const_cast<uint8_t *>(map_), mapLen_);
@@ -587,9 +579,7 @@ TraceCursor::dropConsumedFrames(uint64_t upto)
 }
 
 void
-TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out,
-                         std::ifstream &file,
-                         std::vector<uint8_t> &scratch) const
+TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out)
 {
     const uint64_t start = frameOffsets_[frame];
     const size_t len = static_cast<size_t>(frameEnd(frame) - start);
@@ -597,233 +587,19 @@ TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out,
     if (map_) {
         enc = map_ + start;
     } else {
-        scratch.resize(len);
-        file.seekg(static_cast<std::streamoff>(start));
-        file.read(reinterpret_cast<char *>(scratch.data()),
-                  static_cast<std::streamsize>(len));
-        if (!file)
+        scratch_.resize(len);
+        file_.seekg(static_cast<std::streamoff>(start));
+        file_.read(reinterpret_cast<char *>(scratch_.data()),
+                   static_cast<std::streamsize>(len));
+        if (!file_)
             throw ArtifactFormatError("trace stream read failed (frame " +
                                       std::to_string(frame) + ")");
-        enc = scratch.data();
+        enc = scratch_.data();
     }
     decodeRelinkedFrame(enc, len, static_cast<size_t>(frameOps(frame)),
                         program_, cryptoByIndex_, out);
-}
-
-void
-TraceCursor::loadFrameSoA(uint64_t frame)
-{
-    decodeFrame(frame, soa_, file_, scratch_);
     if (map_)
         dropConsumedFrames(frame);
-    soaFrame_ = frame;
-}
-
-namespace {
-
-std::atomic<uint64_t> prefetch_batches{0};
-std::atomic<uint64_t> prefetch_stalls{0};
-
-/** CASSANDRA_STREAM_PREFETCH resolution. Read per cursor (not cached
- * in a static) so tests can flip it between cursors. */
-bool
-prefetchWanted()
-{
-    const char *e = std::getenv("CASSANDRA_STREAM_PREFETCH");
-    std::string v = e ? e : "auto";
-    for (char &c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "0" || v == "off")
-        return false;
-    if (v == "1" || v == "on")
-        return true;
-    return std::thread::hardware_concurrency() >= 2;
-}
-
-} // namespace
-
-/**
- * Decode-ahead worker: one thread, one frame of look-ahead, its own
- * read state (stream + scratch + output columns), so the only shared
- * data is the cursor's immutable geometry and the read-only mapping.
- * The protocol is strict double-buffering — request(F+1) is issued
- * when F is swapped in, take(F) either swaps the finished buffer or
- * waits for the in-flight decode (a counted stall).
- */
-struct TraceCursor::Prefetch
-{
-    Prefetch(const TraceCursor &cursor, const std::string &path)
-        : cursor_(cursor)
-    {
-        if (!cursor.map_) {
-            file_.open(path, std::ios::binary);
-            if (!file_)
-                throw std::runtime_error(
-                    "cannot reopen trace stream " + path);
-        }
-        worker_ = std::thread([this] { loop(); });
-    }
-
-    ~Prefetch()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        worker_.join();
-    }
-
-    /** Ask the worker to decode `frame` next (drops any unconsumed
-     * previously finished frame). */
-    void
-    request(uint64_t frame)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            want_ = frame;
-            pending_ = true;
-            hasDone_ = false;
-        }
-        cv_.notify_all();
-    }
-
-    /**
-     * Obtain `frame` from the worker: swap its buffer into `out` and
-     * return true, waiting (stalled = true) when the decode is still
-     * in flight. False when the worker was never asked for it — the
-     * caller decodes synchronously. Rethrows worker-side decode
-     * errors at the frame boundary, exactly where the synchronous
-     * path would throw them.
-     */
-    bool
-    take(uint64_t frame, uarch::OpBatchStorage &out, bool &stalled)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stalled = false;
-        for (;;) {
-            if (hasDone_ && done_ == frame) {
-                hasDone_ = false;
-                if (error_) {
-                    std::exception_ptr e = error_;
-                    error_ = nullptr;
-                    std::rethrow_exception(e);
-                }
-                std::swap(out, buf_);
-                return true;
-            }
-            if ((pending_ && want_ == frame) ||
-                (busy_ && current_ == frame)) {
-                stalled = true;
-                cv_.wait(lock);
-                continue;
-            }
-            return false;
-        }
-    }
-
-  private:
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            cv_.wait(lock, [this] { return stop_ || pending_; });
-            if (stop_)
-                return;
-            current_ = want_;
-            pending_ = false;
-            busy_ = true;
-            lock.unlock();
-            std::exception_ptr err;
-            try {
-                cursor_.decodeFrame(current_, buf_, file_, scratch_);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            lock.lock();
-            busy_ = false;
-            // A request that arrived mid-decode supersedes this
-            // result; otherwise publish it.
-            if (!pending_) {
-                done_ = current_;
-                hasDone_ = true;
-                error_ = err;
-            }
-            cv_.notify_all();
-        }
-    }
-
-    const TraceCursor &cursor_;
-    std::ifstream file_; ///< own handle (unused with mmap backing)
-    std::vector<uint8_t> scratch_;
-    uarch::OpBatchStorage buf_;
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    uint64_t want_ = 0;
-    uint64_t current_ = 0;
-    uint64_t done_ = 0;
-    bool pending_ = false;
-    bool busy_ = false;
-    bool hasDone_ = false;
-    bool stop_ = false;
-    std::exception_ptr error_;
-    std::thread worker_;
-};
-
-void
-TraceCursor::maybeStartPrefetch()
-{
-    if (prefetchChecked_)
-        return;
-    prefetchChecked_ = true;
-    // One frame of look-ahead needs a second frame to exist; a worker
-    // that cannot start (thread/file limits) just leaves the cursor
-    // on the synchronous path.
-    if (numFrames_ < 2 || !prefetchWanted())
-        return;
-    try {
-        prefetch_ = std::make_unique<Prefetch>(*this, path_);
-    } catch (...) {
-        prefetch_.reset();
-    }
-}
-
-void
-TraceCursor::ensureFrameSoA(uint64_t frame)
-{
-    maybeStartPrefetch();
-    if (!prefetch_) {
-        loadFrameSoA(frame);
-        return;
-    }
-    bool stalled = false;
-    if (prefetch_->take(frame, soa_, stalled)) {
-        prefetch_batches.fetch_add(1, std::memory_order_relaxed);
-        if (stalled)
-            prefetch_stalls.fetch_add(1, std::memory_order_relaxed);
-        if (map_)
-            dropConsumedFrames(frame);
-        soaFrame_ = frame;
-    } else {
-        loadFrameSoA(frame);
-    }
-    if (frame + 1 < numFrames_)
-        prefetch_->request(frame + 1);
-}
-
-uint64_t
-TraceCursor::prefetchBatches()
-{
-    return prefetch_batches.load(std::memory_order_relaxed);
-}
-
-uint64_t
-TraceCursor::prefetchStalls()
-{
-    return prefetch_stalls.load(std::memory_order_relaxed);
 }
 
 size_t
@@ -832,8 +608,10 @@ TraceCursor::nextBatch(uarch::OpBatch &out, size_t max_ops)
     if (pos_ >= numOps_ || max_ops == 0)
         return 0;
     const uint64_t frame = pos_ / frameOps_;
-    if (soaFrame_ != frame)
-        ensureFrameSoA(frame);
+    if (soaFrame_ != frame) {
+        decodeFrame(frame, soa_);
+        soaFrame_ = frame;
+    }
     const size_t within = static_cast<size_t>(pos_ % frameOps_);
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(max_ops, frameOps(frame) - within));
@@ -848,8 +626,10 @@ TraceCursor::next()
     if (pos_ >= numOps_)
         return nullptr;
     const uint64_t frame = pos_ / frameOps_;
-    if (soaFrame_ != frame)
-        loadFrameSoA(frame);
+    if (soaFrame_ != frame) {
+        decodeFrame(frame, soa_);
+        soaFrame_ = frame;
+    }
     const size_t i = static_cast<size_t>(pos_ % frameOps_);
     op_.pc = soa_.pc[i];
     op_.memAddr = soa_.memAddr[i];

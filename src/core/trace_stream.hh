@@ -282,8 +282,7 @@ class TraceCursor final : public uarch::TimingOpSource
     TraceCursor(const TraceCursor &) = delete;
     TraceCursor &operator=(const TraceCursor &) = delete;
 
-    /** Scalar adapter reading the same decoded frames as nextBatch()
-     * (it never starts the decode-ahead worker). */
+    /** Scalar adapter reading the same decoded frames as nextBatch(). */
     const uarch::TimingOp *next() override;
 
     /**
@@ -292,57 +291,27 @@ class TraceCursor final : public uarch::TimingOpSource
      * into the decoded frame, so a batch never crosses a frame
      * boundary. Relinking (inst pointer + crypto flag) uses a
      * per-static-instruction table instead of the per-op range scan.
-     *
-     * Decode-ahead: while the caller replays frame N's batches, a
-     * background worker decodes + relinks frame N+1 into a second SoA
-     * buffer (its own file handle, so no I/O state is shared), and the
-     * frame boundary becomes a buffer swap instead of a synchronous
-     * decode. The served values are byte-identical to the synchronous
-     * path — the worker runs the same decodeFrame — and frames are
-     * consumed strictly in order either way. Controlled by the
-     * CASSANDRA_STREAM_PREFETCH environment variable: "on"/"1" forces
-     * it, "off"/"0" disables it, unset/"auto" enables it on hosts with
-     * >= 2 hardware threads. Observable through prefetchBatches() /
-     * prefetchStalls().
      */
     size_t nextBatch(uarch::OpBatch &out, size_t max_ops) override;
 
+    /** Decode + relink frame `frame` into `out` (resized to its op
+     * count), whatever the batch position; with the mmap backing, the
+     * pages of earlier frames are dropped. */
+    void decodeFrame(uint64_t frame, uarch::OpBatchStorage &out);
+
     uint64_t numOps() const { return numOps_; }
-    bool mmapped() const { return map_ != nullptr; }
+    uint64_t numFrames() const { return numFrames_; }
 
-    /** True once this cursor's decode-ahead worker is running. */
-    bool prefetching() const { return prefetch_ != nullptr; }
-
-    /** Process-wide count of frames served from the decode-ahead
-     * buffer (ready or awaited) across all cursors. */
-    static uint64_t prefetchBatches();
-    /** Process-wide count of frame waits on an in-flight decode (the
-     * replay outran the prefetcher). */
-    static uint64_t prefetchStalls();
+    /** Always 0: kept for existing callers (perfbench). */
+    static uint64_t prefetchBatches() { return 0; }
+    static uint64_t prefetchStalls() { return 0; }
 
   private:
-    struct Prefetch; ///< decode-ahead worker (trace_stream.cc)
-
-    void loadFrameSoA(uint64_t frame);
-    /** loadFrameSoA through the prefetcher when enabled (starting it
-     * lazily on the first batched frame). */
-    void ensureFrameSoA(uint64_t frame);
-    void maybeStartPrefetch();
-    /**
-     * Decode + relink one frame into `out`, reading through the
-     * caller-owned stream/scratch (the mmap view is shared read-only).
-     * Touches no mutable cursor state, so the prefetch worker and the
-     * main thread can each run it concurrently on their own buffers.
-     */
-    void decodeFrame(uint64_t frame, uarch::OpBatchStorage &out,
-                     std::ifstream &file,
-                     std::vector<uint8_t> &scratch) const;
     void dropConsumedFrames(uint64_t upto);
     uint64_t frameOps(uint64_t frame) const;
     uint64_t frameEnd(uint64_t frame) const;
 
     const ir::Program &program_;
-    std::string path_;
     std::ifstream file_;
     uint64_t numOps_ = 0;
     uint32_t frameOps_ = 0;
@@ -361,10 +330,6 @@ class TraceCursor final : public uarch::TimingOpSource
     uarch::OpBatchStorage soa_;
     uint64_t soaFrame_ = ~0ull;
     std::vector<uint8_t> cryptoByIndex_; ///< cryptoPcTable(program_)
-
-    // decode-ahead worker (lazily started by the first batched frame)
-    std::unique_ptr<Prefetch> prefetch_;
-    bool prefetchChecked_ = false;
 
     uint64_t pos_ = 0;
     uarch::TimingOp op_;

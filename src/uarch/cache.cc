@@ -1,7 +1,5 @@
 #include "uarch/cache.hh"
 
-#include <cstring>
-
 namespace cassandra::uarch {
 
 namespace {
@@ -21,15 +19,14 @@ log2Exact(uint64_t v)
 
 /**
  * Per-thread pool of retired tag arrays. A sweep builds one
- * MemoryHierarchy (four Caches) per cell, and the dominant cost of
- * that used to be zeroing the L3's multi-megabyte line array every
- * time; recycling the array together with its final use clock makes
- * the old contents read as empty (lastUse <= epochBase_) with no
- * clearing at all. Thread-local, so worker threads never contend.
+ * MemoryHierarchy (four Caches) per cell; recycling an array together
+ * with its final use clock makes the old contents read as empty
+ * (lastUse <= epochBase_) with no clearing at all. Thread-local, so
+ * worker threads never contend.
  */
 struct Cache::PoolEntry
 {
-    std::vector<Line> lines;
+    Lines lines;
     uint64_t useClock = 0;
 };
 
@@ -58,8 +55,6 @@ Cache::Cache(const CacheParams &params) : params_(params)
         }
     }
     lines_.resize(need);
-    std::memset(static_cast<void *>(lines_.data()), 0,
-                lines_.size() * sizeof(Line));
 }
 
 Cache::~Cache()

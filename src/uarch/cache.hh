@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "uarch/params.hh"
@@ -83,16 +85,46 @@ class Cache
     // flag. The constructor recycles a retired tag array (per-thread
     // pool) and sets epochBase_ to that array's final clock, so every
     // stale line reads as empty without touching the ~130K-line L3
-    // array at all; only a pool miss pays the one-time memset. The
-    // no-op default constructor lets resize skip per-element
-    // initialization for that case.
+    // array at all. A pool miss takes a fresh array from calloc, whose
+    // large blocks are untouched zero pages: a core pays resident
+    // memory only for the tag lines its run touches. The no-op default
+    // constructor keeps resize from writing the array.
     struct Line
     {
         uint64_t tag;
         uint64_t lastUse;
 
-        Line() {} // set by memset (pool miss) or left stale (hit)
+        Line() {} // zero from calloc (pool miss) or left stale (hit)
     };
+
+    /** Allocates tag arrays with calloc (see Line). */
+    template <class T>
+    struct ZeroedAlloc
+    {
+        using value_type = T;
+
+        ZeroedAlloc() = default;
+        template <class U>
+        ZeroedAlloc(const ZeroedAlloc<U> &)
+        {
+        }
+
+        T *
+        allocate(size_t n)
+        {
+            if (void *p = std::calloc(n, sizeof(T)))
+                return static_cast<T *>(p);
+            throw std::bad_alloc();
+        }
+
+        void deallocate(T *p, size_t) { std::free(p); }
+
+        template <class U>
+        bool operator==(const ZeroedAlloc<U> &) const { return true; }
+        template <class U>
+        bool operator!=(const ZeroedAlloc<U> &) const { return false; }
+    };
+    using Lines = std::vector<Line, ZeroedAlloc<Line>>;
 
     uint64_t
     lineOf(uint64_t addr) const
@@ -123,7 +155,7 @@ class Cache
     struct PoolEntry;
     static std::vector<PoolEntry> &linePool();
 
-    std::vector<Line> lines_;
+    Lines lines_;
     uint64_t useClock_ = 0;
     uint64_t epochBase_ = 0; ///< lastUse values <= this are empty lines
     CacheStats stats_;

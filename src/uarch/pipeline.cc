@@ -432,43 +432,119 @@ class StoreMap
 
 } // namespace
 
+struct OooCore::RunState
+{
+    explicit RunState(const CoreParams &p)
+        : issueRing(p.issueWidth), commitRing(p.commitWidth),
+          aluRing(p.numAlu), mulRing(p.numMul), lsuRing(p.numLsu),
+          robRing(p.robSize), iqRing(p.iqSize), lqRing(p.lqSize),
+          sqRing(p.sqSize),
+          rfRing(p.intRegs > ir::numRegs ? p.intRegs - ir::numRegs : 1),
+          fetchSlots(p.fetchWidth),
+          nextBtuFlush(p.btuFlushPeriod ? p.btuFlushPeriod : ~0ull)
+    {
+        // Fetch-line arithmetic runs once per dynamic op; a division by
+        // the runtime-configured line size cannot be strength-reduced
+        // by the compiler, so pre-derive the shift for power-of-two
+        // lines.
+        for (uint32_t s = 0; s < 32; s++) {
+            if (p.l1i.lineBytes == (1u << s)) {
+                l1iLineShift = static_cast<int>(s);
+                break;
+            }
+        }
+    }
+
+    const TaintBitmap *taint = nullptr;
+    CoreStats stats;
+    UsageRing issueRing, commitRing, aluRing, mulRing, lsuRing;
+    TimeRing robRing, iqRing, lqRing, sqRing, rfRing;
+    // Completion time of the last architectural writer of each register.
+    std::array<uint64_t, ir::numRegs> regReady{};
+    // Running maxima for the scheme constraints.
+    uint64_t lastBranchResolve = 0;   // SPT / ProSpeCT
+    uint64_t lastNcBranchResolve = 0; // Cassandra+ProSpeCT
+    uint64_t lastStoreResolve = 0;    // Cassandra+STL
+    // STL forwarding: most recent older store per 8-byte granule.
+    StoreMap storeMap;
+    uint64_t fetchClock = 1;
+    uint32_t fetchSlots;
+    uint64_t lastFetchLine = ~0ull;
+    uint64_t prevDispatch = 0;
+    uint64_t prevCommit = 0;
+    uint64_t nextBtuFlush;
+    int l1iLineShift = -1;
+    size_t index = 0; ///< dynamic index of the next op
+};
+
+OooCore::~OooCore() = default;
+
 CoreStats
 OooCore::run(TimingOpSource &src, const TaintBitmap *taint)
 {
-    CoreStats stats;
+    // The stream is consumed in SoA batches: one virtual call per
+    // timingOpBatchOps ops, with every per-op column read straight out
+    // of the batch's parallel arrays.
+    begin(taint);
+    OpBatch batch;
+    while (src.nextBatch(batch, timingOpBatchOps) != 0)
+        consume(batch);
+    return finish();
+}
 
-    UsageRing issue_ring(params_.issueWidth);
-    UsageRing commit_ring(params_.commitWidth);
-    UsageRing alu_ring(params_.numAlu);
-    UsageRing mul_ring(params_.numMul);
-    UsageRing lsu_ring(params_.numLsu);
+void
+OooCore::begin(const TaintBitmap *taint)
+{
+    run_ = std::make_unique<RunState>(params_);
+    run_->taint = taint;
+}
 
-    TimeRing rob_ring(params_.robSize);
-    TimeRing iq_ring(params_.iqSize);
-    TimeRing lq_ring(params_.lqSize);
-    TimeRing sq_ring(params_.sqSize);
-    TimeRing rf_ring(params_.intRegs > ir::numRegs
-                         ? params_.intRegs - ir::numRegs
-                         : 1);
+CoreStats
+OooCore::finish()
+{
+    if (!run_)
+        throw std::logic_error("OooCore::finish without begin");
+    CoreStats stats = run_->stats;
+    // Commit times are monotone (commit >= prev_commit by
+    // construction), so the final commit is the makespan.
+    stats.cycles = run_->prevCommit;
+    run_.reset();
+    return stats;
+}
 
-    // Completion time of the last architectural writer of each register.
-    std::array<uint64_t, ir::numRegs> reg_ready{};
-
-    // Running maxima for the scheme constraints.
-    uint64_t last_branch_resolve = 0;    // SPT / ProSpeCT
-    uint64_t last_nc_branch_resolve = 0; // Cassandra+ProSpeCT
-    uint64_t last_store_resolve = 0;     // Cassandra+STL
-
-    // STL forwarding: most recent older store per 8-byte granule.
-    StoreMap store_map;
-
-    uint64_t fetch_clock = 1;
-    uint32_t fetch_slots = params_.fetchWidth;
-    uint64_t last_fetch_line = ~0ull;
-    uint64_t prev_dispatch = 0;
-    uint64_t prev_commit = 0;
-    uint64_t next_btu_flush =
-        params_.btuFlushPeriod ? params_.btuFlushPeriod : ~0ull;
+void
+OooCore::consume(const OpBatch &batch)
+{
+    if (!run_)
+        throw std::logic_error("OooCore::consume without begin");
+    RunState &s = *run_;
+    // The scalar state lives in locals for the batch, as it would for a
+    // whole run, and is stored back after it.
+    CoreStats stats = s.stats;
+    UsageRing &issue_ring = s.issueRing;
+    UsageRing &commit_ring = s.commitRing;
+    UsageRing &alu_ring = s.aluRing;
+    UsageRing &mul_ring = s.mulRing;
+    UsageRing &lsu_ring = s.lsuRing;
+    TimeRing &rob_ring = s.robRing;
+    TimeRing &iq_ring = s.iqRing;
+    TimeRing &lq_ring = s.lqRing;
+    TimeRing &sq_ring = s.sqRing;
+    TimeRing &rf_ring = s.rfRing;
+    std::array<uint64_t, ir::numRegs> reg_ready = s.regReady;
+    uint64_t last_branch_resolve = s.lastBranchResolve;
+    uint64_t last_nc_branch_resolve = s.lastNcBranchResolve;
+    uint64_t last_store_resolve = s.lastStoreResolve;
+    StoreMap &store_map = s.storeMap;
+    uint64_t fetch_clock = s.fetchClock;
+    uint32_t fetch_slots = s.fetchSlots;
+    uint64_t last_fetch_line = s.lastFetchLine;
+    uint64_t prev_dispatch = s.prevDispatch;
+    uint64_t prev_commit = s.prevCommit;
+    uint64_t next_btu_flush = s.nextBtuFlush;
+    const TaintBitmap *taint = s.taint;
+    const int l1i_line_shift = s.l1iLineShift;
+    size_t i = s.index;
 
     const bool cassandra = schemeIsCassandra(scheme_);
     const bool uses_btu = btu_ != nullptr;
@@ -488,24 +564,7 @@ OooCore::run(TimingOpSource &src, const TaintBitmap *taint)
     const bool prospect_scheme = scheme_ == Scheme::Prospect ||
         scheme_ == Scheme::CassandraProspect;
 
-    // Fetch-line arithmetic runs once per dynamic op; a division by the
-    // runtime-configured line size cannot be strength-reduced by the
-    // compiler, so pre-derive the shift for power-of-two lines.
-    int l1i_line_shift = -1;
-    for (uint32_t s = 0; s < 32; s++) {
-        if (params_.l1i.lineBytes == (1u << s)) {
-            l1i_line_shift = static_cast<int>(s);
-            break;
-        }
-    }
-
-    // The stream is consumed in SoA batches: one virtual call per
-    // timingOpBatchOps ops, with every per-op column read straight out
-    // of the batch's parallel arrays.
-    OpBatch batch;
-    size_t i = 0;
-    while (src.nextBatch(batch, timingOpBatchOps) != 0) {
-      for (size_t b = 0; b < batch.size; b++, i++) {
+    for (size_t b = 0; b < batch.size; b++, i++) {
         const uint64_t op_pc = batch.pc[b];
         const uint64_t op_memAddr = batch.memAddr[b];
         const uint64_t op_nextPc = batch.nextPc[b];
@@ -849,12 +908,19 @@ OooCore::run(TimingOpSource &src, const TaintBitmap *taint)
         // Fetch cannot run unboundedly ahead of dispatch back-pressure.
         if (fetch_clock + frontend_depth + 64 < dispatch)
             fetch_clock = dispatch - frontend_depth;
-      }
     }
-    // Commit times are monotone (commit >= prev_commit by
-    // construction), so the final commit is the makespan.
-    stats.cycles = prev_commit;
-    return stats;
+    s.stats = stats;
+    s.regReady = reg_ready;
+    s.lastBranchResolve = last_branch_resolve;
+    s.lastNcBranchResolve = last_nc_branch_resolve;
+    s.lastStoreResolve = last_store_resolve;
+    s.fetchClock = fetch_clock;
+    s.fetchSlots = fetch_slots;
+    s.lastFetchLine = last_fetch_line;
+    s.prevDispatch = prev_dispatch;
+    s.prevCommit = prev_commit;
+    s.nextBtuFlush = next_btu_flush;
+    s.index = i;
 }
 
 } // namespace cassandra::uarch

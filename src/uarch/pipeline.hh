@@ -356,12 +356,25 @@ class OooCore
             const ir::Program &program,
             const core::TraceImage *image = nullptr);
 
+    ~OooCore();
+
     /**
      * Run the timing model over an op stream. When `taint` is given it
      * supplies the ProSpeCT per-op taint flags (bit i for op i);
      * otherwise each op's own `tainted` flag is used.
      */
     CoreStats run(TimingOpSource &src, const TaintBitmap *taint = nullptr);
+
+    /**
+     * The resumable form of run(), which is exactly this loop: begin()
+     * a run, consume() the stream's ops as consecutive batches of any
+     * sizes, then finish() it for its stats. The calls may come from
+     * different threads, one at a time. `taint` is run()'s and must
+     * outlive the run.
+     */
+    void begin(const TaintBitmap *taint = nullptr);
+    void consume(const OpBatch &batch);
+    CoreStats finish();
 
     /** Run over a recorded in-memory trace (op-embedded taint flags). */
     CoreStats run(const TimingTrace &trace);
@@ -478,6 +491,9 @@ class OooCore
      * the code segment. Built once per core for Cassandra schemes. */
     bool predictedCryptoPc(uint64_t pc) const;
 
+    /** The timing state carried from one consume() to the next. */
+    struct RunState;
+
     CoreParams params_;
     btu::BtuParams btuParams_;
     Scheme scheme_;
@@ -489,6 +505,7 @@ class OooCore
     Rsb rsb_;
     MemoryHierarchy memory_;
     std::vector<uint8_t> cryptoPcMap_;
+    std::unique_ptr<RunState> run_; ///< between begin() and finish()
 };
 
 } // namespace cassandra::uarch

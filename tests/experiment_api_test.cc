@@ -3,7 +3,8 @@
  * Tests for the unified experiment API: SimConfig plumbing through
  * Simulation -> OooCore -> Btu (BTU geometry really reaches the
  * unit), ExperimentRunner determinism across thread counts, parity
- * with fresh single-workload analyses, and the structured reporters.
+ * with fresh single-workload analyses, grouped stream replay against
+ * per-cell replay, and the structured reporters.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include <stdexcept>
 
 #include "core/experiment.hh"
+#include "core/serialize.hh"
 #include "core/sim_config.hh"
+#include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -187,6 +191,63 @@ TEST(ExperimentRunnerTest, UnknownWorkloadRethrows)
     ExperimentRunner runner(
         crypto::WorkloadRegistry::global().resolver(), RunnerOptions{2});
     EXPECT_THROW(runner.run(m), std::invalid_argument);
+}
+
+/** Every counter of a cell, as the result store packs them. */
+std::vector<uint8_t>
+packed(const core::ExperimentResult &r)
+{
+    core::ByteWriter w;
+    core::packExperimentResult(w, r);
+    return w.take();
+}
+
+TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
+{
+    core::AnalyzeOptions analyze;
+    analyze.traceMode = core::TraceMode::Stream;
+    analyze.streamDir = test::scratchPath("grouped-replay");
+    auto cache = std::make_shared<core::AnalysisCache>(
+        crypto::WorkloadRegistry::global().resolver(), analyze);
+    // DES_ct's stream has 20 frames, so the 8-frame ring wraps and
+    // cells interleave over many turns; ChaCha20_ct's has one.
+    ExperimentMatrix m;
+    m.workloads = {"DES_ct", "ChaCha20_ct"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                 Scheme::CassandraStl,   Scheme::CassandraLite,
+                 Scheme::Spt,            Scheme::Prospect,
+                 Scheme::CassandraProspect};
+
+    // The reference: one Simulation::run per cell, on the same
+    // streamed artifacts.
+    uint64_t frames = 0;
+    std::vector<std::vector<uint8_t>> want;
+    for (const std::string &name : m.workloads) {
+        const auto aw = cache->get(name, core::allAnalysisPhases);
+        frames += core::TraceCursor(aw->streamPath(), aw->workload().program)
+                      .numFrames();
+        for (Scheme s : m.schemes)
+            want.push_back(packed(core::Simulation(aw).run(s)));
+    }
+    ASSERT_GT(frames, 16u);
+
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const auto exp =
+            ExperimentRunner(cache, RunnerOptions{threads}).run(m);
+        ASSERT_EQ(exp.cells.size(), want.size());
+        for (size_t i = 0; i < want.size(); i++) {
+            EXPECT_EQ(exp.cells[i].workload,
+                      m.workloads[i / m.schemes.size()]);
+            EXPECT_EQ(exp.cells[i].scheme, m.schemes[i % m.schemes.size()]);
+            EXPECT_EQ(packed(exp.cells[i].result), want[i])
+                << exp.cells[i].workload << " / "
+                << uarch::schemeName(exp.cells[i].scheme);
+        }
+        // Each stream decoded once, each frame replayed once per cell.
+        EXPECT_EQ(exp.telemetry.framesDecoded, frames);
+        EXPECT_EQ(exp.telemetry.framesReplayed, frames * m.schemes.size());
+    }
 }
 
 TEST(ReporterTest, JsonAndCsvCaptureEveryCell)

@@ -9,9 +9,8 @@
  * comparison: op columns, folded Algorithm 2 traces, packed image
  * bytes, taint bits, stream file bytes and replayed batches must
  * match the reference op for op —
- * across chunk sizes (including 1), ring sizes (including 1), Inline
- * and forced-Threaded mode, and with the TraceCursor decode-ahead
- * prefetcher forced on and off. Plus the TraceStreamWriter durability
+ * across chunk sizes (including 1), ring sizes (including 1), and
+ * Inline and forced-Threaded mode. Plus the TraceStreamWriter durability
  * seam: a crash after the data fsync but before the index/footer must
  * leave a file that fails loudly at open, never a footer-valid-but-
  * truncated stream.
@@ -22,7 +21,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <stdexcept>
@@ -74,38 +72,6 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
 }
-
-/** RAII environment override (POSIX setenv; tests are unix-only like
- * the mmap cursor backing). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
 
 /** Consumer that materializes every chunk back into TimingOps. */
 class CollectConsumer final : public BatchConsumer
@@ -521,106 +487,6 @@ TEST(FusedArtifact, OnePassServesTraceAndTaint)
     EXPECT_EQ(core::fusedAnalysisPasses(), passes0 + 1);
     EXPECT_TRUE(aw->hasTimingTrace());
     EXPECT_TRUE(aw->hasTaintBitmap());
-}
-
-// ---------------------------------------------------------------------
-// TraceCursor decode-ahead prefetcher
-// ---------------------------------------------------------------------
-
-TEST(StreamPrefetch, CursorParityAtEveryBatchBoundary)
-{
-    const core::Workload w = workload("synthetic/chacha20/75");
-    const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
-    ASSERT_GT(trace.size(), 512u); // >= 2 frames at 256 ops/frame
-
-    {
-        const std::string path = "prefetch_parity.casstf";
-        {
-            TraceStreamWriter writer(
-                path, core::programFingerprint(w.program), 256);
-            for (const auto &op : trace)
-                writer.append(op);
-            writer.finish();
-        }
-        for (TraceCursor::Backing backing :
-             {TraceCursor::Backing::Mmap,
-              TraceCursor::Backing::Buffered}) {
-            SCOPED_TRACE("backing " +
-                         std::to_string(static_cast<int>(backing)));
-            // Synchronous reference.
-            uarch::TimingTrace sync;
-            {
-                ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "off");
-                TraceCursor cursor(path, w.program, backing);
-                uarch::OpBatch batch;
-                while (size_t n = cursor.nextBatch(batch, 17)) {
-                    for (size_t i = 0; i < n; i++) {
-                        uarch::TimingOp op;
-                        op.pc = batch.pc[i];
-                        op.memAddr = batch.memAddr[i];
-                        op.nextPc = batch.nextPc[i];
-                        op.inst = batch.inst[i];
-                        op.crypto = batch.crypto[i] != 0;
-                        sync.push_back(op);
-                    }
-                }
-                EXPECT_FALSE(cursor.prefetching());
-            }
-            expectSameOps(sync, trace, "sync cursor vs recorded");
-
-            // Decode-ahead, forced on; 17 never divides 256, so every
-            // frame boundary lands mid-batch-request.
-            const uint64_t served0 = TraceCursor::prefetchBatches();
-            uarch::TimingTrace pre;
-            {
-                ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
-                TraceCursor cursor(path, w.program, backing);
-                uarch::OpBatch batch;
-                while (size_t n = cursor.nextBatch(batch, 17)) {
-                    for (size_t i = 0; i < n; i++) {
-                        uarch::TimingOp op;
-                        op.pc = batch.pc[i];
-                        op.memAddr = batch.memAddr[i];
-                        op.nextPc = batch.nextPc[i];
-                        op.inst = batch.inst[i];
-                        op.crypto = batch.crypto[i] != 0;
-                        pre.push_back(op);
-                    }
-                }
-                EXPECT_TRUE(cursor.prefetching());
-            }
-            expectSameOps(pre, sync, "prefetch cursor vs sync");
-            // Every frame after the first was served by the worker.
-            EXPECT_GT(TraceCursor::prefetchBatches(), served0);
-        }
-        std::remove(path.c_str());
-    }
-}
-
-TEST(StreamPrefetch, ScalarPathUnaffected)
-{
-    const core::Workload w = workload("synthetic/chacha20/75");
-    const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
-    const std::string path = "prefetch_scalar.casstf";
-    {
-        TraceStreamWriter writer(
-            path, core::programFingerprint(w.program), 256);
-        for (const auto &op : trace)
-            writer.append(op);
-        writer.finish();
-    }
-    ScopedEnv env("CASSANDRA_STREAM_PREFETCH", "on");
-    TraceCursor cursor(path, w.program);
-    for (size_t i = 0; i < trace.size(); i++) {
-        const uarch::TimingOp *op = cursor.next();
-        ASSERT_NE(op, nullptr) << "op " << i;
-        ASSERT_EQ(op->pc, trace[i].pc) << "op " << i;
-        ASSERT_EQ(op->nextPc, trace[i].nextPc) << "op " << i;
-    }
-    EXPECT_EQ(cursor.next(), nullptr);
-    // next() never batches, so the worker is never started.
-    EXPECT_FALSE(cursor.prefetching());
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

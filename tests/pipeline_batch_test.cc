@@ -4,7 +4,8 @@
  * observably identical to the scalar next() path — same columns for
  * every batch size, and byte-identical timing results across every
  * scheme on both source kinds (in-memory span and chunked trace
- * stream). The scalar reference is the default
+ * stream), also when the core is resumed batch by batch through
+ * OooCore::begin/consume/finish. The scalar reference is the default
  * TimingOpSource::nextBatch adapter, which batches through next().
  */
 
@@ -107,40 +108,40 @@ writeStream(const core::Workload &w, const TimingTrace &trace,
     return path;
 }
 
-/** One timing run of `src` under `scheme`, with the demand-driven
- * image/taint phases exactly as core::Simulation wires them. */
+/** One timing run of `src` under `scheme`, on the core and taint
+ * bitmap core::Simulation wires. */
 ExperimentResult
 runScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme,
           TimingOpSource &src)
 {
-    const core::TraceImage *image = nullptr;
-    if (uarch::schemeIsCassandra(scheme))
-        image = &aw->traces().image;
-    const uarch::TaintBitmap *taint = nullptr;
-    const bool needs_taint = scheme == Scheme::Prospect ||
-        scheme == Scheme::CassandraProspect;
-    if (needs_taint && !aw->workload().secretRegions.empty())
-        taint = &aw->taintBitmap();
-
     SimConfig config;
     config.scheme = scheme;
-    uarch::OooCore core(config, aw->workload().program, image);
-    ExperimentResult r;
-    r.stats = core.run(src, taint);
-    if (core.btuUnit())
-        r.btu = core.btuUnit()->stats();
-    r.bpu = core.tage().stats();
-    const auto &mem = core.memory();
-    r.caches.l1iAccesses = mem.l1i().stats().accesses;
-    r.caches.l1iMisses = mem.l1i().stats().misses;
-    r.caches.l1dAccesses = mem.l1d().stats().accesses;
-    r.caches.l1dMisses = mem.l1d().stats().misses;
-    r.caches.l2Accesses = mem.l2().stats().accesses;
-    r.caches.l2Misses = mem.l2().stats().misses;
-    r.caches.l3Accesses = mem.l3().stats().accesses;
-    r.caches.l3Misses = mem.l3().stats().misses;
-    return r;
+    auto [ooo, taint] = core::Simulation(aw).makeCore(config);
+    return core::resultFromCore(*ooo, ooo->run(src, taint));
 }
+
+/** runScheme over the artifact's own source, fed through
+ * begin/consume/finish in batches of at most `max_ops` ops (a source
+ * never serves a batch across a frame, so 1 << 15 feeds whole
+ * frames). */
+ExperimentResult
+resumeScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme,
+             size_t max_ops)
+{
+    SimConfig config;
+    config.scheme = scheme;
+    auto [ooo, taint] = core::Simulation(aw).makeCore(config);
+    auto src = aw->openOpSource();
+    ooo->begin(taint);
+    OpBatch batch;
+    while (src->nextBatch(batch, max_ops) != 0)
+        ooo->consume(batch);
+    return core::resultFromCore(*ooo, ooo->finish());
+}
+
+/** The batch sizes the resumable core is fed in. */
+constexpr size_t resumeBatches[] = {1, 17, uarch::timingOpBatchOps,
+                                    size_t{1} << 15};
 
 /** Every counter of the run, as one comparable vector. */
 std::vector<uint64_t>
@@ -202,6 +203,15 @@ TEST(BatchColumnsTest, CursorMatchesTraceAtFrameBoundaries)
             TraceCursor cursor(path, w.program);
             expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
         }
+        // 17 never divides a frame, so frame boundaries land
+        // mid-request, on both backings.
+        for (TraceCursor::Backing backing :
+             {TraceCursor::Backing::Mmap, TraceCursor::Backing::Buffered}) {
+            SCOPED_TRACE("backing " +
+                         std::to_string(static_cast<int>(backing)));
+            TraceCursor cursor(path, w.program, backing);
+            expectBatchedColumnsEqualTrace(cursor, trace, 17);
+        }
         std::remove(path.c_str());
     }
 }
@@ -261,6 +271,11 @@ TEST(BatchParityTest, WholeSourceMatchesScalarAcrossSchemes)
         ScalarOnly scalar_src(*scalar_inner);
         auto scalar = runScheme(aw, scheme, scalar_src);
         EXPECT_EQ(allCounters(batched), allCounters(scalar));
+        for (size_t max_ops : resumeBatches) {
+            SCOPED_TRACE("resumed, batches of " + std::to_string(max_ops));
+            EXPECT_EQ(allCounters(resumeScheme(aw, scheme, max_ops)),
+                      allCounters(batched));
+        }
     }
 }
 
@@ -278,6 +293,11 @@ TEST(BatchParityTest, StreamSourceMatchesScalarAcrossSchemes)
         ScalarOnly scalar_src(*scalar_inner);
         auto scalar = runScheme(aw, scheme, scalar_src);
         EXPECT_EQ(allCounters(batched), allCounters(scalar));
+        for (size_t max_ops : resumeBatches) {
+            SCOPED_TRACE("resumed, batches of " + std::to_string(max_ops));
+            EXPECT_EQ(allCounters(resumeScheme(aw, scheme, max_ops)),
+                      allCounters(batched));
+        }
     }
 }
 

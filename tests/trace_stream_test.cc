@@ -867,6 +867,39 @@ TEST(TraceStreamTest, FailedStreamRecordingRemovesPartialFile)
     EXPECT_FALSE(fileExists(path)) << path;
 }
 
+TEST(TraceStreamTest, CorruptMiddleFrameFailsTheRunTyped)
+{
+    // The grouped replay decodes each frame once on some pool thread;
+    // a corrupt frame must surface as the typed error from run(), with
+    // every pool thread joined, at one thread and at several.
+    AnalyzeOptions opts;
+    opts.traceMode = TraceMode::Stream;
+    opts.streamDir = test::scratchPath("stream-corrupt-frame");
+    auto cache = std::make_shared<core::AnalysisCache>(
+        crypto::WorkloadRegistry::global().resolver(), opts);
+    const auto artifact = cache->get("DES_ct", core::allAnalysisPhases);
+
+    auto bytes = readFile(artifact->streamPath());
+    const uint64_t frames = getLe64(bytes, bytes.size() - 8);
+    const uint64_t index_pos = getLe64(bytes, bytes.size() - 16);
+    ASSERT_GE(frames, 3u);
+    const uint64_t middle =
+        getLe64(bytes, static_cast<size_t>(index_pos + frames / 2 * 8));
+    bytes[static_cast<size_t>(middle)] = 0x7f; // unknown frame kind
+    writeFile(artifact->streamPath(), bytes);
+
+    ExperimentMatrix m;
+    m.workloads = {"DES_ct"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                 Scheme::CassandraLite, Scheme::Spt,
+                 Scheme::CassandraProspect};
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EXPECT_THROW(ExperimentRunner(cache, RunnerOptions{threads}).run(m),
+                     core::ArtifactFormatError);
+    }
+}
+
 TEST(TraceStreamTest, StreamFileReclaimedWithArtifact)
 {
     AnalyzeOptions opts;
