@@ -2,8 +2,10 @@
  * @file
  * Microbenchmarks (google-benchmark) for trace replay throughput: the
  * scalar next() path versus the batched SoA nextBatch() paths, over
- * the in-memory sources (the reference AoS TraceSpanSource and the
- * ChunkSpanSource whole mode replays) and the on-disk TraceCursor.
+ * the in-memory sources (the reference AoS TraceSpanSource and a
+ * ChunkSpanSource over the analysis pass's SoA chunks) and the
+ * TraceCursor over CASSTF2 frames, from a stream file (stream mode)
+ * or held in memory (whole mode).
  * Items processed = timing ops replayed, so the items-per-second
  * column reads directly as replay ops/sec; the batch/scalar ratio is
  * the speedup the SoA replay layer claims (docs/ARCHITECTURE.md,
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "core/analysis_pipeline.hh"
+#include "core/analyzed_workload.hh"
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
 #include "crypto/workload_registry.hh"
@@ -49,8 +52,8 @@ workload()
     return w;
 }
 
-/** The same trace as the fused analysis pass retains it: the
- * whole-mode trace storage. */
+/** The same trace as the SoA chunks the fused analysis pass can
+ * retain (runFusedOpPass's `retain`). */
 const std::vector<core::AnalysisChunk> &
 chunks()
 {
@@ -60,6 +63,16 @@ chunks()
         return out;
     }();
     return c;
+}
+
+/** The same trace as a whole-mode artifact holds it: CASSTF2 frames
+ * in memory. */
+const core::TraceFrames &
+heldFrames()
+{
+    static const core::AnalyzedWorkload::Ptr aw =
+        core::AnalyzedWorkload::analyze(workload());
+    return aw->heldFrames();
 }
 
 /** CASSTF2 stream file of the same trace. */
@@ -168,8 +181,8 @@ BENCHMARK(BM_ReplaySpanBatchTranspose);
 void
 BM_ReplaySpanBatchShared(benchmark::State &state)
 {
-    // The production whole-mode path: zero-copy views into the chunks
-    // the fused analysis pass retained (AnalyzedWorkload::openOpSource).
+    // Zero-copy views into SoA chunks the fused analysis pass retained:
+    // the replay cost with no decode at all.
     const std::vector<core::AnalysisChunk> &c = chunks();
     for (auto _ : state) {
         core::ChunkSpanSource src(c);
@@ -206,6 +219,21 @@ BM_ReplayCursorBatchDelta(benchmark::State &state)
                             static_cast<int64_t>(trace().size()));
 }
 BENCHMARK(BM_ReplayCursorBatchDelta);
+
+void
+BM_ReplayHeldBatchDelta(benchmark::State &state)
+{
+    // The production whole-mode path: the same CASSTF2 frames decoded
+    // from the artifact's memory (AnalyzedWorkload::openOpSource).
+    const core::TraceFrames &held = heldFrames();
+    for (auto _ : state) {
+        TraceCursor src(held, workload().program);
+        benchmark::DoNotOptimize(drainBatched(src));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(trace().size()));
+}
+BENCHMARK(BM_ReplayHeldBatchDelta);
 
 } // namespace
 

@@ -11,8 +11,11 @@
  * straight from the interpreter loop, no per-op indirect call), each
  * full chunk is relinked (inst pointer + crypto flag from a
  * per-static-instruction table) and handed to every registered
- * BatchConsumer — trace retention, the CASSTF stream writer, the
- * incremental TaintWalker — before the next chunk is produced.
+ * BatchConsumer — the CASSTF2 frame encoder (frames held in memory in
+ * whole mode, a stream file in stream mode), the incremental
+ * TaintWalker — before the next chunk is produced. The chunks
+ * themselves are recycled through the ring, so analysis memory stays
+ * at a few chunks whatever the trace length.
  *
  * Two execution modes share one code path:
  *  - Inline: the probe's flush callback relinks and consumes the chunk
@@ -119,10 +122,11 @@ struct FusedPassStats
 /**
  * Run the workload on analysis input `which` once, feeding every
  * executed op through `consumers` as relinked chunks. With `retain`
- * the consumed chunks are additionally moved there in order — the
- * whole-mode trace storage, produced by the same pass that feeds the
- * consumers. Throws InstructionBudgetError (context "timing trace",
- * matching the reference recordTrace) when the run does not halt.
+ * the consumed chunks are additionally moved there in order, at
+ * 34 B/op (perfbench, bench/micro_replay and the parity tests read
+ * them; AnalyzedWorkload holds encoded frames instead). Throws
+ * InstructionBudgetError (context "timing trace", matching the
+ * reference recordTrace) when the run does not halt.
  */
 FusedPassStats
 runFusedOpPass(const Workload &workload, int which,
@@ -153,8 +157,9 @@ runFusedBranchPass(const Workload &workload, int which,
                    const AnalysisPipelineOptions &options = {});
 
 /**
- * TimingOpSource over retained fused chunks: the whole-mode replay
- * source. nextBatch() serves zero-copy views into the chunks (a batch
+ * TimingOpSource over retained fused chunks (runFusedOpPass's
+ * `retain`): replay with no decode, for perfbench and the parity
+ * tests. nextBatch() serves zero-copy views into the chunks (a batch
  * never crosses a chunk boundary); next() is the scalar adapter.
  * `chunks` must outlive the source.
  */

@@ -46,6 +46,45 @@ class StreamWriteConsumer final : public BatchConsumer
     TraceStreamWriter *writer_;
 };
 
+/** Fused-pass consumer encoding chunks into frames held in memory. */
+class HoldFramesConsumer final : public BatchConsumer
+{
+  public:
+    explicit HoldFramesConsumer(TraceFrames &held)
+        : held_(&held), builder_(held.frameOps)
+    {
+    }
+
+    void
+    consume(const AnalysisChunk &chunk) override
+    {
+        builder_.add(chunk.view(), Hold{held_});
+        held_->numOps += chunk.size;
+    }
+
+    void
+    finish() override
+    {
+        builder_.finish(Hold{held_});
+    }
+
+  private:
+    /** Each frame gets a buffer of its exact size, never copied again. */
+    struct Hold
+    {
+        TraceFrames *held;
+
+        void
+        operator()(const uint8_t *frame, size_t bytes) const
+        {
+            held->frames.emplace_back(frame, frame + bytes);
+        }
+    };
+
+    TraceFrames *held_;
+    TraceFrameBuilder builder_;
+};
+
 /**
  * The incremental taint walk over SoA batches: a fused-pass consumer,
  * and the batched walk over a recorded trace. Bits accumulate in
@@ -94,25 +133,23 @@ class TaintConsumer final : public BatchConsumer
     std::vector<uint64_t> words_;
 };
 
-uint64_t
-chunkOps(const std::vector<AnalysisChunk> &chunks)
-{
-    uint64_t ops = 0;
-    for (const AnalysisChunk &chunk : chunks)
-        ops += chunk.size;
-    return ops;
-}
-
 } // namespace
 
 AnalyzedWorkload::AnalyzedWorkload(Workload workload, TraceMode mode,
-                                   std::vector<AnalysisChunk> chunks,
+                                   TraceFrames frames,
                                    std::string streamPath,
-                                   uint64_t numOps)
+                                   uint64_t numOps,
+                                   std::optional<TraceGenResult> traces)
     : workload_(std::move(workload)), traceMode_(mode),
       streamPath_(std::move(streamPath)), numOps_(numOps),
-      chunks_(std::move(chunks))
+      frames_(std::move(frames))
 {
+    // A deserialized image is adopted verbatim: the phase is marked
+    // done without running (and without counting) Algorithm 2.
+    if (traces) {
+        traces_ = std::move(*traces);
+        imageReady_.store(true, std::memory_order_release);
+    }
     traceReady_.store(true, std::memory_order_release);
 }
 
@@ -182,20 +219,21 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
     if (traceReady_.load(std::memory_order_acquire))
         return;
     phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-    // One machine run records the trace (SoA chunks retained in whole
-    // mode, streamed to disk in stream mode) with no counting pre-run,
-    // and any fusable pending phase consumes the same chunks as they
-    // are produced.
-    std::vector<BatchConsumer *> consumers;
+    // One machine run records the trace (CASSTF2 frames, held in
+    // memory in whole mode, streamed to disk in stream mode) with no
+    // counting pre-run, and any fusable pending phase consumes the
+    // same chunks as they are produced.
     std::unique_ptr<TraceStreamWriter> writer;
-    std::unique_ptr<StreamWriteConsumer> writeConsumer;
+    std::unique_ptr<BatchConsumer> frameConsumer;
     std::unique_ptr<TaintConsumer> taintConsumer;
-    if (traceMode_ == TraceMode::Stream) {
+    if (streamed()) {
         writer = std::make_unique<TraceStreamWriter>(
             streamPath_, programFingerprint(workload_.program));
-        writeConsumer = std::make_unique<StreamWriteConsumer>(*writer);
-        consumers.push_back(writeConsumer.get());
+        frameConsumer = std::make_unique<StreamWriteConsumer>(*writer);
+    } else {
+        frameConsumer = std::make_unique<HoldFramesConsumer>(frames_);
     }
+    std::vector<BatchConsumer *> consumers = {frameConsumer.get()};
     const bool fuse_taint = (extra & PhaseTaint) != 0 &&
         !taintReady_.load(std::memory_order_acquire) &&
         !workload_.secretRegions.empty();
@@ -206,14 +244,13 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
     }
     FusedPassStats stats;
     try {
-        stats = runFusedOpPass(workload_, /*which=*/2, consumers, {},
-                               streamed() ? nullptr : &chunks_);
+        stats = runFusedOpPass(workload_, /*which=*/2, consumers);
     } catch (...) {
         // A failed recording (an exhausted instruction budget, a full
         // disk) leaves nothing behind: the unfinished writer wrote no
         // footer, and its partial file is removed here — no artifact
         // owns it.
-        chunks_.clear();
+        frames_ = TraceFrames();
         if (writer) {
             writer.reset();
             std::remove(streamPath_.c_str());
@@ -245,45 +282,23 @@ AnalyzedWorkload::analyze(Workload workload, const KmersParams &params)
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromParts(Workload workload, TraceGenResult traces,
-                            std::vector<AnalysisChunk> chunks)
+AnalyzedWorkload::fromParts(Workload workload, TraceFrames frames,
+                            std::optional<TraceGenResult> traces)
 {
-    const uint64_t ops = chunkOps(chunks);
-    auto *raw = new AnalyzedWorkload(std::move(workload), TraceMode::Whole,
-                                     std::move(chunks), "", ops);
-    // The deserialized image is adopted verbatim: the phase is marked
-    // done without running (and without counting) Algorithm 2.
-    raw->traces_ = std::move(traces);
-    raw->imageReady_.store(true, std::memory_order_release);
-    return Ptr(raw);
-}
-
-AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromParts(Workload workload,
-                            std::vector<AnalysisChunk> chunks)
-{
-    const uint64_t ops = chunkOps(chunks);
+    const uint64_t ops = frames.numOps;
     return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Whole,
-                                    std::move(chunks), "", ops));
+                                    std::move(frames), "", ops,
+                                    std::move(traces)));
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromStreamParts(Workload workload,
-                                  std::string streamPath, uint64_t numOps)
+AnalyzedWorkload::fromStreamParts(Workload workload, std::string streamPath,
+                                  uint64_t numOps,
+                                  std::optional<TraceGenResult> traces)
 {
     return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Stream,
-                                    {}, std::move(streamPath), numOps));
-}
-
-AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromStreamParts(Workload workload, TraceGenResult traces,
-                                  std::string streamPath, uint64_t numOps)
-{
-    auto *raw = new AnalyzedWorkload(std::move(workload), TraceMode::Stream,
-                                     {}, std::move(streamPath), numOps);
-    raw->traces_ = std::move(traces);
-    raw->imageReady_.store(true, std::memory_order_release);
-    return Ptr(raw);
+                                    {}, std::move(streamPath), numOps,
+                                    std::move(traces)));
 }
 
 const TraceGenResult &
@@ -356,14 +371,21 @@ AnalyzedWorkload::ensurePhases(AnalysisPhaseMask phases) const
         taintBitmap();
 }
 
-std::unique_ptr<uarch::TimingOpSource>
+const TraceFrames &
+AnalyzedWorkload::heldFrames() const
+{
+    ensureTrace();
+    return frames_;
+}
+
+std::unique_ptr<TraceCursor>
 AnalyzedWorkload::openOpSource() const
 {
     ensureTrace();
     if (streamed())
         return std::make_unique<TraceCursor>(streamPath_,
                                              workload_.program);
-    return std::make_unique<ChunkSpanSource>(chunks_);
+    return std::make_unique<TraceCursor>(frames_, workload_.program);
 }
 
 bool
@@ -434,9 +456,8 @@ ExperimentResult
 Simulation::run(const SimConfig &config) const
 {
     auto [core, taint] = makeCore(config);
-    // The artifact's storage decides the iteration: whole artifacts
-    // replay the in-memory span, streamed artifacts a disk cursor
-    // (config.traceMode selects the storage upstream, at analysis).
+    // A lone run decodes its own frames, held in memory or in a stream
+    // file (config.traceMode selects the storage upstream, at analysis).
     auto src = artifact_->openOpSource();
     return resultFromCore(*core, core->run(*src, taint));
 }

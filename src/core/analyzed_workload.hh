@@ -16,12 +16,14 @@
  * so repeated sweeps can skip analysis entirely.
  *
  * Memory: the timing trace is recorded by one fused analysis pass
- * (core/analysis_pipeline). Whole mode keeps the pass's SoA chunks as
- * the trace; with AnalyzeOptions::traceMode == TraceMode::Stream the
- * chunks are spilled to a CASSTF2 trace file at record time and
- * replayed from disk through a TraceCursor, so peak memory stays at
- * one frame regardless of trace length. The taint pre-pass produces a
- * 1 bit/op TaintBitmap. Cycle results are bit-identical across modes.
+ * (core/analysis_pipeline) whose chunks are encoded as CASSTF2 frames
+ * (core/trace_stream, about 4 B/op on the crypto kernels). Whole mode
+ * holds the frames in memory, one buffer per frame (TraceFrames); with
+ * AnalyzeOptions::traceMode == TraceMode::Stream they go to a trace
+ * file instead. Either way openOpSource() replays them through a
+ * TraceCursor, so a replay holds one decoded frame at a time. The
+ * taint pre-pass produces a 1 bit/op TaintBitmap. Cycle results are
+ * bit-identical across modes.
  *
  * Phase 2 — simulation. A Simulation is a lightweight session over
  * one artifact that runs any number of SimConfigs; each run builds
@@ -49,11 +51,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/analysis_pipeline.hh"
 #include "core/sim_config.hh"
+#include "core/trace_stream.hh"
 #include "core/tracegen.hh"
 #include "core/workload.hh"
 #include "uarch/pipeline.hh"
@@ -115,7 +119,7 @@ struct AnalyzeOptions
      * the result store never records a trace.
      */
     AnalysisPhaseMask phases = 0;
-    /** Whole: in-memory chunks. Stream: spill to a CASSTF2 file. */
+    /** Whole: CASSTF2 frames in memory. Stream: a CASSTF2 file. */
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
     std::string streamDir;
@@ -141,36 +145,29 @@ class AnalyzedWorkload
 
     /**
      * Rebuild a whole-mode artifact from precomputed parts (the
-     * deserialization path, trace image included). `chunks` hold the
-     * timing trace in order, relinked against workload.program, in the
-     * form the analysis pass retains; the taint pre-pass is recomputed
-     * on demand (it is deterministic). Does not count as an analysis
-     * run.
+     * deserialization path). `frames` hold the timing trace as the
+     * recording pass encodes it, already checked against
+     * workload.program. `traces`, when the snapshot has an Algorithm 2
+     * image, is adopted verbatim (no Algorithm 2 run, no counter
+     * tick); without it Algorithm 2 stays demand-driven. The taint
+     * pre-pass is recomputed on demand (it is deterministic). Does
+     * not count as an analysis run.
      */
-    static Ptr fromParts(Workload workload, TraceGenResult traces,
-                         std::vector<AnalysisChunk> chunks);
-
-    /** fromParts for a snapshot without a trace image: Algorithm 2
-     * stays demand-driven on the rebuilt artifact. */
-    static Ptr fromParts(Workload workload,
-                         std::vector<AnalysisChunk> chunks);
+    static Ptr fromParts(Workload workload, TraceFrames frames,
+                         std::optional<TraceGenResult> traces);
 
     /**
-     * Rebuild a *streamed* artifact around an existing trace stream
-     * file (the stream-aware deserialization path): no op is ever
-     * materialized in memory — consumers replay the file through
+     * fromParts for a *streamed* artifact around an existing trace
+     * stream file (the stream-aware deserialization path): no op is
+     * ever materialized in memory — consumers replay the file through
      * openOpSource(). The artifact takes ownership of the file and
      * deletes it with the last reference, exactly like a freshly
      * streamed analysis. The file's embedded fingerprint is checked
      * against workload.program on first open (TraceCursor).
      */
     static Ptr fromStreamParts(Workload workload, std::string streamPath,
-                               uint64_t numOps);
-
-    /** fromStreamParts with a deserialized Algorithm 2 image adopted
-     * verbatim (no Algorithm 2 run, no counter tick). */
-    static Ptr fromStreamParts(Workload workload, TraceGenResult traces,
-                               std::string streamPath, uint64_t numOps);
+                               uint64_t numOps,
+                               std::optional<TraceGenResult> traces);
 
     /** Streamed artifacts own their trace file: it is deleted here
      * (open TraceCursors keep reading via their descriptor/mapping,
@@ -233,12 +230,19 @@ class AnalyzedWorkload
     }
 
     /**
-     * Iterate the timing trace: a ChunkSpanSource over the retained
-     * chunks in whole mode, a TraceCursor over the stream file in
-     * stream mode. Each call returns an independent forward-only
-     * source.
+     * The CASSTF2 frames a whole-mode artifact holds in memory (empty
+     * in stream mode). Triggers the recording phase if it has not run
+     * yet; heldFrames().bytes() is the memory the trace occupies.
      */
-    std::unique_ptr<uarch::TimingOpSource> openOpSource() const;
+    const TraceFrames &heldFrames() const;
+
+    /**
+     * Iterate the timing trace: a TraceCursor over the held frames in
+     * whole mode, over the stream file in stream mode. Each call
+     * returns an independent forward-only cursor, which must not
+     * outlive the artifact.
+     */
+    std::unique_ptr<TraceCursor> openOpSource() const;
 
     /** Functional run with output verification (evaluation input). */
     bool verifyOutput() const;
@@ -258,9 +262,9 @@ class AnalyzedWorkload
     static AnalysisPhaseRuns analysisPhaseRuns();
 
   private:
-    AnalyzedWorkload(Workload workload, TraceMode mode,
-                     std::vector<AnalysisChunk> chunks,
-                     std::string streamPath, uint64_t numOps);
+    AnalyzedWorkload(Workload workload, TraceMode mode, TraceFrames frames,
+                     std::string streamPath, uint64_t numOps,
+                     std::optional<TraceGenResult> traces);
     /** Deferred-recording constructor: the trace (whole or streamed)
      * is recorded by ensureTrace() on first use. */
     AnalyzedWorkload(Workload workload, const AnalyzeOptions &options,
@@ -296,10 +300,9 @@ class AnalyzedWorkload
     mutable uarch::TaintBitmap taint_;
     mutable std::atomic<bool> taintReady_{false};
 
-    // Whole mode: the retained analysis-pass chunks ARE the trace
-    // storage (SoA, produced by the single recording pass with no
-    // pre-counting run); every ChunkSpanSource serves views into them.
-    mutable std::vector<AnalysisChunk> chunks_;
+    // Whole mode: the trace storage, encoded by the recording pass
+    // itself; every cursor decodes from it.
+    mutable TraceFrames frames_;
 };
 
 /**

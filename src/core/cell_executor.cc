@@ -64,9 +64,9 @@ runParallel(unsigned threads, size_t work,
 
 namespace {
 
-/** Frames of a stream group decoded ahead of its least-advanced cell. */
+/** Frames of a group decoded ahead of its least-advanced cell. */
 constexpr uint64_t ringFrames = 8;
-/** Frames a stream cell replays per turn on a pool thread. */
+/** Frames a cell replays per turn on a pool thread. */
 constexpr uint64_t quantumFrames = 2;
 
 std::atomic<uint64_t> frames_decoded{0}, frames_replayed{0}, replay_waits{0};
@@ -75,23 +75,23 @@ std::atomic<uint64_t> frames_decoded{0}, frames_replayed{0}, replay_waits{0};
 struct CellRun
 {
     size_t slot = 0; ///< index into the planned cells and the results
-    std::unique_ptr<uarch::OooCore> core; ///< while a stream cell runs
+    std::unique_ptr<uarch::OooCore> core; ///< while the cell runs
     uint64_t frame = 0; ///< frames replayed so far
-    bool busy = false;
+    bool busy = false, done = false;
 };
 
-/** The cells replaying one artifact. A stream group decodes frame f
- * once, into ring[f % ring.size()], and keeps it until every cell has
- * replayed it; a whole-mode cell is a group of its own whose one
- * frame, ready from the start, is the whole retained trace. */
+/** The cells replaying one artifact, held in memory or streamed: its
+ * cursor decodes frame f once, into ring[f % ring.size()], which is
+ * kept until every cell has replayed it. The cells of an empty trace
+ * take one turn each, over no frame. */
 struct Group
 {
     AnalyzedWorkload::Ptr artifact;
     std::vector<CellRun> cells;
-    std::unique_ptr<TraceCursor> cursor; ///< stream groups only
+    std::unique_ptr<TraceCursor> cursor;
     std::vector<uarch::OpBatchStorage> ring;
-    uint64_t frames = 1;
-    uint64_t decoded = 1; ///< frames ready to replay
+    uint64_t frames = 0;
+    uint64_t decoded = 0; ///< frames ready to replay
     bool decoding = false;
     size_t finished = 0; ///< cells done
 };
@@ -113,36 +113,26 @@ class ReplayPool
                std::vector<CellResult> &results)
         : cells_(cells), results_(results)
     {
-        std::map<const AnalyzedWorkload *, size_t> stream_group;
+        std::map<const AnalyzedWorkload *, size_t> group_of;
         for (size_t i = 0; i < cells.size(); i++) {
             const AnalyzedWorkload::Ptr &artifact =
                 artifacts.at(cells[i].workload);
             results[i] = namedResult(cells[i], *artifact);
-            // An empty stream has no frame: its cells replay like
-            // whole-mode ones.
-            const bool stream =
-                artifact->streamed() && artifact->numOps() > 0;
             const auto [it, fresh] =
-                stream_group.emplace(artifact.get(), groups_.size());
-            if (fresh || !stream) {
-                it->second = groups_.size();
+                group_of.emplace(artifact.get(), groups_.size());
+            if (fresh) {
                 Group &g = groups_.emplace_back();
                 g.artifact = artifact;
-                if (stream) {
-                    g.cursor = std::make_unique<TraceCursor>(
-                        artifact->streamPath(), artifact->workload().program);
-                    g.frames = g.cursor->numFrames();
-                    g.decoded = 0;
-                    g.ring.resize(std::min(g.frames, ringFrames));
-                    streams_++;
-                }
+                g.cursor = artifact->openOpSource();
+                g.frames = g.cursor->numFrames();
+                g.ring.resize(std::min(g.frames, ringFrames));
             }
             groups_[it->second].cells.emplace_back().slot = i;
         }
     }
 
-    /** Stream groups: the pool sizes each one's decode as work. */
-    size_t streamGroups() const { return streams_; }
+    /** The pool sizes each group's decode as one more unit of work. */
+    size_t groups() const { return groups_.size(); }
 
     /** One pool thread: claim and perform turns until every cell has
      * finished. A failed turn stops every thread and is rethrown here;
@@ -193,13 +183,14 @@ class ReplayPool
                 uint64_t tail = g.frames; // the oldest frame still needed
                 for (CellRun &c : g.cells) {
                     tail = std::min(tail, c.frame);
-                    if (!c.busy && c.frame < g.decoded &&
+                    if (!c.busy && !c.done &&
+                        (c.frame < g.decoded || g.frames == 0) &&
                         (!best.cell || c.frame < best.from))
                         best = Task{&g, &c, c.frame,
                                     std::min(c.frame + quantumFrames,
                                              g.decoded)};
                 }
-                if (g.cursor && !g.decoding && g.decoded < g.frames &&
+                if (!g.decoding && g.decoded < g.frames &&
                     g.decoded - tail < g.ring.size()) {
                     g.decoding = true;
                     t = Task{&g, nullptr, g.decoded, g.decoded + 1};
@@ -227,13 +218,9 @@ class ReplayPool
             return;
         }
         CellRun &c = *t.cell;
-        SimConfig cfg = cells_[c.slot].config;
-        cfg.scheme = cells_[c.slot].scheme;
-        if (!g.cursor) {
-            results_[c.slot].result = Simulation(g.artifact).run(cfg);
-            return;
-        }
         if (!c.core) {
+            SimConfig cfg = cells_[c.slot].config;
+            cfg.scheme = cells_[c.slot].scheme;
             auto [core, taint] = Simulation(g.artifact).makeCore(cfg);
             core->begin(taint);
             c.core = std::move(core);
@@ -265,11 +252,10 @@ class ReplayPool
         }
         t.cell->busy = false;
         t.cell->frame = t.to;
-        if (g.cursor)
-            frames_replayed.fetch_add(t.to - t.from,
-                                      std::memory_order_relaxed);
-        if (t.to == g.frames && ++g.finished == g.cells.size()) {
-            g.cursor.reset(); // the last cell releases the stream
+        t.cell->done = t.to == g.frames;
+        frames_replayed.fetch_add(t.to - t.from, std::memory_order_relaxed);
+        if (t.cell->done && ++g.finished == g.cells.size()) {
+            g.cursor.reset(); // the last cell releases the trace
             std::vector<uarch::OpBatchStorage>().swap(g.ring);
         }
     }
@@ -277,7 +263,6 @@ class ReplayPool
     const std::vector<PlannedCell> &cells_;
     std::vector<CellResult> &results_;
     std::vector<Group> groups_; ///< fixed once the pool starts
-    size_t streams_ = 0;
 
     std::mutex mutex_; ///< guards everything below and the groups
     std::condition_variable cv_;
@@ -315,10 +300,10 @@ InProcessExecutor::execute(const std::vector<PlannedCell> &cells,
 {
     std::vector<CellResult> results(cells.size());
     ReplayPool pool(cells, artifacts, results);
-    // A stream group's decode is one more unit of work: a lone
-    // streamed cell still gets a thread decoding ahead of it.
+    // A group's decode is one more unit of work: a lone cell still
+    // gets a thread decoding ahead of it.
     const unsigned threads = RunnerOptions(threads_).resolveThreads(
-        cells.size() + pool.streamGroups());
+        cells.size() + pool.groups());
     runParallel(threads, threads, [&](size_t) { pool.work(); });
     return results;
 }

@@ -32,8 +32,8 @@ namespace cassandra::core {
 void runParallel(unsigned threads, size_t work,
                  const std::function<void(size_t)> &fn);
 
-/** InProcessExecutor's process-wide counters: stream frames decoded,
- * stream frames fed to a cell's core, and waits of a pool thread that
+/** InProcessExecutor's process-wide counters: trace frames decoded,
+ * trace frames fed to a cell's core, and waits of a pool thread that
  * found nothing to decode or replay. */
 struct ReplayCounters
 {
@@ -82,18 +82,18 @@ class CellExecutor
 
 /**
  * Phase-2 cells over a thread pool in this process. The cells of one
- * streamed artifact form a group whose cores (OooCore::consume) all
- * replay one TraceCursor's frames, each decoded once into a small
- * ring; a whole-mode cell is a group of its own. A pool thread decodes
- * a frame while a ring has room, else replays the least-advanced
- * runnable cell for a quantum of frames, else admits the next group.
+ * artifact, whole or streamed, form a group whose cores
+ * (OooCore::consume) all replay one TraceCursor's frames, each decoded
+ * once into a small ring. A pool thread decodes a frame while a ring
+ * has room, else replays the least-advanced runnable cell for a
+ * quantum of frames, else admits the next group.
  */
 class InProcessExecutor : public CellExecutor
 {
   public:
     /** @param threads worker threads; 0 = hardware concurrency
-     * (RunnerOptions::resolveThreads, a stream group's decode counting
-     * as one more unit of work). */
+     * (RunnerOptions::resolveThreads, a group's decode counting as one
+     * more unit of work). */
     explicit InProcessExecutor(unsigned threads = 0);
 
     const char *name() const override { return "inprocess"; }

@@ -319,11 +319,15 @@ ExperimentRunner::run(const std::vector<ExperimentMatrix> &matrices) const
     // Analysis observability: every artifact whose Algorithm 2 phase
     // ran (or was adopted from a snapshot) reports its accumulator
     // peak. Keyed by name and emitted in map order so the stats
-    // document is deterministic across thread schedules.
+    // document is deterministic across thread schedules. Each distinct
+    // recorded artifact adds the trace bytes it holds.
+    std::unordered_set<const AnalyzedWorkload *> held;
     for (const auto &[name, artifact] : exp.artifacts) {
         if (artifact->hasTraceImage())
             exp.telemetry.analysisPeaks.emplace_back(
                 name, artifact->traces().peakAccumBytes);
+        if (artifact->hasTimingTrace() && held.insert(artifact.get()).second)
+            exp.telemetry.traceBytes += artifact->heldFrames().bytes();
     }
 
     if (store_) {
@@ -783,6 +787,7 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
         o.field("frames_decoded", telemetry.framesDecoded);
         o.field("frames_replayed", telemetry.framesReplayed);
         o.field("replay_waits", telemetry.replayWaits);
+        o.field("trace_bytes", telemetry.traceBytes);
     }
     os << "\n  },\n  \"analysis\": ";
     if (telemetry.analysisPeaks.empty()) {

@@ -112,10 +112,13 @@ struct RunTelemetry
      * snapshot). */
     uint64_t analysisFusedPasses = 0;
     /** InProcessExecutor's replayCounters() over this dispatch: each
-     * stream frame decoded once and replayed once per cell. */
+     * trace frame decoded once and replayed once per cell. */
     uint64_t framesDecoded = 0;
     uint64_t framesReplayed = 0;
     uint64_t replayWaits = 0;
+    /** Encoded trace bytes the run's artifacts hold in memory
+     * (whole mode; stream-mode traces live in files). */
+    uint64_t traceBytes = 0;
 
     /** Algorithm 2 accumulator peak of each workload whose image
      * phase ran in this dispatch (name -> peak bytes, matrix order).

@@ -307,8 +307,7 @@ struct SnapshotMeta
 {
     std::string name;
     Workload workload;
-    bool hasImage = false;
-    TraceGenResult tg;
+    std::optional<TraceGenResult> image; ///< when the phase ran
 };
 
 /** The validated snapshot prefix: container version + meta length. */
@@ -374,11 +373,8 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
             "\": program fingerprint mismatch");
 
     const uint8_t phase_flags = r.u8();
-    const bool has_image = (phase_flags & artifactHasTraceImage) != 0;
-    meta.hasImage = has_image;
-
-    TraceGenResult &tg = meta.tg;
-    if (has_image) {
+    if (phase_flags & artifactHasTraceImage) {
+        TraceGenResult &tg = meta.image.emplace();
         uint32_t num_records = r.u32();
         tg.records.reserve(num_records);
         for (uint32_t i = 0; i < num_records; i++) {
@@ -445,15 +441,17 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
 
 /**
  * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
- * codec frames) straight into replay chunks, one per frame, through
- * the checked decode and relink TraceCursor uses.
+ * codec frames) into the frames a whole-mode artifact holds. Each frame
+ * passes the checked decode and relink TraceCursor uses before it is
+ * kept, so a corrupt section fails here, at load, not at replay.
  */
-std::vector<AnalysisChunk>
-readFramedChunks(ByteReader &r, uint64_t num_ops,
-                 const ir::Program &program)
+TraceFrames
+readHeldFrames(ByteReader &r, uint64_t num_ops, const ir::Program &program)
 {
-    const uint32_t frame_ops = r.u32();
-    if (num_ops > 0 && frame_ops == 0)
+    TraceFrames held;
+    held.numOps = num_ops;
+    held.frameOps = r.u32();
+    if (num_ops > 0 && held.frameOps == 0)
         throw std::invalid_argument(
             "AnalyzedWorkload snapshot has a zero frame size");
     // Bound the declared count before allocating: even the tightest
@@ -464,11 +462,10 @@ readFramedChunks(ByteReader &r, uint64_t num_ops,
         throw std::invalid_argument(
             "truncated AnalyzedWorkload snapshot");
     const std::vector<uint8_t> crypto = cryptoPcTable(program);
-    std::vector<AnalysisChunk> chunks;
-    uint64_t done = 0;
-    while (done < num_ops) {
+    uarch::OpBatchStorage check;
+    for (uint64_t done = 0; done < num_ops; done += held.frameOps) {
         const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(frame_ops, num_ops - done));
+            std::min<uint64_t>(held.frameOps, num_ops - done));
         // Frame header: u8 kind | u32 payloadBytes; the payload
         // follows contiguously, so `frame` spans the whole frame.
         const uint8_t *frame = r.raw(5);
@@ -477,30 +474,11 @@ readFramedChunks(ByteReader &r, uint64_t num_ops,
             static_cast<uint32_t>(frame[3]) << 16 |
             static_cast<uint32_t>(frame[4]) << 24;
         r.raw(payload);
-        AnalysisChunk chunk;
-        decodeRelinkedFrame(frame, 5 + payload, n, program, crypto,
-                            chunk.ops);
-        chunk.size = n;
-        chunk.baseIndex = done;
-        chunks.push_back(std::move(chunk));
-        done += n;
+        decodeRelinkedFrame(frame, 5 + payload, n, program, crypto, check);
+        held.frames.emplace_back(frame, frame + 5 + payload);
     }
     inline_ops_read.fetch_add(num_ops, std::memory_order_relaxed);
-    return chunks;
-}
-
-/** Assemble a whole-mode artifact around its decoded chunks. */
-AnalyzedWorkload::Ptr
-assembleWhole(SnapshotMeta meta, std::vector<AnalysisChunk> chunks)
-{
-    if (meta.hasImage)
-        return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                           std::move(meta.tg),
-                                           std::move(chunks));
-    // No image section: Algorithm 2 stays demand-driven on the
-    // rebuilt artifact, exactly like on a freshly analyzed one.
-    return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                       std::move(chunks));
+    return held;
 }
 
 /**
@@ -545,12 +523,9 @@ assembleStreamed(SnapshotMeta meta, const std::string &trace_path,
         std::remove(trace_path.c_str());
         throw;
     }
-    if (meta.hasImage)
-        return AnalyzedWorkload::fromStreamParts(
-            std::move(meta.workload), std::move(meta.tg), trace_path,
-            num_ops);
     return AnalyzedWorkload::fromStreamParts(std::move(meta.workload),
-                                             trace_path, num_ops);
+                                             trace_path, num_ops,
+                                             std::move(meta.image));
 }
 
 uint8_t
@@ -687,23 +662,16 @@ packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
         return w.take();
     }
 
-    // Timing trace (instruction pointers relink from PCs on load; the
-    // taint pre-pass is recomputed, so only the base stream is kept),
-    // encoded straight from the replay batches' columns as CASSTF2
-    // frames by the same TraceFrameBuilder trace stream files use.
+    // Timing trace: the CASSTF2 frames the artifact holds, verbatim
+    // (instruction pointers relink from PCs on load; the taint
+    // pre-pass is recomputed, so only the base stream is kept).
+    const TraceFrames &held = aw.heldFrames();
     w.u8(traceStorageInline);
-    w.u64(aw.numOps());
-    w.u32(traceStreamDefaultFrameOps);
-    TraceFrameBuilder frames(traceStreamDefaultFrameOps);
-    auto emit = [&](const uint8_t *frame, size_t bytes) {
-        w.raw(frame, bytes);
-    };
-    auto src = aw.openOpSource();
-    uarch::OpBatch batch;
-    while (src->nextBatch(batch, traceStreamDefaultFrameOps))
-        frames.add(batch, emit);
-    frames.finish(emit);
-    inline_ops_written.fetch_add(aw.numOps(), std::memory_order_relaxed);
+    w.u64(held.numOps);
+    w.u32(held.frameOps);
+    for (const std::vector<uint8_t> &frame : held.frames)
+        w.raw(frame.data(), frame.size());
+    inline_ops_written.fetch_add(held.numOps, std::memory_order_relaxed);
     return w.take();
 }
 
@@ -729,12 +697,14 @@ unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
     const uint8_t storage = r.u8();
     if (storage == traceStorageInline) {
         const uint64_t num_ops = r.u64();
-        std::vector<AnalysisChunk> chunks =
-            readFramedChunks(r, num_ops, meta.workload.program);
+        TraceFrames frames =
+            readHeldFrames(r, num_ops, meta.workload.program);
         if (!r.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
-        return assembleWhole(std::move(meta), std::move(chunks));
+        return AnalyzedWorkload::fromParts(std::move(meta.workload),
+                                           std::move(frames),
+                                           std::move(meta.image));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(
@@ -844,12 +814,14 @@ loadAnalyzedWorkload(const std::string &path,
             throw std::invalid_argument(
                 "truncated AnalyzedWorkload snapshot");
         ByteReader sr(section);
-        std::vector<AnalysisChunk> chunks =
-            readFramedChunks(sr, num_ops, meta.workload.program);
+        TraceFrames frames =
+            readHeldFrames(sr, num_ops, meta.workload.program);
         if (!sr.done())
             throw std::invalid_argument(
                 "trailing bytes in AnalyzedWorkload snapshot");
-        return assembleWhole(std::move(meta), std::move(chunks));
+        return AnalyzedWorkload::fromParts(std::move(meta.workload),
+                                           std::move(frames),
+                                           std::move(meta.image));
     }
     if (storage != traceStorageStream)
         throw std::invalid_argument(

@@ -23,11 +23,11 @@
  * against the rebuilt program — repeated sweeps skip analysis
  * entirely.
  *
- * Snapshots are stream-aware: a whole-mode artifact inlines its ops
- * as CASSTF2-codec frames (delta + zig-zag varint with per-frame raw
- * fallback — the same codec trace stream files use, typically ~7x
- * smaller than 24 B/op), encoded straight from the artifact's
- * retained chunks and decoded straight back into them, while a
+ * Snapshots are stream-aware: a whole-mode artifact inlines the
+ * CASSTF2-codec frames it holds (delta + zig-zag varint with per-frame
+ * raw fallback — the same codec trace stream files use, typically ~7x
+ * smaller than 24 B/op) verbatim, and a load keeps each frame once it
+ * passes the checked decode, while a
  * streamed artifact embeds its CASSTF2 *stream file* by chunked copy
  * — saving and loading never materialize an op vector. Writers emit
  * and readers accept CASSAW4 only; the older CASSAW1–3 revisions

@@ -41,11 +41,11 @@ namespace cassandra::core {
 /**
  * How a run's timing trace is stored and iterated.
  *
- * Whole keeps the recorded trace in memory as the analysis pass's
- * SoA chunks (fastest, ~34 bytes/op resident). Stream spills it to a
- * CASSTF2 trace file at analysis time and replays it through a
- * TraceCursor, so peak memory stays at one frame regardless of trace
- * length. Cycle results are identical in both modes.
+ * Both record the trace as CASSTF2 frames (~4 bytes/op on the crypto
+ * kernels) and replay them through a TraceCursor. Whole holds the
+ * frames in memory; Stream spills them to a trace file at analysis
+ * time, so peak memory stays at one frame regardless of trace length.
+ * Cycle results are identical in both modes.
  */
 enum class TraceMode
 {

@@ -534,6 +534,13 @@ TraceCursor::TraceCursor(const std::string &path,
     cryptoByIndex_ = cryptoPcTable(program);
 }
 
+TraceCursor::TraceCursor(const TraceFrames &held, const ir::Program &program)
+    : program_(program), held_(&held), numOps_(held.numOps),
+      frameOps_(held.frameOps), numFrames_(held.frames.size()),
+      cryptoByIndex_(cryptoPcTable(program))
+{
+}
+
 TraceCursor::~TraceCursor()
 {
 #ifdef CASSANDRA_HAVE_MMAP
@@ -581,12 +588,17 @@ TraceCursor::dropConsumedFrames(uint64_t upto)
 void
 TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out)
 {
-    const uint64_t start = frameOffsets_[frame];
-    const size_t len = static_cast<size_t>(frameEnd(frame) - start);
     const uint8_t *enc;
-    if (map_) {
-        enc = map_ + start;
+    size_t len;
+    if (held_) {
+        enc = held_->frames[frame].data();
+        len = held_->frames[frame].size();
+    } else if (map_) {
+        enc = map_ + frameOffsets_[frame];
+        len = static_cast<size_t>(frameEnd(frame) - frameOffsets_[frame]);
     } else {
+        const uint64_t start = frameOffsets_[frame];
+        len = static_cast<size_t>(frameEnd(frame) - start);
         scratch_.resize(len);
         file_.seekg(static_cast<std::streamoff>(start));
         file_.read(reinterpret_cast<char *>(scratch_.data()),

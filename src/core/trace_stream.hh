@@ -32,7 +32,10 @@
  * drop of consumed pages) or a buffered one-frame reader, so peak
  * memory stays at one frame regardless of trace length. The program
  * fingerprint guards stale files exactly like AnalyzedWorkload
- * snapshots guard stale artifacts.
+ * snapshots guard stale artifacts. The same frames can also live in
+ * memory without the file container (TraceFrames, the whole-mode
+ * trace storage); TraceCursor decodes them through the same checked
+ * decodeRelinkedFrame.
  */
 
 #ifndef CASSANDRA_CORE_TRACE_STREAM_HH
@@ -103,9 +106,31 @@ size_t encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
                         std::vector<uint8_t> &buf);
 
 /**
+ * A trace held in memory as CASSTF2 frames, one buffer per frame (so a
+ * frame is never copied once it is held): the whole-mode trace
+ * storage, and the inline trace section of a whole-mode snapshot.
+ */
+struct TraceFrames
+{
+    uint32_t frameOps = traceStreamDefaultFrameOps;
+    uint64_t numOps = 0;
+    std::vector<std::vector<uint8_t>> frames; ///< complete encoded frames
+
+    /** Encoded bytes held. */
+    uint64_t
+    bytes() const
+    {
+        uint64_t sum = 0;
+        for (const std::vector<uint8_t> &frame : frames)
+            sum += frame.size();
+        return sum;
+    }
+};
+
+/**
  * Cuts an op stream into CASSTF2 frames of a fixed op count: the one
- * path from ops to encoded frames (TraceStreamWriter and inline
- * snapshot traces both use it). A batch span that covers a whole frame
+ * path from ops to encoded frames (TraceStreamWriter and whole-mode
+ * recording both use it). A batch span that covers a whole frame
  * while nothing is staged is encoded straight from the caller's
  * columns; other ops are staged column-wise until their frame fills.
  */
@@ -261,9 +286,10 @@ class TraceStreamWriter
 };
 
 /**
- * Replays a trace stream file as a TimingOpSource, relinking each op
+ * Replays CASSTF2 frames as a TimingOpSource, relinking each op
  * against `program` (which must outlive the cursor and match the
- * stored fingerprint).
+ * stored fingerprint). The frames live in a trace stream file or in
+ * memory (TraceFrames); both decode through decodeRelinkedFrame.
  */
 class TraceCursor final : public uarch::TimingOpSource
 {
@@ -277,6 +303,9 @@ class TraceCursor final : public uarch::TimingOpSource
 
     TraceCursor(const std::string &path, const ir::Program &program,
                 Backing backing = Backing::Auto);
+    /** Replay frames held in memory (`held` must outlive the cursor,
+     * which never madvises or unmaps them). */
+    TraceCursor(const TraceFrames &held, const ir::Program &program);
     ~TraceCursor() override;
 
     TraceCursor(const TraceCursor &) = delete;
@@ -312,6 +341,7 @@ class TraceCursor final : public uarch::TimingOpSource
     uint64_t frameEnd(uint64_t frame) const;
 
     const ir::Program &program_;
+    const TraceFrames *held_ = nullptr; ///< in-memory frames, if any
     std::ifstream file_;
     uint64_t numOps_ = 0;
     uint32_t frameOps_ = 0;

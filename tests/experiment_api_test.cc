@@ -3,8 +3,9 @@
  * Tests for the unified experiment API: SimConfig plumbing through
  * Simulation -> OooCore -> Btu (BTU geometry really reaches the
  * unit), ExperimentRunner determinism across thread counts, parity
- * with fresh single-workload analyses, grouped stream replay against
- * per-cell replay, and the structured reporters.
+ * with fresh single-workload analyses, grouped replay (whole and
+ * stream) against per-cell replay, run telemetry, and the structured
+ * reporters.
  */
 
 #include <gtest/gtest.h>
@@ -204,49 +205,134 @@ packed(const core::ExperimentResult &r)
 
 TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
 {
-    core::AnalyzeOptions analyze;
-    analyze.traceMode = core::TraceMode::Stream;
-    analyze.streamDir = test::scratchPath("grouped-replay");
-    auto cache = std::make_shared<core::AnalysisCache>(
-        crypto::WorkloadRegistry::global().resolver(), analyze);
-    // DES_ct's stream has 20 frames, so the 8-frame ring wraps and
-    // cells interleave over many turns; ChaCha20_ct's has one.
-    ExperimentMatrix m;
-    m.workloads = {"DES_ct", "ChaCha20_ct"};
-    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
-                 Scheme::CassandraStl,   Scheme::CassandraLite,
-                 Scheme::Spt,            Scheme::Prospect,
-                 Scheme::CassandraProspect};
+    for (core::TraceMode mode :
+         {core::TraceMode::Whole, core::TraceMode::Stream}) {
+        SCOPED_TRACE(core::traceModeName(mode));
+        core::AnalyzeOptions analyze;
+        analyze.traceMode = mode;
+        analyze.streamDir = test::scratchPath("grouped-replay");
+        auto cache = std::make_shared<core::AnalysisCache>(
+            crypto::WorkloadRegistry::global().resolver(), analyze);
+        // DES_ct's trace has 20 frames, so the 8-frame ring wraps and
+        // cells interleave over many turns; ChaCha20_ct's has one.
+        ExperimentMatrix m;
+        m.workloads = {"DES_ct", "ChaCha20_ct"};
+        m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                     Scheme::CassandraStl,   Scheme::CassandraLite,
+                     Scheme::Spt,            Scheme::Prospect,
+                     Scheme::CassandraProspect};
 
-    // The reference: one Simulation::run per cell, on the same
-    // streamed artifacts.
-    uint64_t frames = 0;
-    std::vector<std::vector<uint8_t>> want;
-    for (const std::string &name : m.workloads) {
-        const auto aw = cache->get(name, core::allAnalysisPhases);
-        frames += core::TraceCursor(aw->streamPath(), aw->workload().program)
-                      .numFrames();
-        for (Scheme s : m.schemes)
-            want.push_back(packed(core::Simulation(aw).run(s)));
+        // The reference: one Simulation::run per cell, on the same
+        // artifacts.
+        uint64_t frames = 0;
+        std::vector<std::vector<uint8_t>> want;
+        for (const std::string &name : m.workloads) {
+            const auto aw = cache->get(name, core::allAnalysisPhases);
+            frames += aw->openOpSource()->numFrames();
+            for (Scheme s : m.schemes)
+                want.push_back(packed(core::Simulation(aw).run(s)));
+        }
+        ASSERT_GT(frames, 16u);
+
+        for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            const auto exp =
+                ExperimentRunner(cache, RunnerOptions{threads}).run(m);
+            ASSERT_EQ(exp.cells.size(), want.size());
+            for (size_t i = 0; i < want.size(); i++) {
+                EXPECT_EQ(exp.cells[i].workload,
+                          m.workloads[i / m.schemes.size()]);
+                EXPECT_EQ(exp.cells[i].scheme,
+                          m.schemes[i % m.schemes.size()]);
+                EXPECT_EQ(packed(exp.cells[i].result), want[i])
+                    << exp.cells[i].workload << " / "
+                    << uarch::schemeName(exp.cells[i].scheme);
+            }
+            // Each trace decoded once, each frame replayed once per
+            // cell.
+            EXPECT_EQ(exp.telemetry.framesDecoded, frames);
+            EXPECT_EQ(exp.telemetry.framesReplayed,
+                      frames * m.schemes.size());
+        }
     }
-    ASSERT_GT(frames, 16u);
+}
 
-    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+TEST(GroupedReplayTest, EmptyTraceCellsStillReplay)
+{
+    // A snapshot whose inline trace holds no op rebuilds an artifact
+    // with no frame at all. Its cells still get a result equal to a
+    // lone Simulation::run, and the pool does not wait for a frame
+    // that never comes.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto bytes = core::packAnalyzedWorkload(
+        *core::AnalyzedWorkload::analyze(resolver("ChaCha20_ct")),
+        "ChaCha20_ct");
+    uint32_t meta_len = 0;
+    for (int i = 0; i < 4; i++)
+        meta_len |= static_cast<uint32_t>(bytes[12 + i]) << (8 * i);
+    bytes.resize(16 + meta_len);
+    core::ByteWriter section;
+    section.u8(0); // inline trace storage
+    section.u64(0);
+    section.u32(core::traceStreamDefaultFrameOps);
+    const std::vector<uint8_t> tail = section.take();
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    const auto empty = core::unpackAnalyzedWorkload(bytes, resolver);
+    ASSERT_EQ(empty->numOps(), 0u);
+
+    auto cache = std::make_shared<core::AnalysisCache>(resolver);
+    cache->put("ChaCha20_ct", empty);
+    ExperimentMatrix m;
+    m.workloads = {"ChaCha20_ct"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+    for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const auto exp =
             ExperimentRunner(cache, RunnerOptions{threads}).run(m);
-        ASSERT_EQ(exp.cells.size(), want.size());
-        for (size_t i = 0; i < want.size(); i++) {
-            EXPECT_EQ(exp.cells[i].workload,
-                      m.workloads[i / m.schemes.size()]);
-            EXPECT_EQ(exp.cells[i].scheme, m.schemes[i % m.schemes.size()]);
-            EXPECT_EQ(packed(exp.cells[i].result), want[i])
-                << exp.cells[i].workload << " / "
-                << uarch::schemeName(exp.cells[i].scheme);
+        ASSERT_EQ(exp.cells.size(), 2u);
+        for (const auto &cell : exp.cells) {
+            EXPECT_EQ(cell.result.stats.instructions, 0u);
+            EXPECT_EQ(packed(cell.result),
+                      packed(core::Simulation(empty).run(cell.scheme)));
         }
-        // Each stream decoded once, each frame replayed once per cell.
-        EXPECT_EQ(exp.telemetry.framesDecoded, frames);
-        EXPECT_EQ(exp.telemetry.framesReplayed, frames * m.schemes.size());
+        EXPECT_EQ(exp.telemetry.framesDecoded, 0u);
+    }
+}
+
+TEST(RunTelemetryTest, TraceBytesCountWholeModeFramesOnly)
+{
+    // The ci_smoke matrix: whole mode holds its traces as CASSTF2
+    // frames, a few bytes per op; stream mode holds none in memory.
+    ExperimentMatrix m;
+    m.workloads = {"ChaCha20_ct", "SHAKE", "kyber512"};
+    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra,
+                 Scheme::CassandraStl, Scheme::Spt};
+    SimConfig base;
+    m.configs = {base, base.withBtuGeometry(1, 4).named("btu-4way")};
+    for (core::TraceMode mode :
+         {core::TraceMode::Whole, core::TraceMode::Stream}) {
+        SCOPED_TRACE(core::traceModeName(mode));
+        RunnerOptions options{2};
+        options.analyze.traceMode = mode;
+        options.analyze.streamDir = test::scratchPath("trace-bytes");
+        const auto exp = ExperimentRunner(
+                             crypto::WorkloadRegistry::global().resolver(),
+                             options)
+                             .run(m);
+        uint64_t ops = 0;
+        for (const auto &[name, aw] : exp.artifacts)
+            ops += aw->numOps();
+        if (mode == core::TraceMode::Whole) {
+            EXPECT_GT(exp.telemetry.traceBytes, 0u);
+            EXPECT_LT(exp.telemetry.traceBytes, 8 * ops);
+        } else {
+            EXPECT_EQ(exp.telemetry.traceBytes, 0u);
+        }
+        std::ostringstream stats;
+        core::writeRunTelemetry(exp.telemetry, stats);
+        EXPECT_NE(stats.str().find("\"trace_bytes\": " +
+                                   std::to_string(exp.telemetry.traceBytes)),
+                  std::string::npos);
     }
 }
 

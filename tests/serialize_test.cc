@@ -371,6 +371,32 @@ TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
     EXPECT_EQ(got.stats.cycles, want.stats.cycles);
 }
 
+TEST(ArtifactVersionTest, CorruptInlineFrameIsRejectedOnLoad)
+{
+    // A whole-mode artifact keeps the inline frames it loads and
+    // decodes them only at replay, so each frame must pass the checked
+    // decode at load: a corrupt frame fails there, typed.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto artifact = AnalyzedWorkload::analyze(resolver("DES_ct"));
+    auto bytes = core::packAnalyzedWorkload(*artifact, "DES_ct");
+    ASSERT_GT(artifact->numOps(), core::traceStreamDefaultFrameOps);
+
+    auto u32at = [&](size_t at) {
+        uint32_t v = 0;
+        for (int i = 0; i < 4; i++)
+            v |= static_cast<uint32_t>(bytes[at + i]) << (8 * i);
+        return v;
+    };
+    // prefix(16) | meta | u8 storage | u64 numOps | u32 frameOps |
+    // frames (u8 kind | u32 payloadBytes | payload) ...
+    const size_t first = 16 + u32at(12) + 1 + 8 + 4;
+    const size_t second = first + 5 + u32at(first + 1);
+    ASSERT_LT(second, bytes.size());
+    bytes[second] = 0x7f; // neither raw (0) nor delta (1)
+    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, resolver),
+                 core::ArtifactFormatError);
+}
+
 TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
 {
     // CASSAW3 stored raw 24 B/op inline ops; readers no longer accept
