@@ -222,6 +222,57 @@ class ChunkPipeline
     std::thread consumer_;
 };
 
+/**
+ * The machine run both fused passes share: run the workload on input
+ * `which` with the probe in `slot` (Machine::opBatchProbe or
+ * branchBatchProbe) filling chunks from `pipeline`, submit each full
+ * chunk and the tail, and drain. Throws InstructionBudgetError (naming
+ * `context`) when the run does not halt.
+ */
+void
+runProbedMachine(const Workload &workload, int which,
+                 sim::Machine::BatchProbe *sim::Machine::*slot,
+                 const char *context, ChunkPipeline &pipeline,
+                 FusedPassStats &stats)
+{
+    stats.threaded = pipeline.threaded();
+    sim::Machine machine(workload.program);
+    if (workload.setInput)
+        workload.setInput(machine, which);
+
+    sim::Machine::BatchProbe probe;
+    AnalysisChunk cur = pipeline.acquire();
+    // The branch probe leaves memAddr alone, so one attach serves both.
+    auto attach = [&] {
+        probe.pc = cur.ops.pc.data();
+        probe.memAddr = cur.ops.memAddr.data();
+        probe.nextPc = cur.ops.nextPc.data();
+        probe.cap = cur.ops.pc.size();
+        probe.size = 0;
+    };
+    auto submit = [&] {
+        cur.size = probe.size;
+        stats.numOps += cur.size;
+        stats.chunks++;
+        pipeline.submit(std::move(cur));
+    };
+    attach();
+    probe.full = [&] {
+        submit();
+        cur = pipeline.acquire();
+        attach();
+    };
+    machine.*slot = &probe;
+
+    auto res = machine.run(workload.maxDynInsts);
+    if (!res.halted)
+        throw InstructionBudgetError(workload.name, res.instCount, context);
+    if (probe.size)
+        submit();
+    pipeline.drain();
+    stats.producerStalls = pipeline.producerStalls();
+}
+
 } // namespace
 
 FusedPassStats
@@ -243,46 +294,10 @@ runFusedOpPass(const Workload &workload, int which,
                 consumer->consume(chunk);
         },
         retain);
-    stats.threaded = pipeline.threaded();
-
-    sim::Machine machine(prog);
-    if (workload.setInput)
-        workload.setInput(machine, which);
-
-    sim::Machine::BatchProbe probe;
-    AnalysisChunk cur = pipeline.acquire();
-    auto attach = [&] {
-        probe.pc = cur.ops.pc.data();
-        probe.memAddr = cur.ops.memAddr.data();
-        probe.nextPc = cur.ops.nextPc.data();
-        probe.cap = cur.ops.pc.size();
-        probe.size = 0;
-    };
-    attach();
-    probe.full = [&] {
-        cur.size = probe.size;
-        stats.numOps += cur.size;
-        stats.chunks++;
-        pipeline.submit(std::move(cur));
-        cur = pipeline.acquire();
-        attach();
-    };
-    machine.opBatchProbe = &probe;
-
-    auto res = machine.run(workload.maxDynInsts);
-    if (!res.halted)
-        throw InstructionBudgetError(workload.name, res.instCount,
-                                     "timing trace");
-    if (probe.size) {
-        cur.size = probe.size;
-        stats.numOps += cur.size;
-        stats.chunks++;
-        pipeline.submit(std::move(cur));
-    }
-    pipeline.drain();
+    runProbedMachine(workload, which, &sim::Machine::opBatchProbe,
+                     "timing trace", pipeline, stats);
     for (BatchConsumer *consumer : consumers)
         consumer->finish();
-    stats.producerStalls = pipeline.producerStalls();
     return stats;
 }
 
@@ -314,44 +329,9 @@ runFusedBranchPass(const Workload &workload, int which, bool crypto_only,
             }
         },
         nullptr);
-    out.stats.threaded = pipeline.threaded();
-
-    sim::Machine machine(prog);
-    if (workload.setInput)
-        workload.setInput(machine, which);
-
-    sim::Machine::BatchProbe probe;
-    AnalysisChunk cur = pipeline.acquire();
-    auto attach = [&] {
-        probe.pc = cur.ops.pc.data();
-        probe.nextPc = cur.ops.nextPc.data();
-        probe.cap = cur.ops.pc.size();
-        probe.size = 0;
-    };
-    attach();
-    probe.full = [&] {
-        cur.size = probe.size;
-        out.stats.numOps += cur.size;
-        out.stats.chunks++;
-        pipeline.submit(std::move(cur));
-        cur = pipeline.acquire();
-        attach();
-    };
-    machine.branchBatchProbe = &probe;
-
-    auto res = machine.run(workload.maxDynInsts);
-    if (!res.halted)
-        throw InstructionBudgetError(workload.name, res.instCount,
-                                     "Algorithm 2 analysis run");
-    if (probe.size) {
-        cur.size = probe.size;
-        out.stats.numOps += cur.size;
-        out.stats.chunks++;
-        pipeline.submit(std::move(cur));
-    }
-    pipeline.drain();
+    runProbedMachine(workload, which, &sim::Machine::branchBatchProbe,
+                     "Algorithm 2 analysis run", pipeline, out.stats);
     collector.finish();
-    out.stats.producerStalls = pipeline.producerStalls();
     out.heldBytes = collector.heldBytes();
     out.peakBytes = collector.peakHeldBytes();
     out.traces = collector.take();

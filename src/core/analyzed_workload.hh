@@ -13,7 +13,9 @@
  * thread-safe artifact held by shared_ptr, so any number of simulation
  * sessions — across threads — share one copy. Artifacts serialize
  * through core/serialize (saveAnalyzedWorkload / loadAnalyzedWorkload),
- * so repeated sweeps can skip analysis entirely.
+ * so repeated sweeps can skip analysis entirely; a snapshot carries
+ * the same frames in both trace modes and reloads into the mode it was
+ * saved in.
  *
  * Memory: the timing trace is recorded by one fused analysis pass
  * (core/analysis_pipeline) whose chunks are encoded as CASSTF2 frames
@@ -158,8 +160,9 @@ class AnalyzedWorkload
 
     /**
      * fromParts for a *streamed* artifact around an existing trace
-     * stream file (the stream-aware deserialization path): no op is
-     * ever materialized in memory — consumers replay the file through
+     * stream file (the deserialization path of a streamed snapshot,
+     * whose frames the load wrote to that file): no op is ever
+     * materialized in memory — consumers replay the file through
      * openOpSource(). The artifact takes ownership of the file and
      * deletes it with the last reference, exactly like a freshly
      * streamed analysis. The file's embedded fingerprint is checked

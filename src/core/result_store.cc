@@ -14,7 +14,13 @@ namespace {
 
 constexpr char storeMagic[8] = {'C', 'A', 'S', 'S', 'R', 'S', '1', '\n'};
 
-/** FNV-1a, the same scheme the artifact fingerprints use. */
+/**
+ * FNV-1a's per-byte mixing step from the offset basis
+ * 1469598103934665603: FNV's 14695981039346656037 with its last digit
+ * dropped, so not FNV-1a proper (the artifact fingerprints use the
+ * real basis). Kept as is: ConfigHashIsPinned pins the store keys it
+ * produces, and a shared store must keep answering across builds.
+ */
 struct Fnv
 {
     uint64_t hash = 1469598103934665603ull;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 
 #include "core/byte_io.hh"
@@ -149,23 +148,19 @@ constexpr char artifactMagicBase[6] = {'C', 'A', 'S', 'S', 'A', 'W'};
 /** Phase-presence flags of a snapshot (bit set = section present). */
 constexpr uint8_t artifactHasTraceImage = 1u << 0;
 
-/** Storage kind of the snapshot's trace section. */
-constexpr uint8_t traceStorageInline = 0; ///< in-file ops, whole mode
-constexpr uint8_t traceStorageStream = 1; ///< embedded CASSTF2 file
+/** Where a load puts the trace section's frames (its storage byte);
+ * the section is the same for both. */
+constexpr uint8_t traceStorageMemory = 0; ///< held in memory, whole mode
+constexpr uint8_t traceStorageStream = 1; ///< a fresh stream file
 
 /** magic(8) + version(4) + metaLen(4). */
 constexpr size_t snapshotPrefixBytes = 16;
 
-/** Chunk size of the file<->file stream-section copies. */
-constexpr size_t copyChunkBytes = 64 * 1024;
+/** The trace section head: u8 storage | u64 numOps | u32 frameOps. */
+constexpr size_t traceHeadBytes = 13;
 
-std::atomic<uint64_t> inline_ops_written{0};
-std::atomic<uint64_t> inline_ops_read{0};
-std::atomic<uint64_t> stream_bytes_copied{0};
-
-} // namespace
-
-namespace {
+/** CASSTF2 frame header: u8 kind | u32 payloadBytes. */
+constexpr size_t frameHeaderBytes = 5;
 
 /** FNV-1a mixer shared by the fingerprint functions. */
 struct Fnv
@@ -231,8 +226,7 @@ namespace {
 /**
  * Pack the metadata section (name, fingerprint, phase flags, the
  * Algorithm 2 image when present) — everything except the trace
- * section, whose storage differs between whole and streamed
- * artifacts.
+ * section.
  */
 std::vector<uint8_t>
 packMeta(const AnalyzedWorkload &aw, const std::string &name)
@@ -310,23 +304,15 @@ struct SnapshotMeta
     std::optional<TraceGenResult> image; ///< when the phase ran
 };
 
-/** The validated snapshot prefix: container version + meta length. */
-struct SnapshotPrefix
-{
-    uint32_t version = 0;
-    uint32_t metaLen = 0;
-};
-
 /**
- * Validate the fixed snapshot prefix (reader positioned at byte 0)
- * and return the container version and metadata-section length.
- * "CASSAW" identifies the container family; the version digit and the
- * explicit version field distinguish outdated snapshots (evict) from
- * arbitrary non-artifact files. Versions artifactMinReadVersion..
- * artifactFormatVersion parse; older revisions raise the typed
- * eviction error.
+ * Validate the fixed snapshot prefix (reader positioned at byte 0) and
+ * return the metadata-section length. "CASSAW" identifies the
+ * container family; the version digit and the explicit version field
+ * distinguish outdated snapshots (evict) from arbitrary non-artifact
+ * files. Only artifactFormatVersion parses; every older revision
+ * raises the typed eviction error.
  */
-SnapshotPrefix
+uint32_t
 checkSnapshotPrefix(ByteReader &r)
 {
     uint8_t magic[8];
@@ -341,21 +327,18 @@ checkSnapshotPrefix(ByteReader &r)
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot has an unknown container "
             "revision; evict and re-analyze");
-    SnapshotPrefix prefix;
-    prefix.version = r.u32();
-    if (prefix.version != static_cast<uint32_t>(digit - '0'))
+    const uint32_t version = r.u32();
+    if (version != static_cast<uint32_t>(digit - '0'))
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot magic and version field "
             "disagree; evict and re-analyze");
-    if (prefix.version < artifactMinReadVersion)
+    if (version != artifactFormatVersion)
         throw ArtifactFormatError(
             "AnalyzedWorkload snapshot has an outdated container "
-            "format (version " + std::to_string(prefix.version) +
-            ", oldest readable " +
-            std::to_string(artifactMinReadVersion) +
+            "format (version " + std::to_string(version) +
+            ", readable " + std::to_string(artifactFormatVersion) +
             "); evict and re-analyze");
-    prefix.metaLen = r.u32();
-    return prefix;
+    return r.u32();
 }
 
 /** Parse the metadata section and rebuild/validate the workload. */
@@ -440,48 +423,6 @@ parseMeta(ByteReader &r, const AnalysisCache::Resolver &resolver)
 }
 
 /**
- * Parse a CASSAW4 inline trace section (u32 frameOps, then CASSTF2
- * codec frames) into the frames a whole-mode artifact holds. Each frame
- * passes the checked decode and relink TraceCursor uses before it is
- * kept, so a corrupt section fails here, at load, not at replay.
- */
-TraceFrames
-readHeldFrames(ByteReader &r, uint64_t num_ops, const ir::Program &program)
-{
-    TraceFrames held;
-    held.numOps = num_ops;
-    held.frameOps = r.u32();
-    if (num_ops > 0 && held.frameOps == 0)
-        throw std::invalid_argument(
-            "AnalyzedWorkload snapshot has a zero frame size");
-    // Bound the declared count before allocating: even the tightest
-    // delta encoding spends >= 3 bytes per op (three varints), so a
-    // garbage num_ops in a corrupt file must fail as truncated, not
-    // as a multi-GB allocation.
-    if (num_ops > r.remaining() / 3)
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    const std::vector<uint8_t> crypto = cryptoPcTable(program);
-    uarch::OpBatchStorage check;
-    for (uint64_t done = 0; done < num_ops; done += held.frameOps) {
-        const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(held.frameOps, num_ops - done));
-        // Frame header: u8 kind | u32 payloadBytes; the payload
-        // follows contiguously, so `frame` spans the whole frame.
-        const uint8_t *frame = r.raw(5);
-        const uint32_t payload = static_cast<uint32_t>(frame[1]) |
-            static_cast<uint32_t>(frame[2]) << 8 |
-            static_cast<uint32_t>(frame[3]) << 16 |
-            static_cast<uint32_t>(frame[4]) << 24;
-        r.raw(payload);
-        decodeRelinkedFrame(frame, 5 + payload, n, program, crypto, check);
-        held.frames.emplace_back(frame, frame + 5 + payload);
-    }
-    inline_ops_read.fetch_add(num_ops, std::memory_order_relaxed);
-    return held;
-}
-
-/**
  * A fresh path for a rehydrated trace stream, unique across loads
  * *and* processes: loading one snapshot twice — or from two processes
  * sharing an explicit stream_dir — must not hand two artifacts the
@@ -502,55 +443,6 @@ rehydratedStreamPath(const std::string &stream_dir,
         programFingerprint(meta.workload.program));
 }
 
-/**
- * Validate an extracted stream file and wrap it into a streamed
- * artifact. The TraceCursor construction re-checks the stream's own
- * magic/version/index and its program fingerprint against the rebuilt
- * workload; the file is deleted again if anything is off.
- */
-AnalyzedWorkload::Ptr
-assembleStreamed(SnapshotMeta meta, const std::string &trace_path,
-                 uint64_t num_ops)
-{
-    try {
-        TraceCursor cursor(trace_path, meta.workload.program,
-                           TraceCursor::Backing::Buffered);
-        if (cursor.numOps() != num_ops)
-            throw ArtifactFormatError(
-                "AnalyzedWorkload snapshot op count disagrees with "
-                "its embedded trace stream");
-    } catch (...) {
-        std::remove(trace_path.c_str());
-        throw;
-    }
-    return AnalyzedWorkload::fromStreamParts(std::move(meta.workload),
-                                             trace_path, num_ops,
-                                             std::move(meta.image));
-}
-
-uint8_t
-fileU8(std::ifstream &file)
-{
-    char b;
-    if (!file.read(&b, 1))
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    return static_cast<uint8_t>(b);
-}
-
-uint64_t
-fileU64(std::ifstream &file)
-{
-    uint8_t buf[8];
-    if (!file.read(reinterpret_cast<char *>(buf), 8))
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; i++)
-        v |= static_cast<uint64_t>(buf[i]) << (8 * i);
-    return v;
-}
-
 /** magic | version | metaLen | meta — the fixed snapshot head. */
 void
 writeSnapshotHead(ByteWriter &w, const std::vector<uint8_t> &meta)
@@ -564,202 +456,121 @@ writeSnapshotHead(ByteWriter &w, const std::vector<uint8_t> &meta)
     w.raw(meta.data(), meta.size());
 }
 
-/** Open an artifact's stream file, reporting its byte size. */
-std::ifstream
-openStreamFile(const AnalyzedWorkload &aw, uint64_t &size)
+/** A snapshot file read front to back; a read past its end fails as
+ * truncated. */
+class SnapshotReader
 {
-    // Phases are demand-driven: a lazily analyzed artifact only writes
-    // its stream file on first use, and a snapshot embeds those bytes.
-    aw.numOps();
-    std::ifstream src(aw.streamPath(), std::ios::binary);
-    if (!src)
-        throw std::runtime_error("cannot open trace stream " +
-                                 aw.streamPath());
-    src.seekg(0, std::ios::end);
-    size = static_cast<uint64_t>(src.tellg());
-    src.seekg(0);
-    return src;
-}
+  public:
+    explicit SnapshotReader(const std::string &path)
+        : file_(path, std::ios::binary)
+    {
+        if (!file_)
+            throw std::runtime_error("cannot open " + path);
+        file_.seekg(0, std::ios::end);
+        left_ = static_cast<uint64_t>(file_.tellg());
+        file_.seekg(0);
+    }
+
+    /** Append the next `n` bytes to `out`. */
+    void
+    read(std::vector<uint8_t> &out, uint64_t n)
+    {
+        if (n > left_)
+            throw std::invalid_argument(
+                "truncated AnalyzedWorkload snapshot");
+        const size_t at = out.size();
+        out.resize(at + static_cast<size_t>(n));
+        if (n > 0 && !file_.read(reinterpret_cast<char *>(out.data() + at),
+                                 static_cast<std::streamsize>(n)))
+            throw std::invalid_argument(
+                "truncated AnalyzedWorkload snapshot");
+        left_ -= n;
+    }
+
+    std::vector<uint8_t>
+    read(uint64_t n)
+    {
+        std::vector<uint8_t> out;
+        read(out, n);
+        return out;
+    }
+
+    uint64_t left() const { return left_; }
+
+  private:
+    std::ifstream file_;
+    uint64_t left_ = 0;
+};
 
 /**
- * Copy `len` bytes from `src` into `sink(data, n)` in bounded chunks;
- * throws runtime_error naming `what` on a short read.
+ * Read the trace section's frames and pass each to `keep(frame, ops)`
+ * once it has passed the checked decode and relink TraceCursor uses,
+ * so a corrupt frame fails the load, not a later replay.
  */
-template <typename Sink>
+template <typename Keep>
 void
-copyChunked(std::istream &src, uint64_t len, const std::string &what,
-            Sink &&sink)
+readFrames(SnapshotReader &in, uint64_t num_ops, uint32_t frame_ops,
+           const ir::Program &program, Keep &&keep)
 {
-    std::vector<uint8_t> chunk(copyChunkBytes);
-    uint64_t copied = 0;
-    while (copied < len) {
-        const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(chunk.size(), len - copied));
-        if (!src.read(reinterpret_cast<char *>(chunk.data()),
-                      static_cast<std::streamsize>(n)))
-            throw std::runtime_error("short read from " + what);
-        sink(chunk.data(), n);
-        copied += n;
+    if (frame_ops == 0)
+        throw std::invalid_argument(
+            "AnalyzedWorkload snapshot has a zero frame size");
+    // Bound the declared count before allocating: even the tightest
+    // delta encoding spends >= 3 bytes per op (three varints), so a
+    // garbage num_ops in a corrupt file must fail as truncated, not
+    // as a multi-GB allocation.
+    if (num_ops > in.left() / 3)
+        throw std::invalid_argument(
+            "truncated AnalyzedWorkload snapshot");
+    const std::vector<uint8_t> crypto = cryptoPcTable(program);
+    uarch::OpBatchStorage check;
+    for (uint64_t done = 0; done < num_ops; done += frame_ops) {
+        const uint32_t n = static_cast<uint32_t>(
+            std::min<uint64_t>(frame_ops, num_ops - done));
+        std::vector<uint8_t> frame = in.read(frameHeaderBytes);
+        const uint32_t payload = static_cast<uint32_t>(frame[1]) |
+            static_cast<uint32_t>(frame[2]) << 8 |
+            static_cast<uint32_t>(frame[3]) << 16 |
+            static_cast<uint32_t>(frame[4]) << 24;
+        in.read(frame, payload);
+        decodeRelinkedFrame(frame.data(), frame.size(), n, program, crypto,
+                            check);
+        keep(std::move(frame), n);
     }
-}
-
-/**
- * Extract an embedded stream section — `write(out)` produces the
- * blob's bytes — to a fresh rehydrated trace file and assemble the
- * streamed artifact. The one copy of the cleanup invariant: no
- * artifact ever owns a half-extracted file.
- */
-template <typename Write>
-AnalyzedWorkload::Ptr
-extractStreamSection(SnapshotMeta meta, uint64_t num_ops,
-                     uint64_t blob_len, const std::string &stream_dir,
-                     Write &&write)
-{
-    const std::string trace_path = rehydratedStreamPath(stream_dir, meta);
-    try {
-        std::ofstream out(trace_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("cannot open " + trace_path +
-                                     " for writing");
-        write(out);
-        if (!out)
-            throw std::runtime_error("short write to " + trace_path);
-    } catch (...) {
-        std::remove(trace_path.c_str());
-        throw;
-    }
-    stream_bytes_copied.fetch_add(blob_len, std::memory_order_relaxed);
-    return assembleStreamed(std::move(meta), trace_path, num_ops);
+    if (in.left() != 0)
+        throw std::invalid_argument(
+            "trailing bytes in AnalyzedWorkload snapshot");
 }
 
 } // namespace
-
-std::vector<uint8_t>
-packAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &name)
-{
-    const std::vector<uint8_t> meta = packMeta(aw, name);
-    ByteWriter w;
-    writeSnapshotHead(w, meta);
-
-    if (aw.streamed()) {
-        // Embed the (typically delta-compressed) trace stream file
-        // verbatim: the op vector is never materialized, and the
-        // embedded file keeps its own fingerprint for load-time
-        // validation. saveAnalyzedWorkload never even builds this
-        // blob in memory — it chunk-copies file to file.
-        uint64_t blob_len = 0;
-        std::ifstream src = openStreamFile(aw, blob_len);
-        w.u8(traceStorageStream);
-        w.u64(aw.numOps());
-        w.u64(blob_len);
-        copyChunked(src, blob_len, aw.streamPath(),
-                    [&](const uint8_t *data, size_t n) {
-                        w.raw(data, n);
-                    });
-        stream_bytes_copied.fetch_add(blob_len,
-                                      std::memory_order_relaxed);
-        return w.take();
-    }
-
-    // Timing trace: the CASSTF2 frames the artifact holds, verbatim
-    // (instruction pointers relink from PCs on load; the taint
-    // pre-pass is recomputed, so only the base stream is kept).
-    const TraceFrames &held = aw.heldFrames();
-    w.u8(traceStorageInline);
-    w.u64(held.numOps);
-    w.u32(held.frameOps);
-    for (const std::vector<uint8_t> &frame : held.frames)
-        w.raw(frame.data(), frame.size());
-    inline_ops_written.fetch_add(held.numOps, std::memory_order_relaxed);
-    return w.take();
-}
-
-AnalyzedWorkload::Ptr
-unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
-                       const AnalysisCache::Resolver &resolver,
-                       const std::string &stream_dir)
-{
-    ByteReader r(bytes);
-    const SnapshotPrefix prefix = checkSnapshotPrefix(r);
-    if (prefix.metaLen > r.remaining())
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    const size_t before_meta = r.remaining();
-    SnapshotMeta meta = parseMeta(r, resolver);
-    // The declared length locates the trace section in the streaming
-    // load path; parseMeta must agree byte for byte or the two load
-    // paths would read different sections of the same file.
-    if (before_meta - r.remaining() != prefix.metaLen)
-        throw std::invalid_argument(
-            "AnalyzedWorkload snapshot metadata length mismatch");
-
-    const uint8_t storage = r.u8();
-    if (storage == traceStorageInline) {
-        const uint64_t num_ops = r.u64();
-        TraceFrames frames =
-            readHeldFrames(r, num_ops, meta.workload.program);
-        if (!r.done())
-            throw std::invalid_argument(
-                "trailing bytes in AnalyzedWorkload snapshot");
-        return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                           std::move(frames),
-                                           std::move(meta.image));
-    }
-    if (storage != traceStorageStream)
-        throw std::invalid_argument(
-            "AnalyzedWorkload snapshot has an unknown trace storage "
-            "kind");
-
-    const uint64_t num_ops = r.u64();
-    const uint64_t blob_len = r.u64();
-    if (blob_len != r.remaining())
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    const uint8_t *blob = r.raw(static_cast<size_t>(blob_len));
-    return extractStreamSection(
-        std::move(meta), num_ops, blob_len, stream_dir,
-        [&](std::ofstream &out) {
-            out.write(reinterpret_cast<const char *>(blob),
-                      static_cast<std::streamsize>(blob_len));
-        });
-}
 
 void
 saveAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &path,
                      const std::string &name)
 {
-    if (!aw.streamed()) {
-        writeFileBytes(path, packAnalyzedWorkload(aw, name));
-        return;
-    }
-
-    // Streamed artifact: metadata, then the trace stream file embedded
-    // by chunked copy — neither the op vector nor the stream bytes are
-    // ever whole in memory.
-    const std::vector<uint8_t> meta = packMeta(aw, name);
-    uint64_t blob_len = 0;
-    std::ifstream src = openStreamFile(aw, blob_len);
+    // Both modes write the frames the artifact already holds, in memory
+    // or in its stream file, one at a time: nothing is re-encoded, and a
+    // stream save keeps about one frame resident.
+    const std::unique_ptr<TraceCursor> trace = aw.openOpSource();
     ByteWriter head;
-    writeSnapshotHead(head, meta);
-    head.u8(traceStorageStream);
-    head.u64(aw.numOps());
-    head.u64(blob_len);
+    writeSnapshotHead(head, packMeta(aw, name));
+    head.u8(aw.streamed() ? traceStorageStream : traceStorageMemory);
+    head.u64(trace->numOps());
+    head.u32(trace->opsPerFrame());
+    const std::vector<uint8_t> head_bytes = head.take();
 
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     if (!file)
         throw std::runtime_error("cannot open " + path + " for writing");
-    const std::vector<uint8_t> head_bytes = head.take();
     file.write(reinterpret_cast<const char *>(head_bytes.data()),
                static_cast<std::streamsize>(head_bytes.size()));
-    copyChunked(src, blob_len, aw.streamPath(),
-                [&](const uint8_t *data, size_t n) {
-                    file.write(reinterpret_cast<const char *>(data),
-                               static_cast<std::streamsize>(n));
-                });
+    for (uint64_t f = 0; f < trace->numFrames(); f++) {
+        const EncodedFrame frame = trace->encodedFrame(f);
+        file.write(reinterpret_cast<const char *>(frame.data),
+                   static_cast<std::streamsize>(frame.size));
+    }
     if (!file)
         throw std::runtime_error("short write to " + path);
-    stream_bytes_copied.fetch_add(blob_len, std::memory_order_relaxed);
 }
 
 AnalyzedWorkload::Ptr
@@ -767,60 +578,34 @@ loadAnalyzedWorkload(const std::string &path,
                      const AnalysisCache::Resolver &resolver,
                      const std::string &stream_dir)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        throw std::runtime_error("cannot open " + path);
-    file.seekg(0, std::ios::end);
-    const uint64_t file_len = static_cast<uint64_t>(file.tellg());
-    file.seekg(0);
-
-    std::vector<uint8_t> prefix(snapshotPrefixBytes);
-    if (file_len < snapshotPrefixBytes ||
-        !file.read(reinterpret_cast<char *>(prefix.data()),
-                   snapshotPrefixBytes))
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
+    SnapshotReader in(path);
+    const std::vector<uint8_t> prefix = in.read(snapshotPrefixBytes);
     ByteReader pr(prefix);
-    const SnapshotPrefix snap = checkSnapshotPrefix(pr);
-    const uint32_t meta_len = snap.metaLen;
-    if (meta_len > file_len - snapshotPrefixBytes)
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-
-    std::vector<uint8_t> meta_bytes(meta_len);
-    if (!file.read(reinterpret_cast<char *>(meta_bytes.data()),
-                   static_cast<std::streamsize>(meta_len)))
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
+    const std::vector<uint8_t> meta_bytes =
+        in.read(checkSnapshotPrefix(pr));
     ByteReader mr(meta_bytes);
     SnapshotMeta meta = parseMeta(mr, resolver);
     if (!mr.done())
         throw std::invalid_argument(
             "trailing bytes in AnalyzedWorkload snapshot metadata");
 
-    const uint8_t storage = fileU8(file);
-    const uint64_t num_ops = fileU64(file);
-    const uint64_t consumed = snapshotPrefixBytes + meta_len + 1 + 8;
+    const std::vector<uint8_t> head = in.read(traceHeadBytes);
+    ByteReader hr(head);
+    const uint8_t storage = hr.u8();
+    const uint64_t num_ops = hr.u64();
+    const uint32_t frame_ops = hr.u32();
+    const ir::Program &program = meta.workload.program;
 
-    if (storage == traceStorageInline) {
-        // Frame-coded inline ops: the section is a few bytes per op,
-        // so slurping the remainder keeps this path simple (a
-        // whole-mode artifact holds its trace in memory anyway).
-        std::vector<uint8_t> section(
-            static_cast<size_t>(file_len - consumed));
-        if (!section.empty() &&
-            !file.read(reinterpret_cast<char *>(section.data()),
-                       static_cast<std::streamsize>(section.size())))
-            throw std::invalid_argument(
-                "truncated AnalyzedWorkload snapshot");
-        ByteReader sr(section);
-        TraceFrames frames =
-            readHeldFrames(sr, num_ops, meta.workload.program);
-        if (!sr.done())
-            throw std::invalid_argument(
-                "trailing bytes in AnalyzedWorkload snapshot");
+    if (storage == traceStorageMemory) {
+        TraceFrames held;
+        held.numOps = num_ops;
+        held.frameOps = frame_ops;
+        readFrames(in, num_ops, frame_ops, program,
+                   [&](std::vector<uint8_t> frame, uint32_t) {
+                       held.frames.push_back(std::move(frame));
+                   });
         return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                           std::move(frames),
+                                           std::move(held),
                                            std::move(meta.image));
     }
     if (storage != traceStorageStream)
@@ -828,20 +613,24 @@ loadAnalyzedWorkload(const std::string &path,
             "AnalyzedWorkload snapshot has an unknown trace storage "
             "kind");
 
-    const uint64_t blob_len = fileU64(file);
-    if (blob_len != file_len - consumed - 8)
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
-    return extractStreamSection(
-        std::move(meta), num_ops, blob_len, stream_dir,
-        [&](std::ofstream &out) {
-            copyChunked(file, blob_len, path,
-                        [&](const uint8_t *data, size_t n) {
-                            out.write(
-                                reinterpret_cast<const char *>(data),
-                                static_cast<std::streamsize>(n));
-                        });
-        });
+    // The checked frames go to a fresh stream file the artifact owns;
+    // a load that fails leaves no file behind.
+    const std::string trace_path = rehydratedStreamPath(stream_dir, meta);
+    try {
+        TraceStreamWriter writer(trace_path, programFingerprint(program),
+                                 frame_ops);
+        readFrames(in, num_ops, frame_ops, program,
+                   [&](std::vector<uint8_t> frame, uint32_t ops) {
+                       writer.appendFrame(frame.data(), frame.size(), ops);
+                   });
+        writer.finish();
+    } catch (...) {
+        std::remove(trace_path.c_str());
+        throw;
+    }
+    return AnalyzedWorkload::fromStreamParts(std::move(meta.workload),
+                                             trace_path, num_ops,
+                                             std::move(meta.image));
 }
 
 // ---------------------------------------------------------------------
@@ -913,18 +702,6 @@ unpackExperimentResult(ByteReader &r)
     ExperimentResult result;
     eachResultCounter(result, [&](uint64_t &field) { field = r.u64(); });
     return result;
-}
-
-SnapshotIoStats
-snapshotIoStats()
-{
-    SnapshotIoStats stats;
-    stats.inlineOpsWritten =
-        inline_ops_written.load(std::memory_order_relaxed);
-    stats.inlineOpsRead = inline_ops_read.load(std::memory_order_relaxed);
-    stats.streamBytesCopied =
-        stream_bytes_copied.load(std::memory_order_relaxed);
-    return stats;
 }
 
 uint16_t

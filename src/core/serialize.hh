@@ -11,7 +11,7 @@
  * support the round-trip property tests.
  *
  * On top of the per-branch wire format, this module snapshots whole
- * AnalyzedWorkload artifacts (magic "CASSAW4\n" + format version):
+ * AnalyzedWorkload artifacts (magic "CASSAW5\n" + format version):
  * workload name + program fingerprint, which analysis phases ran, the
  * Algorithm 2 results (when that phase ran) and the recorded timing
  * trace. Reloading resolves the workload by name (normally through
@@ -23,21 +23,15 @@
  * against the rebuilt program — repeated sweeps skip analysis
  * entirely.
  *
- * Snapshots are stream-aware: a whole-mode artifact inlines the
- * CASSTF2-codec frames it holds (delta + zig-zag varint with per-frame
- * raw fallback — the same codec trace stream files use, typically ~7x
- * smaller than 24 B/op) verbatim, and a load keeps each frame once it
- * passes the checked decode, while a
- * streamed artifact embeds its CASSTF2 *stream file* by chunked copy
- * — saving and loading never materialize an op vector. Writers emit
- * and readers accept CASSAW4 only; the older CASSAW1–3 revisions
- * raise the typed eviction error.
- * loadAnalyzedWorkload extracts an embedded stream back to a trace
- * file and rehydrates straight into stream mode, validating both the
- * snapshot's workload fingerprint and the stream's own program
- * fingerprint. The snapshotIoStats() counters make the "no
- * materialization" guarantee observable: a streamed save/load round
- * trip moves stream bytes but zero inline ops.
+ * Both trace modes share one trace section: the CASSTF2 frames the
+ * artifact holds (delta + zig-zag varint with per-frame raw fallback,
+ * about 4 B/op on the crypto kernels), written verbatim from memory or
+ * from the stream file. A storage byte says only where a load puts
+ * them: into the memory of a whole-mode artifact, or into a fresh
+ * stream file it owns. Every frame passes the checked decode on load,
+ * and neither saving nor loading ever materializes the ops. Writers
+ * emit and readers accept CASSAW5 only; CASSAW1–4 raise the typed
+ * eviction error.
  *
  * The module also fixes the order of an ExperimentResult's counters,
  * which the result store's CASSRS1 entries embed.
@@ -59,17 +53,12 @@
 namespace cassandra::core {
 
 /**
- * Container format version written for AnalyzedWorkload snapshots.
- * Bumped on every incompatible layout change; loaders additionally
- * accept artifactMinReadVersion..artifactFormatVersion and reject
- * anything else with ArtifactFormatError so stale caches evict
- * instead of drifting.
+ * Container format version of AnalyzedWorkload snapshots, the only one
+ * loaders read. Bumped on every incompatible layout change; loaders
+ * reject every other version with ArtifactFormatError so stale caches
+ * evict instead of drifting.
  */
-constexpr uint32_t artifactFormatVersion = 4;
-
-/** Oldest snapshot version loaders still read; every older revision
- * (version 3 stored raw 24 B/op inline ops) is rejected. */
-constexpr uint32_t artifactMinReadVersion = 4;
+constexpr uint32_t artifactFormatVersion = 5;
 
 /** Pack a multi-target branch trace into its data-page bytes. */
 std::vector<uint8_t> packTrace(const BranchTrace &trace);
@@ -107,68 +96,35 @@ uint64_t programFingerprint(const ir::Program &program);
 uint64_t workloadFingerprint(const Workload &workload);
 
 /**
- * Snapshot a full analysis artifact into bytes. `name` is the
- * resolver (registry) name stored for reloading; empty uses
+ * Snapshot a full analysis artifact to a file (throws on I/O errors),
+ * recording the trace first if it has not been recorded yet. `name` is
+ * the resolver (registry) name stored for reloading; empty uses
  * Workload::name, which differs from the registry spelling for
- * parameterized entries like "synthetic/chacha20/75".
- */
-std::vector<uint8_t> packAnalyzedWorkload(const AnalyzedWorkload &aw,
-                                          const std::string &name = "");
-
-/**
- * Rebuild an artifact from packAnalyzedWorkload bytes. The workload
- * is rebuilt by name through the resolver and its program must match
- * the stored fingerprint. Phases absent from the snapshot (e.g. the
- * trace image of a baseline-only sweep) stay demand-driven on the
- * rebuilt artifact. A snapshot of a streamed artifact rehydrates into
- * stream mode: its embedded trace stream is extracted to a fresh file
- * under `stream_dir` (empty = defaultTraceStreamDir()) owned by the
- * returned artifact.
- * @throws ArtifactFormatError on bad magic or a version mismatch,
- *         ArtifactStaleError on a fingerprint mismatch,
- *         std::invalid_argument on corrupt bytes (and whatever the
- *         resolver throws on unknown names).
- */
-AnalyzedWorkload::Ptr
-unpackAnalyzedWorkload(const std::vector<uint8_t> &bytes,
-                       const AnalysisCache::Resolver &resolver,
-                       const std::string &stream_dir = "");
-
-/**
- * packAnalyzedWorkload straight to a file (throws on I/O errors).
- * Streamed artifacts embed their trace stream file by chunked copy —
- * the op vector is never materialized in memory.
+ * parameterized entries like "synthetic/chacha20/75". The frames are
+ * written one at a time from the artifact's TraceCursor.
  */
 void saveAnalyzedWorkload(const AnalyzedWorkload &aw,
                           const std::string &path,
                           const std::string &name = "");
 
 /**
- * Load + unpack an artifact file. Streamed snapshots are extracted by
- * chunked copy into a trace file under `stream_dir` (empty =
- * defaultTraceStreamDir()) and rehydrate straight into stream mode —
- * the whole trace is never resident.
+ * Rebuild an artifact from a saveAnalyzedWorkload file. The workload
+ * is rebuilt by name through the resolver and its program must match
+ * the stored fingerprint. Phases absent from the snapshot (e.g. the
+ * trace image of a baseline-only sweep) stay demand-driven on the
+ * rebuilt artifact. The artifact comes back in the mode it was saved
+ * in: a streamed one gets its frames in a fresh trace file under
+ * `stream_dir` (empty = defaultTraceStreamDir()), which it owns.
+ * @throws ArtifactFormatError on bad magic, a version mismatch or a
+ *         corrupt frame (no trace file is left behind),
+ *         ArtifactStaleError on a fingerprint mismatch,
+ *         std::invalid_argument on other corrupt or truncated bytes
+ *         (and whatever the resolver throws on unknown names).
  */
 AnalyzedWorkload::Ptr
 loadAnalyzedWorkload(const std::string &path,
                      const AnalysisCache::Resolver &resolver,
                      const std::string &stream_dir = "");
-
-/**
- * Process-wide snapshot I/O counters: ops written/read through the
- * inline (whole-mode) trace section and bytes moved through embedded
- * stream sections. The stream-aware save/load paths are *observably*
- * zero-materialization: a streamed round trip leaves inlineOpsWritten
- * and inlineOpsRead untouched.
- */
-struct SnapshotIoStats
-{
-    uint64_t inlineOpsWritten = 0;
-    uint64_t inlineOpsRead = 0;
-    uint64_t streamBytesCopied = 0;
-};
-
-SnapshotIoStats snapshotIoStats();
 
 // ---------------------------------------------------------------------
 // ExperimentResult counter blocks

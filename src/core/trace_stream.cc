@@ -344,6 +344,20 @@ TraceStreamWriter::appendBatch(const uarch::OpBatch &batch)
 }
 
 void
+TraceStreamWriter::appendFrame(const uint8_t *frame, size_t bytes,
+                               uint32_t ops)
+{
+    // Every op so far sits in a full frame exactly when the count is a
+    // multiple of the frame size (appendBatch stages the rest).
+    if (finished_ || numOps_ % frameOps_ != 0 || ops > frameOps_)
+        throw std::logic_error(
+            "TraceStreamWriter: appendFrame after finish or a partial "
+            "frame");
+    writeFrame(frame, bytes);
+    numOps_ += ops;
+}
+
+void
 TraceStreamWriter::writeFrame(const uint8_t *frame, size_t bytes)
 {
     // A poisoned stream would report tellp() == -1 and corrupt every
@@ -585,33 +599,34 @@ TraceCursor::dropConsumedFrames(uint64_t upto)
 #endif
 }
 
+EncodedFrame
+TraceCursor::encodedFrame(uint64_t frame)
+{
+    if (held_)
+        return {held_->frames[frame].data(), held_->frames[frame].size()};
+    const uint64_t start = frameOffsets_[frame];
+    const size_t len = static_cast<size_t>(frameEnd(frame) - start);
+    if (map_) {
+        dropConsumedFrames(frame);
+        return {map_ + start, len};
+    }
+    scratch_.resize(len);
+    file_.seekg(static_cast<std::streamoff>(start));
+    file_.read(reinterpret_cast<char *>(scratch_.data()),
+               static_cast<std::streamsize>(len));
+    if (!file_)
+        throw ArtifactFormatError("trace stream read failed (frame " +
+                                  std::to_string(frame) + ")");
+    return {scratch_.data(), len};
+}
+
 void
 TraceCursor::decodeFrame(uint64_t frame, uarch::OpBatchStorage &out)
 {
-    const uint8_t *enc;
-    size_t len;
-    if (held_) {
-        enc = held_->frames[frame].data();
-        len = held_->frames[frame].size();
-    } else if (map_) {
-        enc = map_ + frameOffsets_[frame];
-        len = static_cast<size_t>(frameEnd(frame) - frameOffsets_[frame]);
-    } else {
-        const uint64_t start = frameOffsets_[frame];
-        len = static_cast<size_t>(frameEnd(frame) - start);
-        scratch_.resize(len);
-        file_.seekg(static_cast<std::streamoff>(start));
-        file_.read(reinterpret_cast<char *>(scratch_.data()),
-                   static_cast<std::streamsize>(len));
-        if (!file_)
-            throw ArtifactFormatError("trace stream read failed (frame " +
-                                      std::to_string(frame) + ")");
-        enc = scratch_.data();
-    }
-    decodeRelinkedFrame(enc, len, static_cast<size_t>(frameOps(frame)),
-                        program_, cryptoByIndex_, out);
-    if (map_)
-        dropConsumedFrames(frame);
+    const EncodedFrame enc = encodedFrame(frame);
+    decodeRelinkedFrame(enc.data, enc.size,
+                        static_cast<size_t>(frameOps(frame)), program_,
+                        cryptoByIndex_, out);
 }
 
 size_t

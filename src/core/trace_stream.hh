@@ -35,7 +35,10 @@
  * snapshots guard stale artifacts. The same frames can also live in
  * memory without the file container (TraceFrames, the whole-mode
  * trace storage); TraceCursor decodes them through the same checked
- * decodeRelinkedFrame.
+ * decodeRelinkedFrame. AnalyzedWorkload snapshots (core/serialize)
+ * carry the frames without the container in both modes: a save reads
+ * them through TraceCursor::encodedFrame, and a load hands them to
+ * TraceFrames or to TraceStreamWriter::appendFrame.
  */
 
 #ifndef CASSANDRA_CORE_TRACE_STREAM_HH
@@ -108,7 +111,7 @@ size_t encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
 /**
  * A trace held in memory as CASSTF2 frames, one buffer per frame (so a
  * frame is never copied once it is held): the whole-mode trace
- * storage, and the inline trace section of a whole-mode snapshot.
+ * storage.
  */
 struct TraceFrames
 {
@@ -210,7 +213,7 @@ std::vector<uint8_t> cryptoPcTable(const ir::Program &program);
 
 /**
  * The checked frame decode every CASSTF2 reader shares (TraceCursor
- * and whole-mode snapshot loads): decode one frame into `out` (resized
+ * and snapshot loads): decode one frame into `out` (resized
  * to num_ops) and relink each op against `program` — inst pointer and
  * crypto flag from its pc through `crypto_table`
  * (cryptoPcTable(program)), taint cleared.
@@ -244,6 +247,14 @@ class TraceStreamWriter
 
     /** Append a whole batch (column-wise; same bytes as op-by-op). */
     void appendBatch(const uarch::OpBatch &batch);
+
+    /**
+     * Append one frame that is already encoded, holding `ops` ops (a
+     * snapshot load hands over the frames it checked). Legal only
+     * after full frames: a partial frame can only be the last one.
+     * @throws std::logic_error after finish() or a partial frame
+     */
+    void appendFrame(const uint8_t *frame, size_t bytes, uint32_t ops);
 
     /**
      * Flush the tail frame, make the data frames durable (flush +
@@ -283,6 +294,13 @@ class TraceStreamWriter
     TraceFrameBuilder frames_;
     std::vector<uint64_t> frameOffsets_;
     bool finished_ = false;
+};
+
+/** The bytes of one encoded CASSTF2 frame. */
+struct EncodedFrame
+{
+    const uint8_t *data = nullptr;
+    size_t size = 0;
 };
 
 /**
@@ -328,8 +346,15 @@ class TraceCursor final : public uarch::TimingOpSource
      * pages of earlier frames are dropped. */
     void decodeFrame(uint64_t frame, uarch::OpBatchStorage &out);
 
+    /** The encoded bytes of frame `frame` (what decodeFrame decodes),
+     * valid until the next call: held, mapped (dropping the pages of
+     * earlier frames), or read into a buffer. */
+    EncodedFrame encodedFrame(uint64_t frame);
+
     uint64_t numOps() const { return numOps_; }
     uint64_t numFrames() const { return numFrames_; }
+    /** Ops of every frame but a partial last one. */
+    uint32_t opsPerFrame() const { return frameOps_; }
 
     /** Always 0: kept for existing callers (perfbench). */
     static uint64_t prefetchBatches() { return 0; }

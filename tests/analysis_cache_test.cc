@@ -204,8 +204,8 @@ TEST(SerializeArtifactTest, RoundTripYieldsIdenticalResults)
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     for (const char *name : {"ChaCha20_ct", "synthetic/curve25519/50"}) {
         auto original = AnalyzedWorkload::analyze(resolver(name));
-        auto bytes = core::packAnalyzedWorkload(*original, name);
-        auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
+        auto reloaded = test::loadSnapshotBytes(
+            test::snapshotBytes(*original, name), resolver);
 
         // The analysis side survives verbatim.
         ASSERT_EQ(reloaded->traces().records.size(),
@@ -231,16 +231,16 @@ TEST(SerializeArtifactTest, CorruptBytesAreRejected)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact);
+    auto bytes = test::snapshotBytes(*artifact);
 
     std::vector<uint8_t> bad_magic = bytes;
     bad_magic[0] ^= 0xff;
-    EXPECT_THROW(core::unpackAnalyzedWorkload(bad_magic, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(bad_magic, resolver),
                  std::invalid_argument);
 
     std::vector<uint8_t> truncated(bytes.begin(),
                                    bytes.begin() + bytes.size() / 2);
-    EXPECT_THROW(core::unpackAnalyzedWorkload(truncated, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(truncated, resolver),
                  std::invalid_argument);
 }
 
@@ -248,14 +248,14 @@ TEST(SerializeArtifactTest, FingerprintGuardsAgainstWrongProgram)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact);
+    auto bytes = test::snapshotBytes(*artifact);
 
     // Resolve every name to a different workload: the stored
     // fingerprint must not match.
     auto wrong = [&](const std::string &) {
         return resolver("SHAKE");
     };
-    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, wrong),
+    EXPECT_THROW(test::loadSnapshotBytes(bytes, wrong),
                  std::invalid_argument);
 }
 

@@ -259,12 +259,12 @@ TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
 
 TEST(GroupedReplayTest, EmptyTraceCellsStillReplay)
 {
-    // A snapshot whose inline trace holds no op rebuilds an artifact
-    // with no frame at all. Its cells still get a result equal to a
-    // lone Simulation::run, and the pool does not wait for a frame
-    // that never comes.
+    // A snapshot whose trace section holds no op rebuilds an artifact
+    // with no frame at all, held in memory or in a stream file. Its
+    // cells still get a result equal to a lone Simulation::run, and
+    // the pool does not wait for a frame that never comes.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    auto bytes = core::packAnalyzedWorkload(
+    auto bytes = test::snapshotBytes(
         *core::AnalyzedWorkload::analyze(resolver("ChaCha20_ct")),
         "ChaCha20_ct");
     uint32_t meta_len = 0;
@@ -272,30 +272,38 @@ TEST(GroupedReplayTest, EmptyTraceCellsStillReplay)
         meta_len |= static_cast<uint32_t>(bytes[12 + i]) << (8 * i);
     bytes.resize(16 + meta_len);
     core::ByteWriter section;
-    section.u8(0); // inline trace storage
+    section.u8(0); // storage: in memory (1: a stream file)
     section.u64(0);
     section.u32(core::traceStreamDefaultFrameOps);
     const std::vector<uint8_t> tail = section.take();
     bytes.insert(bytes.end(), tail.begin(), tail.end());
-    const auto empty = core::unpackAnalyzedWorkload(bytes, resolver);
-    ASSERT_EQ(empty->numOps(), 0u);
 
-    auto cache = std::make_shared<core::AnalysisCache>(resolver);
-    cache->put("ChaCha20_ct", empty);
-    ExperimentMatrix m;
-    m.workloads = {"ChaCha20_ct"};
-    m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
-    for (unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const auto exp =
-            ExperimentRunner(cache, RunnerOptions{threads}).run(m);
-        ASSERT_EQ(exp.cells.size(), 2u);
-        for (const auto &cell : exp.cells) {
-            EXPECT_EQ(cell.result.stats.instructions, 0u);
-            EXPECT_EQ(packed(cell.result),
-                      packed(core::Simulation(empty).run(cell.scheme)));
+    for (uint8_t storage : {0, 1}) {
+        SCOPED_TRACE("storage=" + std::to_string(storage));
+        bytes[16 + meta_len] = storage;
+        const auto empty = test::loadSnapshotBytes(
+            bytes, resolver, test::scratchPath("empty-trace"));
+        ASSERT_EQ(empty->numOps(), 0u);
+        ASSERT_EQ(empty->streamed(), storage == 1);
+
+        auto cache = std::make_shared<core::AnalysisCache>(resolver);
+        cache->put("ChaCha20_ct", empty);
+        ExperimentMatrix m;
+        m.workloads = {"ChaCha20_ct"};
+        m.schemes = {Scheme::UnsafeBaseline, Scheme::Cassandra};
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            const auto exp =
+                ExperimentRunner(cache, RunnerOptions{threads}).run(m);
+            ASSERT_EQ(exp.cells.size(), 2u);
+            for (const auto &cell : exp.cells) {
+                EXPECT_EQ(cell.result.stats.instructions, 0u);
+                EXPECT_EQ(packed(cell.result),
+                          packed(core::Simulation(empty).run(
+                              cell.scheme)));
+            }
+            EXPECT_EQ(exp.telemetry.framesDecoded, 0u);
         }
-        EXPECT_EQ(exp.telemetry.framesDecoded, 0u);
     }
 }
 

@@ -2,13 +2,15 @@
  * @file
  * Round-trip and size-accounting tests for the bit-exact trace-page
  * serialization (the wire format Algorithm 2 embeds in binaries), and
- * version/fingerprint guarding of AnalyzedWorkload snapshot files
- * (outdated containers — CASSAW3 snapshots and streams in the retired
- * revision-1 container included — raise typed errors so caches evict
- * them).
+ * AnalyzedWorkload snapshot files: one trace section for both trace
+ * modes, every frame checked on load, and version/fingerprint guarding
+ * (outdated containers — CASSAW3 and CASSAW4 snapshots included —
+ * raise typed errors so caches evict them).
  */
 
 #include <gtest/gtest.h>
+
+#include <dirent.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -130,28 +132,49 @@ TEST(SerializeTest, PackedSizeMatchesStorageAccounting)
 // Artifact container versioning (eviction instead of silent drift)
 // ---------------------------------------------------------------------
 
+/** The u32 at byte `at` of a snapshot. */
+uint32_t
+u32At(const std::vector<uint8_t> &bytes, size_t at)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; i++)
+        v |= static_cast<uint32_t>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+/** Offset of a snapshot's trace section: prefix(16) | meta(metaLen). */
+size_t
+traceSectionAt(const std::vector<uint8_t> &bytes)
+{
+    return 16 + u32At(bytes, 12);
+}
+
+/** Trace section head: u8 storage | u64 numOps | u32 frameOps; the
+ * frames (u8 kind | u32 payloadBytes | payload) follow. */
+constexpr size_t traceHeadBytes = 13;
+
 TEST(ArtifactVersionTest, OutdatedContainerVersionIsTyped)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact);
+    auto bytes = test::snapshotBytes(*artifact);
 
     // A v1-era snapshot: same "CASSAW" family, older version byte.
     std::vector<uint8_t> old_magic = bytes;
     old_magic[6] = '1';
-    EXPECT_THROW(core::unpackAnalyzedWorkload(old_magic, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(old_magic, resolver),
                  core::ArtifactFormatError);
 
     // Bump the explicit format version field behind the magic.
     std::vector<uint8_t> old_version = bytes;
     old_version[8] = static_cast<uint8_t>(core::artifactFormatVersion +
                                           1);
-    EXPECT_THROW(core::unpackAnalyzedWorkload(old_version, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(old_version, resolver),
                  core::ArtifactFormatError);
 
     // Arbitrary non-artifact bytes are a format error too.
     std::vector<uint8_t> garbage(64, 0x5a);
-    EXPECT_THROW(core::unpackAnalyzedWorkload(garbage, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(garbage, resolver),
                  core::ArtifactFormatError);
 }
 
@@ -159,15 +182,15 @@ TEST(ArtifactVersionTest, FingerprintMismatchIsTyped)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact);
+    auto bytes = test::snapshotBytes(*artifact);
     auto wrong = [&](const std::string &) { return resolver("SHAKE"); };
-    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, wrong),
+    EXPECT_THROW(test::loadSnapshotBytes(bytes, wrong),
                  core::ArtifactStaleError);
 }
 
 // ---------------------------------------------------------------------
-// Stream-aware snapshots: embed the trace stream file, load back into
-// stream mode, never materialize the op vector.
+// Stream snapshots: the same frames as whole mode, loaded back into a
+// stream file, never materializing the op vector.
 // ---------------------------------------------------------------------
 
 AnalyzedWorkload::Ptr
@@ -180,20 +203,21 @@ streamedArtifact(const char *name, const std::string &dir)
     return AnalyzedWorkload::analyze(resolver(name), opts);
 }
 
-std::vector<uint8_t>
-readBytes(const std::string &path)
+/** Trace stream files directly under `dir`. */
+size_t
+countTraceFiles(const std::string &dir)
 {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-}
-
-void
-writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    size_t n = 0;
+    if (DIR *d = opendir(dir.c_str())) {
+        while (dirent *entry = readdir(d)) {
+            const std::string name = entry->d_name;
+            if (name.size() > 6 &&
+                name.compare(name.size() - 6, 6, ".trace") == 0)
+                n++;
+        }
+        closedir(d);
+    }
+    return n;
 }
 
 TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
@@ -203,19 +227,12 @@ TEST(StreamSnapshotTest, RoundTripsWithoutMaterializingOps)
     auto artifact = streamedArtifact("ChaCha20_ct", dir);
     const std::string path = dir + "/chacha20.aw";
 
-    const core::SnapshotIoStats before = core::snapshotIoStats();
     core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
     auto reloaded = core::loadAnalyzedWorkload(path, resolver);
-    const core::SnapshotIoStats after = core::snapshotIoStats();
 
-    // The "never materializes" bar, observable via counters: a
-    // streamed round trip moves stream bytes, zero inline ops.
-    EXPECT_EQ(after.inlineOpsWritten, before.inlineOpsWritten);
-    EXPECT_EQ(after.inlineOpsRead, before.inlineOpsRead);
-    EXPECT_GT(after.streamBytesCopied, before.streamBytesCopied);
-
-    // Rehydrated straight into stream mode, not whole mode.
+    // Rehydrated straight into stream mode, with no frame in memory.
     ASSERT_TRUE(reloaded->streamed());
+    EXPECT_EQ(reloaded->heldFrames().bytes(), 0u);
     EXPECT_EQ(reloaded->numOps(), artifact->numOps());
     // ... on its own file (artifacts own + delete their streams).
     EXPECT_NE(reloaded->streamPath(), artifact->streamPath());
@@ -234,100 +251,42 @@ TEST(StreamSnapshotTest, SnapshotsAreMuchSmallerThanRawOps)
     core::saveAnalyzedWorkload(*artifact, dir + "/stream.aw",
                                "ChaCha20_ct");
     // The bar is >= 2x below 24 B/op for the whole snapshot.
-    EXPECT_LT(readBytes(dir + "/stream.aw").size() * 2,
+    EXPECT_LT(core::readFileBytes(dir + "/stream.aw", "snapshot").size() *
+                  2,
               artifact->numOps() * core::traceStreamOpBytes);
 }
 
-TEST(StreamSnapshotTest, EmbeddedRevisionOneStreamIsRejected)
+TEST(StreamSnapshotTest, CorruptFrameFailsTheLoadAndLeavesNoStream)
 {
-    // A streamed snapshot whose embedded stream is in the retired
-    // raw-frame container must fail with the typed eviction error.
-    auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = test::scratchPath("snap-revision1");
-    auto artifact = streamedArtifact("ChaCha20_ct", dir);
-    auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
-
-    // Layout: prefix(16) | meta(metaLen) | u8 storage | u64 numOps |
-    // u64 blobLen | blob.
-    uint32_t meta_len = 0;
-    for (int i = 0; i < 4; i++)
-        meta_len |= static_cast<uint32_t>(bytes[12 + i]) << (8 * i);
-    const size_t blob_at = 16 + meta_len + 1 + 8 + 8;
-    ASSERT_LT(blob_at, bytes.size());
-    const core::Workload w = resolver("ChaCha20_ct");
-    const std::vector<uint8_t> blob = test::casstf1Bytes(
-        core::programFingerprint(w.program), uarch::recordTrace(w, 2),
-        core::traceStreamDefaultFrameOps);
-    bytes.resize(blob_at);
-    for (int i = 0; i < 8; i++)
-        bytes[blob_at - 8 + i] =
-            static_cast<uint8_t>(uint64_t(blob.size()) >> (8 * i));
-    bytes.insert(bytes.end(), blob.begin(), blob.end());
-
-    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, resolver, dir),
-                 core::ArtifactFormatError);
-    const std::string path = dir + "/revision1.aw";
-    writeBytes(path, bytes);
-    EXPECT_THROW(core::loadAnalyzedWorkload(path, resolver, dir),
-                 core::ArtifactFormatError);
-}
-
-TEST(StreamSnapshotTest, PackBytesRoundTripStreamed)
-{
-    auto resolver = crypto::WorkloadRegistry::global().resolver();
-    const std::string dir = test::scratchPath("snap-bytes");
-    auto artifact = streamedArtifact("ChaCha20_ct", dir);
-    auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
-    auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
-    ASSERT_TRUE(reloaded->streamed());
-    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
-    auto src = reloaded->openOpSource();
-    uint64_t seen = 0;
-    while (src->next())
-        seen++;
-    EXPECT_EQ(seen, artifact->numOps());
-}
-
-TEST(StreamSnapshotTest, CorruptEmbeddedStreamIsRejectedOnLoad)
-{
+    // Every frame of a stream snapshot passes the checked decode on
+    // load, as in whole mode: a corrupt frame fails the load, typed,
+    // and the half-written stream file is gone.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     const std::string dir = test::scratchPath("snap-corrupt");
-    auto artifact = streamedArtifact("ChaCha20_ct", dir);
-    const std::string path = dir + "/corrupt.aw";
-    core::saveAnalyzedWorkload(*artifact, path, "ChaCha20_ct");
+    auto artifact = streamedArtifact("DES_ct", dir);
+    auto bytes = test::snapshotBytes(*artifact, "DES_ct");
+    ASSERT_GT(artifact->numOps(), core::traceStreamDefaultFrameOps);
 
-    // Flip a byte inside the embedded stream's magic: the load must
-    // reject the snapshot via the stream's own validation, not hand
-    // back a silently-broken artifact.
-    std::vector<uint8_t> bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    }
-    const char needle[] = "CASSTF";
-    auto it = std::search(bytes.begin(), bytes.end(), needle,
-                          needle + 6);
-    ASSERT_NE(it, bytes.end());
-    *it ^= 0xff;
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_THROW(core::loadAnalyzedWorkload(path, resolver),
+    const size_t first = traceSectionAt(bytes) + traceHeadBytes;
+    const size_t second = first + 5 + u32At(bytes, first + 1);
+    ASSERT_LT(second, bytes.size());
+    std::vector<uint8_t> corrupt = bytes;
+    corrupt[second] = 0x7f; // neither raw (0) nor delta (1)
+    const std::string load_dir = test::scratchPath("snap-corrupt-load");
+    EXPECT_THROW(test::loadSnapshotBytes(corrupt, resolver, load_dir),
                  core::ArtifactFormatError);
+    EXPECT_EQ(countTraceFiles(load_dir), 0u);
 
-    // Truncating the embedded stream is caught too.
+    // A truncated section fails as truncated, and leaves no file either.
     std::vector<uint8_t> cut(bytes.begin(), bytes.end() - 64);
-    const std::string cut_path = dir + "/cut.aw";
-    {
-        std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(cut.data()),
-                  static_cast<std::streamsize>(cut.size()));
-    }
-    EXPECT_THROW(core::loadAnalyzedWorkload(cut_path, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(cut, resolver, load_dir),
                  std::invalid_argument);
+    EXPECT_EQ(countTraceFiles(load_dir), 0u);
+
+    // The intact snapshot loads into that directory.
+    auto reloaded = test::loadSnapshotBytes(bytes, resolver, load_dir);
+    EXPECT_EQ(reloaded->numOps(), artifact->numOps());
+    EXPECT_EQ(countTraceFiles(load_dir), 1u);
 }
 
 TEST(StreamSnapshotTest, ImageSurvivesStreamedSnapshot)
@@ -350,21 +309,53 @@ TEST(StreamSnapshotTest, ImageSurvivesStreamedSnapshot)
               before.traceImage);
 }
 
+TEST(ArtifactVersionTest, WholeAndStreamSnapshotsShareTheirFrames)
+{
+    // One trace section for both modes: the snapshots of a whole and a
+    // streamed artifact differ only in the storage byte, and both
+    // carry exactly the frames the whole-mode artifact holds.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto whole = AnalyzedWorkload::analyze(resolver("DES_ct"));
+    const std::string dir = test::scratchPath("snap-share");
+    auto streamed = streamedArtifact("DES_ct", dir);
+    const core::TraceFrames &held = whole->heldFrames();
+    ASSERT_EQ(held.frames.size(), 20u);
+
+    const auto whole_bytes = test::snapshotBytes(*whole, "DES_ct");
+    const auto stream_bytes = test::snapshotBytes(*streamed, "DES_ct");
+    ASSERT_EQ(whole_bytes.size(), stream_bytes.size());
+    const size_t storage = traceSectionAt(whole_bytes);
+    EXPECT_EQ(whole_bytes[storage], 0);
+    EXPECT_EQ(stream_bytes[storage], 1);
+    std::vector<uint8_t> relabelled = stream_bytes;
+    relabelled[storage] = 0;
+    EXPECT_TRUE(relabelled == whole_bytes);
+
+    std::vector<uint8_t> frames;
+    for (const std::vector<uint8_t> &frame : held.frames)
+        frames.insert(frames.end(), frame.begin(), frame.end());
+    EXPECT_EQ(frames.size(), held.bytes());
+    for (const auto *bytes : {&whole_bytes, &stream_bytes})
+        EXPECT_TRUE(std::equal(frames.begin(), frames.end(),
+                               bytes->begin() + storage + traceHeadBytes,
+                               bytes->end()));
+}
+
 TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
 {
-    // CASSAW4: whole-mode snapshots store their inline ops as CASSTF2
-    // codec frames. The dynamic instruction stream is overwhelmingly
-    // sequential, so the inline section must beat the historical raw
-    // 24 B/op layout by at least 4x.
+    // Whole-mode snapshots store their ops as CASSTF2 codec frames.
+    // The dynamic instruction stream is overwhelmingly sequential, so
+    // the trace section must beat the historical raw 24 B/op layout by
+    // at least 4x.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+    auto bytes = test::snapshotBytes(*artifact, "ChaCha20_ct");
     EXPECT_LT(bytes.size() * 4, artifact->numOps() * 24)
         << artifact->numOps() << " ops in " << bytes.size()
         << " snapshot bytes";
 
     // And it still round-trips into identical timing results.
-    auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
+    auto reloaded = test::loadSnapshotBytes(bytes, resolver);
     EXPECT_EQ(reloaded->numOps(), artifact->numOps());
     auto want = Simulation(artifact).run(uarch::Scheme::Cassandra);
     auto got = Simulation(reloaded).run(uarch::Scheme::Cassandra);
@@ -373,38 +364,37 @@ TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
 
 TEST(ArtifactVersionTest, CorruptInlineFrameIsRejectedOnLoad)
 {
-    // A whole-mode artifact keeps the inline frames it loads and
-    // decodes them only at replay, so each frame must pass the checked
-    // decode at load: a corrupt frame fails there, typed.
+    // A whole-mode artifact keeps the frames it loads and decodes them
+    // only at replay, so each frame must pass the checked decode at
+    // load: a corrupt frame fails there, typed.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("DES_ct"));
-    auto bytes = core::packAnalyzedWorkload(*artifact, "DES_ct");
+    auto bytes = test::snapshotBytes(*artifact, "DES_ct");
     ASSERT_GT(artifact->numOps(), core::traceStreamDefaultFrameOps);
 
-    auto u32at = [&](size_t at) {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; i++)
-            v |= static_cast<uint32_t>(bytes[at + i]) << (8 * i);
-        return v;
-    };
-    // prefix(16) | meta | u8 storage | u64 numOps | u32 frameOps |
-    // frames (u8 kind | u32 payloadBytes | payload) ...
-    const size_t first = 16 + u32at(12) + 1 + 8 + 4;
-    const size_t second = first + 5 + u32at(first + 1);
+    const size_t first = traceSectionAt(bytes) + traceHeadBytes;
+    const size_t second = first + 5 + u32At(bytes, first + 1);
     ASSERT_LT(second, bytes.size());
     bytes[second] = 0x7f; // neither raw (0) nor delta (1)
-    EXPECT_THROW(core::unpackAnalyzedWorkload(bytes, resolver),
+    EXPECT_THROW(test::loadSnapshotBytes(bytes, resolver),
                  core::ArtifactFormatError);
 }
 
 TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
 {
-    // CASSAW3 stored raw 24 B/op inline ops; readers no longer accept
-    // it. Craft one from a CASSAW4 snapshot (the metadata section is
-    // layout-identical) plus the artifact's ops.
+    // Older containers are rejected, and the bench artifact cache
+    // evicts them: a CASSAW3 file (raw 24 B/op inline ops) and a
+    // CASSAW4 file of the retired stream layout (the whole stream file
+    // embedded). Both are crafted around the metadata section of a
+    // current snapshot, whose layout they share.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
-    auto v4 = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+    auto current = test::snapshotBytes(*artifact, "ChaCha20_ct");
+    const std::string dir = test::scratchPath("snap-cassaw4");
+    auto streamed = streamedArtifact("ChaCha20_ct", dir);
+    const uint64_t stream_ops = streamed->numOps(); // records the file
+    const auto stream_file =
+        core::readFileBytes(streamed->streamPath(), "trace stream");
 
     auto u32le = [](std::vector<uint8_t> &out, uint32_t v) {
         for (int i = 0; i < 4; i++)
@@ -414,56 +404,68 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
         for (int i = 0; i < 8; i++)
             out.push_back(static_cast<uint8_t>(v >> (8 * i)));
     };
-    // metaLen sits at bytes [12, 16); the meta section follows.
-    uint32_t meta_len = 0;
-    for (int i = 0; i < 4; i++)
-        meta_len |= static_cast<uint32_t>(v4[12 + i]) << (8 * i);
+    const uint32_t meta_len = u32At(current, 12);
+    auto head = [&](char digit) {
+        std::vector<uint8_t> out;
+        for (char c : {'C', 'A', 'S', 'S', 'A', 'W', digit, '\n'})
+            out.push_back(static_cast<uint8_t>(c));
+        u32le(out, static_cast<uint32_t>(digit - '0'));
+        u32le(out, meta_len);
+        out.insert(out.end(), current.begin() + 16,
+                   current.begin() + 16 + meta_len);
+        return out;
+    };
 
-    std::vector<uint8_t> v3;
-    for (char c : {'C', 'A', 'S', 'S', 'A', 'W', '3', '\n'})
-        v3.push_back(static_cast<uint8_t>(c));
-    u32le(v3, 3);
-    u32le(v3, meta_len);
-    v3.insert(v3.end(), v4.begin() + 16, v4.begin() + 16 + meta_len);
-    v3.push_back(0); // traceStorageInline
+    std::vector<uint8_t> v3 = head('3');
+    v3.push_back(0); // inline ops
     u64le(v3, artifact->numOps());
     for (const auto &op : test::drainOps(*artifact)) {
         u64le(v3, op.pc);
         u64le(v3, op.memAddr);
         u64le(v3, op.nextPc);
     }
-    EXPECT_THROW(core::unpackAnalyzedWorkload(v3, resolver),
-                 core::ArtifactFormatError);
+    std::vector<uint8_t> v4 = head('4');
+    v4.push_back(1); // embedded stream file
+    u64le(v4, stream_ops);
+    u64le(v4, stream_file.size());
+    v4.insert(v4.end(), stream_file.begin(), stream_file.end());
 
-    // The bench artifact cache evicts the file and re-analyzes.
-    core::ExperimentSpec spec;
-    spec.artifactDir = testing::TempDir() + "/cassaw3-" +
-        core::processUniqueSuffix();
-    core::ensureDirectories(spec.artifactDir);
-    const std::string path =
-        bench::artifactPath(spec.artifactDir, "ChaCha20_ct");
-    writeBytes(path, v3);
-    std::vector<std::string> missing;
-    auto cache = bench::makeArtifactCache({"ChaCha20_ct"}, spec, missing);
-    EXPECT_EQ(missing, std::vector<std::string>{"ChaCha20_ct"});
-    EXPECT_FALSE(cache->contains("ChaCha20_ct"));
-    EXPECT_FALSE(std::ifstream(path).good()) << path;
-    core::removeDirectoryTree(spec.artifactDir);
+    for (const auto *old : {&v3, &v4}) {
+        SCOPED_TRACE(std::string("CASSAW") + char((*old)[6]));
+        EXPECT_THROW(test::loadSnapshotBytes(*old, resolver),
+                     core::ArtifactFormatError);
+
+        // The bench artifact cache evicts the file and re-analyzes.
+        core::ExperimentSpec spec;
+        spec.artifactDir = testing::TempDir() + "/cassaw-old-" +
+            core::processUniqueSuffix();
+        core::ensureDirectories(spec.artifactDir);
+        const std::string path =
+            bench::artifactPath(spec.artifactDir, "ChaCha20_ct");
+        core::writeFileBytes(path, *old);
+        std::vector<std::string> missing;
+        auto cache =
+            bench::makeArtifactCache({"ChaCha20_ct"}, spec, missing);
+        EXPECT_EQ(missing, std::vector<std::string>{"ChaCha20_ct"});
+        EXPECT_FALSE(cache->contains("ChaCha20_ct"));
+        EXPECT_FALSE(std::ifstream(path).good()) << path;
+        core::removeDirectoryTree(spec.artifactDir);
+    }
 }
 
 TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)
 {
     auto resolver = crypto::WorkloadRegistry::global().resolver();
-    // A baseline-only artifact has no trace image; packing it must
-    // not force Algorithm 2, and reloading keeps the phase lazy.
+    // A baseline-only artifact has no trace image; saving it must not
+    // force Algorithm 2, and reloading keeps the phase lazy.
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
     ASSERT_FALSE(artifact->hasTraceImage());
     const auto before = AnalyzedWorkload::analysisPhaseRuns();
-    auto bytes = core::packAnalyzedWorkload(*artifact, "ChaCha20_ct");
+    auto bytes = test::snapshotBytes(*artifact, "ChaCha20_ct");
     EXPECT_EQ(AnalyzedWorkload::analysisPhaseRuns().traceImage,
               before.traceImage);
 
-    auto reloaded = core::unpackAnalyzedWorkload(bytes, resolver);
+    auto reloaded = test::loadSnapshotBytes(bytes, resolver);
     EXPECT_FALSE(reloaded->hasTraceImage());
     EXPECT_EQ(reloaded->numOps(), artifact->numOps());
     // The image still materializes on demand after the round trip.
@@ -471,9 +473,8 @@ TEST(ArtifactVersionTest, ImagelessSnapshotRoundTripsDemandDriven)
     EXPECT_TRUE(reloaded->hasTraceImage());
 
     // With the image computed, the snapshot carries it verbatim.
-    auto full_bytes = core::packAnalyzedWorkload(*reloaded,
-                                                 "ChaCha20_ct");
-    auto full = core::unpackAnalyzedWorkload(full_bytes, resolver);
+    auto full_bytes = test::snapshotBytes(*reloaded, "ChaCha20_ct");
+    auto full = test::loadSnapshotBytes(full_bytes, resolver);
     EXPECT_TRUE(full->hasTraceImage());
     EXPECT_EQ(full->traces().image.numBranches(),
               reloaded->traces().image.numBranches());

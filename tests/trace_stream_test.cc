@@ -340,7 +340,7 @@ TEST(TraceFrameCodecTest, EncoderBytesArePinned)
     // frame), four ops whose deltas need ~10-byte varints (raw: delta
     // would not beat 24 B/op), and one tail op (a short delta frame).
     // The hex below is the output of the byte-staging encoder this
-    // column encoder replaced; stream files and CASSAW4 snapshots must
+    // column encoder replaced; stream files and snapshot frames must
     // not change by a byte.
     OpColumns ops;
     ops.push(0x10000, 0, 0x10004);

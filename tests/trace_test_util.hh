@@ -1,10 +1,11 @@
 /**
  * @file
  * Helpers shared by the trace-layer test suites: process-unique
- * scratch paths, TimingOp structs drained from an artifact's replay
- * source, a hand-built file of the retired raw-frame stream
- * container (revision 1), which readers must reject, and a SimConfig
- * whose every parameter differs from its default (the encoder pins).
+ * scratch paths, snapshot bytes saved and loaded through scratch
+ * files, TimingOp structs drained from an artifact's replay source, a
+ * hand-built file of the retired raw-frame stream container
+ * (revision 1), which readers must reject, and a SimConfig whose every
+ * parameter differs from its default (the encoder pins).
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/analyzed_workload.hh"
+#include "core/serialize.hh"
 #include "core/sim_config.hh"
 #include "core/trace_stream.hh"
 #include "uarch/pipeline.hh"
@@ -59,6 +62,35 @@ scratchPath(const std::string &name)
     std::lock_guard<std::mutex> lock(registry.mutex);
     registry.paths.push_back(path);
     return path;
+}
+
+/** A fresh scratch path for one snapshot file. */
+inline std::string
+snapshotScratchPath()
+{
+    static std::atomic<unsigned> count{0};
+    return scratchPath("snapshot-" + std::to_string(count++) + ".aw");
+}
+
+/** The bytes of a snapshot of `aw` (saveAnalyzedWorkload through a
+ * scratch file; `name` as there). */
+inline std::vector<uint8_t>
+snapshotBytes(const core::AnalyzedWorkload &aw, const std::string &name = "")
+{
+    const std::string path = snapshotScratchPath();
+    core::saveAnalyzedWorkload(aw, path, name);
+    return core::readFileBytes(path, "snapshot");
+}
+
+/** loadAnalyzedWorkload over snapshot `bytes`, through a scratch file. */
+inline core::AnalyzedWorkload::Ptr
+loadSnapshotBytes(const std::vector<uint8_t> &bytes,
+                  const core::AnalysisCache::Resolver &resolver,
+                  const std::string &stream_dir = "")
+{
+    const std::string path = snapshotScratchPath();
+    core::writeFileBytes(path, bytes);
+    return core::loadAnalyzedWorkload(path, resolver, stream_dir);
 }
 
 /** Every op of an artifact's timing trace as TimingOp structs, drained
