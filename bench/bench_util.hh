@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -39,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cell_executor.hh"
 #include "core/experiment.hh"
 #include "core/experiment_config.hh"
 #include "core/serialize.hh"
@@ -220,7 +222,9 @@ analyzeOptions(const core::ExperimentSpec &spec)
 
 /**
  * Analysis cache for one bench run, preloaded from spec.artifactDir
- * when the config named one. Workloads without a loadable snapshot
+ * when the config named one. The snapshots load concurrently, at the
+ * sweep's thread count and into the sweep's trace mode; their outcomes
+ * then apply in name order. Workloads without a loadable snapshot
  * analyze fresh; with artifactSave their names land in `missing` so
  * saveArtifacts can snapshot them afterwards. Snapshots with an
  * outdated container version or a mismatched fingerprint are evicted
@@ -238,18 +242,48 @@ makeArtifactCache(const std::vector<std::string> &names,
         resolver, analyzeOptions(spec));
     if (spec.artifactDir.empty())
         return cache;
+
+    // Each distinct spelling loads once; a load's error is kept for the
+    // ordered pass below, so one bad file cannot stop the others.
+    std::vector<std::string> distinct;
+    for (const std::string &name : names) {
+        if (std::find(distinct.begin(), distinct.end(), name) ==
+            distinct.end())
+            distinct.push_back(name);
+    }
+    struct Loaded
+    {
+        core::AnalyzedWorkload::Ptr artifact;
+        std::exception_ptr error;
+    };
+    std::vector<Loaded> loaded(distinct.size());
+    core::runParallel(
+        spec.runner.resolveThreads(distinct.size()), distinct.size(),
+        [&](size_t i) {
+            try {
+                // Rehydrated streams belong where fresh analyses put
+                // theirs (the artifact dir), not in $TMPDIR.
+                loaded[i].artifact = core::loadAnalyzedWorkload(
+                    artifactPath(spec.artifactDir, distinct[i]), resolver,
+                    spec.artifactDir, spec.runner.analyze.traceMode);
+            } catch (...) {
+                loaded[i].error = std::current_exception();
+            }
+        });
+
     for (const std::string &name : names) {
         if (cache->contains(name) ||
             std::find(missing.begin(), missing.end(), name) !=
                 missing.end())
             continue;
         const std::string path = artifactPath(spec.artifactDir, name);
+        const Loaded &load =
+            loaded[std::find(distinct.begin(), distinct.end(), name) -
+                   distinct.begin()];
         try {
-            // Rehydrated streams belong where fresh analyses put
-            // theirs (the artifact dir), not in $TMPDIR.
-            cache->put(name,
-                       core::loadAnalyzedWorkload(
-                           path, resolver, spec.artifactDir));
+            if (load.error)
+                std::rethrow_exception(load.error);
+            cache->put(name, load.artifact);
         } catch (const core::ArtifactError &e) {
             // Outdated container version or stale fingerprint: evict
             // the file so the next save rewrites it.

@@ -4,7 +4,7 @@
  * scalar next() path versus the batched SoA nextBatch() paths, over
  * the in-memory sources (the reference AoS TraceSpanSource and a
  * ChunkSpanSource over the analysis pass's SoA chunks) and the
- * TraceCursor over CASSTF2 frames, from a stream file (stream mode)
+ * TraceCursor over CASSTF3 frames, from a stream file (stream mode)
  * or held in memory (whole mode).
  * Items processed = timing ops replayed, so the items-per-second
  * column reads directly as replay ops/sec; the batch/scalar ratio is
@@ -65,7 +65,7 @@ chunks()
     return c;
 }
 
-/** The same trace as a whole-mode artifact holds it: CASSTF2 frames
+/** The same trace as a whole-mode artifact holds it: CASSTF3 frames
  * in memory. */
 const core::TraceFrames &
 heldFrames()
@@ -75,7 +75,7 @@ heldFrames()
     return aw->heldFrames();
 }
 
-/** CASSTF2 stream file of the same trace. */
+/** CASSTF3 stream file of the same trace. */
 const std::string &
 streamFile()
 {
@@ -209,7 +209,8 @@ BENCHMARK(BM_ReplayCursorScalar);
 void
 BM_ReplayCursorBatchDelta(benchmark::State &state)
 {
-    // CASSTF2: delta/zig-zag varint frames (decodeRelinkedFrame).
+    // CASSTF3: sparse record frames (decodeRelinkedFrame). The
+    // benchmark keeps the name of the delta frames it used to time.
     const std::string &path = streamFile();
     for (auto _ : state) {
         TraceCursor src(path, workload().program);
@@ -223,7 +224,7 @@ BENCHMARK(BM_ReplayCursorBatchDelta);
 void
 BM_ReplayHeldBatchDelta(benchmark::State &state)
 {
-    // The production whole-mode path: the same CASSTF2 frames decoded
+    // The production whole-mode path: the same CASSTF3 frames decoded
     // from the artifact's memory (AnalyzedWorkload::openOpSource).
     const core::TraceFrames &held = heldFrames();
     for (auto _ : state) {

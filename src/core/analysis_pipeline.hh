@@ -11,7 +11,7 @@
  * straight from the interpreter loop, no per-op indirect call), each
  * full chunk is relinked (inst pointer + crypto flag from a
  * per-static-instruction table) and handed to every registered
- * BatchConsumer — the CASSTF2 frame encoder (frames held in memory in
+ * BatchConsumer — the CASSTF3 frame encoder (frames held in memory in
  * whole mode, a stream file in stream mode), the incremental
  * TaintWalker — before the next chunk is produced. The chunks
  * themselves are recycled through the ring, so analysis memory stays

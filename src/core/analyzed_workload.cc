@@ -219,7 +219,7 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
     if (traceReady_.load(std::memory_order_acquire))
         return;
     phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-    // One machine run records the trace (CASSTF2 frames, held in
+    // One machine run records the trace (CASSTF3 frames, held in
     // memory in whole mode, streamed to disk in stream mode) with no
     // counting pre-run, and any fusable pending phase consumes the
     // same chunks as they are produced.

@@ -14,12 +14,12 @@
  * sessions — across threads — share one copy. Artifacts serialize
  * through core/serialize (saveAnalyzedWorkload / loadAnalyzedWorkload),
  * so repeated sweeps can skip analysis entirely; a snapshot carries
- * the same frames in both trace modes and reloads into the mode it was
- * saved in.
+ * the same frames in both trace modes and reloads into either mode (by
+ * default the one it was saved in).
  *
  * Memory: the timing trace is recorded by one fused analysis pass
- * (core/analysis_pipeline) whose chunks are encoded as CASSTF2 frames
- * (core/trace_stream, about 4 B/op on the crypto kernels). Whole mode
+ * (core/analysis_pipeline) whose chunks are encoded as CASSTF3 frames
+ * (core/trace_stream, under 1 B/op on the crypto kernels). Whole mode
  * holds the frames in memory, one buffer per frame (TraceFrames); with
  * AnalyzeOptions::traceMode == TraceMode::Stream they go to a trace
  * file instead. Either way openOpSource() replays them through a
@@ -121,7 +121,7 @@ struct AnalyzeOptions
      * the result store never records a trace.
      */
     AnalysisPhaseMask phases = 0;
-    /** Whole: CASSTF2 frames in memory. Stream: a CASSTF2 file. */
+    /** Whole: CASSTF3 frames in memory. Stream: a CASSTF3 file. */
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
     std::string streamDir;
@@ -233,7 +233,7 @@ class AnalyzedWorkload
     }
 
     /**
-     * The CASSTF2 frames a whole-mode artifact holds in memory (empty
+     * The CASSTF3 frames a whole-mode artifact holds in memory (empty
      * in stream mode). Triggers the recording phase if it has not run
      * yet; heldFrames().bytes() is the memory the trace occupies.
      */

@@ -159,7 +159,7 @@ constexpr size_t snapshotPrefixBytes = 16;
 /** The trace section head: u8 storage | u64 numOps | u32 frameOps. */
 constexpr size_t traceHeadBytes = 13;
 
-/** CASSTF2 frame header: u8 kind | u32 payloadBytes. */
+/** CASSTF3 frame header: u8 kind | u32 payloadBytes. */
 constexpr size_t frameHeaderBytes = 5;
 
 /** FNV-1a mixer shared by the fingerprint functions. */
@@ -503,6 +503,27 @@ class SnapshotReader
 };
 
 /**
+ * Bound the trace head's sizes before anything is sized from them: a
+ * frame holds at most traceFrameMaxOps ops and takes at least
+ * traceFrameMinBytes, so a garbage frame_ops or num_ops in a small
+ * corrupt file fails here, not as a huge buffer.
+ */
+void
+checkTraceHead(const SnapshotReader &in, uint64_t num_ops,
+               uint32_t frame_ops)
+{
+    if (frame_ops == 0 || frame_ops > traceFrameMaxOps)
+        throw ArtifactFormatError(
+            "AnalyzedWorkload snapshot has frame size " +
+            std::to_string(frame_ops) + " outside 1.." +
+            std::to_string(traceFrameMaxOps));
+    if (num_ops / frame_ops + (num_ops % frame_ops != 0) >
+        in.left() / traceFrameMinBytes)
+        throw std::invalid_argument(
+            "truncated AnalyzedWorkload snapshot");
+}
+
+/**
  * Read the trace section's frames and pass each to `keep(frame, ops)`
  * once it has passed the checked decode and relink TraceCursor uses,
  * so a corrupt frame fails the load, not a later replay.
@@ -512,16 +533,6 @@ void
 readFrames(SnapshotReader &in, uint64_t num_ops, uint32_t frame_ops,
            const ir::Program &program, Keep &&keep)
 {
-    if (frame_ops == 0)
-        throw std::invalid_argument(
-            "AnalyzedWorkload snapshot has a zero frame size");
-    // Bound the declared count before allocating: even the tightest
-    // delta encoding spends >= 3 bytes per op (three varints), so a
-    // garbage num_ops in a corrupt file must fail as truncated, not
-    // as a multi-GB allocation.
-    if (num_ops > in.left() / 3)
-        throw std::invalid_argument(
-            "truncated AnalyzedWorkload snapshot");
     const std::vector<uint8_t> crypto = cryptoPcTable(program);
     uarch::OpBatchStorage check;
     for (uint64_t done = 0; done < num_ops; done += frame_ops) {
@@ -576,7 +587,8 @@ saveAnalyzedWorkload(const AnalyzedWorkload &aw, const std::string &path,
 AnalyzedWorkload::Ptr
 loadAnalyzedWorkload(const std::string &path,
                      const AnalysisCache::Resolver &resolver,
-                     const std::string &stream_dir)
+                     const std::string &stream_dir,
+                     std::optional<TraceMode> mode)
 {
     SnapshotReader in(path);
     const std::vector<uint8_t> prefix = in.read(snapshotPrefixBytes);
@@ -595,8 +607,15 @@ loadAnalyzedWorkload(const std::string &path,
     const uint64_t num_ops = hr.u64();
     const uint32_t frame_ops = hr.u32();
     const ir::Program &program = meta.workload.program;
+    if (storage != traceStorageMemory && storage != traceStorageStream)
+        throw std::invalid_argument(
+            "AnalyzedWorkload snapshot has an unknown trace storage "
+            "kind");
+    checkTraceHead(in, num_ops, frame_ops);
+    const TraceMode saved =
+        storage == traceStorageStream ? TraceMode::Stream : TraceMode::Whole;
 
-    if (storage == traceStorageMemory) {
+    if (mode.value_or(saved) == TraceMode::Whole) {
         TraceFrames held;
         held.numOps = num_ops;
         held.frameOps = frame_ops;
@@ -608,10 +627,6 @@ loadAnalyzedWorkload(const std::string &path,
                                            std::move(held),
                                            std::move(meta.image));
     }
-    if (storage != traceStorageStream)
-        throw std::invalid_argument(
-            "AnalyzedWorkload snapshot has an unknown trace storage "
-            "kind");
 
     // The checked frames go to a fresh stream file the artifact owns;
     // a load that fails leaves no file behind.

@@ -11,7 +11,7 @@
  * support the round-trip property tests.
  *
  * On top of the per-branch wire format, this module snapshots whole
- * AnalyzedWorkload artifacts (magic "CASSAW5\n" + format version):
+ * AnalyzedWorkload artifacts (magic "CASSAW6\n" + format version):
  * workload name + program fingerprint, which analysis phases ran, the
  * Algorithm 2 results (when that phase ran) and the recorded timing
  * trace. Reloading resolves the workload by name (normally through
@@ -23,15 +23,16 @@
  * against the rebuilt program — repeated sweeps skip analysis
  * entirely.
  *
- * Both trace modes share one trace section: the CASSTF2 frames the
- * artifact holds (delta + zig-zag varint with per-frame raw fallback,
- * about 4 B/op on the crypto kernels), written verbatim from memory or
- * from the stream file. A storage byte says only where a load puts
- * them: into the memory of a whole-mode artifact, or into a fresh
- * stream file it owns. Every frame passes the checked decode on load,
- * and neither saving nor loading ever materializes the ops. Writers
- * emit and readers accept CASSAW5 only; CASSAW1–4 raise the typed
- * eviction error.
+ * Both trace modes share one trace section: the CASSTF3 frames the
+ * artifact holds (sparse records with per-frame raw fallback, under
+ * 1 B/op on the crypto kernels), written verbatim from memory or from
+ * the stream file. A storage byte records the mode the artifact was
+ * saved in, which is where a load puts the frames unless the caller
+ * asks for the other mode: into the memory of a whole-mode artifact,
+ * or into a fresh stream file it owns. Every frame passes the checked
+ * decode on load, and neither saving nor loading ever materializes the
+ * ops. Writers emit and readers accept CASSAW6 only; CASSAW1–5 raise
+ * the typed eviction error.
  *
  * The module also fixes the order of an ExperimentResult's counters,
  * which the result store's CASSRS1 entries embed.
@@ -41,6 +42,7 @@
 #define CASSANDRA_CORE_SERIALIZE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,7 @@ namespace cassandra::core {
  * reject every other version with ArtifactFormatError so stale caches
  * evict instead of drifting.
  */
-constexpr uint32_t artifactFormatVersion = 5;
+constexpr uint32_t artifactFormatVersion = 6;
 
 /** Pack a multi-target branch trace into its data-page bytes. */
 std::vector<uint8_t> packTrace(const BranchTrace &trace);
@@ -112,11 +114,13 @@ void saveAnalyzedWorkload(const AnalyzedWorkload &aw,
  * is rebuilt by name through the resolver and its program must match
  * the stored fingerprint. Phases absent from the snapshot (e.g. the
  * trace image of a baseline-only sweep) stay demand-driven on the
- * rebuilt artifact. The artifact comes back in the mode it was saved
- * in: a streamed one gets its frames in a fresh trace file under
+ * rebuilt artifact. The artifact comes back in trace mode `mode`, by
+ * default the mode it was saved in: a whole-mode one holds its frames
+ * in memory, a streamed one gets them in a fresh trace file under
  * `stream_dir` (empty = defaultTraceStreamDir()), which it owns.
- * @throws ArtifactFormatError on bad magic, a version mismatch or a
- *         corrupt frame (no trace file is left behind),
+ * @throws ArtifactFormatError on bad magic, a version mismatch, a
+ *         frame size outside 1..traceFrameMaxOps or a corrupt frame
+ *         (no trace file is left behind),
  *         ArtifactStaleError on a fingerprint mismatch,
  *         std::invalid_argument on other corrupt or truncated bytes
  *         (and whatever the resolver throws on unknown names).
@@ -124,7 +128,8 @@ void saveAnalyzedWorkload(const AnalyzedWorkload &aw,
 AnalyzedWorkload::Ptr
 loadAnalyzedWorkload(const std::string &path,
                      const AnalysisCache::Resolver &resolver,
-                     const std::string &stream_dir = "");
+                     const std::string &stream_dir = "",
+                     std::optional<TraceMode> mode = std::nullopt);
 
 // ---------------------------------------------------------------------
 // ExperimentResult counter blocks

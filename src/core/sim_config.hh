@@ -41,8 +41,8 @@ namespace cassandra::core {
 /**
  * How a run's timing trace is stored and iterated.
  *
- * Both record the trace as CASSTF2 frames (~4 bytes/op on the crypto
- * kernels) and replay them through a TraceCursor. Whole holds the
+ * Both record the trace as CASSTF3 frames (under 1 byte/op on the
+ * crypto kernels) and replay them through a TraceCursor. Whole holds the
  * frames in memory; Stream spills them to a trace file at analysis
  * time, so peak memory stays at one frame regardless of trace length.
  * Cycle results are identical in both modes.

@@ -24,17 +24,24 @@ namespace cassandra::core {
 
 namespace {
 
-constexpr char streamMagic[8] = {'C', 'A', 'S', 'S', 'T', 'F', '2', '\n'};
-constexpr uint32_t streamVersion = 2;
+constexpr char streamMagic[8] = {'C', 'A', 'S', 'S', 'T', 'F', '3', '\n'};
+constexpr uint32_t streamVersion = 3;
 // magic(8) + version(4) + frameOps(4) + fingerprint(8) + numOps(8)
 constexpr size_t headerBytes = 32;
 constexpr size_t numOpsOffset = 24;
 constexpr size_t footerBytes = 16; // indexPos(8) + numFrames(8)
 
-// CASSTF2 frame header: u8 kind + u32 payloadBytes.
+// CASSTF3 frame header: u8 kind + u32 payloadBytes. Kind 1 was
+// CASSTF2's delta frame and is no longer read.
 constexpr size_t frameHeaderBytes = 5;
 constexpr uint8_t frameKindRaw = 0;
-constexpr uint8_t frameKindDelta = 1;
+constexpr uint8_t frameKindSparse = 2;
+
+// Sparse record flags: which of an op's fields are not inferred.
+constexpr unsigned sparsePc = 1;      ///< pc != prev nextPc
+constexpr unsigned sparseMem = 2;     ///< memAddr != 0
+constexpr unsigned sparseNextPc = 4;  ///< nextPc != pc + instBytes
+constexpr unsigned sparseFlagBits = 3;
 
 void
 putU32(uint8_t *dst, uint32_t v)
@@ -98,7 +105,7 @@ unzigzag(uint64_t v)
 } // namespace
 
 // ---------------------------------------------------------------------
-// CASSTF2 frame codec
+// CASSTF3 frame codec
 // ---------------------------------------------------------------------
 
 size_t
@@ -111,41 +118,52 @@ encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
         throw std::invalid_argument(
             "encodeTraceFrame: frame body exceeds the u32 "
             "payload-length field");
-    // The delta attempt stops once it reaches the raw size, so it never
-    // writes more than one op's worst case (three varints) past it.
+    // The sparse attempt stops once it reaches the raw size, so it never
+    // writes more than one record's worst case (four varints) past it.
     const size_t bound =
-        frameHeaderBytes + raw_bytes + 3 * maxVarintBytes;
+        frameHeaderBytes + raw_bytes + 4 * maxVarintBytes;
     if (buf.size() < bound)
         buf.resize(bound);
     uint8_t *const body = buf.data() + frameHeaderBytes;
     uint8_t *const raw_end = body + raw_bytes;
 
-    // Delta attempt: pc chains off the previous op's nextPc, memAddr
-    // off the previous memAddr, nextPc off the fall-through pc. All
-    // three are zero-delta for straight-line code.
+    // Sparse attempt: a plain op (pc chains off the previous nextPc, no
+    // memAddr, falls through) costs nothing; every other op closes a
+    // record of the plain ops before it plus the fields it cannot
+    // infer.
     uint8_t *p = body;
-    uint64_t prev_mem = 0, prev_next = 0;
+    uint64_t prev_next = 0, prev_mem = 0, plain = 0;
     for (size_t i = 0; i < num_ops && p < raw_end; i++) {
-        if (i == 0) {
-            p = putVarint(p, pc[i]);
-            p = putVarint(p, mem_addr[i]);
-        } else {
-            p = putVarint(p, zigzag(static_cast<int64_t>(pc[i] -
-                                                         prev_next)));
-            p = putVarint(p, zigzag(static_cast<int64_t>(mem_addr[i] -
-                                                         prev_mem)));
-        }
-        p = putVarint(p, zigzag(static_cast<int64_t>(
-                             next_pc[i] - (pc[i] + ir::instBytes))));
-        prev_mem = mem_addr[i];
+        const uint64_t pc_delta = pc[i] - prev_next;
+        const uint64_t mem = mem_addr[i];
+        const uint64_t next_delta = next_pc[i] - (pc[i] + ir::instBytes);
         prev_next = next_pc[i];
+        if ((pc_delta | mem | next_delta) == 0) {
+            plain++;
+            continue;
+        }
+        const unsigned flags = (pc_delta ? sparsePc : 0) |
+            (mem ? sparseMem : 0) | (next_delta ? sparseNextPc : 0);
+        p = putVarint(p, plain << sparseFlagBits | flags);
+        plain = 0;
+        if (pc_delta)
+            p = putVarint(p, zigzag(static_cast<int64_t>(pc_delta)));
+        if (mem) {
+            p = putVarint(p, zigzag(static_cast<int64_t>(mem - prev_mem)));
+            prev_mem = mem;
+        }
+        if (next_delta)
+            p = putVarint(p, zigzag(static_cast<int64_t>(next_delta)));
     }
+    // The frame's tail of plain ops: a record without flags.
+    if (plain > 0 && p < raw_end)
+        p = putVarint(p, plain << sparseFlagBits);
 
-    // Raw fallback: a frame whose delta form is not strictly smaller
+    // Raw fallback: a frame whose sparse form is not strictly smaller
     // is stored verbatim, bounding worst-case file growth at the
     // 5-byte frame headers.
-    const bool use_delta = p < raw_end;
-    if (!use_delta) {
+    const bool use_sparse = p < raw_end;
+    if (!use_sparse) {
         p = body;
         for (size_t i = 0; i < num_ops; i++, p += traceStreamOpBytes) {
             putU64(p + 0, pc[i]);
@@ -153,7 +171,7 @@ encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
             putU64(p + 16, next_pc[i]);
         }
     }
-    buf[0] = use_delta ? frameKindDelta : frameKindRaw;
+    buf[0] = use_sparse ? frameKindSparse : frameKindRaw;
     putU32(buf.data() + 1, static_cast<uint32_t>(p - body));
     return static_cast<size_t>(p - buf.data());
 }
@@ -161,15 +179,10 @@ encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
 TraceFrameBuilder::TraceFrameBuilder(uint32_t frame_ops)
     : frameOps_(frame_ops)
 {
-    if (frame_ops == 0)
-        throw std::invalid_argument("TraceFrameBuilder: frame_ops == 0");
-    // A raw frame body must fit the CASSTF2 u32 payload-length field,
-    // or encodeTraceFrame could not frame it.
-    if (static_cast<uint64_t>(frame_ops) * traceStreamOpBytes >
-        0xffffffffull - 64)
+    if (frame_ops == 0 || frame_ops > traceFrameMaxOps)
         throw std::invalid_argument(
-            "TraceFrameBuilder: frame_ops too large for the frame "
-            "length field");
+            "TraceFrameBuilder: frame_ops " + std::to_string(frame_ops) +
+            " outside 1.." + std::to_string(traceFrameMaxOps));
 }
 
 void
@@ -212,7 +225,7 @@ decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
         }
         return;
     }
-    if (kind != frameKindDelta)
+    if (kind != frameKindSparse)
         throw ArtifactFormatError(
             "trace stream frame has an unknown encoding kind");
 
@@ -222,38 +235,57 @@ decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
         for (int shift = 0; shift < 70; shift += 7) {
             if (pos >= payload_len)
                 throw ArtifactFormatError(
-                    "trace stream delta frame is truncated");
+                    "trace stream sparse frame is truncated");
             const uint8_t byte = p[pos++];
             v |= static_cast<uint64_t>(byte & 0x7f) << shift;
             if (!(byte & 0x80))
                 return v;
         }
         throw ArtifactFormatError(
-            "trace stream delta frame has an overlong varint");
+            "trace stream sparse frame has an overlong varint");
     };
 
-    uint64_t prev_mem = 0, prev_next = 0;
-    for (size_t i = 0; i < num_ops; i++) {
-        uint64_t cur_pc, mem;
-        if (i == 0) {
-            cur_pc = varint();
-            mem = varint();
-        } else {
-            cur_pc =
-                prev_next + static_cast<uint64_t>(unzigzag(varint()));
-            mem = prev_mem + static_cast<uint64_t>(unzigzag(varint()));
+    uint64_t prev_next = 0, prev_mem = 0;
+    size_t i = 0;
+    while (i < num_ops) {
+        const uint64_t head = varint();
+        const uint64_t plain = head >> sparseFlagBits;
+        const unsigned flags = static_cast<unsigned>(head) &
+            ((1u << sparseFlagBits) - 1);
+        // The plain ops, plus the record's own op when it has flags,
+        // must fit in what is left of the frame.
+        if (plain > num_ops - i || (flags && plain == num_ops - i))
+            throw ArtifactFormatError(
+                "trace stream sparse record runs past the frame end");
+        const uint64_t base = prev_next;
+        for (size_t k = 0; k < plain; k++) {
+            pc[i + k] = base + k * ir::instBytes;
+            mem_addr[i + k] = 0;
+            next_pc[i + k] = base + (k + 1) * ir::instBytes;
         }
-        const uint64_t next = cur_pc + ir::instBytes +
-            static_cast<uint64_t>(unzigzag(varint()));
+        i += static_cast<size_t>(plain);
+        prev_next = base + plain * ir::instBytes;
+        if (!flags)
+            continue;
+        uint64_t cur_pc = prev_next, mem = 0;
+        if (flags & sparsePc)
+            cur_pc += static_cast<uint64_t>(unzigzag(varint()));
+        if (flags & sparseMem) {
+            mem = prev_mem + static_cast<uint64_t>(unzigzag(varint()));
+            prev_mem = mem;
+        }
+        uint64_t next = cur_pc + ir::instBytes;
+        if (flags & sparseNextPc)
+            next += static_cast<uint64_t>(unzigzag(varint()));
         pc[i] = cur_pc;
         mem_addr[i] = mem;
         next_pc[i] = next;
-        prev_mem = mem;
         prev_next = next;
+        i++;
     }
     if (pos != payload_len)
         throw ArtifactFormatError(
-            "trailing bytes in trace stream delta frame");
+            "trailing bytes in trace stream sparse frame");
 }
 
 std::vector<uint8_t>
@@ -452,18 +484,23 @@ TraceCursor::TraceCursor(const std::string &path,
     if (std::memcmp(header, streamMagic, 8) != 0 ||
         version_field != streamVersion) {
         // Another container revision (the retired raw-frame version 1
-        // among them), or a magic/version-field mismatch.
+        // and delta-frame version 2 among them), or a magic/version-
+        // field mismatch.
         throw ArtifactFormatError(
             "trace stream " + path + " has format version " +
             std::to_string(version_field) +
-            ", expected a CASSTF2 header with version 2");
+            ", expected a CASSTF3 header with version 3");
     }
     frameOps_ = getU32(header + 12);
     const uint64_t fingerprint = getU64(header + 16);
     numOps_ = getU64(header + numOpsOffset);
-    if (frameOps_ == 0)
-        throw ArtifactFormatError("trace stream " + path +
-                                  " has zero frame size");
+    // Bound the frame size before sizing any buffer from it: a corrupt
+    // frameOps must not make one frame's decode buffer huge.
+    if (frameOps_ == 0 || frameOps_ > traceFrameMaxOps)
+        throw ArtifactFormatError(
+            "trace stream " + path + " has frame size " +
+            std::to_string(frameOps_) + " outside 1.." +
+            std::to_string(traceFrameMaxOps));
     // The fingerprint of the caller's program must match the one the
     // trace was recorded against.
     if (fingerprint != programFingerprint(program))
@@ -474,7 +511,8 @@ TraceCursor::TraceCursor(const std::string &path,
     // Footer + index. Every bound is checked by subtraction against
     // file_len before any multiplication or allocation, so a corrupt
     // footer cannot pass the consistency check via uint64 wrap-around
-    // and then trigger a numFrames_-sized allocation.
+    // and then trigger a numFrames_-sized allocation: each frame takes
+    // an 8-byte index entry and at least traceFrameMinBytes of data.
     uint8_t footer[footerBytes];
     file_.seekg(static_cast<std::streamoff>(file_len - footerBytes));
     file_.read(reinterpret_cast<char *>(footer), footerBytes);
@@ -483,22 +521,12 @@ TraceCursor::TraceCursor(const std::string &path,
     const uint64_t expect_frames =
         (numOps_ + frameOps_ - 1) / frameOps_;
     const uint64_t payload_bytes = file_len - headerBytes - footerBytes;
-    if (numFrames_ != expect_frames || numFrames_ > payload_bytes / 8 ||
+    if (numFrames_ != expect_frames ||
+        numFrames_ > payload_bytes / (8 + traceFrameMinBytes) ||
         index_pos != file_len - footerBytes - numFrames_ * 8 ||
         index_pos < headerBytes)
         throw ArtifactFormatError("trace stream " + path +
                                   " has an inconsistent index");
-    // Bound the header's size fields against the file before sizing
-    // any buffer from them: the writer never exceeds the u32 frame
-    // length field, and every op costs at least 3 encoded bytes, so a
-    // corrupt frameOps/numOps pair cannot coerce the frame buffer into
-    // an allocation beyond ~8x the file size.
-    const uint64_t frame_payload = index_pos - headerBytes;
-    if (static_cast<uint64_t>(frameOps_) * traceStreamOpBytes >
-            0xffffffffull - 64 ||
-        numOps_ > frame_payload / 3)
-        throw ArtifactFormatError("trace stream " + path +
-                                  " has inconsistent size fields");
     indexPos_ = index_pos;
     frameOffsets_.resize(numFrames_);
     file_.seekg(static_cast<std::streamoff>(index_pos));
@@ -511,13 +539,13 @@ TraceCursor::TraceCursor(const std::string &path,
     for (uint64_t f = 0; f < numFrames_; f++) {
         frameOffsets_[f] = getU64(raw.data() + f * 8);
         // Frames vary in size: offsets must start at the header,
-        // strictly increase, and leave room for at least a frame
-        // header before the index.
+        // increase by at least the smallest frame, and leave room for
+        // one before the index.
         const bool ok =
             (f == 0 ? frameOffsets_[f] == headerBytes
-                    : frameOffsets_[f] >
-                         frameOffsets_[f - 1] + frameHeaderBytes) &&
-            frameOffsets_[f] + frameHeaderBytes <= indexPos_;
+                    : frameOffsets_[f] >=
+                         frameOffsets_[f - 1] + traceFrameMinBytes) &&
+            frameOffsets_[f] + traceFrameMinBytes <= indexPos_;
         if (!ok)
             throw ArtifactFormatError("trace stream " + path +
                                       " has an inconsistent index");

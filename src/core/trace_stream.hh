@@ -6,23 +6,30 @@
  * workload run (pc, memAddr, nextPc per op — the inst pointer and
  * crypto flag relink from the PC on read), grouped into frames of a
  * fixed op count followed by a frame-offset index and a footer. The
- * container is CASSTF2:
+ * container is CASSTF3:
  *
- *   "CASSTF2\n" | u32 version=2 | u32 frameOps | u64 fingerprint
+ *   "CASSTF3\n" | u32 version=3 | u32 frameOps | u64 fingerprint
  *   | u64 numOps | frames (u8 kind | u32 payloadBytes | payload) ...
  *   | index (u64 offset per frame) | u64 indexPos | u64 numFrames
  *
- * A delta frame (kind 1) exploits that a dynamic instruction stream is
- * overwhelmingly sequential: the first op stores pc / memAddr / nextPc
- * as plain varints, every later op stores zig-zag varints of
- * (pc - prev.nextPc), (memAddr - prev.memAddr) and
- * (nextPc - (pc + instBytes)) — all three are zero for straight-line
- * code, so typical ops take 3 bytes instead of 24. Frames stay
+ * A sparse frame (kind 2) stores only what a sequential trace cannot
+ * infer. A plain op — pc equal to the previous nextPc, memAddr 0,
+ * nextPc equal to pc + instBytes — costs nothing; every other op
+ * closes a record: one varint of (plain ops before it) << 3 | flags,
+ * then one zig-zag varint per flag of pc - prev nextPc, memAddr - the
+ * previous nonzero memAddr and nextPc - (pc + instBytes). A frame's
+ * tail of plain ops ends in a record without flags. Straight-line code
+ * is free and a typical crypto kernel takes under 1 B/op. Frames stay
  * independently decodable (random access needs no history across
- * frames), and a frame whose delta encoding would not beat 24 B/op is
+ * frames), and a frame whose sparse encoding would not beat 24 B/op is
  * written raw (kind 0, 24 B/op), so adversarial streams never grow
  * past 24 B/op plus the 5-byte frame headers. Files of the retired
- * raw-frame container revision 1 are rejected with ArtifactFormatError.
+ * container revisions 1 (raw frames) and 2 (delta frames) are rejected
+ * with ArtifactFormatError.
+ *
+ * Every frame is at least traceFrameMinBytes long and holds at most
+ * traceFrameMaxOps ops; readers check both bounds before sizing any
+ * buffer, so a small corrupt file cannot claim a huge one.
  *
  * TraceStreamWriter produces the file incrementally (one frame of
  * columns resident, never the whole trace) and fails fast on I/O errors so a
@@ -96,10 +103,17 @@ constexpr size_t traceStreamOpBytes = 24;
 /** Default ops per frame (raw 24 B/op -> 768 KiB frames). */
 constexpr uint32_t traceStreamDefaultFrameOps = 1u << 15;
 
+/** Most ops a frame may hold (writers and readers enforce it). */
+constexpr uint32_t traceFrameMaxOps = 1u << 20;
+
+/** Fewest bytes an encoded frame takes: its 5-byte header and at least
+ * one payload byte (a frame holds at least one op). */
+constexpr size_t traceFrameMinBytes = 6;
+
 /**
- * Encode one CASSTF2 frame from structure-of-arrays columns (num_ops
- * elements each): delta + zig-zag varint when that is strictly smaller
- * than 24 B/op, the raw form otherwise. The complete frame (u8 kind |
+ * Encode one CASSTF3 frame from structure-of-arrays columns (num_ops
+ * elements each): sparse when that is strictly smaller than 24 B/op,
+ * the raw form otherwise. The complete frame (u8 kind |
  * u32 payloadBytes | payload) is written to the front of `buf`, which
  * only ever grows, so a caller reusing one buffer across frames
  * allocates once. Returns the frame's length in bytes.
@@ -109,7 +123,7 @@ size_t encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
                         std::vector<uint8_t> &buf);
 
 /**
- * A trace held in memory as CASSTF2 frames, one buffer per frame (so a
+ * A trace held in memory as CASSTF3 frames, one buffer per frame (so a
  * frame is never copied once it is held): the whole-mode trace
  * storage.
  */
@@ -131,7 +145,7 @@ struct TraceFrames
 };
 
 /**
- * Cuts an op stream into CASSTF2 frames of a fixed op count: the one
+ * Cuts an op stream into CASSTF3 frames of a fixed op count: the one
  * path from ops to encoded frames (TraceStreamWriter and whole-mode
  * recording both use it). A batch span that covers a whole frame
  * while nothing is staged is encoded straight from the caller's
@@ -140,8 +154,8 @@ struct TraceFrames
 class TraceFrameBuilder
 {
   public:
-    /** @throws std::invalid_argument when frame_ops is 0 or a raw
-     *  frame of that many ops overflows the u32 payload length. */
+    /** @throws std::invalid_argument when frame_ops is 0 or above
+     *  traceFrameMaxOps. */
     explicit TraceFrameBuilder(uint32_t frame_ops);
 
     /** Add the pc/memAddr/nextPc columns of `batch`, calling
@@ -196,7 +210,7 @@ class TraceFrameBuilder
 };
 
 /**
- * Decode one CASSTF2 frame into structure-of-arrays columns: parallel
+ * Decode one CASSTF3 frame into structure-of-arrays columns: parallel
  * pc/memAddr/nextPc arrays of num_ops elements each.
  * @param frame the full frame as written by encodeTraceFrame
  * @param frame_len bytes available at `frame`
@@ -212,7 +226,7 @@ void decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
 std::vector<uint8_t> cryptoPcTable(const ir::Program &program);
 
 /**
- * The checked frame decode every CASSTF2 reader shares (TraceCursor
+ * The checked frame decode every CASSTF3 reader shares (TraceCursor
  * and snapshot loads): decode one frame into `out` (resized
  * to num_ops) and relink each op against `program` — inst pointer and
  * crypto flag from its pc through `crypto_table`
@@ -233,7 +247,7 @@ class TraceStreamWriter
      * @param path output file (created/truncated)
      * @param program_fingerprint core::programFingerprint of the
      *        program the trace belongs to
-     * @param frame_ops ops per frame (>0)
+     * @param frame_ops ops per frame (1..traceFrameMaxOps)
      */
     TraceStreamWriter(const std::string &path,
                       uint64_t program_fingerprint,
@@ -296,7 +310,7 @@ class TraceStreamWriter
     bool finished_ = false;
 };
 
-/** The bytes of one encoded CASSTF2 frame. */
+/** The bytes of one encoded CASSTF3 frame. */
 struct EncodedFrame
 {
     const uint8_t *data = nullptr;
@@ -304,7 +318,7 @@ struct EncodedFrame
 };
 
 /**
- * Replays CASSTF2 frames as a TimingOpSource, relinking each op
+ * Replays CASSTF3 frames as a TimingOpSource, relinking each op
  * against `program` (which must outlive the cursor and match the
  * stored fingerprint). The frames live in a trace stream file or in
  * memory (TraceFrames); both decode through decodeRelinkedFrame.

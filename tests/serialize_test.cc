@@ -4,8 +4,9 @@
  * serialization (the wire format Algorithm 2 embeds in binaries), and
  * AnalyzedWorkload snapshot files: one trace section for both trace
  * modes, every frame checked on load, and version/fingerprint guarding
- * (outdated containers — CASSAW3 and CASSAW4 snapshots included —
- * raise typed errors so caches evict them).
+ * (outdated containers — CASSAW3, CASSAW4 and CASSAW5 snapshots
+ * included — raise typed errors so caches evict them), loads into
+ * either trace mode, and the bench cache's concurrent loads.
  */
 
 #include <gtest/gtest.h>
@@ -271,7 +272,7 @@ TEST(StreamSnapshotTest, CorruptFrameFailsTheLoadAndLeavesNoStream)
     const size_t second = first + 5 + u32At(bytes, first + 1);
     ASSERT_LT(second, bytes.size());
     std::vector<uint8_t> corrupt = bytes;
-    corrupt[second] = 0x7f; // neither raw (0) nor delta (1)
+    corrupt[second] = 0x7f; // neither raw (0) nor sparse (2)
     const std::string load_dir = test::scratchPath("snap-corrupt-load");
     EXPECT_THROW(test::loadSnapshotBytes(corrupt, resolver, load_dir),
                  core::ArtifactFormatError);
@@ -343,7 +344,7 @@ TEST(ArtifactVersionTest, WholeAndStreamSnapshotsShareTheirFrames)
 
 TEST(ArtifactVersionTest, WholeSnapshotsAreFrameCompressed)
 {
-    // Whole-mode snapshots store their ops as CASSTF2 codec frames.
+    // Whole-mode snapshots store their ops as CASSTF3 codec frames.
     // The dynamic instruction stream is overwhelmingly sequential, so
     // the trace section must beat the historical raw 24 B/op layout by
     // at least 4x.
@@ -375,7 +376,7 @@ TEST(ArtifactVersionTest, CorruptInlineFrameIsRejectedOnLoad)
     const size_t first = traceSectionAt(bytes) + traceHeadBytes;
     const size_t second = first + 5 + u32At(bytes, first + 1);
     ASSERT_LT(second, bytes.size());
-    bytes[second] = 0x7f; // neither raw (0) nor delta (1)
+    bytes[second] = 0x7f; // neither raw (0) nor sparse (2)
     EXPECT_THROW(test::loadSnapshotBytes(bytes, resolver),
                  core::ArtifactFormatError);
 }
@@ -383,10 +384,11 @@ TEST(ArtifactVersionTest, CorruptInlineFrameIsRejectedOnLoad)
 TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
 {
     // Older containers are rejected, and the bench artifact cache
-    // evicts them: a CASSAW3 file (raw 24 B/op inline ops) and a
-    // CASSAW4 file of the retired stream layout (the whole stream file
-    // embedded). Both are crafted around the metadata section of a
-    // current snapshot, whose layout they share.
+    // evicts them: a CASSAW3 file (raw 24 B/op inline ops), a CASSAW4
+    // file of the retired stream layout (the whole stream file
+    // embedded) and a CASSAW5 file (the current layout, with raw frames
+    // that both revisions read). All are crafted around the metadata
+    // section of a current snapshot, whose layout they share.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
     auto current = test::snapshotBytes(*artifact, "ChaCha20_ct");
@@ -396,21 +398,13 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
     const auto stream_file =
         core::readFileBytes(streamed->streamPath(), "trace stream");
 
-    auto u32le = [](std::vector<uint8_t> &out, uint32_t v) {
-        for (int i = 0; i < 4; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    auto u64le = [&](std::vector<uint8_t> &out, uint64_t v) {
-        for (int i = 0; i < 8; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
     const uint32_t meta_len = u32At(current, 12);
     auto head = [&](char digit) {
         std::vector<uint8_t> out;
         for (char c : {'C', 'A', 'S', 'S', 'A', 'W', digit, '\n'})
             out.push_back(static_cast<uint8_t>(c));
-        u32le(out, static_cast<uint32_t>(digit - '0'));
-        u32le(out, meta_len);
+        test::putLe(out, static_cast<uint32_t>(digit - '0'), 4);
+        test::putLe(out, meta_len, 4);
         out.insert(out.end(), current.begin() + 16,
                    current.begin() + 16 + meta_len);
         return out;
@@ -418,19 +412,37 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
 
     std::vector<uint8_t> v3 = head('3');
     v3.push_back(0); // inline ops
-    u64le(v3, artifact->numOps());
+    test::putLe(v3, artifact->numOps(), 8);
     for (const auto &op : test::drainOps(*artifact)) {
-        u64le(v3, op.pc);
-        u64le(v3, op.memAddr);
-        u64le(v3, op.nextPc);
+        test::putLe(v3, op.pc, 8);
+        test::putLe(v3, op.memAddr, 8);
+        test::putLe(v3, op.nextPc, 8);
     }
     std::vector<uint8_t> v4 = head('4');
     v4.push_back(1); // embedded stream file
-    u64le(v4, stream_ops);
-    u64le(v4, stream_file.size());
+    test::putLe(v4, stream_ops, 8);
+    test::putLe(v4, stream_file.size(), 8);
     v4.insert(v4.end(), stream_file.begin(), stream_file.end());
+    std::vector<uint8_t> v5 = head('5');
+    v5.push_back(0); // frames held in memory
+    test::putLe(v5, artifact->numOps(), 8);
+    test::putLe(v5, core::traceStreamDefaultFrameOps, 4);
+    const uarch::TimingTrace ops = test::drainOps(*artifact);
+    for (size_t lo = 0; lo < ops.size();
+         lo += core::traceStreamDefaultFrameOps)
+        test::appendRawFrame(
+            v5, ops, lo,
+            std::min<size_t>(ops.size(),
+                             lo + core::traceStreamDefaultFrameOps));
+    // Relabelled as the current revision, the CASSAW5 bytes load: only
+    // the container version rejects them.
+    std::vector<uint8_t> relabelled = v5;
+    relabelled[6] = '0' + core::artifactFormatVersion;
+    relabelled[8] = core::artifactFormatVersion;
+    EXPECT_EQ(test::loadSnapshotBytes(relabelled, resolver)->numOps(),
+              artifact->numOps());
 
-    for (const auto *old : {&v3, &v4}) {
+    for (const auto *old : {&v3, &v4, &v5}) {
         SCOPED_TRACE(std::string("CASSAW") + char((*old)[6]));
         EXPECT_THROW(test::loadSnapshotBytes(*old, resolver),
                      core::ArtifactFormatError);
@@ -450,6 +462,138 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
         EXPECT_FALSE(cache->contains("ChaCha20_ct"));
         EXPECT_FALSE(std::ifstream(path).good()) << path;
         core::removeDirectoryTree(spec.artifactDir);
+    }
+}
+
+TEST(ArtifactVersionTest, FrameOpsAboveTheCeilingIsRejectedBeforeAllocating)
+{
+    // A small snapshot whose trace head claims traceFrameMaxOps + 1 ops
+    // per frame, and as many ops, is one frame either way: only the
+    // frame-size bound stops the load from sizing a ~40 MiB decode
+    // buffer for it.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto artifact = AnalyzedWorkload::analyze(resolver("ChaCha20_ct"));
+    auto bytes = test::snapshotBytes(*artifact, "ChaCha20_ct");
+    const size_t head = traceSectionAt(bytes);
+    const uint32_t over = core::traceFrameMaxOps + 1;
+    for (int i = 0; i < 8; i++) // u64 numOps
+        bytes[head + 1 + i] =
+            static_cast<uint8_t>(static_cast<uint64_t>(over) >> (8 * i));
+    for (int i = 0; i < 4; i++) // u32 frameOps
+        bytes[head + 9 + i] = static_cast<uint8_t>(over >> (8 * i));
+    for (uint8_t storage : {0, 1}) {
+        SCOPED_TRACE("storage=" + std::to_string(storage));
+        bytes[head] = storage;
+        try {
+            test::loadSnapshotBytes(bytes, resolver,
+                                    test::scratchPath("snap-ceiling"));
+            ADD_FAILURE() << "loaded";
+        } catch (const core::ArtifactFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find("frame size"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** The counters of `r` as CASSRS1 packs them, for exact comparison. */
+std::vector<uint8_t>
+packed(const core::ExperimentResult &r)
+{
+    core::ByteWriter w;
+    core::packExperimentResult(w, r);
+    return w.take();
+}
+
+TEST(SnapshotTraceModeTest, LoadsIntoTheRequestedMode)
+{
+    // A snapshot reloads into either trace mode: whole -> stream puts
+    // the frames in a fresh stream file under the load's directory and
+    // holds none, stream -> whole holds exactly the frames a whole
+    // analysis holds, and every scheme replays identically either way.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    auto whole = AnalyzedWorkload::analyze(resolver("SHAKE"));
+    const std::string dir = test::scratchPath("snap-mode");
+    auto streamed = streamedArtifact("SHAKE", dir);
+    ASSERT_GT(whole->heldFrames().frames.size(), 1u);
+    const auto whole_bytes = test::snapshotBytes(*whole, "SHAKE");
+    const auto stream_bytes = test::snapshotBytes(*streamed, "SHAKE");
+
+    const std::string load_dir = test::scratchPath("snap-mode-load");
+    auto to_stream = test::loadSnapshotBytes(whole_bytes, resolver,
+                                             load_dir, TraceMode::Stream);
+    ASSERT_TRUE(to_stream->streamed());
+    EXPECT_EQ(to_stream->heldFrames().bytes(), 0u);
+    EXPECT_EQ(to_stream->streamPath().rfind(load_dir + "/", 0), 0u)
+        << to_stream->streamPath();
+    EXPECT_EQ(countTraceFiles(load_dir), 1u);
+
+    auto to_whole = test::loadSnapshotBytes(stream_bytes, resolver,
+                                            load_dir, TraceMode::Whole);
+    ASSERT_FALSE(to_whole->streamed());
+    EXPECT_TRUE(to_whole->streamPath().empty());
+    EXPECT_EQ(to_whole->heldFrames().frames, whole->heldFrames().frames);
+    EXPECT_EQ(countTraceFiles(load_dir), 1u);
+
+    // Each now saves exactly as an artifact analyzed in its new mode.
+    EXPECT_TRUE(test::snapshotBytes(*to_stream, "SHAKE") == stream_bytes);
+    EXPECT_TRUE(test::snapshotBytes(*to_whole, "SHAKE") == whole_bytes);
+
+    for (uarch::Scheme s :
+         {uarch::Scheme::UnsafeBaseline, uarch::Scheme::Cassandra,
+          uarch::Scheme::CassandraStl, uarch::Scheme::CassandraLite,
+          uarch::Scheme::Spt, uarch::Scheme::Prospect,
+          uarch::Scheme::CassandraProspect}) {
+        SCOPED_TRACE(uarch::schemeName(s));
+        const auto want = packed(Simulation(whole).run(s));
+        EXPECT_EQ(packed(Simulation(to_stream).run(s)), want);
+        EXPECT_EQ(packed(Simulation(to_whole).run(s)), want);
+    }
+}
+
+TEST(ArtifactCacheTest, LoadsIntoTheSweepsModeAndAppliesInNameOrder)
+{
+    // The bench cache loads its snapshots concurrently, into the
+    // sweep's trace mode, then applies each outcome in name order: good
+    // snapshots are cached, an outdated one is evicted, a missing one
+    // is left to analyze, and a name listed twice is handled once.
+    auto resolver = crypto::WorkloadRegistry::global().resolver();
+    core::ExperimentSpec spec;
+    spec.artifactDir = test::scratchPath("artifact-cache");
+    spec.runner.threads = 4;
+    core::ensureDirectories(spec.artifactDir);
+    for (const char *name : {"ChaCha20_ct", "SHAKE"})
+        core::saveAnalyzedWorkload(
+            *AnalyzedWorkload::analyze(resolver(name)),
+            bench::artifactPath(spec.artifactDir, name), name);
+    auto outdated = test::snapshotBytes(
+        *AnalyzedWorkload::analyze(resolver("SHA-256")), "SHA-256");
+    outdated[6] = '5';
+    outdated[8] = 5;
+    const std::string outdated_path =
+        bench::artifactPath(spec.artifactDir, "SHA-256");
+
+    const std::vector<std::string> names = {
+        "SHAKE", "SHA-256", "Poly1305_ctmul", "ChaCha20_ct", "SHAKE"};
+    for (TraceMode mode : {TraceMode::Whole, TraceMode::Stream}) {
+        SCOPED_TRACE(core::traceModeName(mode));
+        core::writeFileBytes(outdated_path, outdated);
+        spec.runner.analyze.traceMode = mode;
+        std::vector<std::string> missing;
+        auto cache = bench::makeArtifactCache(names, spec, missing);
+        EXPECT_EQ(missing, (std::vector<std::string>{"SHA-256",
+                                                     "Poly1305_ctmul"}));
+        EXPECT_EQ(cache->size(), 2u);
+        for (const char *name : {"ChaCha20_ct", "SHAKE"}) {
+            ASSERT_TRUE(cache->contains(name)) << name;
+            const auto artifact = cache->get(name);
+            EXPECT_EQ(artifact->streamed(), mode == TraceMode::Stream)
+                << name;
+            EXPECT_EQ(artifact->heldFrames().bytes() == 0,
+                      mode == TraceMode::Stream)
+                << name;
+        }
+        EXPECT_FALSE(std::ifstream(outdated_path).good());
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Memory-lean pipeline tests: chunked trace stream round trips (both
- * cursor backings), the CASSTF2 frame codec, corrupt and retired
- * (revision-1) streams failing loudly, streamed-vs-whole cycle parity
+ * cursor backings), the CASSTF3 sparse frame codec, corrupt and
+ * retired (revision 1 and 2) streams failing loudly, streamed-vs-whole cycle parity
  * across every scheme, taint-bitmap-vs-legacy-annotated-trace parity,
  * failed recordings leaving no trace file, and the demand-driven
  * per-phase analysis counters (baseline-only sweeps never run
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <random>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/experiment.hh"
 #include "core/serialize.hh"
@@ -174,8 +175,7 @@ TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
     writeStream(path, w, trace, core::traceStreamDefaultFrameOps);
     const size_t size = readFile(path).size();
     // The bar is >= 2x below 24 B/op; real instruction streams
-    // compress far better (pc chains and fall-through nextPc are zero
-    // deltas).
+    // compress far better (straight-line ops cost nothing).
     EXPECT_LT(size * 2, trace.size() * core::traceStreamOpBytes)
         << size << " bytes for " << trace.size() << " ops";
 }
@@ -208,7 +208,7 @@ TEST(TraceStreamTest, RejectsForeignFiles)
 }
 
 // ---------------------------------------------------------------------
-// CASSTF2 frame codec
+// CASSTF3 frame codec
 // ---------------------------------------------------------------------
 
 /** pc / memAddr / nextPc columns of a short op sequence. */
@@ -280,7 +280,8 @@ decodeFrame(const std::vector<uint8_t> &frame, size_t frame_len,
 TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
 {
     // A straight-line instruction stream: pc chains, nextPc is the
-    // fall-through, memAddr walks an array. Near-best case for delta.
+    // fall-through, and every op loads from the next array slot, so
+    // each op is a 2-byte record (header + memAddr delta).
     OpColumns ops;
     uint64_t pc = 0x10000;
     for (int i = 0; i < 1000; i++) {
@@ -289,10 +290,199 @@ TEST(TraceFrameCodecTest, SequentialOpsCompressAndRoundTrip)
     }
     auto frame = encodeFrame(ops);
     ASSERT_GE(frame.size(), 5u);
-    EXPECT_EQ(frame[0], 1u) << "sequential ops must pick delta";
+    EXPECT_EQ(frame[0], 2u) << "sequential ops must pick sparse";
     EXPECT_LT(frame.size() * 4, ops.size() * core::traceStreamOpBytes)
         << "sequential ops should compress at least 4x";
     EXPECT_EQ(decodeFrame(frame, frame.size(), 1000), ops);
+}
+
+/** Round-trip `ops` through one frame, and through a stream file of
+ * `frame_ops`-op frames on both cursor backings. */
+void
+expectRoundTrip(const OpColumns &ops, uint32_t frame_ops)
+{
+    const auto frame = encodeFrame(ops);
+    EXPECT_EQ(decodeFrame(frame, frame.size(), ops.size()), ops);
+
+    // A program long enough for every pc the columns use, so the
+    // cursor's relink accepts them.
+    ir::Program program;
+    uint64_t top = 0;
+    for (uint64_t pc : ops.pc)
+        top = std::max(top, pc);
+    program.insts.resize((top - ir::Program::codeBase) / ir::instBytes + 1);
+    const std::string path = test::scratchPath("roundtrip.trace");
+    {
+        TraceStreamWriter writer(path, core::programFingerprint(program),
+                                 frame_ops);
+        writer.appendBatch(ops.view(0, ops.size()));
+        writer.finish();
+    }
+    for (auto backing : {TraceCursor::Backing::Buffered,
+                         TraceCursor::Backing::Auto}) {
+        TraceCursor cursor(path, program, backing);
+        OpColumns back;
+        uarch::OpBatch batch;
+        while (const size_t n = cursor.nextBatch(batch, 64)) {
+            for (size_t i = 0; i < n; i++)
+                back.push(batch.pc[i], batch.memAddr[i], batch.nextPc[i]);
+        }
+        EXPECT_EQ(back, ops);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceFrameCodecTest, SparseRecordsRoundTripEveryPlainRuleBreak)
+{
+    // Each op breaks one plain-op rule, or none, between runs of plain
+    // ops; the stream cuts them into odd frames, so records and tails
+    // land on every frame boundary, down to 1-op frames.
+    const uint64_t base = ir::Program::codeBase;
+    OpColumns ops;
+    uint64_t pc = base;
+    auto plain = [&](int n) {
+        for (int i = 0; i < n; i++, pc += 4)
+            ops.push(pc, 0, pc + 4);
+    };
+    plain(5);
+    pc += 0x40; // a pc jump: pc != prev nextPc
+    plain(3);
+    ops.push(pc, 0x100000, pc + 4); // memAddr on a non-memory op
+    pc += 4;
+    ops.push(pc, 0x100000, pc + 4); // the same address again (delta 0)
+    pc += 4;
+    plain(2);
+    ops.push(pc, 0xff000, pc + 4); // a lower address (negative delta)
+    pc += 4;
+    ops.push(pc, 0, base + 0x10); // non-sequential nextPc, backwards
+    pc = base + 0x10;
+    plain(1);
+    ops.push(pc, 0x200000, pc + 0x80); // memAddr and nextPc at once
+    ops.push(base, 0x8, base + 0x20);  // all three at once
+    pc = base + 0x20;
+    plain(6);
+    for (uint32_t frame_ops : {1u, 2u, 3u, 7u, 64u}) {
+        SCOPED_TRACE("frame_ops=" + std::to_string(frame_ops));
+        expectRoundTrip(ops, frame_ops);
+    }
+}
+
+TEST(TraceFrameCodecTest, PlainFramesAreOneRecord)
+{
+    // All plain from pc 0 on (the first op's "previous nextPc" is 0):
+    // the whole frame is its tail record, 1000 << 3 in two bytes.
+    OpColumns zero;
+    for (uint64_t pc = 0; pc < 4000; pc += 4)
+        zero.push(pc, 0, pc + 4);
+    const auto frame = encodeFrame(zero);
+    EXPECT_EQ(test::hexBytes(frame), "0202000000c03e");
+    EXPECT_EQ(decodeFrame(frame, frame.size(), zero.size()), zero);
+
+    // From a real code address only the first op needs a record.
+    OpColumns code;
+    for (uint64_t pc = 0x10000; pc < 0x10000 + 4000; pc += 4)
+        code.push(pc, 0, pc + 4);
+    EXPECT_EQ(test::hexBytes(encodeFrame(code)),
+              "020600000001808008b83e"); // pc 0x10000; then 999 plain
+    expectRoundTrip(code, 333);
+
+    // A 1-op frame of each kind of op.
+    for (const auto &[pc, mem, next] :
+         {std::tuple<uint64_t, uint64_t, uint64_t>{0, 0, 4},
+          {0x10000, 0, 0x10004},
+          {0x10000, 0x20000, 0x10004},
+          {0x10000, 0, 0x10100}}) {
+        OpColumns one;
+        one.push(pc, mem, next);
+        const auto f = encodeFrame(one);
+        EXPECT_EQ(f[0], 2u);
+        EXPECT_EQ(decodeFrame(f, f.size(), 1), one);
+    }
+}
+
+TEST(TraceFrameCodecTest, RandomColumnsRoundTripLosslessly)
+{
+    // The encoding is lossless for any columns: mostly plain runs with
+    // random breaks, wrap-around values and all-random frames, at every
+    // size from 1 op up.
+    std::mt19937_64 rng(11);
+    for (int round = 0; round < 200; round++) {
+        OpColumns ops;
+        const size_t n = 1 + rng() % 300;
+        uint64_t pc = rng() % 3 == 0 ? rng() : 0x10000;
+        for (size_t i = 0; i < n; i++) {
+            const unsigned r = static_cast<unsigned>(rng() % 16);
+            uint64_t mem = r == 1 ? rng() : (r == 2 ? rng() % 4096 : 0);
+            uint64_t next = r == 3 ? rng() : pc + 4;
+            if (r == 4)
+                pc = rng();
+            if (round % 10 == 9) {
+                pc = rng();
+                mem = rng();
+                next = rng();
+            }
+            ops.push(pc, mem, next);
+            pc = next;
+        }
+        auto frame = encodeFrame(ops);
+        ASSERT_EQ(decodeFrame(frame, frame.size(), n), ops)
+            << "round " << round;
+        EXPECT_LE(frame.size(), 5 + n * core::traceStreamOpBytes);
+    }
+}
+
+TEST(TraceFrameCodecTest, CorruptSparseFramesAreTyped)
+{
+    // Hand-made sparse frames of 3 ops: u8 kind 2 | u32 payloadBytes |
+    // records.
+    auto sparse = [](std::vector<uint8_t> records) {
+        std::vector<uint8_t> frame = {2};
+        test::putLe(frame, records.size(), 4);
+        frame.insert(frame.end(), records.begin(), records.end());
+        return frame;
+    };
+    // Well formed: 3 plain ops from pc 0, one tail record.
+    EXPECT_EQ(decodeFrame(sparse({3 << 3}), 6, 3).pc,
+              (std::vector<uint64_t>{0, 4, 8}));
+    // A plain run longer than the frame, and a record whose own op
+    // would be the fourth.
+    for (const auto &bad :
+         {sparse({4 << 3}), sparse({3 << 3 | 1, 2}),
+          sparse({1 << 3, 2 << 3 | 4, 2})}) {
+        SCOPED_TRACE(test::hexBytes(bad));
+        EXPECT_THROW(decodeFrame(bad, bad.size(), 3),
+                     core::ArtifactFormatError);
+    }
+    // Records ending before the frame's last op, and a varint whose
+    // continuation bit runs off the payload.
+    for (const auto &bad :
+         {sparse({2 << 3}), sparse({0}), sparse({2 << 3 | 1, 0x80}),
+          sparse({0x80})}) {
+        SCOPED_TRACE(test::hexBytes(bad));
+        try {
+            decodeFrame(bad, bad.size(), 3);
+            ADD_FAILURE() << "decoded";
+        } catch (const core::ArtifactFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find("truncated"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Bytes after the record that completes the frame.
+    const auto trailing = sparse({3 << 3, 0});
+    try {
+        decodeFrame(trailing, trailing.size(), 3);
+        ADD_FAILURE() << "decoded";
+    } catch (const core::ArtifactFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("trailing"),
+                  std::string::npos)
+            << e.what();
+    }
+    // CASSTF2's delta kind is not read any more.
+    auto delta = sparse({3 << 3});
+    delta[0] = 1;
+    EXPECT_THROW(decodeFrame(delta, delta.size(), 3),
+                 core::ArtifactFormatError);
 }
 
 TEST(TraceFrameCodecTest, IncompressibleOpsFallBackToRawFrames)
@@ -336,50 +526,60 @@ TEST(TraceFrameCodecTest, CorruptFramesAreTyped)
 
 TEST(TraceFrameCodecTest, EncoderBytesArePinned)
 {
-    // Four straight-line ops with loads and a taken branch (a delta
-    // frame), four ops whose deltas need ~10-byte varints (raw: delta
-    // would not beat 24 B/op), and one tail op (a short delta frame).
-    // The hex below is the output of the byte-staging encoder this
-    // column encoder replaced; stream files and snapshot frames must
-    // not change by a byte.
+    // Four ops with loads and a taken branch (a sparse frame), four
+    // ops whose fields need ~10-byte varints (raw: sparse would not
+    // beat 24 B/op), and one tail op (a 1-op sparse frame). The sparse
+    // frames, decoded by hand (records are "(plain ops before) << 3 |
+    // flags", flags 1 pc, 2 memAddr, 4 nextPc, then one zig-zag varint
+    // per flag in that order):
+    //
+    //   02 0c000000      kind 2 (sparse), 12 payload bytes
+    //   03 808008        op 0: flags pc|mem; pc - 0 = 0x10000
+    //      80808001            memAddr - 0 = 0x100000
+    //                    op 1: plain (pc 0x10004, no memAddr)
+    //   0e 0f 68         op 2: 1 plain op before, flags mem|next;
+    //                          memAddr 0xffff8 - 0x100000 = -8,
+    //                          nextPc 0x10040 - 0x1000c = +0x34
+    //   08               op 3 plain: the tail record, 1 op, no flags
+    //
+    //   02 04000000 01 808008    op 8: flags pc; pc - 0 = 0x10000
     OpColumns ops;
-    ops.push(0x10000, 0, 0x10004);
-    ops.push(0x10004, 0x100000, 0x10008);
-    ops.push(0x10008, 0x100008, 0x10040);
-    ops.push(0x10040, 0x7fffff8, 0x10044);
+    ops.push(0x10000, 0x100000, 0x10004);
+    ops.push(0x10004, 0, 0x10008);
+    ops.push(0x10008, 0xffff8, 0x10040);
+    ops.push(0x10040, 0, 0x10044);
     ops.push(0x8000000000000010ull, 0x8000000000000020ull, 0);
     ops.push(0x9000000000000000ull, 0x10, 0);
     ops.push(0xa000000000000008ull, 0xf000000000000000ull, 0);
     ops.push(0xc000000000000004ull, 0x18, 0);
     ops.push(0x10000, 0, 0x10004);
 
-    const std::string delta =
-        "0114000000808004000000808080010000106800e0ffff7e00";
+    const std::string sparse = "020c00000003808008808080010e0f6808";
     const std::string raw = "0060000000"
                             "1000000000000080200000000000008000000000"
                             "0000000000000000000000901000000000000000"
                             "000000000000000008000000000000a000000000"
                             "000000f0000000000000000004000000000000c0"
                             "18000000000000000000000000000000";
-    const std::string tail = "01050000008080040000";
-    EXPECT_EQ(test::hexBytes(encodeFrame(ops, 0, 4)), delta);
+    const std::string tail = "020400000001808008";
+    EXPECT_EQ(test::hexBytes(encodeFrame(ops, 0, 4)), sparse);
     EXPECT_EQ(test::hexBytes(encodeFrame(ops, 4, 8)), raw);
     EXPECT_EQ(test::hexBytes(encodeFrame(ops, 8, 9)), tail);
 
     // The same ops through the writer, as whole batches (each frame
     // encoded straight from the columns) and one op at a time (staged):
     // header, frames, index and footer are pinned too.
-    const std::string header = "434153535446320a" // magic
-                               "02000000"         // version
+    const std::string header = "434153535446330a" // magic
+                               "03000000"         // version
                                "04000000"         // frameOps
                                "8877665544332211" // fingerprint
                                "0900000000000000"; // numOps
     const std::string index = "2000000000000000" // frame offsets
-                              "3900000000000000"
-                              "9e00000000000000"
-                              "a800000000000000" // indexPos
+                              "3100000000000000"
+                              "9600000000000000"
+                              "9f00000000000000" // indexPos
                               "0300000000000000"; // numFrames
-    const std::string file = header + delta + raw + tail + index;
+    const std::string file = header + sparse + raw + tail + index;
     const std::string path = test::scratchPath("pinned.trace");
     for (const bool batched : {true, false}) {
         SCOPED_TRACE(batched ? "batched" : "op by op");
@@ -401,6 +601,32 @@ TEST(TraceFrameCodecTest, EncoderBytesArePinned)
 // Corrupt and retired streams (negative paths)
 // ---------------------------------------------------------------------
 
+TEST(TraceStreamTest, RevisionTwoStreamsAreRejected)
+{
+    // A well-formed CASSTF2 file, even one of raw frames that this
+    // container still reads, fails at open on its header.
+    core::Workload w = workload("ChaCha20_ct");
+    auto trace = uarch::recordTrace(w, 2);
+    const std::string path = test::scratchPath("revision2.trace");
+    auto bytes = test::retiredStreamBytes(
+        2, core::programFingerprint(w.program), trace, 256);
+    writeFile(path, bytes);
+    EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
+
+    // Relabelled as the current revision, the same file replays.
+    bytes[6] = '3';
+    bytes[8] = 3;
+    writeFile(path, bytes);
+    TraceCursor cursor(path, w.program);
+    EXPECT_EQ(cursor.numOps(), trace.size());
+    uint64_t n = 0;
+    while (const uarch::TimingOp *op = cursor.next()) {
+        ASSERT_EQ(op->pc, trace[n].pc);
+        n++;
+    }
+    EXPECT_EQ(n, trace.size());
+}
+
 TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
 {
     // A well-formed file of the retired raw-frame container fails
@@ -408,8 +634,9 @@ TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
     core::Workload w = workload("ChaCha20_ct");
     auto trace = uarch::recordTrace(w, 2);
     const std::string path = test::scratchPath("revision1.trace");
-    writeFile(path, test::casstf1Bytes(core::programFingerprint(w.program),
-                                       trace, 256));
+    writeFile(path,
+              test::retiredStreamBytes(
+                  1, core::programFingerprint(w.program), trace, 256));
     EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
 }
 
@@ -470,6 +697,16 @@ TEST_F(CorruptStreamTest, RelabelAsRevisionOneIsRejected)
     expectThrow<core::ArtifactFormatError>(bad);
 }
 
+TEST_F(CorruptStreamTest, RelabelAsRevisionTwoIsRejected)
+{
+    // A CASSTF2 header, magic and version field both, fails before any
+    // frame is read.
+    auto bad = bytes_;
+    bad[6] = '2';
+    bad[8] = 2;
+    expectThrow<core::ArtifactFormatError>(bad);
+}
+
 TEST_F(CorruptStreamTest, TruncatedIndex)
 {
     std::vector<uint8_t> cut(bytes_.begin(), bytes_.end() - 24);
@@ -524,6 +761,36 @@ TEST_F(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
     writeFile(path, bytes);
     EXPECT_THROW(TraceCursor(path, w_.program),
                  core::ArtifactFormatError);
+}
+
+TEST_F(CorruptStreamTest, FrameOpsAboveTheCeilingIsRejectedAtOpen)
+{
+    // A one-frame file claiming traceFrameMaxOps + 1 ops per frame and
+    // as many ops passes every frame-count check (one frame either
+    // way), fits u32, and would size a ~40 MiB decode buffer: the
+    // cursor must reject it at open, before any decode.
+    const std::string path = test::scratchPath("ceiling.trace");
+    uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
+    writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
+    auto bytes = readFile(path);
+    const uint32_t over = core::traceFrameMaxOps + 1;
+    for (int i = 0; i < 4; i++)
+        bytes[12 + i] = static_cast<uint8_t>(over >> (8 * i));
+    putLe64(bytes, 24, over); // header numOps
+    writeFile(path, bytes);
+    try {
+        TraceCursor cursor(path, w_.program);
+        ADD_FAILURE() << "opened";
+    } catch (const core::ArtifactFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("frame size"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // Writers refuse such frames too; the ceiling itself is allowed.
+    EXPECT_THROW(core::TraceFrameBuilder{over}, std::invalid_argument);
+    EXPECT_THROW((TraceStreamWriter{path, 0, over}), std::invalid_argument);
+    EXPECT_NO_THROW(core::TraceFrameBuilder{core::traceFrameMaxOps});
 }
 
 TEST_F(CorruptStreamTest, InconsistentFrameOffsets)

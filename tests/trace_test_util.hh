@@ -2,10 +2,10 @@
  * @file
  * Helpers shared by the trace-layer test suites: process-unique
  * scratch paths, snapshot bytes saved and loaded through scratch
- * files, TimingOp structs drained from an artifact's replay source, a
- * hand-built file of the retired raw-frame stream container
- * (revision 1), which readers must reject, and a SimConfig whose every
- * parameter differs from its default (the encoder pins).
+ * files, TimingOp structs drained from an artifact's replay source,
+ * hand-built raw frames and files of the retired stream containers
+ * (revisions 1 and 2), which readers must reject, and a SimConfig
+ * whose every parameter differs from its default (the encoder pins).
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,15 +84,17 @@ snapshotBytes(const core::AnalyzedWorkload &aw, const std::string &name = "")
     return core::readFileBytes(path, "snapshot");
 }
 
-/** loadAnalyzedWorkload over snapshot `bytes`, through a scratch file. */
+/** loadAnalyzedWorkload over snapshot `bytes`, through a scratch file
+ * (`stream_dir` and `mode` as there). */
 inline core::AnalyzedWorkload::Ptr
 loadSnapshotBytes(const std::vector<uint8_t> &bytes,
                   const core::AnalysisCache::Resolver &resolver,
-                  const std::string &stream_dir = "")
+                  const std::string &stream_dir = "",
+                  std::optional<core::TraceMode> mode = std::nullopt)
 {
     const std::string path = snapshotScratchPath();
     core::writeFileBytes(path, bytes);
-    return core::loadAnalyzedWorkload(path, resolver, stream_dir);
+    return core::loadAnalyzedWorkload(path, resolver, stream_dir, mode);
 }
 
 /** Every op of an artifact's timing trace as TimingOp structs, drained
@@ -118,44 +122,70 @@ drainOps(const core::AnalyzedWorkload &aw)
     return ops;
 }
 
+/** Append `v` to `out`, little-endian, in `bytes` bytes. */
+inline void
+putLe(std::vector<uint8_t> &out, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; i++)
+        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+/** Append ops [lo, hi) of `trace` as one raw frame (u8 kind 0 | u32
+ * payloadBytes | u64 pc | u64 memAddr | u64 nextPc per op), a frame
+ * kind every container revision since CASSTF2 reads. */
+inline void
+appendRawFrame(std::vector<uint8_t> &out, const uarch::TimingTrace &trace,
+               size_t lo, size_t hi)
+{
+    out.push_back(0);
+    putLe(out, (hi - lo) * core::traceStreamOpBytes, 4);
+    for (size_t i = lo; i < hi; i++) {
+        putLe(out, trace[i].pc, 8);
+        putLe(out, trace[i].memAddr, 8);
+        putLe(out, trace[i].nextPc, 8);
+    }
+}
+
 /**
- * The bytes of a revision-1 stream file holding `trace`, the raw-frame
- * container CASSTF2 replaced: "CASSTF1\n" | u32 version=1 | u32
- * frameOps | u64 fingerprint | u64 numOps | frames of 24 B/op | index
- * (u64 offset per frame) | u64 indexPos | u64 numFrames.
+ * The bytes of a stream file holding `trace` in a retired container
+ * revision, which readers must reject: 1 (CASSTF1, each frame its bare
+ * 24 B/op ops) or 2 (CASSTF2, raw frames as appendRawFrame writes
+ * them, which the current container still reads). Both lay out
+ * "CASSTF<revision>\n" | u32 version=revision | u32 frameOps | u64
+ * fingerprint | u64 numOps | frames | index (u64 offset per frame) |
+ * u64 indexPos | u64 numFrames.
  */
 inline std::vector<uint8_t>
-casstf1Bytes(uint64_t fingerprint, const uarch::TimingTrace &trace,
-             uint32_t frame_ops)
+retiredStreamBytes(int revision, uint64_t fingerprint,
+                   const uarch::TimingTrace &trace, uint32_t frame_ops)
 {
     std::vector<uint8_t> out;
-    auto u32 = [&](uint32_t v) {
-        for (int i = 0; i < 4; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    auto u64 = [&](uint64_t v) {
-        for (int i = 0; i < 8; i++)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    for (char c : {'C', 'A', 'S', 'S', 'T', 'F', '1', '\n'})
+    for (char c : {'C', 'A', 'S', 'S', 'T', 'F',
+                   static_cast<char>('0' + revision), '\n'})
         out.push_back(static_cast<uint8_t>(c));
-    u32(1);
-    u32(frame_ops);
-    u64(fingerprint);
-    u64(trace.size());
+    putLe(out, static_cast<uint64_t>(revision), 4);
+    putLe(out, frame_ops, 4);
+    putLe(out, fingerprint, 8);
+    putLe(out, trace.size(), 8);
     std::vector<uint64_t> offsets;
-    for (size_t i = 0; i < trace.size(); i++) {
-        if (i % frame_ops == 0)
-            offsets.push_back(out.size());
-        u64(trace[i].pc);
-        u64(trace[i].memAddr);
-        u64(trace[i].nextPc);
+    for (size_t lo = 0; lo < trace.size(); lo += frame_ops) {
+        const size_t hi = std::min<size_t>(trace.size(), lo + frame_ops);
+        offsets.push_back(out.size());
+        if (revision == 2) {
+            appendRawFrame(out, trace, lo, hi);
+            continue;
+        }
+        for (size_t i = lo; i < hi; i++) {
+            putLe(out, trace[i].pc, 8);
+            putLe(out, trace[i].memAddr, 8);
+            putLe(out, trace[i].nextPc, 8);
+        }
     }
     const uint64_t index_pos = out.size();
     for (uint64_t offset : offsets)
-        u64(offset);
-    u64(index_pos);
-    u64(offsets.size());
+        putLe(out, offset, 8);
+    putLe(out, index_pos, 8);
+    putLe(out, offsets.size(), 8);
     return out;
 }
 
