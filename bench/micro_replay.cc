@@ -1,15 +1,14 @@
 /**
  * @file
- * Microbenchmarks (google-benchmark) for trace replay throughput: the
- * scalar next() path versus the batched SoA nextBatch() paths, over
- * the in-memory sources (the reference AoS TraceSpanSource and a
- * ChunkSpanSource over the analysis pass's SoA chunks) and the
- * TraceCursor over CASSTF3 frames, from a stream file (stream mode)
- * or held in memory (whole mode).
+ * Microbenchmarks (google-benchmark) for trace replay throughput
+ * through the batched SoA nextBatch() path: a ChunkSpanSource over the
+ * analysis pass's SoA chunks (the replay cost with no decode), and the
+ * TraceCursor over CASSTF3 frames, from a stream file (stream mode) or
+ * held in memory (whole mode).
  * Items processed = timing ops replayed, so the items-per-second
- * column reads directly as replay ops/sec; the batch/scalar ratio is
- * the speedup the SoA replay layer claims (docs/ARCHITECTURE.md,
- * "Performance guide").
+ * column reads directly as replay ops/sec; the cursor/chunk ratio is
+ * what decoding the frames costs (docs/ARCHITECTURE.md, "Performance
+ * guide").
  */
 
 #include <benchmark/benchmark.h>
@@ -31,18 +30,7 @@ namespace {
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
-using uarch::TimingOp;
 using uarch::TimingOpSource;
-using uarch::TimingTrace;
-
-/** The evaluation trace every benchmark replays (recorded once). */
-const TimingTrace &
-trace()
-{
-    static const TimingTrace t = uarch::recordTrace(
-        crypto::WorkloadRegistry::global().make("ChaCha20_ct"), 2);
-    return t;
-}
 
 const core::Workload &
 workload()
@@ -52,8 +40,8 @@ workload()
     return w;
 }
 
-/** The same trace as the SoA chunks the fused analysis pass can
- * retain (runFusedOpPass's `retain`). */
+/** The evaluation trace every benchmark replays, as the SoA chunks the
+ * fused analysis pass can retain (runFusedOpPass's `retain`). */
 const std::vector<core::AnalysisChunk> &
 chunks()
 {
@@ -63,6 +51,19 @@ chunks()
         return out;
     }();
     return c;
+}
+
+/** Ops of the trace. */
+int64_t
+traceOps()
+{
+    static const int64_t n = [] {
+        int64_t sum = 0;
+        for (const core::AnalysisChunk &c : chunks())
+            sum += static_cast<int64_t>(c.size);
+        return sum;
+    }();
+    return n;
 }
 
 /** The same trace as a whole-mode artifact holds it: CASSTF3 frames
@@ -83,46 +84,16 @@ streamFile()
         const std::string p = "/tmp/micro_replay.trace";
         TraceStreamWriter writer(
             p, core::programFingerprint(workload().program));
-        for (const TimingOp &op : trace())
-            writer.append(op);
+        for (const core::AnalysisChunk &c : chunks())
+            writer.appendBatch(c.view());
         writer.finish();
         return p;
     }();
     return path;
 }
 
-/**
- * Hides a source's native nextBatch() behind the base-class adapter
- * (batching through next() one op at a time) — the scalar reference
- * the native batch paths are measured against.
- */
-class ScalarOnly : public TimingOpSource
-{
-  public:
-    explicit ScalarOnly(TimingOpSource &inner) : inner_(inner) {}
-
-    const TimingOp *
-    next() override
-    {
-        return inner_.next();
-    }
-
-  private:
-    TimingOpSource &inner_;
-};
-
-/** Drain a source scalar-wise; returns a checksum the optimizer must
- * keep. */
-uint64_t
-drainScalar(TimingOpSource &src)
-{
-    uint64_t sum = 0;
-    while (const TimingOp *op = src.next())
-        sum += op->pc + op->memAddr + op->nextPc;
-    return sum;
-}
-
-/** Drain a source batch-wise through the SoA columns. */
+/** Drain a source batch-wise through the SoA columns; returns a
+ * checksum the optimizer must keep. */
 uint64_t
 drainBatched(TimingOpSource &src)
 {
@@ -136,49 +107,6 @@ drainBatched(TimingOpSource &src)
 }
 
 void
-BM_ReplaySpanScalar(benchmark::State &state)
-{
-    const TimingTrace &t = trace();
-    for (auto _ : state) {
-        uarch::TraceSpanSource src(t);
-        benchmark::DoNotOptimize(drainScalar(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_ReplaySpanScalar);
-
-void
-BM_ReplaySpanScalarAdapter(benchmark::State &state)
-{
-    // The base-class nextBatch adapter: batch API, scalar decode.
-    const TimingTrace &t = trace();
-    for (auto _ : state) {
-        uarch::TraceSpanSource inner(t);
-        ScalarOnly src(inner);
-        benchmark::DoNotOptimize(drainBatched(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_ReplaySpanScalarAdapter);
-
-void
-BM_ReplaySpanBatchTranspose(benchmark::State &state)
-{
-    // Native batch path of the AoS reference source: one AoS -> SoA
-    // transpose per 4K-op batch.
-    const TimingTrace &t = trace();
-    for (auto _ : state) {
-        uarch::TraceSpanSource src(t);
-        benchmark::DoNotOptimize(drainBatched(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_ReplaySpanBatchTranspose);
-
-void
 BM_ReplaySpanBatchShared(benchmark::State &state)
 {
     // Zero-copy views into SoA chunks the fused analysis pass retained:
@@ -188,23 +116,9 @@ BM_ReplaySpanBatchShared(benchmark::State &state)
         core::ChunkSpanSource src(c);
         benchmark::DoNotOptimize(drainBatched(src));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
+    state.SetItemsProcessed(state.iterations() * traceOps());
 }
 BENCHMARK(BM_ReplaySpanBatchShared);
-
-void
-BM_ReplayCursorScalar(benchmark::State &state)
-{
-    const std::string &path = streamFile();
-    for (auto _ : state) {
-        TraceCursor src(path, workload().program);
-        benchmark::DoNotOptimize(drainScalar(src));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
-}
-BENCHMARK(BM_ReplayCursorScalar);
 
 void
 BM_ReplayCursorBatchDelta(benchmark::State &state)
@@ -216,8 +130,7 @@ BM_ReplayCursorBatchDelta(benchmark::State &state)
         TraceCursor src(path, workload().program);
         benchmark::DoNotOptimize(drainBatched(src));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
+    state.SetItemsProcessed(state.iterations() * traceOps());
 }
 BENCHMARK(BM_ReplayCursorBatchDelta);
 
@@ -231,8 +144,7 @@ BM_ReplayHeldBatchDelta(benchmark::State &state)
         TraceCursor src(held, workload().program);
         benchmark::DoNotOptimize(drainBatched(src));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(trace().size()));
+    state.SetItemsProcessed(state.iterations() * traceOps());
 }
 BENCHMARK(BM_ReplayHeldBatchDelta);
 

@@ -18,7 +18,7 @@ namespace {
 
 std::atomic<uint64_t> fused_passes{0};
 
-/** Fill the inst/crypto/tainted columns from the pc column through
+/** Fill the inst/crypto columns from the pc column through
  * the cursor's relink table (cryptoPcTable). Executed pcs were
  * validated by Machine::step before the probe fired, so no range check
  * is needed (unlike the cursor, which reads from disk). */
@@ -32,7 +32,6 @@ relinkChunk(AnalysisChunk &chunk, const ir::Program &prog,
             (chunk.ops.pc[i] - ir::Program::codeBase) / ir::instBytes);
         chunk.ops.inst[i] = insts + idx;
         chunk.ops.crypto[i] = crypto[idx];
-        chunk.ops.tainted[i] = 0;
     }
 }
 
@@ -346,22 +345,6 @@ ChunkSpanSource::settle()
         pos_ = 0;
     }
     return chunk_ < chunks_->size();
-}
-
-const uarch::TimingOp *
-ChunkSpanSource::next()
-{
-    if (!settle())
-        return nullptr;
-    const AnalysisChunk &c = (*chunks_)[chunk_];
-    op_.pc = c.ops.pc[pos_];
-    op_.memAddr = c.ops.memAddr[pos_];
-    op_.nextPc = c.ops.nextPc[pos_];
-    op_.inst = c.ops.inst[pos_];
-    op_.crypto = c.ops.crypto[pos_] != 0;
-    op_.tainted = c.ops.tainted[pos_] != 0;
-    pos_++;
-    return &op_;
 }
 
 size_t

@@ -2,15 +2,12 @@
  * @file
  * Fused single-pass analysis pipeline.
  *
- * The reference analysis makes one functional machine run per
- * demand-driven phase: a counting run sizes the trace, a recording run
- * fills it (per-op through a std::function sink), and the taint
- * pre-pass replays the recorded ops once more. This pipeline collapses
- * them into ONE instrumented run: the machine's SoA batch probe fills
- * fixed-size AnalysisChunk spans (pc / memAddr / nextPc columns
- * straight from the interpreter loop, no per-op indirect call), each
- * full chunk is relinked (inst pointer + crypto flag from a
- * per-static-instruction table) and handed to every registered
+ * The recording of a timing trace, its encoding and the ProSpeCT taint
+ * walk share ONE instrumented machine run: the machine's SoA batch
+ * probe fills fixed-size AnalysisChunk spans (pc / memAddr / nextPc
+ * columns straight from the interpreter loop, no per-op indirect
+ * call), each full chunk is relinked (inst pointer + crypto flag from
+ * a per-static-instruction table) and handed to every registered
  * BatchConsumer — the CASSTF3 frame encoder (frames held in memory in
  * whole mode, a stream file in stream mode), the incremental
  * TaintWalker — before the next chunk is produced. The chunks
@@ -27,13 +24,14 @@
  *    order on one thread, so consumer state needs no locking and the
  *    observed op sequence is identical to Inline.
  *
- * Parity contract: the chunk column values equal, op for op, what the
- * scalar recordTrace sink observes (the batch probe fires at exactly
- * the instProbe site), so every consumer's output is byte-identical to
- * its reference counterpart. The serial references — the
- * uarch::recordTrace sink, uarch::computeTaintBitmap and
- * generateTraces with `fused` false — stay in-tree as free functions
- * the parity suite compares against.
+ * Parity contract: the chunk columns hold, op for op, the executed
+ * instruction stream, whatever the chunk size, ring size or mode, so
+ * every consumer's output is byte-identical across them. The parity
+ * suite's oracle is a test-only recorder (tests/trace_test_util.hh):
+ * one machine run through the batch probe into growing columns,
+ * relinked with Program::at and isCryptoPc, beside
+ * uarch::computeTaintBitmap over those columns and generateTraces with
+ * `fused` false.
  */
 
 #ifndef CASSANDRA_CORE_ANALYSIS_PIPELINE_HH
@@ -72,7 +70,7 @@ struct AnalysisChunk
  * chunk, in dynamic-op order, from a single thread (the producer in
  * Inline mode, the consumer thread in Threaded mode); finish() after
  * the last chunk. The chunk is fully relinked (inst/crypto columns
- * valid, tainted zeroed) when consume() sees it.
+ * valid) when consume() sees it.
  */
 class BatchConsumer
 {
@@ -123,10 +121,10 @@ struct FusedPassStats
  * Run the workload on analysis input `which` once, feeding every
  * executed op through `consumers` as relinked chunks. With `retain`
  * the consumed chunks are additionally moved there in order, at
- * 34 B/op (perfbench, bench/micro_replay and the parity tests read
+ * 33 B/op (perfbench, bench/micro_replay and the parity tests read
  * them; AnalyzedWorkload holds encoded frames instead). Throws
- * InstructionBudgetError (context "timing trace", matching the
- * reference recordTrace) when the run does not halt.
+ * InstructionBudgetError (context "timing trace") when the run does
+ * not halt.
  */
 FusedPassStats
 runFusedOpPass(const Workload &workload, int which,
@@ -160,8 +158,7 @@ runFusedBranchPass(const Workload &workload, int which,
  * TimingOpSource over retained fused chunks (runFusedOpPass's
  * `retain`): replay with no decode, for perfbench and the parity
  * tests. nextBatch() serves zero-copy views into the chunks (a batch
- * never crosses a chunk boundary); next() is the scalar adapter.
- * `chunks` must outlive the source.
+ * never crosses a chunk boundary). `chunks` must outlive the source.
  */
 class ChunkSpanSource final : public uarch::TimingOpSource
 {
@@ -171,7 +168,6 @@ class ChunkSpanSource final : public uarch::TimingOpSource
     {
     }
 
-    const uarch::TimingOp *next() override;
     size_t nextBatch(uarch::OpBatch &out, size_t max_ops) override;
 
   private:
@@ -181,7 +177,6 @@ class ChunkSpanSource final : public uarch::TimingOpSource
     const std::vector<AnalysisChunk> *chunks_;
     size_t chunk_ = 0;
     size_t pos_ = 0; ///< within chunk_
-    uarch::TimingOp op_;
 };
 
 /**
@@ -206,8 +201,7 @@ void runBeside(const std::function<void()> &first,
 
 /**
  * Process-wide count of fused analysis passes (op passes and branch
- * passes both count — each replaces at least one reference machine
- * run). Feeds the analysis_fused_passes telemetry field.
+ * passes both count). Feeds the analysis_fused_passes telemetry field.
  */
 uint64_t fusedAnalysisPasses();
 

@@ -86,10 +86,9 @@ class HoldFramesConsumer final : public BatchConsumer
 };
 
 /**
- * The incremental taint walk over SoA batches: a fused-pass consumer,
- * and the batched walk over a recorded trace. Bits accumulate in
- * growable words because the fused pass discovers the op count as it
- * goes (there is no counting pre-run to size a bitmap).
+ * The incremental taint walk as a fused-pass consumer. Bits accumulate
+ * in growable words because the fused pass discovers the op count as
+ * it goes (there is no counting pre-run to size a bitmap).
  */
 class TaintConsumer final : public BatchConsumer
 {
@@ -102,17 +101,11 @@ class TaintConsumer final : public BatchConsumer
     void
     consume(const AnalysisChunk &chunk) override
     {
-        feed(chunk.view(), chunk.baseIndex);
-    }
-
-    /** Walk `batch`, whose first op has dynamic index `base`. */
-    void
-    feed(const uarch::OpBatch &batch, uint64_t base)
-    {
-        for (size_t i = 0; i < batch.size; i++) {
-            if (walker_.feed(*batch.inst[i], batch.memAddr[i],
-                             batch.crypto[i] != 0)) {
-                const uint64_t bit = base + i;
+        const uarch::OpBatchStorage &ops = chunk.ops;
+        for (size_t i = 0; i < chunk.size; i++) {
+            if (walker_.feed(*ops.inst[i], ops.memAddr[i],
+                             ops.crypto[i] != 0)) {
+                const uint64_t bit = chunk.baseIndex + i;
                 const size_t word = static_cast<size_t>(bit >> 6);
                 if (word >= words_.size())
                     words_.resize(word + 1, 0);
@@ -327,18 +320,12 @@ AnalyzedWorkload::taintBitmap() const
         if (taintReady_.load(std::memory_order_acquire))
             return taint_;
         if (!workload_.secretRegions.empty()) {
-            // The batched form of uarch::computeTaintBitmap: the
-            // same walker over the artifact's replay source.
-            TaintConsumer walk(workload_.secretRegions);
+            // The same walker as the fused consumer, over the
+            // artifact's replay source.
             auto src = openOpSource();
-            uarch::OpBatch batch;
-            uint64_t base = 0;
-            while (const size_t n =
-                       src->nextBatch(batch, uarch::timingOpBatchOps)) {
-                walk.feed(batch, base);
-                base += n;
-            }
-            taint_ = walk.take(numOps_);
+            taint_ = uarch::computeTaintBitmap(
+                *src, workload_.secretRegions,
+                static_cast<size_t>(numOps_));
             phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
         }
         taintReady_.store(true, std::memory_order_release);

@@ -82,8 +82,7 @@ struct CellRun
 
 /** The cells replaying one artifact, held in memory or streamed: its
  * cursor decodes frame f once, into ring[f % ring.size()], which is
- * kept until every cell has replayed it. The cells of an empty trace
- * take one turn each, over no frame. */
+ * kept until every cell has replayed it. */
 struct Group
 {
     AnalyzedWorkload::Ptr artifact;
@@ -183,8 +182,7 @@ class ReplayPool
                 uint64_t tail = g.frames; // the oldest frame still needed
                 for (CellRun &c : g.cells) {
                     tail = std::min(tail, c.frame);
-                    if (!c.busy && !c.done &&
-                        (c.frame < g.decoded || g.frames == 0) &&
+                    if (!c.busy && !c.done && c.frame < g.decoded &&
                         (!best.cell || c.frame < best.from))
                         best = Task{&g, &c, c.frame,
                                     std::min(c.frame + quantumFrames,

@@ -318,7 +318,6 @@ decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
         const size_t idx = static_cast<size_t>(off / ir::instBytes);
         out.inst[i] = insts + idx;
         out.crypto[i] = crypto_table[idx];
-        out.tainted[i] = 0;
     }
 }
 
@@ -351,17 +350,6 @@ TraceStreamWriter::checkStream(const char *what) const
         throw std::runtime_error(std::string("trace stream ") + what +
                                  " failed for " + path_ +
                                  " (disk full?)");
-}
-
-void
-TraceStreamWriter::append(const uarch::TimingOp &op)
-{
-    uarch::OpBatch one;
-    one.pc = &op.pc;
-    one.memAddr = &op.memAddr;
-    one.nextPc = &op.nextPc;
-    one.size = 1;
-    appendBatch(one);
 }
 
 void
@@ -673,27 +661,6 @@ TraceCursor::nextBatch(uarch::OpBatch &out, size_t max_ops)
     pos_ += n;
     out = soa_.view(within, n);
     return n;
-}
-
-const uarch::TimingOp *
-TraceCursor::next()
-{
-    if (pos_ >= numOps_)
-        return nullptr;
-    const uint64_t frame = pos_ / frameOps_;
-    if (soaFrame_ != frame) {
-        decodeFrame(frame, soa_);
-        soaFrame_ = frame;
-    }
-    const size_t i = static_cast<size_t>(pos_ % frameOps_);
-    op_.pc = soa_.pc[i];
-    op_.memAddr = soa_.memAddr[i];
-    op_.nextPc = soa_.nextPc[i];
-    op_.inst = soa_.inst[i];
-    op_.crypto = soa_.crypto[i] != 0;
-    op_.tainted = false;
-    pos_++;
-    return &op_;
 }
 
 // ---------------------------------------------------------------------

@@ -230,7 +230,7 @@ std::vector<uint8_t> cryptoPcTable(const ir::Program &program);
  * and snapshot loads): decode one frame into `out` (resized
  * to num_ops) and relink each op against `program` — inst pointer and
  * crypto flag from its pc through `crypto_table`
- * (cryptoPcTable(program)), taint cleared.
+ * (cryptoPcTable(program)).
  * @throws ArtifactFormatError on a corrupt frame, ArtifactStaleError
  *         when a pc lies outside the program (a stale trace)
  */
@@ -256,10 +256,9 @@ class TraceStreamWriter
     TraceStreamWriter(const TraceStreamWriter &) = delete;
     TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
 
-    /** Append one op (buffered; flushed per frame). */
-    void append(const uarch::TimingOp &op);
-
-    /** Append a whole batch (column-wise; same bytes as op-by-op). */
+    /** Append a batch of ops (staged column-wise, flushed per frame):
+     * the file's bytes do not depend on how the ops are split into
+     * batches. */
     void appendBatch(const uarch::OpBatch &batch);
 
     /**
@@ -343,9 +342,6 @@ class TraceCursor final : public uarch::TimingOpSource
     TraceCursor(const TraceCursor &) = delete;
     TraceCursor &operator=(const TraceCursor &) = delete;
 
-    /** Scalar adapter reading the same decoded frames as nextBatch(). */
-    const uarch::TimingOp *next() override;
-
     /**
      * Frames decode straight into structure-of-arrays buffers
      * (decodeRelinkedFrame) and batches are served as zero-copy views
@@ -401,7 +397,6 @@ class TraceCursor final : public uarch::TimingOpSource
     std::vector<uint8_t> cryptoByIndex_; ///< cryptoPcTable(program_)
 
     uint64_t pos_ = 0;
-    uarch::TimingOp op_;
 };
 
 /**

@@ -84,17 +84,17 @@ struct TraceGenResult
 /**
  * Run Algorithm 2. The two instrumented collection runs (steps A-C)
  * execute side by side under analysisLaunchPolicy(); both are joined
- * before an error propagates, and input 0's error wins. With `fused`
- * they stream through the batch pipeline's branch probe
- * (runFusedBranchPass) instead of the per-branch std::function probe;
- * the accumulators, the diff, and every downstream step are shared, so
- * the result — image bytes, records, peakAccumBytes — is identical.
- * The default stays on the probe-driven reference path (the parity
- * oracle).
+ * before an error propagates, and input 0's error wins. By default
+ * (`fused`) they stream through the batch pipeline's branch probe
+ * (runFusedBranchPass), the Algorithm 2 AnalyzedWorkload runs; with
+ * `fused` false they take the per-branch std::function probe, the
+ * oracle of the parity tests. The accumulators, the diff, and every
+ * downstream step are shared, so the result — image bytes, records,
+ * peakAccumBytes — is identical.
  */
 TraceGenResult generateTraces(const Workload &workload,
                               const KmersParams &params = {},
-                              bool fused = false);
+                              bool fused = true);
 
 } // namespace cassandra::core
 

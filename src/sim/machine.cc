@@ -326,8 +326,6 @@ Machine::step()
         }
     }
 
-    if (instProbe)
-        instProbe({cur_pc, mem_addr, next_pc});
     if (opBatchProbe) {
         BatchProbe &b = *opBatchProbe;
         b.pc[b.size] = cur_pc;

@@ -6,10 +6,11 @@
  * exactly the J.K^seq semantics the paper's constant-time contract is
  * defined over. It exposes three kinds of instrumentation:
  *
- *  - a branch probe (used by the branch-trace collection step B of
- *    Algorithm 2, standing in for Intel Pin / gem5 tracing),
- *  - an instruction probe emitting the full dynamic instruction stream
- *    (used to drive the trace-driven OoO timing model), and
+ *  - branch probes, a per-event callback and a batch form (used by the
+ *    branch-trace collection step B of Algorithm 2, standing in for
+ *    Intel Pin / gem5 tracing),
+ *  - an instruction batch probe emitting the full dynamic instruction
+ *    stream (used to drive the trace-driven OoO timing model), and
  *  - an observation recorder producing the contract trace of the
  *    J.K^seq_ct leakage model (control flow + memory addresses, tagged
  *    with the crypto bit), used by the Appendix A contract checker.
@@ -38,16 +39,6 @@ class SimError : public std::runtime_error
     explicit SimError(const std::string &what)
         : std::runtime_error("sim: " + what)
     {}
-};
-
-/** One architecturally executed instruction, as seen by the probes. */
-struct DynInst
-{
-    uint64_t pc = 0;
-    /** Effective address for loads/stores; 0 otherwise. */
-    uint64_t memAddr = 0;
-    /** Actual next PC (branch target or fall-through). */
-    uint64_t nextPc = 0;
 };
 
 /** Kind of a contract-level observation (paper Appendix A). */
@@ -151,20 +142,18 @@ class Machine
     /** Called for every executed control-flow instruction. */
     std::function<void(uint64_t pc, uint64_t target, const ir::Inst &)>
         branchProbe;
-    /** Called for every executed instruction. */
-    std::function<void(const DynInst &)> instProbe;
 
     /**
-     * SoA batch probe: the fused analysis pipeline's low-overhead
-     * counterpart of instProbe/branchProbe. The machine writes
-     * straight into the caller-provided columns (three stores and a
-     * size bump per event — no per-op std::function dispatch) and
-     * calls `full` once `size` reaches `cap`; `full` must leave the
-     * probe with size < cap (typically by handing the span to
-     * consumers and resetting size, or swapping in fresh columns).
-     * The caller drains any partial tail after run() returns. Fires
-     * at exactly the instProbe/branchProbe call sites, so the event
-     * sequence is identical to the scalar probes by construction.
+     * SoA batch probe, the fused analysis pipeline's instrumentation.
+     * The machine writes straight into the caller-provided columns
+     * (three stores and a size bump per event — no per-op
+     * std::function dispatch) and calls `full` once `size` reaches
+     * `cap`; `full` must leave the probe with size < cap (typically by
+     * handing the span to consumers and resetting size, or swapping in
+     * fresh columns). The caller drains any partial tail after run()
+     * returns. The branch batch probe fires at exactly the branchProbe
+     * call site, so its event sequence is identical to branchProbe's
+     * by construction.
      */
     struct BatchProbe
     {
@@ -176,7 +165,9 @@ class Machine
         std::function<void()> full;
     };
 
-    /** Every executed instruction ({pc, memAddr, nextPc}). */
+    /** Every executed instruction ({pc, memAddr, nextPc}): memAddr is
+     * the effective address of a load or store and 0 otherwise, nextPc
+     * the actual next pc (branch target or fall-through). */
     BatchProbe *opBatchProbe = nullptr;
     /** Every executed control-flow instruction ({pc, -, target}). */
     BatchProbe *branchBatchProbe = nullptr;

@@ -66,107 +66,6 @@ schemeFromName(const std::string &name)
     throw std::invalid_argument(msg + ")");
 }
 
-size_t
-TimingOpSource::nextBatch(OpBatch &out, size_t max_ops)
-{
-    if (!fallback_)
-        fallback_ = std::make_unique<OpBatchStorage>();
-    OpBatchStorage &s = *fallback_;
-    s.resize(max_ops);
-    size_t n = 0;
-    for (; n < max_ops; n++) {
-        const TimingOp *op = next();
-        if (!op)
-            break;
-        s.pc[n] = op->pc;
-        s.memAddr[n] = op->memAddr;
-        s.nextPc[n] = op->nextPc;
-        s.inst[n] = op->inst;
-        s.crypto[n] = op->crypto ? 1 : 0;
-        s.tainted[n] = op->tainted ? 1 : 0;
-    }
-    out = s.view(0, n);
-    return n;
-}
-
-size_t
-TraceSpanSource::nextBatch(OpBatch &out, size_t max_ops)
-{
-    const size_t n = std::min(max_ops, trace_.size() - pos_);
-    soa_.resize(n);
-    for (size_t i = 0; i < n; i++) {
-        const TimingOp &op = trace_[pos_ + i];
-        soa_.pc[i] = op.pc;
-        soa_.memAddr[i] = op.memAddr;
-        soa_.nextPc[i] = op.nextPc;
-        soa_.inst[i] = op.inst;
-        soa_.crypto[i] = op.crypto ? 1 : 0;
-        soa_.tainted[i] = op.tainted ? 1 : 0;
-    }
-    pos_ += n;
-    out = soa_.view(0, n);
-    return n;
-}
-
-namespace {
-
-/** Op count of the evaluation trace: one functional replay, no probe. */
-uint64_t
-countTraceOps(const core::Workload &workload, int which)
-{
-    sim::Machine machine(workload.program);
-    if (workload.setInput)
-        workload.setInput(machine, which);
-    auto res = machine.run(workload.maxDynInsts);
-    if (!res.halted) {
-        throw core::InstructionBudgetError(workload.name, res.instCount,
-                                           "timing trace");
-    }
-    return res.instCount;
-}
-
-} // namespace
-
-uint64_t
-recordTrace(const core::Workload &workload, int which,
-            const std::function<void(const TimingOp &)> &sink)
-{
-    uint64_t ops = 0;
-    sim::Machine machine(workload.program);
-    if (workload.setInput)
-        workload.setInput(machine, which);
-    const ir::Program &prog = workload.program;
-    machine.instProbe = [&](const sim::DynInst &d) {
-        TimingOp op;
-        op.pc = d.pc;
-        op.memAddr = d.memAddr;
-        op.nextPc = d.nextPc;
-        op.inst = &prog.at(d.pc);
-        op.crypto = prog.isCryptoPc(d.pc);
-        sink(op);
-        ops++;
-    };
-    auto res = machine.run(workload.maxDynInsts);
-    if (!res.halted) {
-        throw core::InstructionBudgetError(workload.name, res.instCount,
-                                           "timing trace");
-    }
-    return ops;
-}
-
-TimingTrace
-recordTrace(const core::Workload &workload, int which)
-{
-    // Count-first: one throwaway functional replay is far cheaper than
-    // repeatedly growing and copying a multi-megabyte TimingOp vector,
-    // and it makes the recording pass a single exact allocation.
-    TimingTrace trace;
-    trace.reserve(countTraceOps(workload, which));
-    recordTrace(workload, which,
-                [&](const TimingOp &op) { trace.push_back(op); });
-    return trace;
-}
-
 bool
 TaintWalker::memIsTainted(uint64_t addr, int bytes) const
 {
@@ -244,43 +143,6 @@ TaintWalker::feed(const Inst &inst, uint64_t mem_addr, bool crypto)
     return src_taint;
 }
 
-namespace {
-
-/**
- * The one taint walk behind annotateTaint and computeTaintBitmap:
- * streams ops from `src` through a TaintWalker and reports each op's
- * source-operand taint to `sink(index, tainted)`. The fused pipeline
- * drives the same TaintWalker from SoA batches, which is what keeps
- * the bitmap bit-for-bit equal across all three paths.
- */
-template <typename Sink>
-void
-walkTaint(TimingOpSource &src,
-          const std::vector<core::SecretRegion> &regions, Sink &&sink)
-{
-    TaintWalker walker(regions);
-    size_t index = 0;
-    for (const TimingOp *opp = src.next(); opp;
-         opp = src.next(), index++) {
-        const TimingOp &op = *opp;
-        sink(index, walker.feed(*op.inst, op.memAddr, op.crypto));
-    }
-}
-
-} // namespace
-
-void
-annotateTaint(TimingTrace &trace, const ir::Program &program,
-              const std::vector<core::SecretRegion> &regions)
-{
-    if (regions.empty())
-        return;
-    TraceSpanSource src(trace);
-    walkTaint(src, regions,
-              [&](size_t i, bool tainted) { trace[i].tainted = tainted; });
-    (void)program;
-}
-
 TaintBitmap
 computeTaintBitmap(TimingOpSource &src,
                    const std::vector<core::SecretRegion> &regions,
@@ -289,10 +151,16 @@ computeTaintBitmap(TimingOpSource &src,
     TaintBitmap bitmap(num_ops);
     if (regions.empty())
         return bitmap;
-    walkTaint(src, regions, [&](size_t i, bool tainted) {
-        if (tainted)
-            bitmap.set(i);
-    });
+    TaintWalker walker(regions);
+    OpBatch batch;
+    size_t index = 0;
+    while (const size_t n = src.nextBatch(batch, timingOpBatchOps)) {
+        for (size_t i = 0; i < n; i++, index++) {
+            if (walker.feed(*batch.inst[i], batch.memAddr[i],
+                            batch.crypto[i] != 0))
+                bitmap.set(index);
+        }
+    }
     return bitmap;
 }
 
@@ -331,28 +199,6 @@ OooCore::predictedCryptoPc(uint64_t pc) const
         off % ir::instBytes == 0)
         return cryptoPcMap_[off / ir::instBytes] != 0;
     return program_.isCryptoPc(pc);
-}
-
-OooCore::OooCore(const CoreParams &params, Scheme scheme,
-                 const ir::Program &program, const core::TraceImage *image)
-    : OooCore(
-          [&] {
-              core::SimConfig cfg;
-              cfg.scheme = scheme;
-              cfg.core = params;
-              return cfg;
-          }(),
-          program, image)
-{
-}
-
-CoreStats
-OooCore::run(const TimingTrace &trace)
-{
-    // Legacy in-memory entry point: taint comes from the per-op flags
-    // (annotateTaint), exactly as before the bitmap existed.
-    TraceSpanSource src(trace);
-    return run(src, nullptr);
 }
 
 namespace {
@@ -551,7 +397,7 @@ OooCore::consume(const OpBatch &batch)
 
     // Per-op loop invariants, hoisted into locals: params_ fields are
     // otherwise reloaded through `this` after every opaque store, and
-    // the taint column only matters to the ProSpeCT schemes.
+    // the taint bitmap only matters to the ProSpeCT schemes.
     const uint32_t fetch_width = params_.fetchWidth;
     const uint32_t frontend_depth = params_.frontendDepth;
     const uint32_t l1i_latency = params_.l1i.latency;
@@ -788,8 +634,8 @@ OooCore::consume(const OpBatch &batch)
                 stats.schemeLoadDelays++;
             ready = lb;
         }
-        const bool op_tainted = prospect_scheme &&
-            (taint ? taint->test(i) : batch.tainted[b] != 0);
+        const bool op_tainted =
+            prospect_scheme && taint && taint->test(i);
         if (op_tainted) {
             uint64_t barrier = scheme_ == Scheme::Prospect
                 ? last_branch_resolve

@@ -39,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -54,31 +53,18 @@
 
 namespace cassandra::uarch {
 
-/** One dynamic instruction of the timing trace. */
-struct TimingOp
-{
-    uint64_t pc = 0;
-    uint64_t memAddr = 0;
-    uint64_t nextPc = 0;
-    const ir::Inst *inst = nullptr;
-    bool crypto = false;
-    bool tainted = false; ///< ProSpeCT: a source operand holds a secret
-};
-
-using TimingTrace = std::vector<TimingOp>;
-
 /**
  * Ops per nextBatch() request on the replay hot path: 4K ops keep the
- * six parallel arrays (~100 KiB live) L2-resident while amortizing the
+ * five parallel arrays (~130 KiB live) L2-resident while amortizing the
  * per-batch virtual dispatch to nothing.
  */
 inline constexpr size_t timingOpBatchOps = 4096;
 
 /**
  * A structure-of-arrays view of a run of consecutive timing ops:
- * parallel `pc`/`memAddr`/`nextPc`/`inst`/flag arrays of `size`
+ * parallel `pc`/`memAddr`/`nextPc`/`inst`/`crypto` arrays of `size`
  * elements. The arrays are owned by the producing TimingOpSource and
- * stay valid until its next nextBatch()/next() call.
+ * stay valid until its next nextBatch() call.
  */
 struct OpBatch
 {
@@ -86,8 +72,7 @@ struct OpBatch
     const uint64_t *memAddr = nullptr;
     const uint64_t *nextPc = nullptr;
     const ir::Inst *const *inst = nullptr;
-    const uint8_t *crypto = nullptr;  ///< 0/1 per op
-    const uint8_t *tainted = nullptr; ///< 0/1 per op (ProSpeCT)
+    const uint8_t *crypto = nullptr; ///< 0/1 per op
     size_t size = 0;
 };
 
@@ -99,7 +84,6 @@ struct OpBatchStorage
     std::vector<uint64_t> nextPc;
     std::vector<const ir::Inst *> inst;
     std::vector<uint8_t> crypto;
-    std::vector<uint8_t> tainted;
 
     void
     resize(size_t n)
@@ -109,7 +93,6 @@ struct OpBatchStorage
         nextPc.resize(n);
         inst.resize(n);
         crypto.resize(n);
-        tainted.resize(n);
     }
 
     /** View of elements [offset, offset + n). */
@@ -122,18 +105,17 @@ struct OpBatchStorage
         b.nextPc = nextPc.data() + offset;
         b.inst = inst.data() + offset;
         b.crypto = crypto.data() + offset;
-        b.tainted = tainted.data() + offset;
         b.size = n;
         return b;
     }
 };
 
 /**
- * A forward-only stream of timing ops. The timing model and the taint
- * pre-pass consume traces exclusively through this interface, so a
- * whole in-memory trace and a chunked on-disk trace (core/trace_stream
- * TraceCursor) replay through identical code and produce bit-identical
- * results.
+ * A forward-only stream of timing ops, served in batches. The timing
+ * model and the taint walk consume traces exclusively through this
+ * interface, so frames held in memory and a chunked on-disk trace
+ * (core/trace_stream TraceCursor) replay through identical code and
+ * produce bit-identical results.
  */
 class TimingOpSource
 {
@@ -141,54 +123,16 @@ class TimingOpSource
     virtual ~TimingOpSource() = default;
 
     /**
-     * The next op of the stream, nullptr at the end. The returned
-     * pointer stays valid until the following next() call.
+     * Fill `out` with the next run of up to `max_ops` ops and return
+     * its size (0 only at end of stream, or when `max_ops` is 0). The
+     * view stays valid until the following nextBatch() call.
      */
-    virtual const TimingOp *next() = 0;
-
-    /**
-     * Bulk form: fill `out` with the next run of up to `max_ops` ops
-     * and return its size (0 only at end of stream). The view stays
-     * valid until the following nextBatch()/next() call; next() and
-     * nextBatch() share one stream position and may be interleaved.
-     *
-     * The default implementation adapts next() one op at a time — it
-     * is the scalar reference the batched overrides are tested
-     * against. Sources with a native batch decode override it.
-     */
-    virtual size_t nextBatch(OpBatch &out, size_t max_ops);
-
-  private:
-    /** Lazily-allocated storage of the default nextBatch(). */
-    std::unique_ptr<OpBatchStorage> fallback_;
-};
-
-/** TimingOpSource over an in-memory AoS trace (the reference form the
- * parity tests record with recordTrace). */
-class TraceSpanSource final : public TimingOpSource
-{
-  public:
-    explicit TraceSpanSource(const TimingTrace &trace) : trace_(trace) {}
-
-    const TimingOp *
-    next() override
-    {
-        return pos_ < trace_.size() ? &trace_[pos_++] : nullptr;
-    }
-
-    /** Native batch path: one AoS -> SoA transpose per batch. */
-    size_t nextBatch(OpBatch &out, size_t max_ops) override;
-
-  private:
-    const TimingTrace &trace_;
-    size_t pos_ = 0;
-    OpBatchStorage soa_;
+    virtual size_t nextBatch(OpBatch &out, size_t max_ops) = 0;
 };
 
 /**
- * Per-op taint flags at one bit per op (vs. the ~40 B/op cost of a
- * duplicated taint-annotated trace). Bit i holds the ProSpeCT
- * source-operand taint of dynamic op i.
+ * Per-op taint flags at one bit per op, beside the pristine op stream.
+ * Bit i holds the ProSpeCT source-operand taint of dynamic op i.
  */
 class TaintBitmap
 {
@@ -235,12 +179,14 @@ class TaintBitmap
 };
 
 /**
- * Incremental form of the taint walk behind annotateTaint and
- * computeTaintBitmap: feed() consumes one executed op and returns its
- * source-operand taint. Both the scalar walkers and the fused
- * analysis pipeline's batch consumer drive this one state machine, so
- * their verdicts are bit-for-bit equal by construction. `regions`
- * must outlive the walker.
+ * Incremental form of the ProSpeCT taint walk: feed() consumes one
+ * executed op and returns its source-operand taint. Taint originates
+ * at loads from the secret regions, propagates through registers and
+ * memory, and registers are declassified when execution leaves a
+ * crypto region. computeTaintBitmap and the fused analysis pipeline's
+ * batch consumer drive this one state machine, so their verdicts are
+ * bit-for-bit equal by construction. `regions` must outlive the
+ * walker.
  */
 class TaintWalker
 {
@@ -265,34 +211,9 @@ class TaintWalker
 };
 
 /**
- * Record the dynamic instruction stream of a workload run (evaluation
- * input by default).
- */
-TimingTrace recordTrace(const core::Workload &workload, int which = 2);
-
-/**
- * Streaming form: feed every op to `sink` instead of materializing a
- * vector (the op's inst pointer is valid during the callback). Returns
- * the number of ops recorded. This per-op probe is the serial
- * reference the fused analysis pass (core/analysis_pipeline) is
- * compared against.
- */
-uint64_t recordTrace(const core::Workload &workload, int which,
-                     const std::function<void(const TimingOp &)> &sink);
-
-/**
- * ProSpeCT taint pre-pass: mark instructions whose source operands are
- * tainted, propagating from loads out of the secret regions through
- * registers and memory, with register declassification at crypto-region
- * exits.
- */
-void annotateTaint(TimingTrace &trace, const ir::Program &program,
-                   const std::vector<core::SecretRegion> &regions);
-
-/**
- * Bitmap form of the taint pre-pass: one streaming pass over `src`
- * producing 1 bit/op. Bit i equals the `tainted` flag annotateTaint
- * would write on op i (both run the same walker).
+ * The taint walk as one streaming pass over `src`'s batches, at 1
+ * bit/op: bit i is the source-operand taint of op i. An empty
+ * `regions` taints nothing and reads no op.
  *
  * @param num_ops op count of the stream (sizes the bitmap)
  */
@@ -351,17 +272,12 @@ class OooCore
     OooCore(const core::SimConfig &config, const ir::Program &program,
             const core::TraceImage *image = nullptr);
 
-    /** Legacy form: default BTU geometry. */
-    OooCore(const CoreParams &params, Scheme scheme,
-            const ir::Program &program,
-            const core::TraceImage *image = nullptr);
-
     ~OooCore();
 
     /**
      * Run the timing model over an op stream. When `taint` is given it
      * supplies the ProSpeCT per-op taint flags (bit i for op i);
-     * otherwise each op's own `tainted` flag is used.
+     * without it no op is tainted.
      */
     CoreStats run(TimingOpSource &src, const TaintBitmap *taint = nullptr);
 
@@ -375,9 +291,6 @@ class OooCore
     void begin(const TaintBitmap *taint = nullptr);
     void consume(const OpBatch &batch);
     CoreStats finish();
-
-    /** Run over a recorded in-memory trace (op-embedded taint flags). */
-    CoreStats run(const TimingTrace &trace);
 
     const btu::Btu *btuUnit() const { return btu_.get(); }
     const TagePredictor &tage() const { return tage_; }

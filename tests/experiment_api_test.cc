@@ -257,12 +257,13 @@ TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
     }
 }
 
-TEST(GroupedReplayTest, EmptyTraceCellsStillReplay)
+TEST(GroupedReplayTest, EmptyTraceCellsKeepLoneRunResults)
 {
     // A snapshot whose trace section holds no op rebuilds an artifact
-    // with no frame at all, held in memory or in a stream file. Its
-    // cells still get a result equal to a lone Simulation::run, and
-    // the pool does not wait for a frame that never comes.
+    // with no frame at all, held in memory or in a stream file. The
+    // pool gives its cells no turn and does not wait for a frame that
+    // never comes; each keeps the result its slot starts with, which
+    // equals a lone Simulation::run.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto bytes = test::snapshotBytes(
         *core::AnalyzedWorkload::analyze(resolver("ChaCha20_ct")),

@@ -3,17 +3,17 @@
  * Fused single-pass analysis pipeline parity suite.
  *
  * The fused pipeline (core/analysis_pipeline) is the only analysis
- * path; the serial references stay in-tree as free functions
- * (uarch::recordTrace, uarch::computeTaintBitmap, generateTraces with
- * fused = false) and are the oracle. Everything here is exact
+ * path. The oracle is the test recorder (tests/trace_test_util.hh
+ * recordOps: one machine run into growing columns, relinked
+ * independently), uarch::computeTaintBitmap over its columns and
+ * generateTraces with fused = false. Everything here is exact
  * comparison: op columns, folded Algorithm 2 traces, packed image
  * bytes, taint bits, stream file bytes and replayed batches must
- * match the reference op for op —
- * across chunk sizes (including 1), ring sizes (including 1), and
- * Inline and forced-Threaded mode. Plus the TraceStreamWriter durability
- * seam: a crash after the data fsync but before the index/footer must
- * leave a file that fails loudly at open, never a footer-valid-but-
- * truncated stream.
+ * match the reference op for op — across chunk sizes (including 1),
+ * ring sizes (including 1), and Inline and forced-Threaded mode. Plus
+ * the TraceStreamWriter durability seam: a crash after the data fsync
+ * but before the index/footer must leave a file that fails loudly at
+ * open, never a footer-valid-but-truncated stream.
  */
 
 #include <gtest/gtest.h>
@@ -73,24 +73,15 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Consumer that materializes every chunk back into TimingOps. */
+/** Consumer that collects every chunk's columns. */
 class CollectConsumer final : public BatchConsumer
 {
   public:
     void
     consume(const AnalysisChunk &chunk) override
     {
-        EXPECT_EQ(chunk.baseIndex, ops.size());
-        for (size_t i = 0; i < chunk.size; i++) {
-            uarch::TimingOp op;
-            op.pc = chunk.ops.pc[i];
-            op.memAddr = chunk.ops.memAddr[i];
-            op.nextPc = chunk.ops.nextPc[i];
-            op.inst = chunk.ops.inst[i];
-            op.crypto = chunk.ops.crypto[i] != 0;
-            op.tainted = chunk.ops.tainted[i] != 0;
-            ops.push_back(op);
-        }
+        EXPECT_EQ(chunk.baseIndex, ops.pc.size());
+        test::appendOps(ops, chunk.view());
     }
 
     void
@@ -99,47 +90,20 @@ class CollectConsumer final : public BatchConsumer
         finished = true;
     }
 
-    uarch::TimingTrace ops;
+    uarch::OpBatchStorage ops;
     bool finished = false;
 };
 
+/** A stream file of `ops` written by a writer fed one op at a time
+ * (1-op batches, so every op goes through the writer's staging). */
 void
-expectSameOps(const uarch::TimingTrace &got,
-              const uarch::TimingTrace &want, const std::string &what)
+writeOpByOp(const std::string &path, const ir::Program &program,
+            const uarch::OpBatchStorage &ops)
 {
-    SCOPED_TRACE(what);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); i++) {
-        ASSERT_EQ(got[i].pc, want[i].pc) << "op " << i;
-        ASSERT_EQ(got[i].memAddr, want[i].memAddr) << "op " << i;
-        ASSERT_EQ(got[i].nextPc, want[i].nextPc) << "op " << i;
-        ASSERT_EQ(got[i].inst, want[i].inst) << "op " << i;
-        ASSERT_EQ(got[i].crypto, want[i].crypto) << "op " << i;
-        ASSERT_FALSE(got[i].tainted) << "op " << i;
-    }
-}
-
-/** Like expectSameOps, but across two artifacts that each own a copy
- * of the program: inst pointers are compared as indices into the
- * respective program's instruction array. */
-void
-expectSameOpsIndexed(const uarch::TimingTrace &got,
-                     const ir::Program &gotProgram,
-                     const uarch::TimingTrace &want,
-                     const ir::Program &wantProgram,
-                     const std::string &what)
-{
-    SCOPED_TRACE(what);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); i++) {
-        ASSERT_EQ(got[i].pc, want[i].pc) << "op " << i;
-        ASSERT_EQ(got[i].memAddr, want[i].memAddr) << "op " << i;
-        ASSERT_EQ(got[i].nextPc, want[i].nextPc) << "op " << i;
-        ASSERT_EQ(got[i].inst - gotProgram.insts.data(),
-                  want[i].inst - wantProgram.insts.data())
-            << "op " << i;
-        ASSERT_EQ(got[i].crypto, want[i].crypto) << "op " << i;
-    }
+    TraceStreamWriter writer(path, core::programFingerprint(program));
+    for (size_t i = 0; i < ops.pc.size(); i++)
+        writer.appendBatch(ops.view(i, 1));
+    writer.finish();
 }
 
 /** Exact (packed-bytes) equality of two Algorithm 2 results. */
@@ -182,14 +146,14 @@ expectSameTraceGen(const core::TraceGenResult &a,
 }
 
 // ---------------------------------------------------------------------
-// Fused op pass vs scalar recordTrace
+// Fused op pass vs the recorder
 // ---------------------------------------------------------------------
 
 TEST(FusedOpPass, MatchesReferenceAcrossChunkRingAndMode)
 {
     const core::Workload w = workload("synthetic/chacha20/75");
-    const uarch::TimingTrace ref = uarch::recordTrace(w, 2);
-    ASSERT_GT(ref.size(), 1000u);
+    const uarch::OpBatchStorage ref = test::recordOps(w);
+    ASSERT_GT(ref.pc.size(), 1000u);
 
     struct Combo
     {
@@ -217,55 +181,29 @@ TEST(FusedOpPass, MatchesReferenceAcrossChunkRingAndMode)
             " chunk=" + std::to_string(combo.chunkOps) +
             " ring=" + std::to_string(combo.ringChunks);
         EXPECT_TRUE(collect.finished) << what;
-        EXPECT_EQ(stats.numOps, ref.size()) << what;
+        EXPECT_EQ(stats.numOps, ref.pc.size()) << what;
         EXPECT_EQ(stats.threaded, combo.mode == Mode::Threaded) << what;
-        expectSameOps(collect.ops, ref, what);
+        test::expectSameOps(collect.ops, ref, w.program, what);
     }
 }
 
 TEST(FusedOpPass, RetainedChunksReplayIdentically)
 {
     const core::Workload w = workload("synthetic/chacha20/75");
-    const uarch::TimingTrace ref = uarch::recordTrace(w, 2);
+    const uarch::OpBatchStorage ref = test::recordOps(w);
 
     AnalysisPipelineOptions options;
     options.chunkOps = 777; // deliberately unaligned with batch sizes
     std::vector<AnalysisChunk> chunks;
     const core::FusedPassStats stats =
         core::runFusedOpPass(w, 2, {}, options, &chunks);
-    ASSERT_EQ(stats.numOps, ref.size());
+    ASSERT_EQ(stats.numOps, ref.pc.size());
     ASSERT_GT(chunks.size(), 1u);
 
-    // Scalar replay.
-    {
-        ChunkSpanSource src(chunks);
-        for (size_t i = 0; i < ref.size(); i++) {
-            const uarch::TimingOp *op = src.next();
-            ASSERT_NE(op, nullptr) << "op " << i;
-            ASSERT_EQ(op->pc, ref[i].pc) << "op " << i;
-            ASSERT_EQ(op->inst, ref[i].inst) << "op " << i;
-            ASSERT_EQ(op->crypto, ref[i].crypto) << "op " << i;
-        }
-        EXPECT_EQ(src.next(), nullptr);
-    }
     // Batched replay with a max_ops that never divides the chunk size.
-    {
-        ChunkSpanSource src(chunks);
-        uarch::TimingTrace got;
-        uarch::OpBatch batch;
-        while (size_t n = src.nextBatch(batch, 61)) {
-            for (size_t i = 0; i < n; i++) {
-                uarch::TimingOp op;
-                op.pc = batch.pc[i];
-                op.memAddr = batch.memAddr[i];
-                op.nextPc = batch.nextPc[i];
-                op.inst = batch.inst[i];
-                op.crypto = batch.crypto[i] != 0;
-                got.push_back(op);
-            }
-        }
-        expectSameOps(got, ref, "ChunkSpanSource::nextBatch");
-    }
+    ChunkSpanSource src(chunks);
+    test::expectSameOps(test::drainOps(src, 61), ref, w.program,
+                        "ChunkSpanSource::nextBatch");
 }
 
 // ---------------------------------------------------------------------
@@ -353,19 +291,19 @@ TEST(FusedArtifact, WholeModeParity)
     options.phases = core::allAnalysisPhases;
     const auto fused = AnalyzedWorkload::analyze(workload(name), options);
 
-    // The serial references, on their own copy of the workload.
+    // The references, on their own copy of the workload.
     const core::Workload w = workload(name);
-    const uarch::TimingTrace refTrace = uarch::recordTrace(w, 2);
-    uarch::TraceSpanSource refSrc(refTrace);
+    const uarch::OpBatchStorage refOps = test::recordOps(w);
+    test::ColumnSource refSrc(refOps);
     const uarch::TaintBitmap refTaint = uarch::computeTaintBitmap(
-        refSrc, w.secretRegions, refTrace.size());
+        refSrc, w.secretRegions, refOps.pc.size());
     const core::TraceGenResult refImage =
         core::generateTraces(w, {}, /*fused=*/false);
 
     // Trace ops.
-    expectSameOpsIndexed(test::drainOps(*fused), fused->workload().program,
-                         refTrace, w.program, "whole-mode trace");
-    EXPECT_EQ(fused->numOps(), refTrace.size());
+    test::expectSameOps(test::drainOps(*fused), fused->workload().program,
+                        refOps, w.program, "whole-mode trace");
+    EXPECT_EQ(fused->numOps(), refOps.pc.size());
 
     // Taint bits.
     const uarch::TaintBitmap &tf = fused->taintBitmap();
@@ -388,7 +326,7 @@ TEST(FusedArtifact, WholeModeParity)
                             uarch::schemeIsCassandra(scheme)
                                 ? &refImage.image
                                 : nullptr);
-        uarch::TraceSpanSource src(refTrace);
+        test::ColumnSource src(refOps);
         const uarch::CoreStats b = core.run(
             src, scheme == uarch::Scheme::Prospect ? &refTaint : nullptr);
         EXPECT_EQ(a.stats.cycles, b.cycles) << static_cast<int>(scheme);
@@ -404,17 +342,14 @@ TEST(FusedArtifact, StreamFileBytesIdentical)
     const auto fused = AnalyzedWorkload::analyze(
         workload("synthetic/chacha20/75"), options);
 
-    // The reference file: the scalar recordTrace sink feeding a
-    // writer one op at a time.
+    // The reference file: the recorded ops fed to a writer one op at
+    // a time.
     const core::Workload w = workload("synthetic/chacha20/75");
+    const uarch::OpBatchStorage refOps = test::recordOps(w);
     const std::string refPath = test::scratchPath("fused-stream-ref");
-    TraceStreamWriter writer(refPath, core::programFingerprint(w.program));
-    uarch::recordTrace(w, 2, [&](const uarch::TimingOp &op) {
-        writer.append(op);
-    });
-    writer.finish();
+    writeOpByOp(refPath, w.program, refOps);
 
-    EXPECT_EQ(fused->numOps(), writer.numOps());
+    EXPECT_EQ(fused->numOps(), refOps.pc.size());
     ASSERT_NE(fused->streamPath(), refPath);
     // The fused writer consumes whole SoA batches, the reference one
     // op at a time; the container bytes must not differ.
@@ -440,22 +375,19 @@ TEST(FusedArtifact, StreamModeAllPhasesParity)
     EXPECT_TRUE(fused->hasTaintBitmap());
 
     const core::Workload w = workload(name);
-    const uarch::TimingTrace refTrace = uarch::recordTrace(w, 2);
+    const uarch::OpBatchStorage refOps = test::recordOps(w);
 
     // Stream bytes: a writer fed one op at a time.
     const std::string refPath =
         test::scratchPath("fused-all-phases-ref.trace");
-    TraceStreamWriter writer(refPath, core::programFingerprint(w.program));
-    for (const uarch::TimingOp &op : refTrace)
-        writer.append(op);
-    writer.finish();
-    EXPECT_EQ(fused->numOps(), refTrace.size());
+    writeOpByOp(refPath, w.program, refOps);
+    EXPECT_EQ(fused->numOps(), refOps.pc.size());
     EXPECT_EQ(readFile(fused->streamPath()), readFile(refPath));
 
     // Taint bits.
-    uarch::TraceSpanSource refSrc(refTrace);
+    test::ColumnSource refSrc(refOps);
     const uarch::TaintBitmap refTaint = uarch::computeTaintBitmap(
-        refSrc, w.secretRegions, refTrace.size());
+        refSrc, w.secretRegions, refOps.pc.size());
     const uarch::TaintBitmap &tf = fused->taintBitmap();
     ASSERT_EQ(tf.size(), refTaint.size());
     EXPECT_GT(tf.count(), 0u);
@@ -506,8 +438,8 @@ seamSnapshot(const std::string &path)
 TEST(StreamWriterSeam, CrashBeforeFooterFailsLoudly)
 {
     const core::Workload w = workload("synthetic/chacha20/75");
-    const uarch::TimingTrace trace = uarch::recordTrace(w, 2);
-    ASSERT_GT(trace.size(), 512u);
+    const uarch::OpBatchStorage ops = test::recordOps(w);
+    ASSERT_GT(ops.pc.size(), 512u);
 
     {
         const std::string path = "seam_full.casstf";
@@ -517,8 +449,7 @@ TEST(StreamWriterSeam, CrashBeforeFooterFailsLoudly)
 
         TraceStreamWriter writer(
             path, core::programFingerprint(w.program), 256);
-        for (const auto &op : trace)
-            writer.append(op);
+        writer.appendBatch(ops.view(0, ops.pc.size()));
         TraceStreamWriter::finishSeamHook = &seamSnapshot;
         writer.finish();
         TraceStreamWriter::finishSeamHook = nullptr;
@@ -548,11 +479,8 @@ TEST(StreamWriterSeam, CrashBeforeFooterFailsLoudly)
 
         // The finished file replays completely.
         TraceCursor cursor(path, w.program);
-        EXPECT_EQ(cursor.numOps(), trace.size());
-        uint64_t ops = 0;
-        while (cursor.next())
-            ops++;
-        EXPECT_EQ(ops, trace.size());
+        EXPECT_EQ(cursor.numOps(), ops.pc.size());
+        EXPECT_EQ(test::drainOps(cursor).pc.size(), ops.pc.size());
 
         std::remove(path.c_str());
         std::remove(crashed.c_str());

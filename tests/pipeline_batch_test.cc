@@ -1,12 +1,11 @@
 /**
  * @file
- * Batched-replay parity tests: the SoA nextBatch() paths must be
- * observably identical to the scalar next() path — same columns for
- * every batch size, and byte-identical timing results across every
- * scheme on both source kinds (in-memory span and chunked trace
- * stream), also when the core is resumed batch by batch through
- * OooCore::begin/consume/finish. The scalar reference is the default
- * TimingOpSource::nextBatch adapter, which batches through next().
+ * Batched-replay parity tests: a trace stream serves the recorded op
+ * columns (tests/trace_test_util.hh recordOps) at every batch size and
+ * frame size, on both cursor backings, and the core resumed batch by
+ * batch through OooCore::begin/consume/finish gives run()'s counters
+ * for every scheme, on whole and streamed artifacts alike. Batches of
+ * one op are the per-op reference.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis_pipeline.hh"
 #include "core/analyzed_workload.hh"
 #include "core/serialize.hh"
 #include "core/trace_stream.hh"
@@ -30,10 +30,9 @@ using core::SimConfig;
 using core::TraceCursor;
 using core::TraceStreamWriter;
 using uarch::OpBatch;
+using uarch::OpBatchStorage;
 using uarch::Scheme;
-using uarch::TimingOp;
 using uarch::TimingOpSource;
-using uarch::TimingTrace;
 
 constexpr Scheme allSchemes[] = {
     Scheme::UnsafeBaseline, Scheme::Cassandra,  Scheme::CassandraStl,
@@ -46,78 +45,48 @@ workload(const char *name)
     return crypto::WorkloadRegistry::global().make(name);
 }
 
-/**
- * Hides a source's native nextBatch() override behind the base-class
- * adapter: batching then goes through next() one op at a time, which
- * is the scalar reference semantics every native batch path must
- * reproduce exactly.
- */
-class ScalarOnly : public TimingOpSource
-{
-  public:
-    explicit ScalarOnly(TimingOpSource &inner) : inner_(inner) {}
-
-    const TimingOp *
-    next() override
-    {
-        return inner_.next();
-    }
-
-  private:
-    TimingOpSource &inner_;
-};
-
 /** Drain `src` via nextBatch(max_ops) and compare the concatenated
- * columns against the recorded trace. */
+ * columns against the recorded ops. */
 void
-expectBatchedColumnsEqualTrace(TimingOpSource &src,
-                               const TimingTrace &trace, size_t max_ops)
+expectBatchedColumnsEqualOps(TimingOpSource &src, const OpBatchStorage &ops,
+                             const ir::Program &program, size_t max_ops)
 {
     SCOPED_TRACE("max_ops=" + std::to_string(max_ops));
-    size_t i = 0;
+    OpBatchStorage got;
     OpBatch batch;
-    size_t n;
-    while ((n = src.nextBatch(batch, max_ops)) != 0) {
+    while (const size_t n = src.nextBatch(batch, max_ops)) {
         ASSERT_EQ(n, batch.size);
         ASSERT_LE(n, max_ops);
-        for (size_t b = 0; b < n; b++, i++) {
-            ASSERT_LT(i, trace.size());
-            EXPECT_EQ(batch.pc[b], trace[i].pc);
-            EXPECT_EQ(batch.memAddr[b], trace[i].memAddr);
-            EXPECT_EQ(batch.nextPc[b], trace[i].nextPc);
-            EXPECT_EQ(batch.inst[b]->op, trace[i].inst->op);
-            EXPECT_EQ(batch.crypto[b] != 0, trace[i].crypto);
-        }
+        test::appendOps(got, batch);
     }
-    EXPECT_EQ(i, trace.size());
+    test::expectSameOps(got, ops, program, "batched columns");
 }
 
-/** Write `trace` as a multi-frame stream file; small frames force
+/** Write `ops` as a multi-frame stream file; small frames force
  * batches to stop at frame boundaries (tail/partial batches). */
 std::string
-writeStream(const core::Workload &w, const TimingTrace &trace,
+writeStream(const core::Workload &w, const OpBatchStorage &ops,
             uint32_t frame_ops)
 {
     const std::string path =
         test::scratchPath("batch-" + std::to_string(frame_ops) + ".trace");
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
                              frame_ops);
-    for (const auto &op : trace)
-        writer.append(op);
+    writer.appendBatch(ops.view(0, ops.pc.size()));
     writer.finish();
     return path;
 }
 
-/** One timing run of `src` under `scheme`, on the core and taint
- * bitmap core::Simulation wires. */
+/** One timing run of `aw`'s own source under `scheme`, on the core and
+ * taint bitmap core::Simulation wires. */
 ExperimentResult
-runScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme,
-          TimingOpSource &src)
+runScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme)
 {
     SimConfig config;
     config.scheme = scheme;
     auto [ooo, taint] = core::Simulation(aw).makeCore(config);
-    return core::resultFromCore(*ooo, ooo->run(src, taint));
+    auto src = aw->openOpSource();
+    return core::resultFromCore(*ooo, ooo->run(*src, taint));
 }
 
 /** runScheme over the artifact's own source, fed through
@@ -139,7 +108,8 @@ resumeScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme,
     return core::resultFromCore(*ooo, ooo->finish());
 }
 
-/** The batch sizes the resumable core is fed in. */
+/** The batch sizes the resumable core is fed in; 1 is the per-op
+ * reference. */
 constexpr size_t resumeBatches[] = {1, 17, uarch::timingOpBatchOps,
                                     size_t{1} << 15};
 
@@ -177,31 +147,20 @@ allCounters(const ExperimentResult &r)
 // Column equivalence: every batch size, both source kinds
 // ---------------------------------------------------------------------
 
-TEST(BatchColumnsTest, SpanSourceMatchesTraceAtOddBatchSizes)
-{
-    core::Workload w = workload("SHA-256");
-    auto trace = uarch::recordTrace(w, 2);
-    ASSERT_GT(trace.size(), 2 * uarch::timingOpBatchOps);
-    const size_t B = uarch::timingOpBatchOps;
-    for (size_t max_ops : {size_t{1}, B - 1, B, B + 1, trace.size() + 7}) {
-        uarch::TraceSpanSource src(trace);
-        expectBatchedColumnsEqualTrace(src, trace, max_ops);
-    }
-}
-
 TEST(BatchColumnsTest, CursorMatchesTraceAtFrameBoundaries)
 {
     core::Workload w = workload("SHA-256");
-    auto trace = uarch::recordTrace(w, 2);
+    const OpBatchStorage ops = test::recordOps(w);
+    ASSERT_GT(ops.pc.size(), 2 * uarch::timingOpBatchOps);
     const size_t B = uarch::timingOpBatchOps;
     // 256-op frames force every batch to stop at a frame boundary;
     // default-sized frames exercise full-width batches with a tail.
     for (uint32_t frame_ops : {uint32_t{256}, uint32_t{1} << 15}) {
         SCOPED_TRACE("frameOps=" + std::to_string(frame_ops));
-        const std::string path = writeStream(w, trace, frame_ops);
+        const std::string path = writeStream(w, ops, frame_ops);
         for (size_t max_ops : {size_t{1}, B - 1, B, B + 1}) {
             TraceCursor cursor(path, w.program);
-            expectBatchedColumnsEqualTrace(cursor, trace, max_ops);
+            expectBatchedColumnsEqualOps(cursor, ops, w.program, max_ops);
         }
         // 17 never divides a frame, so frame boundaries land
         // mid-request, on both backings.
@@ -210,7 +169,7 @@ TEST(BatchColumnsTest, CursorMatchesTraceAtFrameBoundaries)
             SCOPED_TRACE("backing " +
                          std::to_string(static_cast<int>(backing)));
             TraceCursor cursor(path, w.program, backing);
-            expectBatchedColumnsEqualTrace(cursor, trace, 17);
+            expectBatchedColumnsEqualOps(cursor, ops, w.program, 17);
         }
         std::remove(path.c_str());
     }
@@ -218,87 +177,57 @@ TEST(BatchColumnsTest, CursorMatchesTraceAtFrameBoundaries)
 
 TEST(BatchColumnsTest, EmptyAndExhaustedSourcesReturnZero)
 {
-    TimingTrace empty;
-    uarch::TraceSpanSource src(empty);
-    OpBatch batch;
-    EXPECT_EQ(src.nextBatch(batch, uarch::timingOpBatchOps), 0u);
-
     core::Workload w = workload("SHA-256");
-    auto trace = uarch::recordTrace(w, 2);
-    uarch::TraceSpanSource drained(trace);
-    while (drained.next() != nullptr) {
+    OpBatch batch;
+    const core::TraceFrames empty;
+    TraceCursor none(empty, w.program);
+    EXPECT_EQ(none.nextBatch(batch, uarch::timingOpBatchOps), 0u);
+    const std::vector<core::AnalysisChunk> no_chunks;
+    core::ChunkSpanSource no_span(no_chunks);
+    EXPECT_EQ(no_span.nextBatch(batch, uarch::timingOpBatchOps), 0u);
+
+    const std::string path = writeStream(w, test::recordOps(w), 256);
+    TraceCursor drained(path, w.program);
+    EXPECT_EQ(drained.nextBatch(batch, 0), 0u);
+    while (drained.nextBatch(batch, uarch::timingOpBatchOps) != 0) {
     }
     EXPECT_EQ(drained.nextBatch(batch, uarch::timingOpBatchOps), 0u);
-}
-
-TEST(BatchColumnsTest, NextAndNextBatchShareOnePosition)
-{
-    core::Workload w = workload("SHA-256");
-    auto trace = uarch::recordTrace(w, 2);
-    const std::string path = writeStream(w, trace, 256);
-    TraceCursor cursor(path, w.program);
-    // Scalar-consume into the middle of a frame, then switch to
-    // batches: the batch must resume exactly where next() stopped.
-    const size_t lead = 100;
-    for (size_t i = 0; i < lead; i++)
-        ASSERT_NE(cursor.next(), nullptr);
-    OpBatch batch;
-    size_t n = cursor.nextBatch(batch, 64);
-    ASSERT_GT(n, 0u);
-    for (size_t b = 0; b < n; b++) {
-        EXPECT_EQ(batch.pc[b], trace[lead + b].pc);
-        EXPECT_EQ(batch.nextPc[b], trace[lead + b].nextPc);
-    }
-    // And back to scalar.
-    const TimingOp *op = cursor.next();
-    ASSERT_NE(op, nullptr);
-    EXPECT_EQ(op->pc, trace[lead + n].pc);
     std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
-// End-to-end timing parity: batched vs scalar, all schemes
+// End-to-end timing parity: resumed vs whole-run replay, all schemes
 // ---------------------------------------------------------------------
 
-TEST(BatchParityTest, WholeSourceMatchesScalarAcrossSchemes)
+/** Every scheme's run() of `aw` against the same replay resumed in
+ * each of resumeBatches. */
+void
+expectResumedRunsMatch(const AnalyzedWorkload::Ptr &aw)
 {
-    auto aw = AnalyzedWorkload::analyze(workload("ChaCha20_ct"));
     for (Scheme scheme : allSchemes) {
         SCOPED_TRACE(uarch::schemeName(scheme));
-        auto batched_src = aw->openOpSource();
-        auto batched = runScheme(aw, scheme, *batched_src);
-        auto scalar_inner = aw->openOpSource();
-        ScalarOnly scalar_src(*scalar_inner);
-        auto scalar = runScheme(aw, scheme, scalar_src);
-        EXPECT_EQ(allCounters(batched), allCounters(scalar));
+        const auto whole = allCounters(runScheme(aw, scheme));
         for (size_t max_ops : resumeBatches) {
             SCOPED_TRACE("resumed, batches of " + std::to_string(max_ops));
             EXPECT_EQ(allCounters(resumeScheme(aw, scheme, max_ops)),
-                      allCounters(batched));
+                      whole);
         }
     }
 }
 
-TEST(BatchParityTest, StreamSourceMatchesScalarAcrossSchemes)
+TEST(BatchParityTest, WholeSourceResumesIdenticallyAcrossSchemes)
+{
+    expectResumedRunsMatch(
+        AnalyzedWorkload::analyze(workload("ChaCha20_ct")));
+}
+
+TEST(BatchParityTest, StreamSourceResumesIdenticallyAcrossSchemes)
 {
     core::AnalyzeOptions options;
     options.traceMode = core::TraceMode::Stream;
     options.streamDir = test::scratchPath("batch-parity-streams");
-    auto aw = AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options);
-    for (Scheme scheme : allSchemes) {
-        SCOPED_TRACE(uarch::schemeName(scheme));
-        auto batched_src = aw->openOpSource();
-        auto batched = runScheme(aw, scheme, *batched_src);
-        auto scalar_inner = aw->openOpSource();
-        ScalarOnly scalar_src(*scalar_inner);
-        auto scalar = runScheme(aw, scheme, scalar_src);
-        EXPECT_EQ(allCounters(batched), allCounters(scalar));
-        for (size_t max_ops : resumeBatches) {
-            SCOPED_TRACE("resumed, batches of " + std::to_string(max_ops));
-            EXPECT_EQ(allCounters(resumeScheme(aw, scheme, max_ops)),
-                      allCounters(batched));
-        }
-    }
+    expectResumedRunsMatch(
+        AnalyzedWorkload::analyze(workload("ChaCha20_ct"), options));
 }
 
 } // namespace

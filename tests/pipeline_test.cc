@@ -13,6 +13,7 @@
 #include "core/analyzed_workload.hh"
 #include "core/contract.hh"
 #include "crypto/workloads.hh"
+#include "tests/trace_test_util.hh"
 
 namespace {
 
@@ -108,16 +109,24 @@ TEST_F(TimingTest, NoTimingSideChannelUnderCassandra)
     // enforcement implies identical pipeline behavior).
     core::Workload w = crypto::chacha20CtWorkload();
     auto analyzed = core::AnalyzedWorkload::analyze(w);
-    auto trace_a = uarch::recordTrace(w, core::contractInputA);
-    auto trace_b = uarch::recordTrace(w, core::contractInputB);
-    ASSERT_EQ(trace_a.size(), trace_b.size());
+    const auto ops_a = test::recordOps(w, core::contractInputA);
+    const auto ops_b = test::recordOps(w, core::contractInputB);
+    ASSERT_EQ(ops_a.pc.size(), ops_b.pc.size());
 
     const auto &image = analyzed->traces().image;
-    uarch::CoreParams params;
-    uarch::OooCore core_a(params, Scheme::Cassandra, w.program, &image);
-    uarch::OooCore core_b(params, Scheme::Cassandra, w.program, &image);
-    auto stats_a = core_a.run(trace_a);
-    auto stats_b = core_b.run(trace_b);
+    core::SimConfig config;
+    config.scheme = Scheme::Cassandra;
+    auto replay = [&](const uarch::OpBatchStorage &ops) {
+        uarch::OooCore core(config, w.program, &image);
+        core.begin();
+        const size_t n = ops.pc.size();
+        for (size_t at = 0; at < n; at += uarch::timingOpBatchOps)
+            core.consume(
+                ops.view(at, std::min(uarch::timingOpBatchOps, n - at)));
+        return core.finish();
+    };
+    auto stats_a = replay(ops_a);
+    auto stats_b = replay(ops_b);
     EXPECT_EQ(stats_a.cycles, stats_b.cycles);
     EXPECT_EQ(stats_a.btuMismatches, 0u);
     EXPECT_EQ(stats_b.btuMismatches, 0u);
@@ -174,13 +183,12 @@ TEST_F(TimingTest, CacheHierarchySane)
 TEST(TaintTest, PropagationBasics)
 {
     auto w = crypto::syntheticMixWorkload("chacha20", 0);
-    auto trace = uarch::recordTrace(w, 2);
-    uarch::annotateTaint(trace, w.program, w.secretRegions);
-    size_t tainted = 0;
-    for (const auto &op : trace)
-        tainted += op.tainted ? 1 : 0;
-    EXPECT_GT(tainted, 0u);
-    EXPECT_LT(tainted, trace.size());
+    const auto ops = test::recordOps(w);
+    test::ColumnSource src(ops);
+    const uarch::TaintBitmap taint =
+        uarch::computeTaintBitmap(src, w.secretRegions, ops.pc.size());
+    EXPECT_GT(taint.count(), 0u);
+    EXPECT_LT(taint.count(), ops.pc.size());
 }
 
 } // namespace

@@ -413,10 +413,11 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
     std::vector<uint8_t> v3 = head('3');
     v3.push_back(0); // inline ops
     test::putLe(v3, artifact->numOps(), 8);
-    for (const auto &op : test::drainOps(*artifact)) {
-        test::putLe(v3, op.pc, 8);
-        test::putLe(v3, op.memAddr, 8);
-        test::putLe(v3, op.nextPc, 8);
+    const uarch::OpBatchStorage ops = test::drainOps(*artifact);
+    for (size_t i = 0; i < ops.pc.size(); i++) {
+        test::putLe(v3, ops.pc[i], 8);
+        test::putLe(v3, ops.memAddr[i], 8);
+        test::putLe(v3, ops.nextPc[i], 8);
     }
     std::vector<uint8_t> v4 = head('4');
     v4.push_back(1); // embedded stream file
@@ -427,12 +428,11 @@ TEST(ArtifactVersionTest, Cassaw3SnapshotsAreRejectedAndEvicted)
     v5.push_back(0); // frames held in memory
     test::putLe(v5, artifact->numOps(), 8);
     test::putLe(v5, core::traceStreamDefaultFrameOps, 4);
-    const uarch::TimingTrace ops = test::drainOps(*artifact);
-    for (size_t lo = 0; lo < ops.size();
+    for (size_t lo = 0; lo < ops.pc.size();
          lo += core::traceStreamDefaultFrameOps)
         test::appendRawFrame(
             v5, ops, lo,
-            std::min<size_t>(ops.size(),
+            std::min<size_t>(ops.pc.size(),
                              lo + core::traceStreamDefaultFrameOps));
     // Relabelled as the current revision, the CASSAW5 bytes load: only
     // the container version rejects them.

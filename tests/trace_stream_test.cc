@@ -2,11 +2,11 @@
  * @file
  * Memory-lean pipeline tests: chunked trace stream round trips (both
  * cursor backings), the CASSTF3 sparse frame codec, corrupt and
- * retired (revision 1 and 2) streams failing loudly, streamed-vs-whole cycle parity
- * across every scheme, taint-bitmap-vs-legacy-annotated-trace parity,
- * failed recordings leaving no trace file, and the demand-driven
- * per-phase analysis counters (baseline-only sweeps never run
- * Algorithm 2).
+ * retired (revision 1 and 2) streams failing loudly, streamed-vs-whole
+ * cycle parity across every scheme, the fused and the lazily walked
+ * taint bitmaps against computeTaintBitmap over recorded ops, failed
+ * recordings leaving no trace file, and the demand-driven per-phase
+ * analysis counters (baseline-only sweeps never run Algorithm 2).
  */
 
 #include <gtest/gtest.h>
@@ -80,17 +80,22 @@ getLe64(const std::vector<uint8_t> &bytes, size_t at)
     return v;
 }
 
-/** Write a multi-frame stream of a real trace; returns the op count. */
-uint64_t
+/** Write a multi-frame stream of recorded ops. */
+void
 writeStream(const std::string &path, const core::Workload &w,
-            const uarch::TimingTrace &trace, uint32_t frame_ops = 256)
+            const uarch::OpBatch &ops, uint32_t frame_ops = 256)
 {
     TraceStreamWriter writer(path, core::programFingerprint(w.program),
                              frame_ops);
-    for (const auto &op : trace)
-        writer.append(op);
+    writer.appendBatch(ops);
     writer.finish();
-    return trace.size();
+}
+
+/** All of `ops` as one batch. */
+uarch::OpBatch
+allOps(const uarch::OpBatchStorage &ops)
+{
+    return ops.view(0, ops.pc.size());
 }
 
 constexpr Scheme allSchemes[] = {
@@ -142,42 +147,33 @@ expectEqualResults(const ExperimentResult &a, const ExperimentResult &b,
 TEST(TraceStreamTest, RoundTripBothBackings)
 {
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     // A small frame size forces multi-frame files + index use.
     const std::string path = test::scratchPath("chacha20.trace");
-    writeStream(path, w, trace);
+    writeStream(path, w, allOps(ops));
     for (auto backing : {TraceCursor::Backing::Buffered,
                          TraceCursor::Backing::Auto}) {
         SCOPED_TRACE(backing == TraceCursor::Backing::Buffered
                          ? "buffered"
                          : "auto");
         TraceCursor cursor(path, w.program, backing);
-        ASSERT_EQ(cursor.numOps(), trace.size());
-        size_t i = 0;
-        for (const uarch::TimingOp *op = cursor.next(); op;
-             op = cursor.next(), i++) {
-            ASSERT_LT(i, trace.size());
-            EXPECT_EQ(op->pc, trace[i].pc);
-            EXPECT_EQ(op->memAddr, trace[i].memAddr);
-            EXPECT_EQ(op->nextPc, trace[i].nextPc);
-            EXPECT_EQ(op->inst, trace[i].inst);
-            EXPECT_EQ(op->crypto, trace[i].crypto);
-        }
-        EXPECT_EQ(i, trace.size());
+        ASSERT_EQ(cursor.numOps(), ops.pc.size());
+        test::expectSameOps(test::drainOps(cursor), ops, w.program,
+                            "replayed ops");
     }
 }
 
 TEST(TraceStreamTest, StreamsAreMuchSmallerThanRawOps)
 {
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     const std::string path = test::scratchPath("size.trace");
-    writeStream(path, w, trace, core::traceStreamDefaultFrameOps);
+    writeStream(path, w, allOps(ops), core::traceStreamDefaultFrameOps);
     const size_t size = readFile(path).size();
     // The bar is >= 2x below 24 B/op; real instruction streams
     // compress far better (straight-line ops cost nothing).
-    EXPECT_LT(size * 2, trace.size() * core::traceStreamOpBytes)
-        << size << " bytes for " << trace.size() << " ops";
+    EXPECT_LT(size * 2, ops.pc.size() * core::traceStreamOpBytes)
+        << size << " bytes for " << ops.pc.size() << " ops";
 }
 
 TEST(TraceStreamTest, FingerprintGuardsStaleStreams)
@@ -606,10 +602,10 @@ TEST(TraceStreamTest, RevisionTwoStreamsAreRejected)
     // A well-formed CASSTF2 file, even one of raw frames that this
     // container still reads, fails at open on its header.
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     const std::string path = test::scratchPath("revision2.trace");
     auto bytes = test::retiredStreamBytes(
-        2, core::programFingerprint(w.program), trace, 256);
+        2, core::programFingerprint(w.program), ops, 256);
     writeFile(path, bytes);
     EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
 
@@ -618,13 +614,9 @@ TEST(TraceStreamTest, RevisionTwoStreamsAreRejected)
     bytes[8] = 3;
     writeFile(path, bytes);
     TraceCursor cursor(path, w.program);
-    EXPECT_EQ(cursor.numOps(), trace.size());
-    uint64_t n = 0;
-    while (const uarch::TimingOp *op = cursor.next()) {
-        ASSERT_EQ(op->pc, trace[n].pc);
-        n++;
-    }
-    EXPECT_EQ(n, trace.size());
+    EXPECT_EQ(cursor.numOps(), ops.pc.size());
+    test::expectSameOps(test::drainOps(cursor), ops, w.program,
+                        "relabelled revision 2");
 }
 
 TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
@@ -632,11 +624,11 @@ TEST(TraceStreamTest, RevisionOneStreamsAreRejected)
     // A well-formed file of the retired raw-frame container fails
     // loudly at open instead of replaying.
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     const std::string path = test::scratchPath("revision1.trace");
     writeFile(path,
               test::retiredStreamBytes(
-                  1, core::programFingerprint(w.program), trace, 256));
+                  1, core::programFingerprint(w.program), ops, 256));
     EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
 }
 
@@ -647,9 +639,9 @@ class CorruptStreamTest : public ::testing::Test
     SetUp() override
     {
         w_ = workload("ChaCha20_ct");
-        trace_ = uarch::recordTrace(w_, 2);
+        ops_ = test::recordOps(w_);
         path_ = test::scratchPath("corrupt.trace");
-        writeStream(path_, w_, trace_);
+        writeStream(path_, w_, allOps(ops_));
         bytes_ = readFile(path_);
     }
 
@@ -663,7 +655,7 @@ class CorruptStreamTest : public ::testing::Test
     }
 
     core::Workload w_ = workload("ChaCha20_ct");
-    uarch::TimingTrace trace_;
+    uarch::OpBatchStorage ops_;
     std::string path_;
     std::vector<uint8_t> bytes_;
 };
@@ -730,8 +722,7 @@ TEST_F(CorruptStreamTest, OverflowingFooterIsRejectedBeforeAllocating)
     // cursor must bound numFrames against the file length *before*
     // sizing anything from it.
     const std::string path = test::scratchPath("overflow.trace");
-    uarch::TimingTrace small(trace_.begin(), trace_.begin() + 6);
-    writeStream(path, w_, small, /*frame_ops=*/1);
+    writeStream(path, w_, ops_.view(0, 6), /*frame_ops=*/1);
     auto bytes = readFile(path);
     const uint64_t frames = getLe64(bytes, bytes.size() - 8);
     ASSERT_EQ(frames, 6u);
@@ -751,8 +742,8 @@ TEST_F(CorruptStreamTest, OversizedFrameOpsIsRejectedBeforeAllocating)
     // either way) and used to size a ~96 GB frame buffer from the
     // untrusted field; the cursor must reject the size fields first.
     const std::string path = test::scratchPath("frameops.trace");
-    uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
-    writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
+    writeStream(path, w_, ops_.view(0, 8),
+                core::traceStreamDefaultFrameOps);
     auto bytes = readFile(path);
     bytes[12] = 0xf0; // u32 frameOps at header offset 12
     bytes[13] = 0xff;
@@ -770,8 +761,8 @@ TEST_F(CorruptStreamTest, FrameOpsAboveTheCeilingIsRejectedAtOpen)
     // way), fits u32, and would size a ~40 MiB decode buffer: the
     // cursor must reject it at open, before any decode.
     const std::string path = test::scratchPath("ceiling.trace");
-    uarch::TimingTrace small(trace_.begin(), trace_.begin() + 8);
-    writeStream(path, w_, small, core::traceStreamDefaultFrameOps);
+    writeStream(path, w_, ops_.view(0, 8),
+                core::traceStreamDefaultFrameOps);
     auto bytes = readFile(path);
     const uint32_t over = core::traceFrameMaxOps + 1;
     for (int i = 0; i < 4; i++)
@@ -813,14 +804,13 @@ TEST(TraceStreamTest, WriterFailsFastWhenDiskIsFull)
     if (!probe.good())
         GTEST_SKIP() << "/dev/full unavailable";
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     EXPECT_THROW(
         {
             TraceStreamWriter writer(
                 "/dev/full", core::programFingerprint(w.program),
                 /*frame_ops=*/64);
-            for (const auto &op : trace)
-                writer.append(op);
+            writer.appendBatch(allOps(ops));
             writer.finish();
         },
         std::runtime_error);
@@ -866,13 +856,10 @@ TEST(TraceStreamPathTest, DistinctProgramsGetDistinctStreamFiles)
     ASSERT_NE(a->streamPath(), b->streamPath());
     // Both remain fully readable after both were written (the clobber
     // made the first's cursor fail its fingerprint/pc validation).
-    uint64_t seen = 0;
-    auto src_a = a->openOpSource();
-    while (src_a->next())
-        seen++;
-    EXPECT_EQ(seen, a->numOps());
+    EXPECT_EQ(test::drainOps(*a).pc.size(), a->numOps());
     auto src_b = b->openOpSource();
-    EXPECT_NE(src_b->next(), nullptr);
+    uarch::OpBatch batch;
+    EXPECT_NE(src_b->nextBatch(batch, 1), 0u);
 }
 
 TEST(TraceStreamPathTest, DefaultDirIsProcessUnique)
@@ -917,58 +904,49 @@ TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
 }
 
 // ---------------------------------------------------------------------
-// Taint bitmap vs. legacy annotated trace
+// Taint bitmaps: the two production walks vs. recorded ops
 // ---------------------------------------------------------------------
 
-TEST(TaintBitmapTest, MatchesLegacyAnnotatedTraceFlags)
+TEST(TaintBitmapTest, FusedAndLazyWalksMatchRecordedOps)
 {
-    for (const char *name : {"ChaCha20_ct", "synthetic/chacha20/0"}) {
+    // The fused walk (the recording pass's taint consumer, taken when
+    // an analysis asks for the taint phase) and the lazy walk
+    // (taintBitmap() after a trace-only analysis, over the replay
+    // source) must set the bits computeTaintBitmap sets over the
+    // recorder's columns. The kernels: every BearSSL and OpenSSL one
+    // under 200K instructions, kyber512 for the PQC suite and a
+    // synthetic mix. Each is walked three times, under the thread
+    // sanitizer too, so the larger kernels are left out; DES_ct's
+    // bitmaps are compared in fused_analysis_test.
+    for (const char *name :
+         {"ChaCha20_ct", "MultiHash", "Poly1305_ctmul", "SHA-256", "SHAKE",
+          "TLS PRF", "chacha20", "sha256", "kyber512",
+          "synthetic/chacha20/0"}) {
+        SCOPED_TRACE(name);
         core::Workload w = workload(name);
-        ASSERT_FALSE(w.secretRegions.empty()) << name;
-        auto legacy = uarch::recordTrace(w, 2);
-        uarch::annotateTaint(legacy, w.program, w.secretRegions);
+        ASSERT_FALSE(w.secretRegions.empty());
+        const auto ops = test::recordOps(w);
+        test::ColumnSource src(ops);
+        const uarch::TaintBitmap want =
+            uarch::computeTaintBitmap(src, w.secretRegions, ops.pc.size());
+        EXPECT_GT(want.count(), 0u);
 
-        auto artifact = AnalyzedWorkload::analyze(workload(name));
-        const uarch::TaintBitmap &bitmap = artifact->taintBitmap();
-        ASSERT_EQ(bitmap.size(), legacy.size()) << name;
-        uint64_t expect_tainted = 0;
-        for (size_t i = 0; i < legacy.size(); i++) {
-            ASSERT_EQ(bitmap.test(i), legacy[i].tainted)
-                << name << " op " << i;
-            expect_tainted += legacy[i].tainted ? 1 : 0;
+        AnalyzeOptions fused_opts;
+        fused_opts.phases = core::PhaseTimingTrace | core::PhaseTaint;
+        auto fused = AnalyzedWorkload::analyze(workload(name), fused_opts);
+        AnalyzeOptions lazy_opts;
+        lazy_opts.phases = core::PhaseTimingTrace;
+        auto lazy = AnalyzedWorkload::analyze(workload(name), lazy_opts);
+        ASSERT_TRUE(fused->hasTaintBitmap());
+        ASSERT_TRUE(lazy->hasTimingTrace());
+        ASSERT_FALSE(lazy->hasTaintBitmap());
+        for (const auto *aw : {fused.get(), lazy.get()}) {
+            const uarch::TaintBitmap &got = aw->taintBitmap();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(got.count(), want.count());
+            for (size_t i = 0; i < want.size(); i++)
+                ASSERT_EQ(got.test(i), want.test(i)) << "op " << i;
         }
-        EXPECT_EQ(bitmap.count(), expect_tainted);
-        EXPECT_GT(expect_tainted, 0u) << name;
-    }
-}
-
-TEST(TaintBitmapTest, BitmapRunsMatchLegacyTaintedTraceAllSchemes)
-{
-    // The legacy path (annotated trace copy, op-embedded flags through
-    // OooCore::run(trace)) and the bitmap path (pristine trace + 1
-    // bit/op sidecar) must be cycle-for-cycle identical.
-    const char *name = "synthetic/curve25519/50";
-    core::Workload w = workload(name);
-    auto tainted = uarch::recordTrace(w, 2);
-    uarch::annotateTaint(tainted, w.program, w.secretRegions);
-
-    auto artifact = AnalyzedWorkload::analyze(workload(name));
-    Simulation sim(artifact);
-    for (Scheme s : {Scheme::Prospect, Scheme::CassandraProspect}) {
-        SimConfig cfg;
-        cfg.scheme = s;
-        const core::TraceImage *image = nullptr;
-        if (uarch::schemeIsCassandra(s))
-            image = &artifact->traces().image;
-        uarch::OooCore legacy_core(cfg, w.program, image);
-        auto legacy_stats = legacy_core.run(tainted);
-        auto bitmap_stats = sim.run(s).stats;
-        SCOPED_TRACE(uarch::schemeName(s));
-        EXPECT_EQ(bitmap_stats.cycles, legacy_stats.cycles);
-        EXPECT_EQ(bitmap_stats.prospectBlocks,
-                  legacy_stats.prospectBlocks);
-        EXPECT_EQ(bitmap_stats.schemeLoadDelays,
-                  legacy_stats.schemeLoadDelays);
     }
 }
 
@@ -1088,13 +1066,12 @@ TEST(TraceStreamTest, UnfinishedWriterWritesNoFooter)
     // from an exception — must not stamp a valid index and footer over
     // the ops it happened to receive.
     core::Workload w = workload("ChaCha20_ct");
-    auto trace = uarch::recordTrace(w, 2);
+    const auto ops = test::recordOps(w);
     const std::string path = test::scratchPath("unfinished.trace");
     {
         TraceStreamWriter writer(path, core::programFingerprint(w.program),
                                  /*frame_ops=*/256);
-        for (const auto &op : trace)
-            writer.append(op);
+        writer.appendBatch(allOps(ops));
     }
     EXPECT_THROW(TraceCursor(path, w.program), core::ArtifactFormatError);
 }

@@ -2,10 +2,12 @@
  * @file
  * Helpers shared by the trace-layer test suites: process-unique
  * scratch paths, snapshot bytes saved and loaded through scratch
- * files, TimingOp structs drained from an artifact's replay source,
- * hand-built raw frames and files of the retired stream containers
- * (revisions 1 and 2), which readers must reject, and a SimConfig
- * whose every parameter differs from its default (the encoder pins).
+ * files, the op recorder every trace path is checked against (op
+ * columns of one machine run, a source over them, the columns drained
+ * from an artifact's replay source, and their comparison), hand-built
+ * raw frames and files of the retired stream containers (revisions 1
+ * and 2), which readers must reject, and a SimConfig whose every
+ * parameter differs from its default (the encoder pins).
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
@@ -26,6 +28,8 @@
 #include "core/serialize.hh"
 #include "core/sim_config.hh"
 #include "core/trace_stream.hh"
+#include "core/workload.hh"
+#include "sim/machine.hh"
 #include "uarch/pipeline.hh"
 
 namespace cassandra::test {
@@ -97,29 +101,132 @@ loadSnapshotBytes(const std::vector<uint8_t> &bytes,
     return core::loadAnalyzedWorkload(path, resolver, stream_dir, mode);
 }
 
-/** Every op of an artifact's timing trace as TimingOp structs, drained
- * in order from openOpSource(). */
-inline uarch::TimingTrace
-drainOps(const core::AnalyzedWorkload &aw)
+/**
+ * The oracle of the trace paths: every op of one run of `workload` on
+ * input `which`, as columns. One machine run through the batch probe
+ * into growing columns, then each op relinked with Program::at and
+ * isCryptoPc, so it shares neither the fused pass's chunk ring nor
+ * cryptoPcTable with the code under test.
+ * @throws core::InstructionBudgetError when the run does not halt
+ */
+inline uarch::OpBatchStorage
+recordOps(const core::Workload &workload, int which = 2)
 {
-    uarch::TimingTrace ops;
-    ops.reserve(aw.numOps());
-    auto src = aw.openOpSource();
-    uarch::OpBatch batch;
-    while (const size_t n =
-               src->nextBatch(batch, uarch::timingOpBatchOps)) {
-        for (size_t i = 0; i < n; i++) {
-            uarch::TimingOp op;
-            op.pc = batch.pc[i];
-            op.memAddr = batch.memAddr[i];
-            op.nextPc = batch.nextPc[i];
-            op.inst = batch.inst[i];
-            op.crypto = batch.crypto[i] != 0;
-            op.tainted = batch.tainted[i] != 0;
-            ops.push_back(op);
-        }
+    uarch::OpBatchStorage ops;
+    sim::Machine machine(workload.program);
+    if (workload.setInput)
+        workload.setInput(machine, which);
+    sim::Machine::BatchProbe probe;
+    probe.full = [&] {
+        probe.cap = std::max<size_t>(4096, 2 * probe.cap);
+        ops.pc.resize(probe.cap);
+        ops.memAddr.resize(probe.cap);
+        ops.nextPc.resize(probe.cap);
+        probe.pc = ops.pc.data();
+        probe.memAddr = ops.memAddr.data();
+        probe.nextPc = ops.nextPc.data();
+    };
+    probe.full();
+    machine.opBatchProbe = &probe;
+    const sim::RunResult res = machine.run(workload.maxDynInsts);
+    if (!res.halted)
+        throw core::InstructionBudgetError(workload.name, res.instCount,
+                                           "timing trace");
+    ops.resize(probe.size);
+    const ir::Program &program = workload.program;
+    for (size_t i = 0; i < probe.size; i++) {
+        ops.inst[i] = &program.at(ops.pc[i]);
+        ops.crypto[i] = program.isCryptoPc(ops.pc[i]) ? 1 : 0;
     }
     return ops;
+}
+
+/** A TimingOpSource over recorded columns, which must outlive it. */
+class ColumnSource final : public uarch::TimingOpSource
+{
+  public:
+    explicit ColumnSource(const uarch::OpBatchStorage &ops) : ops_(ops) {}
+
+    size_t
+    nextBatch(uarch::OpBatch &out, size_t max_ops) override
+    {
+        const size_t n = std::min(max_ops, ops_.pc.size() - pos_);
+        out = ops_.view(pos_, n);
+        pos_ += n;
+        return n;
+    }
+
+  private:
+    const uarch::OpBatchStorage &ops_;
+    size_t pos_ = 0;
+};
+
+/** Append the ops of `batch` to the columns `out`. */
+inline void
+appendOps(uarch::OpBatchStorage &out, const uarch::OpBatch &batch)
+{
+    out.pc.insert(out.pc.end(), batch.pc, batch.pc + batch.size);
+    out.memAddr.insert(out.memAddr.end(), batch.memAddr,
+                       batch.memAddr + batch.size);
+    out.nextPc.insert(out.nextPc.end(), batch.nextPc,
+                      batch.nextPc + batch.size);
+    out.inst.insert(out.inst.end(), batch.inst, batch.inst + batch.size);
+    out.crypto.insert(out.crypto.end(), batch.crypto,
+                      batch.crypto + batch.size);
+}
+
+/** Every op of `src`, drained in batches of at most `max_ops`. */
+inline uarch::OpBatchStorage
+drainOps(uarch::TimingOpSource &src,
+         size_t max_ops = uarch::timingOpBatchOps)
+{
+    uarch::OpBatchStorage ops;
+    uarch::OpBatch batch;
+    while (src.nextBatch(batch, max_ops) != 0)
+        appendOps(ops, batch);
+    return ops;
+}
+
+/** Every op of an artifact's timing trace, drained in order from
+ * openOpSource(). */
+inline uarch::OpBatchStorage
+drainOps(const core::AnalyzedWorkload &aw)
+{
+    return drainOps(*aw.openOpSource());
+}
+
+/**
+ * Expect `got` and `want` to hold the same ops, column by column,
+ * reporting the first op that differs. The inst column is compared as
+ * indices into each side's program, so ops relinked against two copies
+ * of one program compare equal (and against one program, this is
+ * pointer equality).
+ */
+inline void
+expectSameOps(const uarch::OpBatchStorage &got, const ir::Program &got_program,
+              const uarch::OpBatchStorage &want,
+              const ir::Program &want_program, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(got.pc.size(), want.pc.size());
+    for (size_t i = 0; i < want.pc.size(); i++) {
+        ASSERT_EQ(got.pc[i], want.pc[i]) << "op " << i;
+        ASSERT_EQ(got.memAddr[i], want.memAddr[i]) << "op " << i;
+        ASSERT_EQ(got.nextPc[i], want.nextPc[i]) << "op " << i;
+        ASSERT_EQ(got.inst[i] - got_program.insts.data(),
+                  want.inst[i] - want_program.insts.data())
+            << "op " << i;
+        ASSERT_EQ(got.crypto[i], want.crypto[i]) << "op " << i;
+    }
+}
+
+/** expectSameOps for ops relinked against one program. */
+inline void
+expectSameOps(const uarch::OpBatchStorage &got,
+              const uarch::OpBatchStorage &want, const ir::Program &program,
+              const std::string &what)
+{
+    expectSameOps(got, program, want, program, what);
 }
 
 /** Append `v` to `out`, little-endian, in `bytes` bytes. */
@@ -130,24 +237,24 @@ putLe(std::vector<uint8_t> &out, uint64_t v, int bytes)
         out.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
-/** Append ops [lo, hi) of `trace` as one raw frame (u8 kind 0 | u32
+/** Append ops [lo, hi) of `ops` as one raw frame (u8 kind 0 | u32
  * payloadBytes | u64 pc | u64 memAddr | u64 nextPc per op), a frame
  * kind every container revision since CASSTF2 reads. */
 inline void
-appendRawFrame(std::vector<uint8_t> &out, const uarch::TimingTrace &trace,
+appendRawFrame(std::vector<uint8_t> &out, const uarch::OpBatchStorage &ops,
                size_t lo, size_t hi)
 {
     out.push_back(0);
     putLe(out, (hi - lo) * core::traceStreamOpBytes, 4);
     for (size_t i = lo; i < hi; i++) {
-        putLe(out, trace[i].pc, 8);
-        putLe(out, trace[i].memAddr, 8);
-        putLe(out, trace[i].nextPc, 8);
+        putLe(out, ops.pc[i], 8);
+        putLe(out, ops.memAddr[i], 8);
+        putLe(out, ops.nextPc[i], 8);
     }
 }
 
 /**
- * The bytes of a stream file holding `trace` in a retired container
+ * The bytes of a stream file holding `ops` in a retired container
  * revision, which readers must reject: 1 (CASSTF1, each frame its bare
  * 24 B/op ops) or 2 (CASSTF2, raw frames as appendRawFrame writes
  * them, which the current container still reads). Both lay out
@@ -157,7 +264,7 @@ appendRawFrame(std::vector<uint8_t> &out, const uarch::TimingTrace &trace,
  */
 inline std::vector<uint8_t>
 retiredStreamBytes(int revision, uint64_t fingerprint,
-                   const uarch::TimingTrace &trace, uint32_t frame_ops)
+                   const uarch::OpBatchStorage &ops, uint32_t frame_ops)
 {
     std::vector<uint8_t> out;
     for (char c : {'C', 'A', 'S', 'S', 'T', 'F',
@@ -166,19 +273,19 @@ retiredStreamBytes(int revision, uint64_t fingerprint,
     putLe(out, static_cast<uint64_t>(revision), 4);
     putLe(out, frame_ops, 4);
     putLe(out, fingerprint, 8);
-    putLe(out, trace.size(), 8);
+    putLe(out, ops.pc.size(), 8);
     std::vector<uint64_t> offsets;
-    for (size_t lo = 0; lo < trace.size(); lo += frame_ops) {
-        const size_t hi = std::min<size_t>(trace.size(), lo + frame_ops);
+    for (size_t lo = 0; lo < ops.pc.size(); lo += frame_ops) {
+        const size_t hi = std::min<size_t>(ops.pc.size(), lo + frame_ops);
         offsets.push_back(out.size());
         if (revision == 2) {
-            appendRawFrame(out, trace, lo, hi);
+            appendRawFrame(out, ops, lo, hi);
             continue;
         }
         for (size_t i = lo; i < hi; i++) {
-            putLe(out, trace[i].pc, 8);
-            putLe(out, trace[i].memAddr, 8);
-            putLe(out, trace[i].nextPc, 8);
+            putLe(out, ops.pc[i], 8);
+            putLe(out, ops.memAddr[i], 8);
+            putLe(out, ops.nextPc[i], 8);
         }
     }
     const uint64_t index_pos = out.size();
