@@ -149,8 +149,8 @@ AnalyzedWorkload::AnalyzedWorkload(Workload workload, TraceMode mode,
 AnalyzedWorkload::AnalyzedWorkload(Workload workload,
                                    const AnalyzeOptions &options,
                                    std::string streamPath)
-    : workload_(std::move(workload)), kmers_(options.kmers),
-      traceMode_(options.traceMode), streamPath_(std::move(streamPath))
+    : workload_(std::move(workload)), traceMode_(options.traceMode),
+      streamPath_(std::move(streamPath))
 {
 }
 
@@ -267,14 +267,6 @@ AnalyzedWorkload::numOps() const
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::analyze(Workload workload, const KmersParams &params)
-{
-    AnalyzeOptions options;
-    options.kmers = params;
-    return analyze(std::move(workload), options);
-}
-
-AnalyzedWorkload::Ptr
 AnalyzedWorkload::fromParts(Workload workload, TraceFrames frames,
                             std::optional<TraceGenResult> traces)
 {
@@ -300,7 +292,7 @@ AnalyzedWorkload::traces() const
     if (!imageReady_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(imageMutex_);
         if (!imageReady_.load(std::memory_order_acquire)) {
-            traces_ = generateTraces(workload_, kmers_, /*fused=*/true);
+            traces_ = generateTraces(workload_);
             phase_image_runs.fetch_add(1, std::memory_order_relaxed);
             imageReady_.store(true, std::memory_order_release);
         }
@@ -430,8 +422,7 @@ Simulation::makeCore(const SimConfig &config) const
     // ProSpeCT schemes consult the per-op taint bitmap; everything
     // else replays the pristine stream.
     const uarch::TaintBitmap *taint = nullptr;
-    if ((scheme == uarch::Scheme::Prospect ||
-         scheme == uarch::Scheme::CassandraProspect) &&
+    if (uarch::schemeUsesTaint(scheme) &&
         !aw.workload().secretRegions.empty())
         taint = &aw.taintBitmap();
     return {std::make_unique<uarch::OooCore>(config, aw.workload().program,

@@ -84,6 +84,75 @@ struct ExperimentResult
     CacheActivity caches;
 };
 
+/**
+ * Call fn(section, key, field) for each of the 50 counters of a (const
+ * or mutable) ExperimentResult, in CASSRS1 order. `section` is the JSON
+ * report object that holds the counter: "" for the cell itself, then
+ * "core", "btu", "bpu" and "caches.<level>"; `key` is its name there.
+ * CASSRS1 entries, the JSON report and the tests' result comparisons
+ * all iterate this list. The order is every stored entry's layout:
+ * append new counters, never reorder.
+ */
+template <typename Result, typename Fn>
+void
+forEachResultCounter(Result &r, Fn &&fn)
+{
+    auto &s = r.stats;
+    fn("", "cycles", s.cycles);
+    fn("", "instructions", s.instructions);
+    fn("core", "branches", s.branches);
+    fn("core", "crypto_branches", s.cryptoBranches);
+    fn("core", "cond_mispredicts", s.condMispredicts);
+    fn("core", "indirect_mispredicts", s.indirectMispredicts);
+    fn("core", "return_mispredicts", s.returnMispredicts);
+    fn("core", "decode_redirects", s.decodeRedirects);
+    fn("core", "integrity_stalls", s.integrityStalls);
+    fn("core", "resolve_stalls", s.resolveStalls);
+    fn("core", "btu_fill_stalls", s.btuFillStalls);
+    fn("core", "btu_window_stalls", s.btuWindowStalls);
+    fn("core", "btu_flushes", s.btuFlushes);
+    fn("core", "btu_mismatches", s.btuMismatches);
+    fn("core", "loads", s.loads);
+    fn("core", "stores", s.stores);
+    fn("core", "stl_forwards", s.stlForwards);
+    fn("core", "scheme_load_delays", s.schemeLoadDelays);
+    fn("core", "prospect_blocks", s.prospectBlocks);
+    fn("core", "icache_miss_bubbles", s.icacheMissBubbles);
+    auto &b = r.btu;
+    fn("btu", "lookups", b.lookups);
+    fn("btu", "single_target_hits", b.singleTargetHits);
+    fn("btu", "hits", b.hits);
+    fn("btu", "misses", b.misses);
+    fn("btu", "evictions", b.evictions);
+    fn("btu", "checkpoint_restores", b.checkpointRestores);
+    fn("btu", "stall_resolve", b.stallResolve);
+    fn("btu", "window_stalls", b.windowStalls);
+    fn("btu", "prefetches", b.prefetches);
+    fn("btu", "flushes", b.flushes);
+    fn("btu", "commits", b.commits);
+    fn("btu", "squash_rewinds", b.squashRewinds);
+    auto &p = r.bpu;
+    fn("bpu", "cond_lookups", p.condLookups);
+    fn("bpu", "cond_mispredicts", p.condMispredicts);
+    fn("bpu", "loop_overrides", p.loopOverrides);
+    fn("bpu", "btb_lookups", p.btbLookups);
+    fn("bpu", "btb_misses", p.btbMisses);
+    fn("bpu", "indirect_mispredicts", p.indirectMispredicts);
+    fn("bpu", "rsb_pushes", p.rsbPushes);
+    fn("bpu", "rsb_pops", p.rsbPops);
+    fn("bpu", "return_mispredicts", p.returnMispredicts);
+    fn("bpu", "updates", p.updates);
+    auto &c = r.caches;
+    fn("caches.l1i", "accesses", c.l1iAccesses);
+    fn("caches.l1i", "misses", c.l1iMisses);
+    fn("caches.l1d", "accesses", c.l1dAccesses);
+    fn("caches.l1d", "misses", c.l1dMisses);
+    fn("caches.l2", "accesses", c.l2Accesses);
+    fn("caches.l2", "misses", c.l2Misses);
+    fn("caches.l3", "accesses", c.l3Accesses);
+    fn("caches.l3", "misses", c.l3Misses);
+}
+
 /** The independent analyses an artifact can hold, as mask bits. */
 enum AnalysisPhase : unsigned
 {
@@ -111,7 +180,6 @@ struct AnalysisPhaseRuns
 /** Knobs of one analysis (phase eagerness, trace storage). */
 struct AnalyzeOptions
 {
-    KmersParams kmers;
     /**
      * Phases to run eagerly at analyze() time (concurrently across
      * workloads under the ExperimentRunner). Phases not listed —
@@ -140,10 +208,7 @@ class AnalyzedWorkload
      * analysisRuns() tick (recording ticks analysisPhaseRuns() when it
      * actually happens).
      */
-    static Ptr analyze(Workload workload, const AnalyzeOptions &options);
-
-    /** Whole-mode analysis with demand-driven image/taint phases. */
-    static Ptr analyze(Workload workload, const KmersParams &params = {});
+    static Ptr analyze(Workload workload, const AnalyzeOptions &options = {});
 
     /**
      * Rebuild a whole-mode artifact from precomputed parts (the
@@ -286,7 +351,6 @@ class AnalyzedWorkload
     void ensureTraceWith(AnalysisPhaseMask extra) const;
 
     Workload workload_;
-    KmersParams kmers_;
     TraceMode traceMode_ = TraceMode::Whole;
     std::string streamPath_; ///< stream mode
     mutable uint64_t numOps_ = 0;

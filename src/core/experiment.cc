@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -153,8 +156,7 @@ ExperimentRunner::neededPhases(
         for (uarch::Scheme s : matrix.schemes) {
             if (uarch::schemeIsCassandra(s))
                 phases |= PhaseTraceImage;
-            if (s == uarch::Scheme::Prospect ||
-                s == uarch::Scheme::CassandraProspect)
+            if (uarch::schemeUsesTaint(s))
                 phases |= PhaseTaint;
         }
     }
@@ -471,7 +473,12 @@ jsonEscaped(const std::string &s)
     return out;
 }
 
-/** One key/value emitter keeping track of comma placement. */
+/**
+ * One JSON object's key/value emitter, keeping track of comma
+ * placement. A multi-line object puts each key on its own line,
+ * `indent` spaces in; a one-line object (indent < 0) separates its
+ * keys with ", ".
+ */
 class JsonObject
 {
   public:
@@ -500,11 +507,23 @@ class JsonObject
         os_ << '"' << jsonEscaped(v) << '"';
     }
 
-    std::ostream &
-    object(const char *key)
+    /** Open an object under `key`, nested one level deeper; close() it
+     * before the next key of this one. */
+    JsonObject
+    nested(const char *key, bool one_line = false)
     {
         prefix(key);
-        return os_;
+        os_ << "{";
+        return JsonObject(os_, one_line ? -1 : indent_ + 2);
+    }
+
+    /** The closing brace, on a line of its own unless one-line. */
+    void
+    close()
+    {
+        if (indent_ >= 0)
+            newline(indent_ - 2);
+        os_ << "}";
     }
 
   private:
@@ -512,12 +531,17 @@ class JsonObject
     prefix(const char *key)
     {
         if (!first_)
-            os_ << ",";
+            os_ << (indent_ < 0 ? ", " : ",");
         first_ = false;
-        os_ << "\n";
-        for (int i = 0; i < indent_; i++)
-            os_ << ' ';
+        if (indent_ >= 0)
+            newline(indent_);
         os_ << '"' << key << "\": ";
+    }
+
+    void
+    newline(int indent)
+    {
+        os_ << "\n" << std::string(indent, ' ');
     }
 
     std::ostream &os_;
@@ -525,13 +549,44 @@ class JsonObject
     bool first_ = true;
 };
 
+/**
+ * The counters of `result` below the top level, in
+ * forEachResultCounter order, each in the object its section names
+ * under `cell`: "core" is a multi-line object, "caches.l1i" a one-line
+ * object "l1i" inside "caches".
+ */
 void
-writeCacheLevel(JsonObject &parent, const char *key, uint64_t accesses,
-                uint64_t misses)
+writeCounterSections(JsonObject &cell, const ExperimentResult &result)
 {
-    std::ostream &os = parent.object(key);
-    os << "{\"accesses\": " << accesses << ", \"misses\": " << misses
-       << "}";
+    std::string group_key, level_key; // keys of the open objects
+    std::optional<JsonObject> group, level;
+    forEachResultCounter(result, [&](const char *section, const char *key,
+                                     uint64_t v) {
+        if (!*section)
+            return;
+        const char *dot = std::strchr(section, '.');
+        const std::string g = dot ? std::string(section, dot) : section;
+        const std::string l = dot ? dot + 1 : "";
+        if (level && (g != group_key || l != level_key)) {
+            level->close();
+            level.reset();
+        }
+        if (g != group_key) {
+            if (group)
+                group->close();
+            group.emplace(cell.nested(g.c_str()));
+            group_key = g;
+        }
+        if (!l.empty() && !level) {
+            level.emplace(group->nested(l.c_str(), /*one_line=*/true));
+            level_key = l;
+        }
+        (level ? *level : *group).field(key, v);
+    });
+    if (level)
+        level->close();
+    if (group)
+        group->close();
 }
 
 } // namespace
@@ -602,83 +657,15 @@ JsonReporter::write(const Experiment &exp, std::ostream &os) const
         o.field("suite", c.suite);
         o.field("scheme", std::string(uarch::schemeName(c.scheme)));
         o.field("config", c.config);
-        const uarch::CoreStats &s = c.result.stats;
-        o.field("cycles", s.cycles);
-        o.field("instructions", s.instructions);
-        o.field("ipc", s.ipc());
+        forEachResultCounter(c.result, [&](const char *section,
+                                           const char *key, uint64_t v) {
+            if (!*section)
+                o.field(key, v);
+        });
+        o.field("ipc", c.result.stats.ipc());
         if (std::isfinite(derived.cyclesVsBaseline[i]))
             o.field("cycles_vs_baseline", derived.cyclesVsBaseline[i]);
-        {
-            std::ostream &core_os = o.object("core");
-            core_os << "{";
-            JsonObject co(os, 8);
-            co.field("branches", s.branches);
-            co.field("crypto_branches", s.cryptoBranches);
-            co.field("cond_mispredicts", s.condMispredicts);
-            co.field("indirect_mispredicts", s.indirectMispredicts);
-            co.field("return_mispredicts", s.returnMispredicts);
-            co.field("decode_redirects", s.decodeRedirects);
-            co.field("integrity_stalls", s.integrityStalls);
-            co.field("resolve_stalls", s.resolveStalls);
-            co.field("btu_fill_stalls", s.btuFillStalls);
-            co.field("btu_window_stalls", s.btuWindowStalls);
-            co.field("btu_flushes", s.btuFlushes);
-            co.field("btu_mismatches", s.btuMismatches);
-            co.field("loads", s.loads);
-            co.field("stores", s.stores);
-            co.field("stl_forwards", s.stlForwards);
-            co.field("scheme_load_delays", s.schemeLoadDelays);
-            co.field("prospect_blocks", s.prospectBlocks);
-            co.field("icache_miss_bubbles", s.icacheMissBubbles);
-            core_os << "\n      }";
-        }
-        {
-            const btu::BtuStats &b = c.result.btu;
-            std::ostream &btu_os = o.object("btu");
-            btu_os << "{";
-            JsonObject bo(os, 8);
-            bo.field("lookups", b.lookups);
-            bo.field("single_target_hits", b.singleTargetHits);
-            bo.field("hits", b.hits);
-            bo.field("misses", b.misses);
-            bo.field("evictions", b.evictions);
-            bo.field("checkpoint_restores", b.checkpointRestores);
-            bo.field("stall_resolve", b.stallResolve);
-            bo.field("window_stalls", b.windowStalls);
-            bo.field("prefetches", b.prefetches);
-            bo.field("flushes", b.flushes);
-            bo.field("commits", b.commits);
-            bo.field("squash_rewinds", b.squashRewinds);
-            btu_os << "\n      }";
-        }
-        {
-            const uarch::BpuStats &b = c.result.bpu;
-            std::ostream &bpu_os = o.object("bpu");
-            bpu_os << "{";
-            JsonObject bo(os, 8);
-            bo.field("cond_lookups", b.condLookups);
-            bo.field("cond_mispredicts", b.condMispredicts);
-            bo.field("loop_overrides", b.loopOverrides);
-            bo.field("btb_lookups", b.btbLookups);
-            bo.field("btb_misses", b.btbMisses);
-            bo.field("indirect_mispredicts", b.indirectMispredicts);
-            bo.field("rsb_pushes", b.rsbPushes);
-            bo.field("rsb_pops", b.rsbPops);
-            bo.field("return_mispredicts", b.returnMispredicts);
-            bo.field("updates", b.updates);
-            bpu_os << "\n      }";
-        }
-        {
-            const CacheActivity &ca = c.result.caches;
-            std::ostream &cache_os = o.object("caches");
-            cache_os << "{";
-            JsonObject co(os, 8);
-            writeCacheLevel(co, "l1i", ca.l1iAccesses, ca.l1iMisses);
-            writeCacheLevel(co, "l1d", ca.l1dAccesses, ca.l1dMisses);
-            writeCacheLevel(co, "l2", ca.l2Accesses, ca.l2Misses);
-            writeCacheLevel(co, "l3", ca.l3Accesses, ca.l3Misses);
-            cache_os << "\n      }";
-        }
+        writeCounterSections(o, c.result);
         os << "\n    }";
     }
     os << "\n  ],\n  \"geomeans\": [";
@@ -801,15 +788,10 @@ writeRunTelemetry(const RunTelemetry &telemetry, std::ostream &os)
         for (const auto &[name, bytes] : telemetry.analysisPeaks)
             peak = std::max(peak, bytes);
         o.field("peak_accum_bytes", peak);
-        std::ostream &peaks_os = o.object("workloads");
-        peaks_os << "{";
-        bool first = true;
-        for (const auto &[name, bytes] : telemetry.analysisPeaks) {
-            peaks_os << (first ? "" : ", ") << '"' << name << "\": "
-                     << bytes;
-            first = false;
-        }
-        peaks_os << "}";
+        JsonObject peaks = o.nested("workloads", /*one_line=*/true);
+        for (const auto &[name, bytes] : telemetry.analysisPeaks)
+            peaks.field(name.c_str(), bytes);
+        peaks.close();
         os << "\n  }";
     }
     os << "\n}\n";

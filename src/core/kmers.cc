@@ -85,19 +85,14 @@ compressKmers(const DnaEncoding &dna, const KmersParams &params)
         if (current_len < 4)
             break;
 
-        // Pattern discovery window (full sequence unless capped).
-        size_t window = current_len;
-        if (params.discoveryCap && window > params.discoveryCap)
-            window = params.discoveryCap;
-
         // count_kmers for k = 2..maxK; track the best coverage.
         double best_cov = 0.0;
         std::string best_key;
         size_t max_k = static_cast<size_t>(params.maxK);
-        for (size_t k = 2; k <= std::min(max_k, window / 2); k++) {
+        for (size_t k = 2; k <= std::min(max_k, current_len / 2); k++) {
             std::unordered_map<std::string, uint32_t> freqs;
-            freqs.reserve(window);
-            for (size_t i = 0; i + k <= window; i++)
+            freqs.reserve(current_len);
+            for (size_t i = 0; i + k <= current_len; i++)
                 freqs[windowKey(res.seq, i, k)]++;
             for (const auto &[key, freq] : freqs) {
                 if (freq <= 1)

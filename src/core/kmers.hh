@@ -37,12 +37,6 @@ struct KmersParams
     int maxK = 16;
     /** Safety bound on compression iterations. */
     int maxIterations = 256;
-    /**
-     * Sequences longer than this are analyzed on a prefix of this
-     * length for pattern *discovery*; the full sequence is still
-     * compressed with the discovered dictionary. 0 disables the cap.
-     */
-    size_t discoveryCap = 0;
 };
 
 /** One element of the run-length-encoded k-mers trace K. */

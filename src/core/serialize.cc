@@ -652,70 +652,34 @@ loadAnalyzedWorkload(const std::string &path,
 // ExperimentResult counter blocks
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Every counter of an ExperimentResult, in a fixed order shared by
- * the pack and unpack sides. One list instead of two mirrored
- * functions: a field added here is automatically round-tripped.
- */
-template <typename Fn>
-void
-eachResultCounter(ExperimentResult &r, Fn &&fn)
-{
-    uarch::CoreStats &s = r.stats;
-    for (uint64_t *field :
-         {&s.cycles, &s.instructions, &s.branches, &s.cryptoBranches,
-          &s.condMispredicts, &s.indirectMispredicts,
-          &s.returnMispredicts, &s.decodeRedirects, &s.integrityStalls,
-          &s.resolveStalls, &s.btuFillStalls, &s.btuWindowStalls,
-          &s.btuFlushes, &s.btuMismatches, &s.loads, &s.stores,
-          &s.stlForwards, &s.schemeLoadDelays, &s.prospectBlocks,
-          &s.icacheMissBubbles})
-        fn(*field);
-    btu::BtuStats &b = r.btu;
-    for (uint64_t *field :
-         {&b.lookups, &b.singleTargetHits, &b.hits, &b.misses,
-          &b.evictions, &b.checkpointRestores, &b.stallResolve,
-          &b.windowStalls, &b.prefetches, &b.flushes, &b.commits,
-          &b.squashRewinds})
-        fn(*field);
-    uarch::BpuStats &p = r.bpu;
-    for (uint64_t *field :
-         {&p.condLookups, &p.condMispredicts, &p.loopOverrides,
-          &p.btbLookups, &p.btbMisses, &p.indirectMispredicts,
-          &p.rsbPushes, &p.rsbPops, &p.returnMispredicts, &p.updates})
-        fn(*field);
-    CacheActivity &c = r.caches;
-    for (uint64_t *field :
-         {&c.l1iAccesses, &c.l1iMisses, &c.l1dAccesses, &c.l1dMisses,
-          &c.l2Accesses, &c.l2Misses, &c.l3Accesses, &c.l3Misses})
-        fn(*field);
-}
-
-} // namespace
-
 size_t
 experimentResultCounterCount()
 {
     size_t count = 0;
-    ExperimentResult probe;
-    eachResultCounter(probe, [&](uint64_t &) { count++; });
+    const ExperimentResult probe{};
+    forEachResultCounter(probe, [&](const char *, const char *, uint64_t) {
+        count++;
+    });
     return count;
 }
 
 void
 packExperimentResult(ByteWriter &w, const ExperimentResult &result)
 {
-    ExperimentResult copy = result;
-    eachResultCounter(copy, [&](uint64_t &field) { w.u64(field); });
+    forEachResultCounter(result,
+                         [&](const char *, const char *, uint64_t field) {
+                             w.u64(field);
+                         });
 }
 
 ExperimentResult
 unpackExperimentResult(ByteReader &r)
 {
     ExperimentResult result;
-    eachResultCounter(result, [&](uint64_t &field) { field = r.u64(); });
+    forEachResultCounter(result,
+                         [&](const char *, const char *, uint64_t &field) {
+                             field = r.u64();
+                         });
     return result;
 }
 

@@ -34,8 +34,9 @@
  * ops. Writers emit and readers accept CASSAW6 only; CASSAW1–5 raise
  * the typed eviction error.
  *
- * The module also fixes the order of an ExperimentResult's counters,
- * which the result store's CASSRS1 entries embed.
+ * The module also packs an ExperimentResult's counters, in
+ * forEachResultCounter order, into the blocks the result store's
+ * CASSRS1 entries embed.
  */
 
 #ifndef CASSANDRA_CORE_SERIALIZE_HH
@@ -136,19 +137,20 @@ loadAnalyzedWorkload(const std::string &path,
 // ---------------------------------------------------------------------
 
 /**
- * Number of u64 counters in an ExperimentResult (the fixed field
- * list). Containers embedding counter blocks (the result store)
- * record this count and treat a mismatch as a stale format — a
- * counter added to the simulator must not be silently replayed as
- * zero from old entries.
+ * Number of u64 counters in an ExperimentResult (the length of
+ * forEachResultCounter's list). Containers embedding counter blocks
+ * (the result store) record this count and treat a mismatch as a
+ * stale format — a counter added to the simulator must not be
+ * silently replayed as zero from old entries.
  */
 size_t experimentResultCounterCount();
 
-/** Append every counter of `result` in the fixed field order. */
+/** Append every counter of `result` in forEachResultCounter order. */
 void packExperimentResult(ByteWriter &w, const ExperimentResult &result);
 
-/** Read experimentResultCounterCount() u64 counters back (fixed
- * field order; throws std::invalid_argument when truncated). */
+/** Read experimentResultCounterCount() u64 counters back, in
+ * forEachResultCounter order (throws std::invalid_argument when
+ * truncated). */
 ExperimentResult unpackExperimentResult(ByteReader &r);
 
 } // namespace cassandra::core

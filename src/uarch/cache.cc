@@ -84,12 +84,6 @@ Cache::probe(uint64_t addr) const
     return false;
 }
 
-void
-Cache::invalidateAll()
-{
-    epochBase_ = useClock_;
-}
-
 MemoryHierarchy::MemoryHierarchy(const CoreParams &params)
     : params_(params), l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2),
       l3_(params.l3)

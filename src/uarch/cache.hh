@@ -75,7 +75,6 @@ class Cache
 
     /** Probe without allocating or counting. */
     bool probe(uint64_t addr) const;
-    void invalidateAll();
 
     const CacheParams &params() const { return params_; }
     const CacheStats &stats() const { return stats_; }

@@ -57,6 +57,14 @@ schemeIsCassandra(Scheme s)
     return schemeUsesBtu(s) || s == Scheme::CassandraLite;
 }
 
+/** True if the scheme delays ops by the ProSpeCT taint of their
+ * operands. */
+inline bool
+schemeUsesTaint(Scheme s)
+{
+    return s == Scheme::Prospect || s == Scheme::CassandraProspect;
+}
+
 /** Full core configuration. */
 struct CoreParams
 {

@@ -310,7 +310,6 @@ struct OooCore::RunState
     // Running maxima for the scheme constraints.
     uint64_t lastBranchResolve = 0;   // SPT / ProSpeCT
     uint64_t lastNcBranchResolve = 0; // Cassandra+ProSpeCT
-    uint64_t lastStoreResolve = 0;    // Cassandra+STL
     // STL forwarding: most recent older store per 8-byte granule.
     StoreMap storeMap;
     uint64_t fetchClock = 1;
@@ -380,7 +379,6 @@ OooCore::consume(const OpBatch &batch)
     std::array<uint64_t, ir::numRegs> reg_ready = s.regReady;
     uint64_t last_branch_resolve = s.lastBranchResolve;
     uint64_t last_nc_branch_resolve = s.lastNcBranchResolve;
-    uint64_t last_store_resolve = s.lastStoreResolve;
     StoreMap &store_map = s.storeMap;
     uint64_t fetch_clock = s.fetchClock;
     uint32_t fetch_slots = s.fetchSlots;
@@ -407,8 +405,7 @@ OooCore::consume(const OpBatch &batch)
     const uint32_t mul_latency = params_.mulLatency;
     const uint32_t store_latency = params_.storeLatency;
     const uint64_t rob_size = params_.robSize;
-    const bool prospect_scheme = scheme_ == Scheme::Prospect ||
-        scheme_ == Scheme::CassandraProspect;
+    const bool prospect_scheme = schemeUsesTaint(scheme_);
 
     for (size_t b = 0; b < batch.size; b++, i++) {
         const uint64_t op_pc = batch.pc[b];
@@ -702,7 +699,6 @@ OooCore::consume(const OpBatch &batch)
             stats.stores++;
             complete = issue + latency;
             store_map.put(op_memAddr >> 3, i, complete);
-            last_store_resolve = std::max(last_store_resolve, complete);
             memory_.accessData(op_memAddr);
         } else {
             complete = issue + latency;
@@ -759,7 +755,6 @@ OooCore::consume(const OpBatch &batch)
     s.regReady = reg_ready;
     s.lastBranchResolve = last_branch_resolve;
     s.lastNcBranchResolve = last_nc_branch_resolve;
-    s.lastStoreResolve = last_store_resolve;
     s.fetchClock = fetch_clock;
     s.fetchSlots = fetch_slots;
     s.lastFetchLine = last_fetch_line;

@@ -17,9 +17,12 @@
  *    until they resolve. Non-crypto branches whose *predicted* target
  *    lies in a crypto PC range stall until resolved (integrity check,
  *    scenarios 5/6 of the security analysis).
- *  - CassandraStl: Cassandra plus data-flow hardening — loads never
- *    forward from the store queue (they always access memory) and wait
- *    until all older stores have resolved.
+ *  - CassandraStl: Cassandra plus data-flow hardening (paper §7.2). A
+ *    load still forwards from an in-flight older store, but also sends
+ *    its request to memory for verification, one extra cycle counted in
+ *    scheme_load_delays. The paper's wait for older store addresses is
+ *    not modelled: they are base+immediate off early-ready pointers,
+ *    so it never binds (see OooCore::consume).
  *  - CassandraLite: only single-target hints; multi-target crypto
  *    branches stall until resolve (paper Q3).
  *  - Spt: loads may only issue once every older branch has resolved

@@ -22,7 +22,6 @@ using namespace cassandra;
 using core::AnalysisCache;
 using core::AnalyzedWorkload;
 using core::ExperimentMatrix;
-using core::ExperimentResult;
 using core::ExperimentRunner;
 using core::RunnerOptions;
 using core::SimConfig;
@@ -40,71 +39,6 @@ constexpr Scheme allSchemes[] = {
     Scheme::CassandraLite,  Scheme::Spt,        Scheme::Prospect,
     Scheme::CassandraProspect};
 
-/** Field-by-field equality of two full results. */
-void
-expectEqualResults(const ExperimentResult &a, const ExperimentResult &b,
-                   const std::string &what)
-{
-    SCOPED_TRACE(what);
-    const auto &s1 = a.stats, &s2 = b.stats;
-    EXPECT_EQ(s1.cycles, s2.cycles);
-    EXPECT_EQ(s1.instructions, s2.instructions);
-    EXPECT_EQ(s1.branches, s2.branches);
-    EXPECT_EQ(s1.cryptoBranches, s2.cryptoBranches);
-    EXPECT_EQ(s1.condMispredicts, s2.condMispredicts);
-    EXPECT_EQ(s1.indirectMispredicts, s2.indirectMispredicts);
-    EXPECT_EQ(s1.returnMispredicts, s2.returnMispredicts);
-    EXPECT_EQ(s1.decodeRedirects, s2.decodeRedirects);
-    EXPECT_EQ(s1.integrityStalls, s2.integrityStalls);
-    EXPECT_EQ(s1.resolveStalls, s2.resolveStalls);
-    EXPECT_EQ(s1.btuFillStalls, s2.btuFillStalls);
-    EXPECT_EQ(s1.btuWindowStalls, s2.btuWindowStalls);
-    EXPECT_EQ(s1.btuFlushes, s2.btuFlushes);
-    EXPECT_EQ(s1.btuMismatches, s2.btuMismatches);
-    EXPECT_EQ(s1.loads, s2.loads);
-    EXPECT_EQ(s1.stores, s2.stores);
-    EXPECT_EQ(s1.stlForwards, s2.stlForwards);
-    EXPECT_EQ(s1.schemeLoadDelays, s2.schemeLoadDelays);
-    EXPECT_EQ(s1.prospectBlocks, s2.prospectBlocks);
-    EXPECT_EQ(s1.icacheMissBubbles, s2.icacheMissBubbles);
-
-    const auto &b1 = a.btu, &b2 = b.btu;
-    EXPECT_EQ(b1.lookups, b2.lookups);
-    EXPECT_EQ(b1.singleTargetHits, b2.singleTargetHits);
-    EXPECT_EQ(b1.hits, b2.hits);
-    EXPECT_EQ(b1.misses, b2.misses);
-    EXPECT_EQ(b1.evictions, b2.evictions);
-    EXPECT_EQ(b1.checkpointRestores, b2.checkpointRestores);
-    EXPECT_EQ(b1.stallResolve, b2.stallResolve);
-    EXPECT_EQ(b1.windowStalls, b2.windowStalls);
-    EXPECT_EQ(b1.prefetches, b2.prefetches);
-    EXPECT_EQ(b1.flushes, b2.flushes);
-    EXPECT_EQ(b1.commits, b2.commits);
-    EXPECT_EQ(b1.squashRewinds, b2.squashRewinds);
-
-    const auto &p1 = a.bpu, &p2 = b.bpu;
-    EXPECT_EQ(p1.condLookups, p2.condLookups);
-    EXPECT_EQ(p1.condMispredicts, p2.condMispredicts);
-    EXPECT_EQ(p1.loopOverrides, p2.loopOverrides);
-    EXPECT_EQ(p1.btbLookups, p2.btbLookups);
-    EXPECT_EQ(p1.btbMisses, p2.btbMisses);
-    EXPECT_EQ(p1.indirectMispredicts, p2.indirectMispredicts);
-    EXPECT_EQ(p1.rsbPushes, p2.rsbPushes);
-    EXPECT_EQ(p1.rsbPops, p2.rsbPops);
-    EXPECT_EQ(p1.returnMispredicts, p2.returnMispredicts);
-    EXPECT_EQ(p1.updates, p2.updates);
-
-    const auto &c1 = a.caches, &c2 = b.caches;
-    EXPECT_EQ(c1.l1iAccesses, c2.l1iAccesses);
-    EXPECT_EQ(c1.l1iMisses, c2.l1iMisses);
-    EXPECT_EQ(c1.l1dAccesses, c2.l1dAccesses);
-    EXPECT_EQ(c1.l1dMisses, c2.l1dMisses);
-    EXPECT_EQ(c1.l2Accesses, c2.l2Accesses);
-    EXPECT_EQ(c1.l2Misses, c2.l2Misses);
-    EXPECT_EQ(c1.l3Accesses, c2.l3Accesses);
-    EXPECT_EQ(c1.l3Misses, c2.l3Misses);
-}
-
 TEST(AnalyzedWorkloadTest, SharedArtifactMatchesFreshAnalysisAllSchemes)
 {
     // One workload without secrets and one synthetic mix with secret
@@ -116,7 +50,7 @@ TEST(AnalyzedWorkloadTest, SharedArtifactMatchesFreshAnalysisAllSchemes)
         Simulation sim(artifact);
         for (Scheme s : allSchemes) {
             Simulation fresh(AnalyzedWorkload::analyze(workload(name)));
-            expectEqualResults(
+            test::expectSameCounters(
                 sim.run(s), fresh.run(s),
                 std::string(name) + " / " + uarch::schemeName(s));
         }
@@ -219,7 +153,7 @@ TEST(SerializeArtifactTest, RoundTripYieldsIdenticalResults)
         // ... and so do the timing results, for every scheme.
         Simulation orig_sim(original), reload_sim(reloaded);
         for (Scheme s : allSchemes) {
-            expectEqualResults(
+            test::expectSameCounters(
                 reload_sim.run(s), orig_sim.run(s),
                 std::string("reloaded ") + name + " / " +
                     uarch::schemeName(s));
@@ -266,9 +200,9 @@ TEST(SerializeArtifactTest, FileRoundTrip)
     const std::string path = test::scratchPath("chacha20_ct.aw");
     core::saveAnalyzedWorkload(*artifact, path);
     auto reloaded = core::loadAnalyzedWorkload(path, resolver);
-    expectEqualResults(Simulation(reloaded).run(Scheme::Cassandra),
-                       Simulation(artifact).run(Scheme::Cassandra),
-                       "file round trip");
+    test::expectSameCounters(Simulation(reloaded).run(Scheme::Cassandra),
+                             Simulation(artifact).run(Scheme::Cassandra),
+                             "file round trip");
 }
 
 TEST(SimulationTest, SharedArtifactRunsNoExtraAnalysis)

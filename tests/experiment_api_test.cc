@@ -194,15 +194,6 @@ TEST(ExperimentRunnerTest, UnknownWorkloadRethrows)
     EXPECT_THROW(runner.run(m), std::invalid_argument);
 }
 
-/** Every counter of a cell, as the result store packs them. */
-std::vector<uint8_t>
-packed(const core::ExperimentResult &r)
-{
-    core::ByteWriter w;
-    core::packExperimentResult(w, r);
-    return w.take();
-}
-
 TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
 {
     for (core::TraceMode mode :
@@ -225,12 +216,12 @@ TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
         // The reference: one Simulation::run per cell, on the same
         // artifacts.
         uint64_t frames = 0;
-        std::vector<std::vector<uint8_t>> want;
+        std::vector<core::ExperimentResult> want;
         for (const std::string &name : m.workloads) {
             const auto aw = cache->get(name, core::allAnalysisPhases);
             frames += aw->openOpSource()->numFrames();
             for (Scheme s : m.schemes)
-                want.push_back(packed(core::Simulation(aw).run(s)));
+                want.push_back(core::Simulation(aw).run(s));
         }
         ASSERT_GT(frames, 16u);
 
@@ -244,9 +235,10 @@ TEST(GroupedReplayTest, MatchesPerCellReplayAndDecodesEachFrameOnce)
                           m.workloads[i / m.schemes.size()]);
                 EXPECT_EQ(exp.cells[i].scheme,
                           m.schemes[i % m.schemes.size()]);
-                EXPECT_EQ(packed(exp.cells[i].result), want[i])
-                    << exp.cells[i].workload << " / "
-                    << uarch::schemeName(exp.cells[i].scheme);
+                test::expectSameCounters(
+                    exp.cells[i].result, want[i],
+                    exp.cells[i].workload + " / " +
+                        uarch::schemeName(exp.cells[i].scheme));
             }
             // Each trace decoded once, each frame replayed once per
             // cell.
@@ -299,9 +291,9 @@ TEST(GroupedReplayTest, EmptyTraceCellsKeepLoneRunResults)
             ASSERT_EQ(exp.cells.size(), 2u);
             for (const auto &cell : exp.cells) {
                 EXPECT_EQ(cell.result.stats.instructions, 0u);
-                EXPECT_EQ(packed(cell.result),
-                          packed(core::Simulation(empty).run(
-                              cell.scheme)));
+                test::expectSameCounters(
+                    cell.result, core::Simulation(empty).run(cell.scheme),
+                    uarch::schemeName(cell.scheme));
             }
             EXPECT_EQ(exp.telemetry.framesDecoded, 0u);
         }

@@ -113,36 +113,6 @@ resumeScheme(const AnalyzedWorkload::Ptr &aw, Scheme scheme,
 constexpr size_t resumeBatches[] = {1, 17, uarch::timingOpBatchOps,
                                     size_t{1} << 15};
 
-/** Every counter of the run, as one comparable vector. */
-std::vector<uint64_t>
-allCounters(const ExperimentResult &r)
-{
-    const auto &s = r.stats;
-    const auto &b = r.btu;
-    const auto &p = r.bpu;
-    const auto &c = r.caches;
-    return {
-        s.cycles,         s.instructions,      s.branches,
-        s.cryptoBranches, s.condMispredicts,   s.indirectMispredicts,
-        s.returnMispredicts, s.decodeRedirects, s.integrityStalls,
-        s.resolveStalls,  s.btuFillStalls,     s.btuWindowStalls,
-        s.btuFlushes,     s.btuMismatches,     s.loads,
-        s.stores,         s.stlForwards,       s.schemeLoadDelays,
-        s.prospectBlocks, s.icacheMissBubbles,
-        b.lookups,        b.hits,              b.misses,
-        b.singleTargetHits, b.evictions,       b.checkpointRestores,
-        b.prefetches,     b.commits,           b.flushes,
-        b.windowStalls,   b.stallResolve,      b.squashRewinds,
-        p.condLookups,    p.condMispredicts,   p.loopOverrides,
-        p.btbLookups,     p.btbMisses,         p.indirectMispredicts,
-        p.rsbPushes,      p.rsbPops,           p.returnMispredicts,
-        p.updates,
-        c.l1iAccesses,    c.l1iMisses,         c.l1dAccesses,
-        c.l1dMisses,      c.l2Accesses,        c.l2Misses,
-        c.l3Accesses,     c.l3Misses,
-    };
-}
-
 // ---------------------------------------------------------------------
 // Column equivalence: every batch size, both source kinds
 // ---------------------------------------------------------------------
@@ -206,12 +176,11 @@ expectResumedRunsMatch(const AnalyzedWorkload::Ptr &aw)
 {
     for (Scheme scheme : allSchemes) {
         SCOPED_TRACE(uarch::schemeName(scheme));
-        const auto whole = allCounters(runScheme(aw, scheme));
-        for (size_t max_ops : resumeBatches) {
-            SCOPED_TRACE("resumed, batches of " + std::to_string(max_ops));
-            EXPECT_EQ(allCounters(resumeScheme(aw, scheme, max_ops)),
-                      whole);
-        }
+        const ExperimentResult whole = runScheme(aw, scheme);
+        for (size_t max_ops : resumeBatches)
+            test::expectSameCounters(
+                resumeScheme(aw, scheme, max_ops), whole,
+                "resumed, batches of " + std::to_string(max_ops));
     }
 }
 

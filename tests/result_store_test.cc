@@ -126,6 +126,68 @@ TEST(ResultStoreTest, StoreReplacesPreviousEntry)
     EXPECT_EQ(out.stats.cycles, 999u);
 }
 
+TEST(ResultStoreTest, EntryCounterLayoutIsPinned)
+{
+    // CASSRS1 entries hold the counters in forEachResultCounter order,
+    // and the JSON report names them from the same list. Entries
+    // outlive builds, so the list is written out here by hand: a
+    // counter renamed, dropped or moved fails this test instead of
+    // silently misreading every shared store.
+    const std::vector<std::string> pinned = {
+        "cycles", "instructions",
+        "core.branches", "core.crypto_branches", "core.cond_mispredicts",
+        "core.indirect_mispredicts", "core.return_mispredicts",
+        "core.decode_redirects", "core.integrity_stalls",
+        "core.resolve_stalls", "core.btu_fill_stalls",
+        "core.btu_window_stalls", "core.btu_flushes",
+        "core.btu_mismatches", "core.loads", "core.stores",
+        "core.stl_forwards", "core.scheme_load_delays",
+        "core.prospect_blocks", "core.icache_miss_bubbles",
+        "btu.lookups", "btu.single_target_hits", "btu.hits", "btu.misses",
+        "btu.evictions", "btu.checkpoint_restores", "btu.stall_resolve",
+        "btu.window_stalls", "btu.prefetches", "btu.flushes",
+        "btu.commits", "btu.squash_rewinds",
+        "bpu.cond_lookups", "bpu.cond_mispredicts", "bpu.loop_overrides",
+        "bpu.btb_lookups", "bpu.btb_misses", "bpu.indirect_mispredicts",
+        "bpu.rsb_pushes", "bpu.rsb_pops", "bpu.return_mispredicts",
+        "bpu.updates",
+        "caches.l1i.accesses", "caches.l1i.misses",
+        "caches.l1d.accesses", "caches.l1d.misses",
+        "caches.l2.accesses", "caches.l2.misses",
+        "caches.l3.accesses", "caches.l3.misses"};
+
+    // Counter i (from 0) holds i + 1.
+    ExperimentResult numbered;
+    std::vector<std::string> listed;
+    core::forEachResultCounter(
+        numbered, [&](const char *section, const char *key, uint64_t &v) {
+            listed.push_back(test::counterPath(section, key));
+            v = listed.size();
+        });
+    ASSERT_EQ(listed, pinned);
+    ASSERT_EQ(core::experimentResultCounterCount(), pinned.size());
+    // The first and last counter of each struct sit on their fields.
+    EXPECT_EQ(numbered.stats.cycles, 1u);
+    EXPECT_EQ(numbered.stats.icacheMissBubbles, 20u);
+    EXPECT_EQ(numbered.btu.lookups, 21u);
+    EXPECT_EQ(numbered.btu.squashRewinds, 32u);
+    EXPECT_EQ(numbered.bpu.condLookups, 33u);
+    EXPECT_EQ(numbered.bpu.updates, 42u);
+    EXPECT_EQ(numbered.caches.l1iAccesses, 43u);
+    EXPECT_EQ(numbered.caches.l3Misses, 50u);
+
+    core::ByteWriter w;
+    core::packExperimentResult(w, numbered);
+    const std::vector<uint8_t> bytes = w.take();
+    ASSERT_EQ(bytes.size(), 8 * pinned.size());
+    for (size_t i = 0; i < pinned.size(); i++) {
+        uint64_t v = 0;
+        for (size_t b = 0; b < 8; b++)
+            v |= static_cast<uint64_t>(bytes[8 * i + b]) << (8 * b);
+        EXPECT_EQ(v, i + 1) << "offset " << 8 * i << ": " << pinned[i];
+    }
+}
+
 // ---------------------------------------------------------------------
 // Key derivation: what invalidates and what must not
 // ---------------------------------------------------------------------

@@ -496,15 +496,6 @@ TEST(ArtifactVersionTest, FrameOpsAboveTheCeilingIsRejectedBeforeAllocating)
     }
 }
 
-/** The counters of `r` as CASSRS1 packs them, for exact comparison. */
-std::vector<uint8_t>
-packed(const core::ExperimentResult &r)
-{
-    core::ByteWriter w;
-    core::packExperimentResult(w, r);
-    return w.take();
-}
-
 TEST(SnapshotTraceModeTest, LoadsIntoTheRequestedMode)
 {
     // A snapshot reloads into either trace mode: whole -> stream puts
@@ -545,9 +536,11 @@ TEST(SnapshotTraceModeTest, LoadsIntoTheRequestedMode)
           uarch::Scheme::Spt, uarch::Scheme::Prospect,
           uarch::Scheme::CassandraProspect}) {
         SCOPED_TRACE(uarch::schemeName(s));
-        const auto want = packed(Simulation(whole).run(s));
-        EXPECT_EQ(packed(Simulation(to_stream).run(s)), want);
-        EXPECT_EQ(packed(Simulation(to_whole).run(s)), want);
+        const auto want = Simulation(whole).run(s);
+        test::expectSameCounters(Simulation(to_stream).run(s), want,
+                                 "to stream");
+        test::expectSameCounters(Simulation(to_whole).run(s), want,
+                                 "to whole");
     }
 }
 

@@ -30,7 +30,6 @@ using core::AnalysisPhaseRuns;
 using core::AnalyzedWorkload;
 using core::AnalyzeOptions;
 using core::ExperimentMatrix;
-using core::ExperimentResult;
 using core::ExperimentRunner;
 using core::RunnerOptions;
 using core::SimConfig;
@@ -102,43 +101,6 @@ constexpr Scheme allSchemes[] = {
     Scheme::UnsafeBaseline, Scheme::Cassandra,  Scheme::CassandraStl,
     Scheme::CassandraLite,  Scheme::Spt,        Scheme::Prospect,
     Scheme::CassandraProspect};
-
-/** Field-by-field equality of the headline counters of two results. */
-void
-expectEqualResults(const ExperimentResult &a, const ExperimentResult &b,
-                   const std::string &what)
-{
-    SCOPED_TRACE(what);
-    const auto &s1 = a.stats, &s2 = b.stats;
-    EXPECT_EQ(s1.cycles, s2.cycles);
-    EXPECT_EQ(s1.instructions, s2.instructions);
-    EXPECT_EQ(s1.branches, s2.branches);
-    EXPECT_EQ(s1.cryptoBranches, s2.cryptoBranches);
-    EXPECT_EQ(s1.condMispredicts, s2.condMispredicts);
-    EXPECT_EQ(s1.indirectMispredicts, s2.indirectMispredicts);
-    EXPECT_EQ(s1.returnMispredicts, s2.returnMispredicts);
-    EXPECT_EQ(s1.decodeRedirects, s2.decodeRedirects);
-    EXPECT_EQ(s1.integrityStalls, s2.integrityStalls);
-    EXPECT_EQ(s1.resolveStalls, s2.resolveStalls);
-    EXPECT_EQ(s1.btuFillStalls, s2.btuFillStalls);
-    EXPECT_EQ(s1.btuFlushes, s2.btuFlushes);
-    EXPECT_EQ(s1.btuMismatches, s2.btuMismatches);
-    EXPECT_EQ(s1.loads, s2.loads);
-    EXPECT_EQ(s1.stores, s2.stores);
-    EXPECT_EQ(s1.stlForwards, s2.stlForwards);
-    EXPECT_EQ(s1.schemeLoadDelays, s2.schemeLoadDelays);
-    EXPECT_EQ(s1.prospectBlocks, s2.prospectBlocks);
-    EXPECT_EQ(s1.icacheMissBubbles, s2.icacheMissBubbles);
-    EXPECT_EQ(a.btu.lookups, b.btu.lookups);
-    EXPECT_EQ(a.btu.hits, b.btu.hits);
-    EXPECT_EQ(a.btu.singleTargetHits, b.btu.singleTargetHits);
-    EXPECT_EQ(a.bpu.condLookups, b.bpu.condLookups);
-    EXPECT_EQ(a.bpu.updates, b.bpu.updates);
-    EXPECT_EQ(a.caches.l1dAccesses, b.caches.l1dAccesses);
-    EXPECT_EQ(a.caches.l1dMisses, b.caches.l1dMisses);
-    EXPECT_EQ(a.caches.l2Accesses, b.caches.l2Accesses);
-    EXPECT_EQ(a.caches.l3Accesses, b.caches.l3Accesses);
-}
 
 // ---------------------------------------------------------------------
 // Trace stream container
@@ -896,9 +858,9 @@ TEST(TraceStreamTest, StreamedRunsMatchWholeRunsAllSchemes)
         ASSERT_EQ(streamed->numOps(), whole->numOps());
         Simulation stream_sim(streamed);
         for (Scheme s : allSchemes) {
-            expectEqualResults(stream_sim.run(s), whole_sim.run(s),
-                               std::string(name) + " / " +
-                                   uarch::schemeName(s));
+            test::expectSameCounters(stream_sim.run(s), whole_sim.run(s),
+                                     std::string(name) + " / " +
+                                         uarch::schemeName(s));
         }
     }
 }
@@ -1048,9 +1010,9 @@ TEST(TraceStreamTest, StreamConfigRunsThroughRunnerIdentically)
     for (size_t i = 0; i < whole.cells.size(); i++) {
         EXPECT_TRUE(streamed.artifacts.at(streamed.cells[i].workload)
                         ->streamed());
-        expectEqualResults(streamed.cells[i].result,
-                           whole.cells[i].result,
-                           streamed.cells[i].workload);
+        test::expectSameCounters(streamed.cells[i].result,
+                                 whole.cells[i].result,
+                                 streamed.cells[i].workload);
     }
 }
 

@@ -6,8 +6,9 @@
  * columns of one machine run, a source over them, the columns drained
  * from an artifact's replay source, and their comparison), hand-built
  * raw frames and files of the retired stream containers (revisions 1
- * and 2), which readers must reject, and a SimConfig whose every
- * parameter differs from its default (the encoder pins).
+ * and 2), which readers must reject, a SimConfig whose every
+ * parameter differs from its default (the encoder pins), and the
+ * counter-by-counter comparison of two ExperimentResults.
  */
 
 #ifndef CASSANDRA_TESTS_TRACE_TEST_UTIL_HH
@@ -336,6 +337,38 @@ everyParamSimConfig()
     cfg.btu.ways = 27;
     cfg.btu.fillLatency = 28;
     return cfg;
+}
+
+/** The report path of one core::forEachResultCounter counter:
+ * "cycles", "btu.hits", "caches.l1d.misses". */
+inline std::string
+counterPath(const char *section, const char *key)
+{
+    return *section ? std::string(section) + "." + key : std::string(key);
+}
+
+/**
+ * Expect `got` and `want` to agree in every counter of
+ * core::forEachResultCounter, naming each counter that differs by its
+ * report path.
+ */
+inline void
+expectSameCounters(const core::ExperimentResult &got,
+                   const core::ExperimentResult &want,
+                   const std::string &what)
+{
+    SCOPED_TRACE(what);
+    std::vector<uint64_t> wanted;
+    core::forEachResultCounter(want,
+                               [&](const char *, const char *, uint64_t v) {
+                                   wanted.push_back(v);
+                               });
+    size_t i = 0;
+    core::forEachResultCounter(
+        got, [&](const char *section, const char *key, uint64_t v) {
+            const uint64_t expected = wanted[i++];
+            EXPECT_EQ(v, expected) << counterPath(section, key);
+        });
 }
 
 /** Lower-case hex of a byte string. */
