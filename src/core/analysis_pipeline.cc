@@ -19,7 +19,7 @@ namespace {
 std::atomic<uint64_t> fused_passes{0};
 
 /** Fill the inst/crypto columns from the pc column through
- * the cursor's relink table (cryptoPcTable). Executed pcs were
+ * the cursor's relink table (Program::cryptoPcTable). Executed pcs were
  * validated by Machine::step before the probe fired, so no range check
  * is needed (unlike the cursor, which reads from disk). */
 void
@@ -282,7 +282,7 @@ runFusedOpPass(const Workload &workload, int which,
 {
     fused_passes.fetch_add(1, std::memory_order_relaxed);
     const ir::Program &prog = workload.program;
-    const std::vector<uint8_t> crypto = cryptoPcTable(prog);
+    const std::vector<uint8_t> crypto = prog.cryptoPcTable();
 
     FusedPassStats stats;
     ChunkPipeline pipeline(
@@ -306,7 +306,7 @@ runFusedBranchPass(const Workload &workload, int which, bool crypto_only,
 {
     fused_passes.fetch_add(1, std::memory_order_relaxed);
     const ir::Program &prog = workload.program;
-    const std::vector<uint8_t> crypto = cryptoPcTable(prog);
+    const std::vector<uint8_t> crypto = prog.cryptoPcTable();
 
     FusedBranchRun out;
     FoldedTraceCollector collector;

@@ -21,11 +21,11 @@ std::atomic<uint64_t> phase_timing_runs{0};
 std::atomic<uint64_t> phase_image_runs{0};
 std::atomic<uint64_t> phase_taint_runs{0};
 
-/** Fused-pass consumer writing chunks into a trace stream file. */
-class StreamWriteConsumer final : public BatchConsumer
+/** Fused-pass consumer writing chunks into the artifact's trace. */
+class TraceWriteConsumer final : public BatchConsumer
 {
   public:
-    explicit StreamWriteConsumer(TraceStreamWriter &writer)
+    explicit TraceWriteConsumer(TraceStreamWriter &writer)
         : writer_(&writer)
     {
     }
@@ -44,45 +44,6 @@ class StreamWriteConsumer final : public BatchConsumer
 
   private:
     TraceStreamWriter *writer_;
-};
-
-/** Fused-pass consumer encoding chunks into frames held in memory. */
-class HoldFramesConsumer final : public BatchConsumer
-{
-  public:
-    explicit HoldFramesConsumer(TraceFrames &held)
-        : held_(&held), builder_(held.frameOps)
-    {
-    }
-
-    void
-    consume(const AnalysisChunk &chunk) override
-    {
-        builder_.add(chunk.view(), Hold{held_});
-        held_->numOps += chunk.size;
-    }
-
-    void
-    finish() override
-    {
-        builder_.finish(Hold{held_});
-    }
-
-  private:
-    /** Each frame gets a buffer of its exact size, never copied again. */
-    struct Hold
-    {
-        TraceFrames *held;
-
-        void
-        operator()(const uint8_t *frame, size_t bytes) const
-        {
-            held->frames.emplace_back(frame, frame + bytes);
-        }
-    };
-
-    TraceFrames *held_;
-    TraceFrameBuilder builder_;
 };
 
 /**
@@ -128,43 +89,22 @@ class TaintConsumer final : public BatchConsumer
 
 } // namespace
 
-AnalyzedWorkload::AnalyzedWorkload(Workload workload, TraceMode mode,
-                                   TraceFrames frames,
-                                   std::string streamPath,
-                                   uint64_t numOps,
-                                   std::optional<TraceGenResult> traces)
-    : workload_(std::move(workload)), traceMode_(mode),
-      streamPath_(std::move(streamPath)), numOps_(numOps),
-      frames_(std::move(frames))
-{
-    // A deserialized image is adopted verbatim: the phase is marked
-    // done without running (and without counting) Algorithm 2.
-    if (traces) {
-        traces_ = std::move(*traces);
-        imageReady_.store(true, std::memory_order_release);
-    }
-    traceReady_.store(true, std::memory_order_release);
-}
-
-AnalyzedWorkload::AnalyzedWorkload(Workload workload,
-                                   const AnalyzeOptions &options,
-                                   std::string streamPath)
-    : workload_(std::move(workload)), traceMode_(options.traceMode),
-      streamPath_(std::move(streamPath))
+AnalyzedWorkload::AnalyzedWorkload(Workload workload, TraceFrames trace)
+    : workload_(std::move(workload)), trace_(std::move(trace))
 {
 }
 
 AnalyzedWorkload::~AnalyzedWorkload()
 {
-    if (streamed() && !streamPath_.empty() &&
-        traceReady_.load(std::memory_order_acquire)) {
+    if (streamed() && traceReady_.load(std::memory_order_acquire)) {
         // The analysis created the file; releasing the last artifact
         // reference reclaims the disk. Best-effort: also drop the
         // containing directory when this was its last trace.
-        std::remove(streamPath_.c_str());
-        const size_t slash = streamPath_.rfind('/');
+        const std::string &path = trace_.path;
+        std::remove(path.c_str());
+        const size_t slash = path.rfind('/');
         if (slash != std::string::npos && slash > 0)
-            std::remove(streamPath_.substr(0, slash).c_str());
+            std::remove(path.substr(0, slash).c_str());
     }
 }
 
@@ -178,19 +118,16 @@ AnalyzedWorkload::analyze(Workload workload, const AnalyzeOptions &options)
     // sweep whose cells all replay from the result store never pays
     // for analysis. Only the stream path is fixed eagerly — it names
     // the artifact's on-disk identity.
-    std::string path;
+    TraceFrames trace;
     if (options.traceMode == TraceMode::Stream) {
         const std::string dir = options.streamDir.empty()
             ? defaultTraceStreamDir()
             : options.streamDir;
         ensureDirectories(dir);
-        path = traceStreamPath(dir, workload.name,
-                               programFingerprint(workload.program));
+        trace.path = traceStreamPath(dir, workload.name,
+                                     programFingerprint(workload.program));
     }
-    Ptr artifact(new AnalyzedWorkload(std::move(workload), options,
-                                      std::move(path)));
-    artifact->ensurePhases(options.phases);
-    return artifact;
+    return Ptr(new AnalyzedWorkload(std::move(workload), std::move(trace)));
 }
 
 void
@@ -212,47 +149,30 @@ AnalyzedWorkload::ensureTraceWith(AnalysisPhaseMask extra) const
     if (traceReady_.load(std::memory_order_acquire))
         return;
     phase_timing_runs.fetch_add(1, std::memory_order_relaxed);
-    // One machine run records the trace (CASSTF3 frames, held in
-    // memory in whole mode, streamed to disk in stream mode) with no
-    // counting pre-run, and any fusable pending phase consumes the
-    // same chunks as they are produced.
-    std::unique_ptr<TraceStreamWriter> writer;
-    std::unique_ptr<BatchConsumer> frameConsumer;
-    std::unique_ptr<TaintConsumer> taintConsumer;
-    if (streamed()) {
-        writer = std::make_unique<TraceStreamWriter>(
-            streamPath_, programFingerprint(workload_.program));
-        frameConsumer = std::make_unique<StreamWriteConsumer>(*writer);
-    } else {
-        frameConsumer = std::make_unique<HoldFramesConsumer>(frames_);
-    }
-    std::vector<BatchConsumer *> consumers = {frameConsumer.get()};
+    // One machine run records the trace with no counting pre-run: the
+    // writer encodes its chunks into CASSTF3 frames wherever trace_
+    // keeps them, and any fusable pending phase consumes the same
+    // chunks as they are produced.
+    TraceStreamWriter writer(trace_, programFingerprint(workload_.program));
+    TraceWriteConsumer frames(writer);
+    std::vector<BatchConsumer *> consumers = {&frames};
+    std::optional<TaintConsumer> taint;
     const bool fuse_taint = (extra & PhaseTaint) != 0 &&
         !taintReady_.load(std::memory_order_acquire) &&
         !workload_.secretRegions.empty();
-    if (fuse_taint) {
-        taintConsumer =
-            std::make_unique<TaintConsumer>(workload_.secretRegions);
-        consumers.push_back(taintConsumer.get());
-    }
-    FusedPassStats stats;
+    if (fuse_taint)
+        consumers.push_back(&taint.emplace(workload_.secretRegions));
     try {
-        stats = runFusedOpPass(workload_, /*which=*/2, consumers);
+        runFusedOpPass(workload_, /*which=*/2, consumers);
     } catch (...) {
         // A failed recording (an exhausted instruction budget, a full
-        // disk) leaves nothing behind: the unfinished writer wrote no
-        // footer, and its partial file is removed here — no artifact
-        // owns it.
-        frames_ = TraceFrames();
-        if (writer) {
-            writer.reset();
-            std::remove(streamPath_.c_str());
-        }
+        // disk) leaves no frame and no file behind, so a retry records
+        // afresh.
+        writer.discard();
         throw;
     }
-    numOps_ = stats.numOps;
     if (fuse_taint) {
-        taint_ = taintConsumer->take(numOps_);
+        taint_ = taint->take(trace_.numOps);
         phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
         taintReady_.store(true, std::memory_order_release);
     }
@@ -263,27 +183,23 @@ uint64_t
 AnalyzedWorkload::numOps() const
 {
     ensureTrace();
-    return numOps_;
+    return trace_.numOps;
 }
 
 AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromParts(Workload workload, TraceFrames frames,
+AnalyzedWorkload::fromParts(Workload workload, TraceFrames trace,
                             std::optional<TraceGenResult> traces)
 {
-    const uint64_t ops = frames.numOps;
-    return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Whole,
-                                    std::move(frames), "", ops,
-                                    std::move(traces)));
-}
-
-AnalyzedWorkload::Ptr
-AnalyzedWorkload::fromStreamParts(Workload workload, std::string streamPath,
-                                  uint64_t numOps,
-                                  std::optional<TraceGenResult> traces)
-{
-    return Ptr(new AnalyzedWorkload(std::move(workload), TraceMode::Stream,
-                                    {}, std::move(streamPath), numOps,
-                                    std::move(traces)));
+    std::unique_ptr<AnalyzedWorkload> artifact(
+        new AnalyzedWorkload(std::move(workload), std::move(trace)));
+    // A deserialized image is adopted verbatim: the phase is marked
+    // done without running (and without counting) Algorithm 2.
+    if (traces) {
+        artifact->traces_ = std::move(*traces);
+        artifact->imageReady_.store(true, std::memory_order_release);
+    }
+    artifact->traceReady_.store(true, std::memory_order_release);
+    return Ptr(std::move(artifact));
 }
 
 const TraceGenResult &
@@ -317,7 +233,7 @@ AnalyzedWorkload::taintBitmap() const
             auto src = openOpSource();
             taint_ = uarch::computeTaintBitmap(
                 *src, workload_.secretRegions,
-                static_cast<size_t>(numOps_));
+                static_cast<size_t>(trace_.numOps));
             phase_taint_runs.fetch_add(1, std::memory_order_relaxed);
         }
         taintReady_.store(true, std::memory_order_release);
@@ -354,17 +270,13 @@ const TraceFrames &
 AnalyzedWorkload::heldFrames() const
 {
     ensureTrace();
-    return frames_;
+    return trace_;
 }
 
 std::unique_ptr<TraceCursor>
 AnalyzedWorkload::openOpSource() const
 {
-    ensureTrace();
-    if (streamed())
-        return std::make_unique<TraceCursor>(streamPath_,
-                                             workload_.program);
-    return std::make_unique<TraceCursor>(frames_, workload_.program);
+    return std::make_unique<TraceCursor>(heldFrames(), workload_.program);
 }
 
 bool
@@ -493,7 +405,6 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
                    TraceMode mode) const
 {
     const std::string k = key(name);
-    const AnalysisPhaseMask want = options_.phases | phases;
     std::promise<AnalyzedWorkload::Ptr> promise;
     std::shared_future<AnalyzedWorkload::Ptr> future;
     bool owner = false;
@@ -513,15 +424,17 @@ AnalysisCache::get(const std::string &name, AnalysisPhaseMask phases,
         AnalyzedWorkload::Ptr artifact = future.get();
         // Phases requested beyond what the first analysis ran are
         // computed demand-driven (exactly once) on the shared value.
-        artifact->ensurePhases(want);
+        artifact->ensurePhases(phases);
         return artifact;
     }
     try {
         AnalyzeOptions options = options_;
-        options.phases = want;
         options.traceMode = mode;
         auto artifact =
             AnalyzedWorkload::analyze(resolver_(name), options);
+        // The phases run before the artifact is published: a failing
+        // phase reaches every waiter and is not cached.
+        artifact->ensurePhases(phases);
         promise.set_value(artifact);
         return artifact;
     } catch (...) {

@@ -2,14 +2,14 @@
  * @file
  * The two-phase simulation API: analyze once, simulate many.
  *
- * Phase 1 — analysis. AnalyzedWorkload::analyze(workload) records the
- * dynamic timing trace of the evaluation input exactly once and
- * prepares the remaining analyses demand-driven: the Algorithm 2 trace
- * generation (k-mers compression + trace image) and the ProSpeCT taint
- * pre-pass each run at most once, on the first consumer that actually
- * needs them — a baseline/SPT-only sweep never constructs a trace
- * image at all. Which phases ran is observable through the per-phase
- * counters of analysisPhaseRuns(). The result is an immutable,
+ * Phase 1 — analysis. AnalyzedWorkload::analyze(workload) prepares
+ * every analysis demand-driven: the timing trace of the evaluation
+ * input is recorded exactly once, and the Algorithm 2 trace generation
+ * (k-mers compression + trace image) and the ProSpeCT taint pre-pass
+ * each run at most once, on the first consumer that actually needs
+ * them (or ensurePhases) — a baseline/SPT-only sweep never constructs
+ * a trace image at all. Which phases ran is observable through the
+ * per-phase counters of analysisPhaseRuns(). The result is an immutable,
  * thread-safe artifact held by shared_ptr, so any number of simulation
  * sessions — across threads — share one copy. Artifacts serialize
  * through core/serialize (saveAnalyzedWorkload / loadAnalyzedWorkload),
@@ -18,14 +18,15 @@
  * default the one it was saved in).
  *
  * Memory: the timing trace is recorded by one fused analysis pass
- * (core/analysis_pipeline) whose chunks are encoded as CASSTF3 frames
- * (core/trace_stream, under 1 B/op on the crypto kernels). Whole mode
- * holds the frames in memory, one buffer per frame (TraceFrames); with
- * AnalyzeOptions::traceMode == TraceMode::Stream they go to a trace
- * file instead. Either way openOpSource() replays them through a
- * TraceCursor, so a replay holds one decoded frame at a time. The
- * taint pre-pass produces a 1 bit/op TaintBitmap. Cycle results are
- * bit-identical across modes.
+ * (core/analysis_pipeline) whose chunks one TraceStreamWriter encodes
+ * as CASSTF3 frames (core/trace_stream, under 1 B/op on the crypto
+ * kernels). The artifact's one TraceFrames says where they live: held
+ * in memory, one buffer per frame (whole mode), or in a trace file it
+ * names (AnalyzeOptions::traceMode == TraceMode::Stream). Either way
+ * openOpSource() replays them through a TraceCursor, so a replay holds
+ * one decoded frame at a time; only the writer and the cursor branch
+ * on the location. The taint pre-pass produces a 1 bit/op TaintBitmap.
+ * Cycle results are bit-identical across modes.
  *
  * Phase 2 — simulation. A Simulation is a lightweight session over
  * one artifact that runs any number of SimConfigs; each run builds
@@ -177,18 +178,9 @@ struct AnalysisPhaseRuns
     uint64_t taint = 0;      ///< taint pre-passes over secret workloads
 };
 
-/** Knobs of one analysis (phase eagerness, trace storage). */
+/** Knobs of one analysis (trace storage). */
 struct AnalyzeOptions
 {
-    /**
-     * Phases to run eagerly at analyze() time (concurrently across
-     * workloads under the ExperimentRunner). Phases not listed —
-     * including the timing-trace recording itself — run on demand,
-     * lazily and exactly once, when a consumer first needs them. The
-     * default is fully demand-driven: a sweep served entirely from
-     * the result store never records a trace.
-     */
-    AnalysisPhaseMask phases = 0;
     /** Whole: CASSTF3 frames in memory. Stream: a CASSTF3 file. */
     TraceMode traceMode = TraceMode::Whole;
     /** Stream-mode trace directory; empty = defaultTraceStreamDir(). */
@@ -202,40 +194,27 @@ class AnalyzedWorkload
     using Ptr = std::shared_ptr<const AnalyzedWorkload>;
 
     /**
-     * Phase 1: build the analysis artifact and eagerly run the phases
-     * in options.phases; everything else — the timing-trace recording
-     * included — is computed demand-driven on first use. Counts one
+     * Phase 1: build the analysis artifact without running a phase;
+     * every phase — the timing-trace recording included — is computed
+     * demand-driven on first use or by ensurePhases(). Counts one
      * analysisRuns() tick (recording ticks analysisPhaseRuns() when it
      * actually happens).
      */
     static Ptr analyze(Workload workload, const AnalyzeOptions &options = {});
 
     /**
-     * Rebuild a whole-mode artifact from precomputed parts (the
-     * deserialization path). `frames` hold the timing trace as the
-     * recording pass encodes it, already checked against
-     * workload.program. `traces`, when the snapshot has an Algorithm 2
-     * image, is adopted verbatim (no Algorithm 2 run, no counter
-     * tick); without it Algorithm 2 stays demand-driven. The taint
-     * pre-pass is recomputed on demand (it is deterministic). Does
-     * not count as an analysis run.
+     * Rebuild an artifact from precomputed parts (the deserialization
+     * path). `trace` is a recorded timing trace, already checked
+     * against workload.program: held frames, or a stream file that the
+     * artifact then owns and deletes with its last reference, exactly
+     * like a freshly streamed analysis. `traces`, when the snapshot
+     * has an Algorithm 2 image, is adopted verbatim (no Algorithm 2
+     * run, no counter tick); without it Algorithm 2 stays
+     * demand-driven. The taint pre-pass is recomputed on demand (it is
+     * deterministic). Does not count as an analysis run.
      */
-    static Ptr fromParts(Workload workload, TraceFrames frames,
+    static Ptr fromParts(Workload workload, TraceFrames trace,
                          std::optional<TraceGenResult> traces);
-
-    /**
-     * fromParts for a *streamed* artifact around an existing trace
-     * stream file (the deserialization path of a streamed snapshot,
-     * whose frames the load wrote to that file): no op is ever
-     * materialized in memory — consumers replay the file through
-     * openOpSource(). The artifact takes ownership of the file and
-     * deletes it with the last reference, exactly like a freshly
-     * streamed analysis. The file's embedded fingerprint is checked
-     * against workload.program on first open (TraceCursor).
-     */
-    static Ptr fromStreamParts(Workload workload, std::string streamPath,
-                               uint64_t numOps,
-                               std::optional<TraceGenResult> traces);
 
     /** Streamed artifacts own their trace file: it is deleted here
      * (open TraceCursors keep reading via their descriptor/mapping,
@@ -279,13 +258,17 @@ class AnalyzedWorkload
     void ensurePhases(AnalysisPhaseMask phases) const;
 
     /** Storage mode of the timing trace. */
-    TraceMode traceMode() const { return traceMode_; }
+    TraceMode
+    traceMode() const
+    {
+        return streamed() ? TraceMode::Stream : TraceMode::Whole;
+    }
 
     /** True when the trace lives in a stream file, not in memory. */
-    bool streamed() const { return traceMode_ == TraceMode::Stream; }
+    bool streamed() const { return trace_.streamed(); }
 
     /** Stream-mode trace file path (empty in whole mode). */
-    const std::string &streamPath() const { return streamPath_; }
+    const std::string &streamPath() const { return trace_.path; }
 
     /** Dynamic op count of the timing trace (both modes). Triggers
      * the recording phase if it has not run yet. */
@@ -298,16 +281,16 @@ class AnalyzedWorkload
     }
 
     /**
-     * The CASSTF3 frames a whole-mode artifact holds in memory (empty
-     * in stream mode). Triggers the recording phase if it has not run
+     * Where the timing trace lives: the CASSTF3 frames a whole-mode
+     * artifact holds in memory, or the stream file (and no frame) in
+     * stream mode. Triggers the recording phase if it has not run
      * yet; heldFrames().bytes() is the memory the trace occupies.
      */
     const TraceFrames &heldFrames() const;
 
     /**
-     * Iterate the timing trace: a TraceCursor over the held frames in
-     * whole mode, over the stream file in stream mode. Each call
-     * returns an independent forward-only cursor, which must not
+     * Iterate the timing trace: a TraceCursor over heldFrames(). Each
+     * call returns an independent forward-only cursor, which must not
      * outlive the artifact.
      */
     std::unique_ptr<TraceCursor> openOpSource() const;
@@ -330,13 +313,10 @@ class AnalyzedWorkload
     static AnalysisPhaseRuns analysisPhaseRuns();
 
   private:
-    AnalyzedWorkload(Workload workload, TraceMode mode, TraceFrames frames,
-                     std::string streamPath, uint64_t numOps,
-                     std::optional<TraceGenResult> traces);
-    /** Deferred-recording constructor: the trace (whole or streamed)
-     * is recorded by ensureTrace() on first use. */
-    AnalyzedWorkload(Workload workload, const AnalyzeOptions &options,
-                     std::string streamPath);
+    /** An artifact whose timing trace lives in `trace`: recorded
+     * already (fromParts), or recorded there on first use
+     * (analyze). */
+    AnalyzedWorkload(Workload workload, TraceFrames trace);
 
     /** Record the timing trace if it has not been recorded yet
      * (thread-safe, exactly once). */
@@ -351,9 +331,9 @@ class AnalyzedWorkload
     void ensureTraceWith(AnalysisPhaseMask extra) const;
 
     Workload workload_;
-    TraceMode traceMode_ = TraceMode::Whole;
-    std::string streamPath_; ///< stream mode
-    mutable uint64_t numOps_ = 0;
+    // The timing trace, held or in its stream file: recorded into by
+    // the recording pass itself; every cursor decodes from it.
+    mutable TraceFrames trace_;
     mutable std::mutex traceMutex_;
     mutable std::atomic<bool> traceReady_{false};
 
@@ -366,10 +346,6 @@ class AnalyzedWorkload
     mutable std::mutex taintMutex_;
     mutable uarch::TaintBitmap taint_;
     mutable std::atomic<bool> taintReady_{false};
-
-    // Whole mode: the trace storage, encoded by the recording pass
-    // itself; every cursor decodes from it.
-    mutable TraceFrames frames_;
 };
 
 /**
@@ -424,9 +400,10 @@ class AnalysisCache
     /**
      * The artifact for a named workload, analyzing it on first
      * request. Blocks while another thread analyzes the same name;
-     * analysis failures propagate to every waiter. `phases` (merged
-     * with the cache's default phases) are guaranteed to have run on
-     * the returned artifact; `mode` overrides the cache's trace mode
+     * analysis failures propagate to every waiter. `phases` are
+     * guaranteed to have run on the returned artifact (a first request
+     * runs them before publishing it, so a failing phase reaches every
+     * waiter and is not cached); `mode` overrides the cache's trace mode
      * for a first-request analysis (cached artifacts keep the storage
      * they were analyzed with — results are identical either way).
      */

@@ -190,8 +190,8 @@ struct RunnerOptions
 
     /**
      * Analysis options of the runner-owned cache (trace mode, stream
-     * directory, eagerly-run phases). Ignored when the runner shares a
-     * caller-owned cache (the cache's own options apply there).
+     * directory). Ignored when the runner shares a caller-owned cache
+     * (the cache's own options apply there).
      */
     AnalyzeOptions analyze;
 
@@ -266,14 +266,14 @@ class ExperimentRunner
 
     /**
      * Phase 1 only: analyze the named workloads in parallel (each
-     * distinct name exactly once), guaranteeing `phases` beyond the
-     * cache's defaults. Returns artifacts in input order.
+     * distinct name exactly once), guaranteeing `phases` have run.
+     * Returns artifacts in input order.
      */
     std::vector<AnalyzedWorkload::Ptr>
     analyze(const std::vector<std::string> &names,
             AnalysisPhaseMask phases, TraceMode mode) const;
 
-    /** analyze() with the cache's default phases and trace mode. */
+    /** analyze() with no phase run, in the cache's trace mode. */
     std::vector<AnalyzedWorkload::Ptr>
     analyze(const std::vector<std::string> &names) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -523,36 +522,6 @@ checkTraceHead(const SnapshotReader &in, uint64_t num_ops,
             "truncated AnalyzedWorkload snapshot");
 }
 
-/**
- * Read the trace section's frames and pass each to `keep(frame, ops)`
- * once it has passed the checked decode and relink TraceCursor uses,
- * so a corrupt frame fails the load, not a later replay.
- */
-template <typename Keep>
-void
-readFrames(SnapshotReader &in, uint64_t num_ops, uint32_t frame_ops,
-           const ir::Program &program, Keep &&keep)
-{
-    const std::vector<uint8_t> crypto = cryptoPcTable(program);
-    uarch::OpBatchStorage check;
-    for (uint64_t done = 0; done < num_ops; done += frame_ops) {
-        const uint32_t n = static_cast<uint32_t>(
-            std::min<uint64_t>(frame_ops, num_ops - done));
-        std::vector<uint8_t> frame = in.read(frameHeaderBytes);
-        const uint32_t payload = static_cast<uint32_t>(frame[1]) |
-            static_cast<uint32_t>(frame[2]) << 8 |
-            static_cast<uint32_t>(frame[3]) << 16 |
-            static_cast<uint32_t>(frame[4]) << 24;
-        in.read(frame, payload);
-        decodeRelinkedFrame(frame.data(), frame.size(), n, program, crypto,
-                            check);
-        keep(std::move(frame), n);
-    }
-    if (in.left() != 0)
-        throw std::invalid_argument(
-            "trailing bytes in AnalyzedWorkload snapshot");
-}
-
 } // namespace
 
 void
@@ -615,37 +584,45 @@ loadAnalyzedWorkload(const std::string &path,
     const TraceMode saved =
         storage == traceStorageStream ? TraceMode::Stream : TraceMode::Whole;
 
-    if (mode.value_or(saved) == TraceMode::Whole) {
-        TraceFrames held;
-        held.numOps = num_ops;
-        held.frameOps = frame_ops;
-        readFrames(in, num_ops, frame_ops, program,
-                   [&](std::vector<uint8_t> frame, uint32_t) {
-                       held.frames.push_back(std::move(frame));
-                   });
-        return AnalyzedWorkload::fromParts(std::move(meta.workload),
-                                           std::move(held),
-                                           std::move(meta.image));
-    }
-
-    // The checked frames go to a fresh stream file the artifact owns;
-    // a load that fails leaves no file behind.
-    const std::string trace_path = rehydratedStreamPath(stream_dir, meta);
+    // Every frame passes the checked decode and relink TraceCursor
+    // uses, so a corrupt frame fails the load, not a later replay, and
+    // then goes to the one writer: into memory, or into a fresh stream
+    // file the artifact owns. A load that fails leaves no frame and no
+    // file behind.
+    TraceFrames trace;
+    trace.frameOps = frame_ops;
+    if (mode.value_or(saved) == TraceMode::Stream)
+        trace.path = rehydratedStreamPath(stream_dir, meta);
+    TraceStreamWriter writer(trace, programFingerprint(program));
     try {
-        TraceStreamWriter writer(trace_path, programFingerprint(program),
-                                 frame_ops);
-        readFrames(in, num_ops, frame_ops, program,
-                   [&](std::vector<uint8_t> frame, uint32_t ops) {
-                       writer.appendFrame(frame.data(), frame.size(), ops);
-                   });
+        const std::vector<uint8_t> crypto = program.cryptoPcTable();
+        uarch::OpBatchStorage check;
+        std::vector<uint8_t> frame;
+        for (uint64_t done = 0; done < num_ops; done += frame_ops) {
+            const uint32_t n = static_cast<uint32_t>(
+                std::min<uint64_t>(frame_ops, num_ops - done));
+            frame.clear();
+            in.read(frame, frameHeaderBytes);
+            const uint32_t payload = static_cast<uint32_t>(frame[1]) |
+                static_cast<uint32_t>(frame[2]) << 8 |
+                static_cast<uint32_t>(frame[3]) << 16 |
+                static_cast<uint32_t>(frame[4]) << 24;
+            in.read(frame, payload);
+            decodeRelinkedFrame(frame.data(), frame.size(), n, program,
+                                crypto, check);
+            writer.appendFrame(frame.data(), frame.size(), n);
+        }
+        if (in.left() != 0)
+            throw std::invalid_argument(
+                "trailing bytes in AnalyzedWorkload snapshot");
         writer.finish();
     } catch (...) {
-        std::remove(trace_path.c_str());
+        writer.discard();
         throw;
     }
-    return AnalyzedWorkload::fromStreamParts(std::move(meta.workload),
-                                             trace_path, num_ops,
-                                             std::move(meta.image));
+    return AnalyzedWorkload::fromParts(std::move(meta.workload),
+                                       std::move(trace),
+                                       std::move(meta.image));
 }
 
 // ---------------------------------------------------------------------

@@ -288,15 +288,6 @@ decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
             "trailing bytes in trace stream sparse frame");
 }
 
-std::vector<uint8_t>
-cryptoPcTable(const ir::Program &program)
-{
-    std::vector<uint8_t> table(program.size());
-    for (size_t idx = 0; idx < table.size(); idx++)
-        table[idx] = program.isCryptoPc(ir::Program::pcOf(idx)) ? 1 : 0;
-    return table;
-}
-
 void
 decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
                     size_t num_ops, const ir::Program &program,
@@ -328,15 +319,35 @@ decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
 TraceStreamWriter::TraceStreamWriter(const std::string &path,
                                      uint64_t program_fingerprint,
                                      uint32_t frame_ops)
-    : path_(path), frameOps_(frame_ops), frames_(frame_ops)
+    : fileTarget_{frame_ops, 0, {}, path}, target_(&fileTarget_),
+      builder_(frame_ops)
 {
+    openFile(program_fingerprint);
+}
+
+TraceStreamWriter::TraceStreamWriter(TraceFrames &target,
+                                     uint64_t program_fingerprint)
+    : target_(&target), builder_(target.frameOps)
+{
+    if (target.numOps != 0 || !target.frames.empty())
+        throw std::logic_error(
+            "TraceStreamWriter: the target already holds a trace");
+    openFile(program_fingerprint);
+}
+
+void
+TraceStreamWriter::openFile(uint64_t program_fingerprint)
+{
+    if (!target_->streamed())
+        return;
+    const std::string &path = target_->path;
     file_.open(path, std::ios::binary | std::ios::trunc);
     if (!file_)
         throw std::runtime_error("cannot open " + path + " for writing");
     uint8_t header[headerBytes];
     std::memcpy(header, streamMagic, sizeof streamMagic);
     putU32(header + 8, streamVersion);
-    putU32(header + 12, frameOps_);
+    putU32(header + 12, target_->frameOps);
     putU64(header + 16, program_fingerprint);
     putU64(header + numOpsOffset, 0); // patched by finish()
     file_.write(reinterpret_cast<const char *>(header), headerBytes);
@@ -348,7 +359,7 @@ TraceStreamWriter::checkStream(const char *what) const
 {
     if (!file_)
         throw std::runtime_error(std::string("trace stream ") + what +
-                                 " failed for " + path_ +
+                                 " failed for " + target_->path +
                                  " (disk full?)");
 }
 
@@ -357,10 +368,10 @@ TraceStreamWriter::appendBatch(const uarch::OpBatch &batch)
 {
     if (finished_)
         throw std::logic_error("TraceStreamWriter: append after finish");
-    frames_.add(batch, [this](const uint8_t *frame, size_t bytes) {
+    builder_.add(batch, [this](const uint8_t *frame, size_t bytes) {
         writeFrame(frame, bytes);
     });
-    numOps_ += batch.size;
+    target_->numOps += batch.size;
 }
 
 void
@@ -369,23 +380,30 @@ TraceStreamWriter::appendFrame(const uint8_t *frame, size_t bytes,
 {
     // Every op so far sits in a full frame exactly when the count is a
     // multiple of the frame size (appendBatch stages the rest).
-    if (finished_ || numOps_ % frameOps_ != 0 || ops > frameOps_)
+    if (finished_ || target_->numOps % target_->frameOps != 0 ||
+        ops > target_->frameOps)
         throw std::logic_error(
             "TraceStreamWriter: appendFrame after finish or a partial "
             "frame");
     writeFrame(frame, bytes);
-    numOps_ += ops;
+    target_->numOps += ops;
 }
 
 void
 TraceStreamWriter::writeFrame(const uint8_t *frame, size_t bytes)
 {
+    if (!target_->streamed()) {
+        // Each held frame gets a buffer of its exact size, never
+        // copied again.
+        target_->frames.emplace_back(frame, frame + bytes);
+        return;
+    }
     // A poisoned stream would report tellp() == -1 and corrupt every
     // later index entry: fail fast instead of finishing garbage.
     checkStream("write");
     const std::streampos pos = file_.tellp();
     if (pos == std::streampos(-1))
-        throw std::runtime_error("cannot position in " + path_);
+        throw std::runtime_error("cannot position in " + target_->path);
     frameOffsets_.push_back(static_cast<uint64_t>(pos));
     file_.write(reinterpret_cast<const char *>(frame),
                 static_cast<std::streamsize>(bytes));
@@ -400,9 +418,14 @@ TraceStreamWriter::finish()
 {
     if (finished_)
         return;
-    frames_.finish([this](const uint8_t *frame, size_t bytes) {
+    builder_.finish([this](const uint8_t *frame, size_t bytes) {
         writeFrame(frame, bytes);
     });
+    if (!target_->streamed()) {
+        finished_ = true;
+        return;
+    }
+    const std::string &path = target_->path;
     // The durability seam: every data frame must be durable before a
     // single index/footer byte is issued, or a crash could leave a
     // footer that validates against truncated data. One flush drains
@@ -412,20 +435,20 @@ TraceStreamWriter::finish()
     checkStream("data flush");
 #if defined(__unix__) || defined(__APPLE__)
     {
-        const int fd = ::open(path_.c_str(), O_WRONLY);
+        const int fd = ::open(path.c_str(), O_WRONLY);
         if (fd < 0 || ::fsync(fd) != 0) {
             if (fd >= 0)
                 ::close(fd);
-            throw std::runtime_error("cannot sync " + path_);
+            throw std::runtime_error("cannot sync " + path);
         }
         ::close(fd);
     }
 #endif
     if (finishSeamHook)
-        finishSeamHook(path_);
+        finishSeamHook(path);
     const std::streampos raw_pos = file_.tellp();
     if (raw_pos == std::streampos(-1))
-        throw std::runtime_error("cannot position in " + path_);
+        throw std::runtime_error("cannot position in " + path);
     const uint64_t index_pos = static_cast<uint64_t>(raw_pos);
     std::vector<uint8_t> tail(frameOffsets_.size() * 8 + footerBytes);
     for (size_t i = 0; i < frameOffsets_.size(); i++)
@@ -436,14 +459,27 @@ TraceStreamWriter::finish()
     file_.write(reinterpret_cast<const char *>(tail.data()),
                 static_cast<std::streamsize>(tail.size()));
     uint8_t ops[8];
-    putU64(ops, numOps_);
+    putU64(ops, target_->numOps);
     file_.seekp(numOpsOffset);
     file_.write(reinterpret_cast<const char *>(ops), 8);
     file_.flush();
     if (!file_)
-        throw std::runtime_error("short write to " + path_);
+        throw std::runtime_error("short write to " + path);
     file_.close();
     finished_ = true;
+}
+
+void
+TraceStreamWriter::discard()
+{
+    finished_ = true;
+    target_->frames.clear();
+    target_->frames.shrink_to_fit();
+    target_->numOps = 0;
+    if (target_->streamed()) {
+        file_.close();
+        std::remove(target_->path.c_str());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -452,7 +488,27 @@ TraceStreamWriter::finish()
 
 TraceCursor::TraceCursor(const std::string &path,
                          const ir::Program &program, Backing backing)
-    : program_(program)
+    : program_(program), cryptoByIndex_(program.cryptoPcTable())
+{
+    openFile(path, backing);
+}
+
+TraceCursor::TraceCursor(const TraceFrames &trace,
+                         const ir::Program &program)
+    : program_(program), cryptoByIndex_(program.cryptoPcTable())
+{
+    if (trace.streamed()) {
+        openFile(trace.path, Backing::Auto);
+        return;
+    }
+    held_ = &trace;
+    numOps_ = trace.numOps;
+    frameOps_ = trace.frameOps;
+    numFrames_ = trace.frames.size();
+}
+
+void
+TraceCursor::openFile(const std::string &path, Backing backing)
 {
     file_.open(path, std::ios::binary);
     if (!file_)
@@ -491,7 +547,7 @@ TraceCursor::TraceCursor(const std::string &path,
             std::to_string(traceFrameMaxOps));
     // The fingerprint of the caller's program must match the one the
     // trace was recorded against.
-    if (fingerprint != programFingerprint(program))
+    if (fingerprint != programFingerprint(program_))
         throw ArtifactStaleError(
             "trace stream " + path +
             ": program fingerprint mismatch (stale trace)");
@@ -559,16 +615,6 @@ TraceCursor::TraceCursor(const std::string &path,
 #endif
     if (!map_ && backing == Backing::Mmap)
         throw std::runtime_error("mmap unavailable for " + path);
-    // Per-op relinking is then a bounds check plus two table loads
-    // instead of a linear crypto-range scan.
-    cryptoByIndex_ = cryptoPcTable(program);
-}
-
-TraceCursor::TraceCursor(const TraceFrames &held, const ir::Program &program)
-    : program_(program), held_(&held), numOps_(held.numOps),
-      frameOps_(held.frameOps), numFrames_(held.frames.size()),
-      cryptoByIndex_(cryptoPcTable(program))
-{
 }
 
 TraceCursor::~TraceCursor()

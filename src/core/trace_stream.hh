@@ -39,13 +39,18 @@
  * drop of consumed pages) or a buffered one-frame reader, so peak
  * memory stays at one frame regardless of trace length. The program
  * fingerprint guards stale files exactly like AnalyzedWorkload
- * snapshots guard stale artifacts. The same frames can also live in
- * memory without the file container (TraceFrames, the whole-mode
- * trace storage); TraceCursor decodes them through the same checked
- * decodeRelinkedFrame. AnalyzedWorkload snapshots (core/serialize)
- * carry the frames without the container in both modes: a save reads
- * them through TraceCursor::encodedFrame, and a load hands them to
- * TraceFrames or to TraceStreamWriter::appendFrame.
+ * snapshots guard stale artifacts.
+ *
+ * The same frames can also live in memory without the file container.
+ * One TraceFrames value says where a trace lives: held frames, one
+ * exact-size buffer each (whole mode), or the file it names (stream
+ * mode). TraceStreamWriter writes into either and TraceCursor reads
+ * either, through the same checked decodeRelinkedFrame; no other code
+ * branches on the location. AnalyzedWorkload snapshots
+ * (core/serialize) carry the frames without the container in both
+ * modes: a save reads them through TraceCursor::encodedFrame, and a
+ * load hands each to TraceStreamWriter::appendFrame, whichever mode it
+ * loads into.
  */
 
 #ifndef CASSANDRA_CORE_TRACE_STREAM_HH
@@ -123,17 +128,23 @@ size_t encodeTraceFrame(const uint64_t *pc, const uint64_t *mem_addr,
                         std::vector<uint8_t> &buf);
 
 /**
- * A trace held in memory as CASSTF3 frames, one buffer per frame (so a
- * frame is never copied once it is held): the whole-mode trace
- * storage.
+ * Where a trace's CASSTF3 frames live: in memory, one buffer of its
+ * exact size per frame (whole mode, `path` empty), or in the CASSTF3
+ * file `path` names (stream mode, no frame held). TraceStreamWriter
+ * writes into either and TraceCursor reads either; they are the only
+ * code that branches on which.
  */
 struct TraceFrames
 {
     uint32_t frameOps = traceStreamDefaultFrameOps;
     uint64_t numOps = 0;
     std::vector<std::vector<uint8_t>> frames; ///< complete encoded frames
+    std::string path;                         ///< the stream file, if any
 
-    /** Encoded bytes held. */
+    /** True when the frames live in the file `path`, not in memory. */
+    bool streamed() const { return !path.empty(); }
+
+    /** Encoded bytes held in memory (0 in stream mode). */
     uint64_t
     bytes() const
     {
@@ -146,10 +157,10 @@ struct TraceFrames
 
 /**
  * Cuts an op stream into CASSTF3 frames of a fixed op count: the one
- * path from ops to encoded frames (TraceStreamWriter and whole-mode
- * recording both use it). A batch span that covers a whole frame
- * while nothing is staged is encoded straight from the caller's
- * columns; other ops are staged column-wise until their frame fills.
+ * path from ops to encoded frames (TraceStreamWriter's). A batch span
+ * that covers a whole frame while nothing is staged is encoded
+ * straight from the caller's columns; other ops are staged column-wise
+ * until their frame fills.
  */
 class TraceFrameBuilder
 {
@@ -221,16 +232,12 @@ void decodeTraceFrameSoA(const uint8_t *frame, size_t frame_len,
                          size_t num_ops, uint64_t *pc, uint64_t *mem_addr,
                          uint64_t *next_pc);
 
-/** Crypto flag per static instruction of `program` (1 = the pc lies in
- * a crypto range): the table every relink indexes by pc. */
-std::vector<uint8_t> cryptoPcTable(const ir::Program &program);
-
 /**
  * The checked frame decode every CASSTF3 reader shares (TraceCursor
  * and snapshot loads): decode one frame into `out` (resized
  * to num_ops) and relink each op against `program` — inst pointer and
  * crypto flag from its pc through `crypto_table`
- * (cryptoPcTable(program)).
+ * (program.cryptoPcTable()).
  * @throws ArtifactFormatError on a corrupt frame, ArtifactStaleError
  *         when a pc lies outside the program (a stale trace)
  */
@@ -239,11 +246,15 @@ void decodeRelinkedFrame(const uint8_t *frame, size_t frame_len,
                          const std::vector<uint8_t> &crypto_table,
                          uarch::OpBatchStorage &out);
 
-/** Incremental writer of a chunked trace stream file. */
+/**
+ * Incremental writer of a trace's CASSTF3 frames, into memory or into
+ * a chunked trace stream file (one TraceFrames target either way).
+ */
 class TraceStreamWriter
 {
   public:
     /**
+     * Write a trace stream file.
      * @param path output file (created/truncated)
      * @param program_fingerprint core::programFingerprint of the
      *        program the trace belongs to
@@ -252,6 +263,15 @@ class TraceStreamWriter
     TraceStreamWriter(const std::string &path,
                       uint64_t program_fingerprint,
                       uint32_t frame_ops = traceStreamDefaultFrameOps);
+
+    /**
+     * Write into `target`, which must outlive the writer: each frame
+     * into a held buffer of its exact size when target.path is empty,
+     * else into the stream file it names, as above. Frames hold
+     * target.frameOps ops, and target.numOps counts the ops written.
+     * @throws std::logic_error when `target` already holds an op
+     */
+    TraceStreamWriter(TraceFrames &target, uint64_t program_fingerprint);
 
     TraceStreamWriter(const TraceStreamWriter &) = delete;
     TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
@@ -279,9 +299,17 @@ class TraceStreamWriter
      * describes fully-written frames — never footer-valid-but-
      * truncated data. Idempotent; throws on I/O errors. A writer
      * destroyed without finish() — a recording that threw — leaves
-     * the file footerless, so it fails loudly at open.
+     * the file footerless, so it fails loudly at open. Into memory,
+     * finish() only encodes the tail frame.
      */
     void finish();
+
+    /**
+     * Drop what was written (a recording or load that failed): the
+     * held frames, or the file, which is removed. The target is left
+     * holding no op, and later appends throw std::logic_error.
+     */
+    void discard();
 
     /**
      * Test-only fault-injection hook, called by finish() exactly at
@@ -292,19 +320,22 @@ class TraceStreamWriter
      */
     static void (*finishSeamHook)(const std::string &path);
 
-    uint64_t numOps() const { return numOps_; }
-    const std::string &path() const { return path_; }
+    uint64_t numOps() const { return target_->numOps; }
 
   private:
-    /** Write one encoded frame and record its offset in the index. */
+    /** Hold one encoded frame, or write it to the file and record its
+     * offset in the index. */
     void writeFrame(const uint8_t *frame, size_t bytes);
     void checkStream(const char *what) const;
 
-    std::string path_;
+    /** Open target_'s stream file, if it names one, and write its
+     * header. */
+    void openFile(uint64_t program_fingerprint);
+
+    TraceFrames fileTarget_; ///< the path constructor's target
+    TraceFrames *target_;
     std::ofstream file_;
-    uint32_t frameOps_;
-    uint64_t numOps_ = 0;
-    TraceFrameBuilder frames_;
+    TraceFrameBuilder builder_;
     std::vector<uint64_t> frameOffsets_;
     bool finished_ = false;
 };
@@ -319,8 +350,8 @@ struct EncodedFrame
 /**
  * Replays CASSTF3 frames as a TimingOpSource, relinking each op
  * against `program` (which must outlive the cursor and match the
- * stored fingerprint). The frames live in a trace stream file or in
- * memory (TraceFrames); both decode through decodeRelinkedFrame.
+ * stored fingerprint). The frames live in memory or in a trace stream
+ * file (TraceFrames); both decode through decodeRelinkedFrame.
  */
 class TraceCursor final : public uarch::TimingOpSource
 {
@@ -334,9 +365,10 @@ class TraceCursor final : public uarch::TimingOpSource
 
     TraceCursor(const std::string &path, const ir::Program &program,
                 Backing backing = Backing::Auto);
-    /** Replay frames held in memory (`held` must outlive the cursor,
-     * which never madvises or unmaps them). */
-    TraceCursor(const TraceFrames &held, const ir::Program &program);
+    /** Replay `trace` wherever it lives: its held frames (which must
+     * outlive the cursor, and are never madvised or unmapped) or the
+     * stream file it names. */
+    TraceCursor(const TraceFrames &trace, const ir::Program &program);
     ~TraceCursor() override;
 
     TraceCursor(const TraceCursor &) = delete;
@@ -371,6 +403,8 @@ class TraceCursor final : public uarch::TimingOpSource
     static uint64_t prefetchStalls() { return 0; }
 
   private:
+    /** Check a stream file's header and index, and map it. */
+    void openFile(const std::string &path, Backing backing);
     void dropConsumedFrames(uint64_t upto);
     uint64_t frameOps(uint64_t frame) const;
     uint64_t frameEnd(uint64_t frame) const;
@@ -394,7 +428,7 @@ class TraceCursor final : public uarch::TimingOpSource
     // one frame decoded SoA + relinked, served as views
     uarch::OpBatchStorage soa_;
     uint64_t soaFrame_ = ~0ull;
-    std::vector<uint8_t> cryptoByIndex_; ///< cryptoPcTable(program_)
+    std::vector<uint8_t> cryptoByIndex_; ///< program_.cryptoPcTable()
 
     uint64_t pos_ = 0;
 };

@@ -5,6 +5,15 @@
 
 namespace cassandra::ir {
 
+std::vector<uint8_t>
+Program::cryptoPcTable() const
+{
+    std::vector<uint8_t> table(insts.size());
+    for (size_t idx = 0; idx < table.size(); idx++)
+        table[idx] = isCryptoPc(pcOf(idx)) ? 1 : 0;
+    return table;
+}
+
 std::string
 Program::functionAt(uint64_t pc) const
 {

@@ -97,6 +97,14 @@ class Program
         return false;
     }
 
+    /**
+     * isCryptoPc per static instruction, 0/1 indexed like insts: the
+     * table every per-op crypto lookup (trace relink, the fused
+     * analysis passes, the core's integrity check) reads instead of
+     * scanning the ranges.
+     */
+    std::vector<uint8_t> cryptoPcTable() const;
+
     /** Name of the function containing pc, or "?" if none. */
     std::string functionAt(uint64_t pc) const;
 

@@ -180,24 +180,20 @@ OooCore::OooCore(const core::SimConfig &config, const ir::Program &program,
 {
     if (schemeUsesBtu(scheme_) && image_)
         btu_ = std::make_unique<btu::Btu>(*image_, btuParams_);
-    if (schemeIsCassandra(scheme_)) {
-        // The integrity check probes isCryptoPc once per BPU-predicted
-        // branch; precomputing it per static instruction turns the
-        // linear range scan into one table byte on the hot path.
-        cryptoPcMap_.resize(program.size());
-        for (size_t idx = 0; idx < cryptoPcMap_.size(); idx++)
-            cryptoPcMap_[idx] =
-                program.isCryptoPc(ir::Program::pcOf(idx)) ? 1 : 0;
-    }
+    // The integrity check probes isCryptoPc once per BPU-predicted
+    // branch; the per-instruction table turns the linear range scan
+    // into one table byte on the hot path.
+    if (schemeIsCassandra(scheme_))
+        cryptoPc_ = program.cryptoPcTable();
 }
 
 bool
 OooCore::predictedCryptoPc(uint64_t pc) const
 {
     const uint64_t off = pc - ir::Program::codeBase;
-    if (off < cryptoPcMap_.size() * ir::instBytes &&
+    if (off < cryptoPc_.size() * ir::instBytes &&
         off % ir::instBytes == 0)
-        return cryptoPcMap_[off / ir::instBytes] != 0;
+        return cryptoPc_[off / ir::instBytes] != 0;
     return program_.isCryptoPc(pc);
 }
 

@@ -420,7 +420,7 @@ class OooCore
     Btb btb_;
     Rsb rsb_;
     MemoryHierarchy memory_;
-    std::vector<uint8_t> cryptoPcMap_;
+    std::vector<uint8_t> cryptoPc_; ///< Program::cryptoPcTable
     std::unique_ptr<RunState> run_; ///< between begin() and finish()
 };
 

@@ -238,8 +238,9 @@ TEST_F(BtuTest, LongTracePrefetches)
         EXPECT_EQ(r.target, t);
         btu.commitBranch(loopPc);
     }
-    if (!bt.shortTrace)
+    if (!bt.shortTrace) {
         EXPECT_GT(btu.stats().prefetches, 0u);
+    }
 }
 
 } // namespace

@@ -287,9 +287,8 @@ TEST(RunBeside, SecondErrorSurfacesWhenFirstSucceeds)
 TEST(FusedArtifact, WholeModeParity)
 {
     const char *name = "DES_ct"; // has secret regions -> taint runs
-    AnalyzeOptions options;
-    options.phases = core::allAnalysisPhases;
-    const auto fused = AnalyzedWorkload::analyze(workload(name), options);
+    const auto fused = AnalyzedWorkload::analyze(workload(name));
+    fused->ensurePhases(core::allAnalysisPhases);
 
     // The references, on their own copy of the workload.
     const core::Workload w = workload(name);
@@ -366,9 +365,9 @@ TEST(FusedArtifact, StreamModeAllPhasesParity)
     const char *name = "DES_ct";
     AnalyzeOptions options;
     options.traceMode = TraceMode::Stream;
-    options.phases = core::allAnalysisPhases;
     options.streamDir = test::scratchPath("fused-all-phases");
     const auto fused = AnalyzedWorkload::analyze(workload(name), options);
+    fused->ensurePhases(core::allAnalysisPhases);
     ASSERT_TRUE(fused->streamed());
     EXPECT_TRUE(fused->hasTimingTrace());
     EXPECT_TRUE(fused->hasTraceImage());

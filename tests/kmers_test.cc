@@ -88,7 +88,7 @@ TEST(KmersTest, IncompressibleSequenceStays)
     // All-distinct letters cannot compress.
     VanillaTrace v;
     for (int i = 0; i < 10; i++)
-        v.push_back({0x100 + 16u * i, 1 + i});
+        v.push_back({0x100 + 16u * i, static_cast<uint64_t>(1 + i)});
     KmersResult k = core::compressKmers(core::encodeDna(v));
     EXPECT_EQ(k.seq.size(), 10u);
     EXPECT_EQ(k.expand(), v);
@@ -125,8 +125,9 @@ TEST(KmersTest, MaxKLimitsPatternSize)
     KmersResult k = core::compressKmers(core::encodeDna(v), params);
     EXPECT_EQ(k.expand(), v);
     for (const auto &sym : k.seq) {
-        if (k.isPattern(sym))
+        if (k.isPattern(sym)) {
             EXPECT_LE(k.expandSymbol(sym).size(), 16u);
+        }
     }
 }
 

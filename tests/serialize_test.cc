@@ -498,50 +498,62 @@ TEST(ArtifactVersionTest, FrameOpsAboveTheCeilingIsRejectedBeforeAllocating)
 
 TEST(SnapshotTraceModeTest, LoadsIntoTheRequestedMode)
 {
-    // A snapshot reloads into either trace mode: whole -> stream puts
-    // the frames in a fresh stream file under the load's directory and
-    // holds none, stream -> whole holds exactly the frames a whole
-    // analysis holds, and every scheme replays identically either way.
+    // A snapshot of either mode reloads into either trace mode, through
+    // the one AnalyzedWorkload::fromParts: a stream load puts the frames
+    // in a fresh stream file under the load's directory and holds none,
+    // a whole load holds exactly the frames a whole analysis holds, and
+    // every scheme replays identically either way.
     auto resolver = crypto::WorkloadRegistry::global().resolver();
     auto whole = AnalyzedWorkload::analyze(resolver("SHAKE"));
     const std::string dir = test::scratchPath("snap-mode");
     auto streamed = streamedArtifact("SHAKE", dir);
     ASSERT_GT(whole->heldFrames().frames.size(), 1u);
-    const auto whole_bytes = test::snapshotBytes(*whole, "SHAKE");
-    const auto stream_bytes = test::snapshotBytes(*streamed, "SHAKE");
+    const std::vector<uint8_t> saved[] = {
+        test::snapshotBytes(*whole, "SHAKE"),
+        test::snapshotBytes(*streamed, "SHAKE")};
+    const uarch::Scheme schemes[] = {
+        uarch::Scheme::UnsafeBaseline, uarch::Scheme::Cassandra,
+        uarch::Scheme::CassandraStl,   uarch::Scheme::CassandraLite,
+        uarch::Scheme::Spt,            uarch::Scheme::Prospect,
+        uarch::Scheme::CassandraProspect};
+    std::vector<core::ExperimentResult> want;
+    for (uarch::Scheme s : schemes)
+        want.push_back(Simulation(whole).run(s));
 
     const std::string load_dir = test::scratchPath("snap-mode-load");
-    auto to_stream = test::loadSnapshotBytes(whole_bytes, resolver,
-                                             load_dir, TraceMode::Stream);
-    ASSERT_TRUE(to_stream->streamed());
-    EXPECT_EQ(to_stream->heldFrames().bytes(), 0u);
-    EXPECT_EQ(to_stream->streamPath().rfind(load_dir + "/", 0), 0u)
-        << to_stream->streamPath();
-    EXPECT_EQ(countTraceFiles(load_dir), 1u);
-
-    auto to_whole = test::loadSnapshotBytes(stream_bytes, resolver,
-                                            load_dir, TraceMode::Whole);
-    ASSERT_FALSE(to_whole->streamed());
-    EXPECT_TRUE(to_whole->streamPath().empty());
-    EXPECT_EQ(to_whole->heldFrames().frames, whole->heldFrames().frames);
-    EXPECT_EQ(countTraceFiles(load_dir), 1u);
-
-    // Each now saves exactly as an artifact analyzed in its new mode.
-    EXPECT_TRUE(test::snapshotBytes(*to_stream, "SHAKE") == stream_bytes);
-    EXPECT_TRUE(test::snapshotBytes(*to_whole, "SHAKE") == whole_bytes);
-
-    for (uarch::Scheme s :
-         {uarch::Scheme::UnsafeBaseline, uarch::Scheme::Cassandra,
-          uarch::Scheme::CassandraStl, uarch::Scheme::CassandraLite,
-          uarch::Scheme::Spt, uarch::Scheme::Prospect,
-          uarch::Scheme::CassandraProspect}) {
-        SCOPED_TRACE(uarch::schemeName(s));
-        const auto want = Simulation(whole).run(s);
-        test::expectSameCounters(Simulation(to_stream).run(s), want,
-                                 "to stream");
-        test::expectSameCounters(Simulation(to_whole).run(s), want,
-                                 "to whole");
+    std::vector<AnalyzedWorkload::Ptr> loaded; // each keeps its file
+    for (TraceMode from : {TraceMode::Whole, TraceMode::Stream}) {
+        for (TraceMode mode : {TraceMode::Whole, TraceMode::Stream}) {
+            SCOPED_TRACE(std::string(core::traceModeName(from)) +
+                         " snapshot into " + core::traceModeName(mode));
+            loaded.push_back(test::loadSnapshotBytes(
+                saved[from == TraceMode::Stream], resolver, load_dir, mode));
+            const AnalyzedWorkload &aw = *loaded.back();
+            ASSERT_EQ(aw.traceMode(), mode);
+            EXPECT_TRUE(aw.hasTimingTrace());
+            EXPECT_EQ(aw.numOps(), whole->numOps());
+            if (mode == TraceMode::Stream) {
+                EXPECT_EQ(aw.heldFrames().bytes(), 0u);
+                EXPECT_EQ(aw.streamPath().rfind(load_dir + "/", 0), 0u)
+                    << aw.streamPath();
+            } else {
+                EXPECT_TRUE(aw.streamPath().empty());
+                EXPECT_EQ(aw.heldFrames().frames,
+                          whole->heldFrames().frames);
+            }
+            // It now saves exactly as an artifact analyzed in its new
+            // mode.
+            EXPECT_TRUE(test::snapshotBytes(aw, "SHAKE") ==
+                        saved[mode == TraceMode::Stream]);
+            for (size_t i = 0; i < std::size(schemes); i++)
+                test::expectSameCounters(Simulation(loaded.back()).run(
+                                             schemes[i]),
+                                         want[i],
+                                         uarch::schemeName(schemes[i]));
+        }
     }
+    // One fresh stream file per stream load.
+    EXPECT_EQ(countTraceFiles(load_dir), 2u);
 }
 
 TEST(ArtifactCacheTest, LoadsIntoTheSweepsModeAndAppliesInNameOrder)

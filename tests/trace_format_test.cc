@@ -131,8 +131,9 @@ TEST(TraceFormatTest, RoundTripRandomTraces)
         v = core::toVanilla(core::expandVanilla(v));
 
         BranchTrace bt = encodeVanilla(pc, v);
-        if (bt.hasTrace())
+        if (bt.hasTrace()) {
             EXPECT_EQ(bt.expand(), v) << "trial " << trial;
+        }
     }
 }
 

@@ -893,12 +893,10 @@ TEST(TaintBitmapTest, FusedAndLazyWalksMatchRecordedOps)
             uarch::computeTaintBitmap(src, w.secretRegions, ops.pc.size());
         EXPECT_GT(want.count(), 0u);
 
-        AnalyzeOptions fused_opts;
-        fused_opts.phases = core::PhaseTimingTrace | core::PhaseTaint;
-        auto fused = AnalyzedWorkload::analyze(workload(name), fused_opts);
-        AnalyzeOptions lazy_opts;
-        lazy_opts.phases = core::PhaseTimingTrace;
-        auto lazy = AnalyzedWorkload::analyze(workload(name), lazy_opts);
+        auto fused = AnalyzedWorkload::analyze(workload(name));
+        fused->ensurePhases(core::PhaseTimingTrace | core::PhaseTaint);
+        auto lazy = AnalyzedWorkload::analyze(workload(name));
+        lazy->ensurePhases(core::PhaseTimingTrace);
         ASSERT_TRUE(fused->hasTaintBitmap());
         ASSERT_TRUE(lazy->hasTimingTrace());
         ASSERT_FALSE(lazy->hasTaintBitmap());
@@ -1041,36 +1039,47 @@ TEST(TraceStreamTest, UnfinishedWriterWritesNoFooter)
 TEST(TraceStreamTest, FailedStreamRecordingRemovesPartialFile)
 {
     // SHAKE needs ~50K instructions: a 40K budget throws mid-recording,
-    // after the writer has flushed whole frames to disk.
-    core::Workload w = workload("SHAKE");
-    w.maxDynInsts = 40000;
-    AnalyzeOptions opts;
-    opts.traceMode = TraceMode::Stream;
-    opts.streamDir = test::scratchPath("stream-budget");
-    const std::string path = core::traceStreamPath(
-        opts.streamDir, w.name, core::programFingerprint(w.program));
-    auto artifact = AnalyzedWorkload::analyze(std::move(w), opts);
-    EXPECT_THROW(artifact->numOps(), core::InstructionBudgetError);
-    EXPECT_FALSE(fileExists(path)) << path;
+    // after the writer has written a whole frame, held in memory or
+    // flushed to disk. The failed recording drops it, so no file is
+    // left and every later call fails on the budget again, never on a
+    // stale frame.
+    for (TraceMode mode : {TraceMode::Stream, TraceMode::Whole}) {
+        SCOPED_TRACE(core::traceModeName(mode));
+        core::Workload w = workload("SHAKE");
+        w.maxDynInsts = 40000;
+        AnalyzeOptions opts;
+        opts.traceMode = mode;
+        opts.streamDir = test::scratchPath("stream-budget");
+        const std::string path = core::traceStreamPath(
+            opts.streamDir, w.name, core::programFingerprint(w.program));
+        auto artifact = AnalyzedWorkload::analyze(std::move(w), opts);
+        EXPECT_THROW(artifact->numOps(), core::InstructionBudgetError);
+        EXPECT_FALSE(artifact->hasTimingTrace());
+        EXPECT_FALSE(fileExists(path)) << path;
 
-    // Every phase at once: Algorithm 2's two input runs exhaust the
-    // same budget beside the recording pass. All three are joined and
-    // the recording pass's error surfaces, on every call (a failed
-    // phase is not cached).
-    for (int call = 0; call < 2; call++) {
-        SCOPED_TRACE("call " + std::to_string(call));
-        try {
-            artifact->ensurePhases(core::allAnalysisPhases);
-            ADD_FAILURE() << "ensurePhases did not throw";
-        } catch (const core::InstructionBudgetError &e) {
-            EXPECT_NE(std::string(e.what()).find("timing trace"),
-                      std::string::npos)
-                << e.what();
+        // Every phase at once: Algorithm 2's two input runs exhaust the
+        // same budget beside the recording pass. All three are joined
+        // and the recording pass's error surfaces, on every call (a
+        // failed phase is not cached).
+        for (int call = 0; call < 2; call++) {
+            SCOPED_TRACE("call " + std::to_string(call));
+            try {
+                artifact->ensurePhases(core::allAnalysisPhases);
+                ADD_FAILURE() << "ensurePhases did not throw";
+            } catch (const core::InstructionBudgetError &e) {
+                EXPECT_NE(std::string(e.what()).find("timing trace"),
+                          std::string::npos)
+                    << e.what();
+            }
+            EXPECT_FALSE(artifact->hasTimingTrace());
+            EXPECT_FALSE(fileExists(path)) << path;
         }
+        EXPECT_THROW(artifact->heldFrames(), core::InstructionBudgetError);
+        EXPECT_THROW(artifact->openOpSource(), core::InstructionBudgetError);
+        EXPECT_FALSE(artifact->hasTimingTrace());
+        artifact.reset();
         EXPECT_FALSE(fileExists(path)) << path;
     }
-    artifact.reset();
-    EXPECT_FALSE(fileExists(path)) << path;
 }
 
 TEST(TraceStreamTest, CorruptMiddleFrameFailsTheRunTyped)
